@@ -3,7 +3,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check compile test trace-smoke fault-smoke distributed-smoke \
 	lint-smoke sanitize-smoke synth-smoke perf-smoke tune-smoke \
-	bench-smoke bench-distributed clean
+	layered-smoke bench-smoke bench-distributed clean
 
 ## Default verification: imports compile, tier-1 tests pass, the tracing
 ## pipeline produces a loadable Perfetto trace end to end, the
@@ -13,10 +13,11 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## each parallelization strategy on both backends, kernel synthesis
 ## emits equivalence-checked kernels for the batchable apps, and
 ## `repro perf` regression detection passes clean seeded runs while
-## flagging an artificial slowdown, and the adaptive tuner recovers a
-## deliberately mistuned pipeline depth.
+## flagging an artificial slowdown, the adaptive tuner recovers a
+## deliberately mistuned pipeline depth, and the layered benchmark's
+## harness still produces every metric it declares.
 check: compile test trace-smoke fault-smoke distributed-smoke lint-smoke \
-	sanitize-smoke synth-smoke perf-smoke tune-smoke
+	sanitize-smoke synth-smoke perf-smoke tune-smoke layered-smoke
 
 compile:
 	$(PYTHON) -m compileall -q src
@@ -81,10 +82,12 @@ sanitize-smoke:
 	@echo "sanitize mf (multiprocess) ok"
 	@echo "sanitize-smoke ok"
 
-## Kernel synthesis over every bundled app: the batchable bodies
-## (mf, mf-adarev, glove, slr, gbt's histogram loop) must emit a kernel and survive an
+## Kernel synthesis over every bundled app's built loop: the batchable
+## bodies (mf, mf-adarev, glove, slr, gbt's histogram loop) must emit the
+## kernel their default kernel="auto" runs and survive an
 ## equivalence-checked epoch (bitwise state + accounting vs the scalar
-## interpreter); the rest must fall back cleanly (exit 1, W50x
+## interpreter); lda, which registers its own kernel because synthesis
+## declines its body, must report that decline cleanly (exit 1, W50x
 ## diagnostic) rather than fail.
 synth-smoke:
 	@for app in mf mf-adarev glove slr gbt; do \
@@ -137,6 +140,11 @@ tune-smoke:
 		--mode cached --store .repro_tune_smoke
 	rm -rf .repro_tune_smoke
 	@echo "tune-smoke ok"
+
+## The layered benchmark's self-test (~25 s): a --smoke pass of all four
+## workloads plus schema, unit, span-tree and driver-line validation.
+layered-smoke:
+	$(PYTHON) benchmarks/layered/selftest.py
 
 ## Wall-clock kernel-vs-scalar throughput; writes BENCH_wallclock.json.
 bench-smoke:

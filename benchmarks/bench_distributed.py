@@ -25,6 +25,7 @@ Run:  make bench-distributed
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -40,6 +41,7 @@ from repro.apps.slr import build_orion_program as build_slr
 from repro.data.synthetic import lda_corpus, netflix_like, sparse_classification
 from repro.obs.insight import prediction_error
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 3
 WORKER_COUNTS = (1, 2, 4)
@@ -55,7 +57,7 @@ def _dense_arrays(program) -> dict:
 
 def _run_scalar(build, cluster, epochs: int) -> float:
     """Wall seconds for ``epochs`` passes of the scalar interpreter."""
-    program = build(cluster, use_kernel=False)
+    program = build(cluster, options=LoopOptions(kernel="off"))
     program.epoch_fn()  # warm-up: block materialization, caches
     start = time.perf_counter()
     for _ in range(epochs):
@@ -65,7 +67,7 @@ def _run_scalar(build, cluster, epochs: int) -> float:
 
 def _run_oracle(build, cluster, epochs: int):
     """Simulated run: (arrays, predicted total, per-epoch predictions)."""
-    program = build(cluster, use_kernel=True)
+    program = build(cluster)
     program.train_loop.run(1)  # align with the multiprocess warm-up pass
     results = program.train_loop.run(epochs)
     per_epoch = [r.epoch_time_s for r in results]
@@ -74,7 +76,7 @@ def _run_oracle(build, cluster, epochs: int):
 
 def _run_multiprocess(build, cluster, epochs: int):
     """Forked run: (wall seconds, util, arrays, per-epoch wall seconds)."""
-    program = build(cluster, use_kernel=True, backend="multiprocess")
+    program = build(cluster, options=LoopOptions(backend="multiprocess"))
     loop = program.train_loop
     try:
         loop.run(1)  # warm-up: fork, shared-memory adoption, kernel caches
@@ -171,6 +173,7 @@ def run(out_path: Path, smoke: bool = False) -> dict:
     results = {
         "epochs_timed": epochs,
         "worker_counts": list(worker_counts),
+        "cpu_count": os.cpu_count(),
         "apps": {
             name: _measure(build, count, epochs, worker_counts)
             for name, (build, count) in apps.items()

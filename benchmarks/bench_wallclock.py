@@ -1,16 +1,13 @@
-"""Wall-clock throughput: scalar body vs hand kernels vs synthesized kernels.
+"""Wall-clock throughput: the scalar body vs the batched kernel.
 
 Unlike the other benchmarks (which report *virtual* time from the cost
 model), this one measures real host seconds: each app runs the same
-program once per variant in the same process — ``use_kernel=False`` (the
-per-entry interpreted body), ``use_kernel="hand"`` (the app's hand-written
-block kernel, where one exists) and ``use_kernel="auto"`` (the kernel
-synthesized from the loop body by ``repro.analysis.synth``) — and reports
-entries/second for each plus speedups over scalar.  Results land in
-``BENCH_wallclock.json`` at the repo root.
-
-Apps whose bodies synthesis cannot batch (LDA's sparse sampling) report
-``"synth": null`` — they fall back to the scalar interpreter (W50x).
+program twice in the same process — ``kernel="off"`` (the per-entry
+interpreted body) and the default ``kernel="auto"`` (the kernel
+synthesized from the loop body by ``repro.analysis.synth``; LDA's
+registered kernel) — and reports entries/second for each, the speedup
+over scalar and the ``kernel_tier`` that ran.  Results land in
+``BENCH_wallclock.json`` at the repo root, with the host's CPU count.
 
 Run:  make bench-smoke        (or: PYTHONPATH=src python benchmarks/bench_wallclock.py)
 """
@@ -18,6 +15,7 @@ Run:  make bench-smoke        (or: PYTHONPATH=src python benchmarks/bench_wallcl
 from __future__ import annotations
 
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -31,21 +29,16 @@ from repro.apps.sgd_mf import build_orion_program as build_mf
 from repro.apps.slr import SLRHyper
 from repro.apps.slr import build_orion_program as build_slr
 from repro.data.synthetic import lda_corpus, netflix_like, sparse_classification
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 3
 
 
-def _measure(build, num_entries: int, variants=None) -> dict:
+def _measure(build, num_entries: int) -> dict:
     """Time ``EPOCHS`` passes of each variant of one program, scalar first."""
-    variants = variants or (
-        ("scalar", False), ("hand", "hand"), ("synth", "auto")
-    )
     out = {}
-    for variant, use_kernel in variants:
-        program = build(use_kernel=use_kernel)
-        if use_kernel == "auto" and not program.train_loop.synthesis().engaged:
-            out[variant] = None  # fell back: nothing distinct to measure
-            continue
+    for variant, kernel in (("scalar", "off"), ("kernel", "auto")):
+        program = build(options=LoopOptions(kernel=kernel))
         program.epoch_fn()  # warm-up pass: block materialization, caches
         start = time.perf_counter()
         for _ in range(EPOCHS):
@@ -55,12 +48,10 @@ def _measure(build, num_entries: int, variants=None) -> dict:
             "wall_seconds": round(wall, 4),
             "entries_per_sec": round(EPOCHS * num_entries / wall, 1),
         }
-    scalar_rate = out["scalar"]["entries_per_sec"]
-    for variant in ("hand", "synth"):
-        row = out.get(variant)
-        out[f"speedup_{variant}"] = (
-            round(row["entries_per_sec"] / scalar_rate, 2) if row else None
-        )
+    out["kernel_tier"] = program.train_loop.executor.kernel_tier
+    out["speedup"] = round(
+        out["kernel"]["entries_per_sec"] / out["scalar"]["entries_per_sec"], 2
+    )
     return out
 
 
@@ -74,36 +65,32 @@ def run(out_path: Path) -> dict:
 
     results = {
         "epochs_timed": EPOCHS,
+        "cpu_count": os.cpu_count(),
         "apps": {
             "sgd_mf": _measure(
-                lambda use_kernel: build_mf(mf, seed=7, use_kernel=use_kernel),
-                len(mf.entries),
+                lambda **kw: build_mf(mf, seed=7, **kw), len(mf.entries)
             ),
             "sgd_mf_adarev": _measure(
-                lambda use_kernel: build_mf(
-                    mf, hyper=MFHyper(adarev=True), seed=7, use_kernel=use_kernel
+                lambda **kw: build_mf(
+                    mf, hyper=MFHyper(adarev=True), seed=7, **kw
                 ),
                 len(mf.entries),
             ),
             "slr": _measure(
-                lambda use_kernel: build_slr(
-                    slr, hyper=SLRHyper(step_size=0.2), seed=7, use_kernel=use_kernel
+                lambda **kw: build_slr(
+                    slr, hyper=SLRHyper(step_size=0.2), seed=7, **kw
                 ),
                 len(slr.entries),
             ),
             "lda": _measure(
-                lambda use_kernel: build_lda(
-                    lda, hyper=LDAHyper(num_topics=8), seed=7, use_kernel=use_kernel
+                lambda **kw: build_lda(
+                    lda, hyper=LDAHyper(num_topics=8), seed=7, **kw
                 ),
                 len(lda.entries),
             ),
-            # GloVe ships no hand kernel: synthesis is its only fast path.
             "glove": _measure(
-                lambda use_kernel: build_glove(
-                    glove, seed=7, use_kernel=use_kernel
-                ),
+                lambda **kw: build_glove(glove, seed=7, **kw),
                 len(glove.entries),
-                variants=(("scalar", False), ("synth", "auto")),
             ),
         },
     }
@@ -119,16 +106,12 @@ def main() -> int:
     print(f"wrote {out_path}")
     width = max(len(name) for name in results["apps"])
     for name, row in results["apps"].items():
-        cells = [f"scalar {row['scalar']['entries_per_sec']:>11,.0f}/s"]
-        for variant in ("hand", "synth"):
-            if row.get(variant):
-                cells.append(
-                    f"{variant} {row[variant]['entries_per_sec']:>11,.0f}/s"
-                    f" ({row[f'speedup_{variant}']:.2f}x)"
-                )
-            else:
-                cells.append(f"{variant} {'—':>11s}")
-        print(f"  {name:{width}s}  " + "  ".join(cells))
+        print(
+            f"  {name:{width}s}  "
+            f"scalar {row['scalar']['entries_per_sec']:>11,.0f}/s  "
+            f"kernel {row['kernel']['entries_per_sec']:>11,.0f}/s "
+            f"({row['speedup']:.2f}x, {row['kernel_tier']})"
+        )
     return 0
 
 

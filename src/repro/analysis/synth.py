@@ -1,13 +1,12 @@
 """Automatic kernel synthesis: compile a scalar loop body into a block kernel.
 
-The batched fast path (:mod:`repro.runtime.kernels`) historically required
-each app to ship a hand-written ``kernel(block_entries, kctx)``.  This module
-closes that gap: starting from the loop body's AST, the ``ArrayRef`` /
-``IndexBinding`` records, and the subscript classification that
-:mod:`repro.analysis.loop_info` already extracted, it *generates* the kernel
-source, compiles it against the body's own environment, and hands the
-callable to the executor — hand kernels become an override, not a
-requirement.
+The batched fast path (:mod:`repro.runtime.kernels`) runs one
+``kernel(block_entries, kctx)`` call per block.  This module derives that
+kernel from the serial loop body, the only source of truth: starting from
+the body's AST, the ``ArrayRef`` / ``IndexBinding`` records, and the
+subscript classification that :mod:`repro.analysis.loop_info` already
+extracted, it *generates* the kernel source, compiles it against the
+body's own environment, and hands the callable to the executor.
 
 Two synthesis tiers are tried in order:
 
@@ -16,10 +15,12 @@ Two synthesis tiers are tried in order:
   indices (SGD MF, GloVe, ...).  Entries are split into conflict-free runs
   (:func:`~repro.runtime.kernels.conflict_free_groups_nd`) and each run
   executes as one gather → NumPy-expression → scatter, with the scalar
-  body replayed verbatim for single-entry runs.  Reductions keep the scalar
-  form (strided ``vecdot``), ``**`` routes through
-  :func:`~repro.runtime.kernels.scalar_pow`, so results stay bit-identical
-  to the interpreter.
+  body replayed for single-entry runs.  Reductions keep the scalar form
+  (strided ``vecdot``), ``**`` routes through
+  :func:`~repro.runtime.kernels.scalar_pow`, and scalar subexpressions are
+  evaluated once (loop invariants before the group loop, repeated
+  per-entry scalars in a local), so results stay bit-identical to the
+  interpreter.
 * **block-loop** — for bodies with inner loops, branches, or buffered
   writes (SLR, ...).  The original statements are kept, but DistArray
   subscripts become direct dense-array accesses with per-site accounting
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import ast
 import copy
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -67,7 +69,7 @@ _RESERVED_PREFIXES = (
     "_s_", "_nd_", "_ix", "_rd", "_wr", "_bi_", "_bv_",
     "_k0", "_k1", "_k2", "_k3", "_g0", "_g1", "_g2", "_g3",
     "_t0", "_t1", "_t2", "_t3", "_t4", "_t5", "_t6", "_t7", "_t8", "_t9",
-    "_v_", "_vv", "_pt",
+    "_v_", "_vv", "_pt", "_inv", "_cse",
 )
 
 #: NumPy functions whose vectorized form is bit-identical to applying the
@@ -220,6 +222,11 @@ def _check_common(info: LoopInfo) -> None:
         )
 
 
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and \
+        not isinstance(value, bool)
+
+
 def _subscript_elements(node: ast.Subscript) -> Tuple[ast.expr, ...]:
     if isinstance(node.slice, ast.Tuple):
         return tuple(node.slice.elts)
@@ -258,6 +265,12 @@ class _Vectorizer:
         self.written: Dict[str, Tuple] = {}
         self.vec_lines: List[str] = []
         self.replay_stmts: List[ast.stmt] = []
+        #: Loop-invariant scalar subexpressions, source -> hoisted name.
+        self.invariants: Dict[str, str] = {}
+        #: Per-entry scalar subexpressions the body evaluates more than
+        #: once, ``ast.dump`` -> the local that now holds the value.
+        self.shared: Dict[str, str] = {}
+        self._repeats: Dict[str, int] = {}
         self._temp = 0
 
     # -------- small utilities -------------------------------------------- #
@@ -338,23 +351,21 @@ class _Vectorizer:
         if indexed is not None:
             return _Val(self._gidx(*indexed), "lane")
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(
-                node.value, (int, float)
-            ):
+            if not _is_number(node.value):
                 self._fail("non-numeric constant", node)
             return _Val(repr(node.value), "pure")
         if isinstance(node, ast.Name):
             if node.id in self.locals:
                 return self.locals[node.id]
+            if node.id in self.invariants.values():
+                return _Val(node.id, "pure")
             if node.id in self.bindings:
                 self._fail("whole loop-index tuple used as a value", node)
             if node.id == self.info.value_param:
                 return _Val("_vv", "lane")
             if node.id in self.info.arrays or node.id in self.info.buffers:
                 self._fail(f"bare DistArray reference {node.id!r}", node)
-            value = self.env.get(node.id)
-            if isinstance(value, (int, float, np.integer, np.floating)) and \
-                    not isinstance(value, bool):
+            if _is_number(self.env.get(node.id)):
                 return _Val(node.id, "pure")
             self._fail(f"unsupported name {node.id!r}", node)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
@@ -443,6 +454,81 @@ class _Vectorizer:
         parts = ", ".join(self._gidx(a[1], a[2]) for a in axes)
         return _Val(f"_nd_{name}[{parts}]", "lane")
 
+    # -------- scalar sharing ----------------------------------------------- #
+
+    def _scalar_kind(self, node: ast.expr) -> Optional[str]:
+        """``"pure"`` (loop-invariant) / ``"lane"`` (per-entry) when
+        ``node`` is ``+ - * /`` arithmetic over numeric constants,
+        closed-over numbers and scalar locals — values no DistArray write
+        can change — else ``None``."""
+        if isinstance(node, ast.Constant):
+            return "pure" if _is_number(node.value) else None
+        if isinstance(node, ast.Name):
+            local = self.locals.get(node.id)
+            if local is not None:
+                # A local lives inside the group loop, whatever it holds.
+                scalar = local.orient in ("pure", "lane") and \
+                    local.view_of is None
+                return "lane" if scalar else None
+            if node.id in self.bindings or node.id in self.info.arrays:
+                return None
+            if node.id == self.info.value_param:
+                return "lane"
+            return "pure" if _is_number(self.env.get(node.id)) else None
+        if isinstance(node, ast.UnaryOp) and \
+                isinstance(node.op, (ast.USub, ast.UAdd)):
+            return self._scalar_kind(node.operand)
+        if isinstance(node, ast.BinOp) and \
+                isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+            kinds = (self._scalar_kind(node.left), self._scalar_kind(node.right))
+            if None in kinds:
+                return None
+            return "lane" if "lane" in kinds else "pure"
+        return None
+
+    def _share_scalars(self, node: ast.stmt) -> List[ast.stmt]:
+        """Evaluate each scalar subexpression of an assignment once.
+
+        Loop-invariant arithmetic (``step_size * 2.0``) moves in front of
+        the group loop, and a per-entry scalar the body spells out more
+        than once (the ``c * diff`` its left-associated products share) is
+        bound to a local before its first use.  Same operands, same
+        operation, fewer evaluations — the results cannot differ.
+        Returns the bindings to translate first, then the statement.
+        """
+        if not isinstance(node, ast.Assign):
+            return [node]
+        pre: List[ast.stmt] = []
+        outer = self
+
+        class _Share(ast.NodeTransformer):
+            def visit_BinOp(self, expr: ast.BinOp) -> ast.expr:
+                kind = outer._scalar_kind(expr)
+                if kind == "pure" and any(
+                    isinstance(leaf, ast.Name) for leaf in ast.walk(expr)
+                ):
+                    name = outer.invariants.setdefault(
+                        ast.unparse(expr), f"_inv{len(outer.invariants)}"
+                    )
+                    return ast.Name(id=name, ctx=ast.Load())
+                key = ast.dump(expr)
+                if kind == "lane" and outer._repeats.get(key, 0) > 1:
+                    name = outer.shared.get(key)
+                    if name is None:
+                        value = self.generic_visit(expr)
+                        name = outer.shared[key] = f"_cse{len(outer.shared)}"
+                        pre.append(ast.Assign(
+                            targets=[ast.Name(id=name, ctx=ast.Store())],
+                            value=value,
+                        ))
+                    return ast.Name(id=name, ctx=ast.Load())
+                return self.generic_visit(expr)
+
+        shared = copy.copy(node)
+        shared.value = _Share().visit(copy.deepcopy(node.value))
+        return [ast.fix_missing_locations(ast.copy_location(s, node))
+                for s in pre + [shared]]
+
     # -------- statement translation --------------------------------------- #
 
     def _stmt(self, node: ast.stmt) -> None:
@@ -478,7 +564,6 @@ class _Vectorizer:
         ):
             for dim, elt in enumerate(target.elts):
                 self._bind(elt.id, ast_utils.IndexBinding(dim_idx=dim), node)
-            self.replay_stmts.append(node)
             return
         self._fail("tuple assignment (only `i, j = key` is supported)", node)
 
@@ -490,17 +575,16 @@ class _Vectorizer:
 
     def _assign_name(self, node: ast.Assign, target: ast.Name) -> None:
         name = target.id
-        # Pure index aliases produce no vector code.
+        # Pure index aliases produce no code: both arms read the indices
+        # through ``self.bindings``.
         indexed = ast_utils._index_expr(node.value, self.bindings)
         if indexed is not None:
             self._bind(name, ast_utils.IndexBinding(*indexed), node)
-            self.replay_stmts.append(node)
             return
         if isinstance(node.value, ast.Name) and \
                 node.value.id in self.bindings and \
                 self.bindings[node.value.id].is_whole_key:
             self._bind(name, ast_utils.IndexBinding(dim_idx=None), node)
-            self.replay_stmts.append(node)
             return
         if name in self.locals or name in self.bindings:
             self._fail(f"reassignment of {name!r}", node)
@@ -565,8 +649,12 @@ class _Vectorizer:
         ):
             raise _Fallback("W501", "non-scalar entry values (vector tier)")
         assert info.tree is not None
+        self._repeats = Counter(
+            ast.dump(n) for n in ast.walk(info.tree) if isinstance(n, ast.BinOp)
+        )
         for stmt in info.tree.body:
-            self._stmt(stmt)
+            for piece in self._share_scalars(stmt):
+                self._stmt(piece)
         if not self.written:
             raise _Fallback("W501", "no vectorizable DistArray writes")
         conflict_dims = sorted({
@@ -608,6 +696,8 @@ class _Vectorizer:
         out(f"    ({', '.join(prep_names)}) = _prep")
         for name in self.patterns:
             out(f"    _nd_{name} = {name}.values")
+        for source, name in self.invariants.items():
+            out(f"    {name} = {source}")
         out("    for _lo, _hi in _groups:")
         out("        if _hi - _lo == 1:")
         for line in self._replay_lines():
@@ -659,47 +749,42 @@ class _Vectorizer:
 
         Scalar NumPy indexing gives the replay branch the body's exact view
         semantics, so heavy-conflict blocks stay bit-identical without any
-        orientation machinery.
+        orientation machinery.  Every spelling of a loop index (``key[d]``,
+        an alias, either ± a constant) reads one scalar bound per entry.
         """
         info = self.info
-        assigned = set(self.locals) | {
-            n for n in self.bindings if n != info.index_param
-        }
+        assigned = set(self.locals)
         arrays = set(self.patterns)
-        index_param, value_param = info.index_param, info.value_param
+        bindings, value_param = self.bindings, info.value_param
+        used_dims: Set[int] = set()
 
         class _Rename(ast.NodeTransformer):
+            def visit(self, node: ast.AST) -> ast.AST:
+                indexed = ast_utils._index_expr(node, bindings) \
+                    if isinstance(node, ast.expr) else None
+                if indexed is None:
+                    return super().visit(node)
+                dim, const = indexed
+                used_dims.add(dim)
+                source = f"_s_i{dim} + {const}" if const else f"_s_i{dim}"
+                return ast.parse(source, mode="eval").body
+
             def visit_Name(self, node: ast.Name) -> ast.Name:
-                if node.id == index_param:
-                    return ast.copy_location(
-                        ast.Name(id="_s_key", ctx=node.ctx), node
-                    )
-                if value_param is not None and node.id == value_param:
-                    return ast.copy_location(
-                        ast.Name(id=f"_s_{value_param}", ctx=node.ctx), node
-                    )
-                if node.id in assigned:
-                    return ast.copy_location(
-                        ast.Name(id=f"_s_{node.id}", ctx=node.ctx), node
-                    )
+                if node.id == value_param or node.id in assigned:
+                    return ast.Name(id=f"_s_{node.id}", ctx=node.ctx)
                 if node.id in arrays:
-                    return ast.copy_location(
-                        ast.Name(id=f"_nd_{node.id}", ctx=node.ctx), node
-                    )
+                    return ast.Name(id=f"_nd_{node.id}", ctx=node.ctx)
                 return node
 
-        key_parts = ", ".join(
-            f"_k{d}[_lo]" for d in range(info.num_iter_dims)
-        )
-        lines = [f"_s_key = ({key_parts},)"]
+        renamer = _Rename()
+        body: List[str] = []
+        for stmt in self.replay_stmts:
+            new = ast.fix_missing_locations(renamer.visit(copy.deepcopy(stmt)))
+            body.extend(ast.unparse(new).splitlines())
+        lines = [f"_s_i{d} = _k{d}[_lo]" for d in sorted(used_dims)]
         if value_param is not None:
             lines.append(f"_s_{value_param} = _vals[_lo]")
-        renamer = _Rename()
-        for stmt in self.replay_stmts:
-            new = renamer.visit(copy.deepcopy(stmt))
-            ast.fix_missing_locations(new)
-            lines.extend(ast.unparse(new).splitlines())
-        return lines
+        return lines + body
 
 
 # --------------------------------------------------------------------------- #
@@ -1193,7 +1278,7 @@ def synthesize_kernel(body: Callable[..., Any], info: LoopInfo) -> SynthResult:
                     message=f"synthesis fell back: {block_fallback.message}",
                     location=location,
                     hint="the scalar interpreter runs this loop; pass a "
-                         "hand kernel or simplify the body to batch it",
+                         "kernel callable or simplify the body to batch it",
                 )
             )
             if vector_reason.message != block_fallback.message:

@@ -34,7 +34,6 @@ construction exactly once; each ``run()`` executes one pass.
 from __future__ import annotations
 
 import operator
-import warnings
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -56,7 +55,7 @@ from repro.runtime.backend import Backend, create_backend
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import EpochResult, OrionExecutor
 from repro.runtime.network import TrafficLog
-from repro.runtime.options import UNSET, LoopOptions
+from repro.runtime.options import LoopOptions
 
 __all__ = ["OrionContext", "ParallelLoop"]
 
@@ -447,23 +446,8 @@ class OrionContext:
     def parallel_for(
         self,
         iteration_space: DistArray,
-        ordered: Any = UNSET,
-        force_dims: Any = UNSET,
-        pipeline_depth: Any = UNSET,
-        balance: Any = UNSET,
-        validate: Any = UNSET,
-        prefetch: Any = UNSET,
-        cache_prefetch: Any = UNSET,
-        concurrency: Any = UNSET,
-        backend: Any = UNSET,
-        kernel: Any = UNSET,
-        equivalence_check: Any = UNSET,
-        sanitize: Any = UNSET,
-        tracer: Any = UNSET,
-        metrics: Any = UNSET,
-        trace_process: Any = UNSET,
         options: Optional[LoopOptions] = None,
-        obs: Any = UNSET,
+        obs: Optional[Observability] = None,
     ) -> Callable[[Callable[..., Any]], ParallelLoop]:
         """Parallelize a loop body over ``iteration_space``.
 
@@ -480,23 +464,15 @@ class OrionContext:
 
             loop = ctx.parallel_for(
                 ratings,
-                options=LoopOptions(pipeline_depth="auto", kernel="auto"),
+                options=LoopOptions(pipeline_depth="auto", validate=True),
             )(body)
 
         Every field is documented on ``LoopOptions`` itself; the knobs
         that exist only there include fault injection (``faults`` /
         ``checkpoint``), run recording (``run_store`` / ``run_label``)
         and adaptive tuning (``tune="auto"|"cached"``, see
-        ``docs/tuning.md``).
-
-        .. deprecated::
-            The historical bare keyword arguments (``ordered=``,
-            ``pipeline_depth=``, ``prefetch=``, ... — everything except
-            ``options`` and ``obs``) still work and override the
-            corresponding ``LoopOptions`` field, but emit a
-            :class:`DeprecationWarning`; migrate to
-            ``options=LoopOptions(...)`` (or
-            ``options.merged_with(...)`` for call-site overrides).
+        ``docs/tuning.md``).  Use ``options.merged_with(...)`` for
+        call-site overrides.
 
         Args:
             iteration_space: materialized DistArray to iterate over.
@@ -505,51 +481,9 @@ class OrionContext:
             obs: per-loop :class:`~repro.obs.observability.Observability`
                 bundle (defaults to the context's).
         """
-        legacy = {
-            "ordered": ordered,
-            "force_dims": force_dims,
-            "pipeline_depth": pipeline_depth,
-            "balance": balance,
-            "validate": validate,
-            "prefetch": prefetch,
-            "cache_prefetch": cache_prefetch,
-            "concurrency": concurrency,
-            "backend": backend,
-            "kernel": kernel,
-            "equivalence_check": equivalence_check,
-            "sanitize": sanitize,
-            "tracer": tracer,
-            "metrics": metrics,
-            "trace_process": trace_process,
-        }
-        passed = [name for name, value in legacy.items() if value is not UNSET]
-        if passed:
-            warnings.warn(
-                "passing loop configuration to parallel_for as bare "
-                f"keyword arguments ({', '.join(passed)}) is deprecated; "
-                "pass options=LoopOptions(...) instead (see the "
-                "LoopOptions docstring for the migration guide)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        opts = (options if options is not None else LoopOptions()).merged_with(
-            ordered=ordered,
-            force_dims=force_dims,
-            pipeline_depth=pipeline_depth,
-            balance=balance,
-            validate=validate,
-            prefetch=prefetch,
-            cache_prefetch=cache_prefetch,
-            concurrency=concurrency,
-            backend=backend,
-            kernel=kernel,
-            equivalence_check=equivalence_check,
-            sanitize=sanitize,
-            tracer=tracer,
-            metrics=metrics,
-            obs=obs,
-            trace_process=trace_process,
-        )
+        opts = options if options is not None else LoopOptions()
+        if obs is not None:
+            opts = opts.merged_with(obs=obs)
         resolved = opts.resolve_obs(default=self.obs)
         final = replace(opts, obs=resolved, tracer=None, metrics=None)
         if final.backend == "threaded" and final.concurrency == "serial":

@@ -31,56 +31,20 @@ from repro.runtime.options import LoopOptions
 __all__ = [
     "OrionProgram",
     "SerialApp",
-    "resolve_kernel_option",
     "resolve_loop_options",
 ]
 
 Entry = Tuple[Tuple[int, ...], Any]
 
 
-def resolve_kernel_option(
-    use_kernel: Any, hand_kernel: Optional[Callable[..., Any]] = None
-) -> Any:
-    """Resolve an app builder's ``use_kernel`` flag to a ``kernel`` option.
-
-    The returned value is what the builder passes to ``parallel_for``:
-
-    * ``True`` — the best available: the app's hand kernel when it ships
-      one, otherwise ``"auto"`` (synthesize from the body, scalar fallback
-      with a W50x diagnostic when the body is not batchable);
-    * ``"hand"`` — the hand kernel, an error when the app has none;
-    * ``"auto"`` — always synthesize (hand kernel ignored);
-    * ``False`` / ``None`` / ``"off"`` — the scalar interpreter.
-    """
-    if use_kernel is True:
-        return hand_kernel if hand_kernel is not None else "auto"
-    if use_kernel in (False, None):
-        return None
-    if use_kernel == "hand":
-        if hand_kernel is None:
-            raise ValueError(
-                "this app has no hand-written kernel; "
-                "pass use_kernel='auto', True, or 'off'"
-            )
-        return hand_kernel
-    if use_kernel == "auto":
-        return "auto"
-    if use_kernel == "off":
-        return None
-    raise ValueError(
-        f"use_kernel must be True, False, 'hand', 'auto' or 'off' "
-        f"(got {use_kernel!r})"
-    )
-
-
 def resolve_loop_options(loop_opts: Dict[str, Any]) -> LoopOptions:
     """Fold a builder's remaining ``**loop_opts`` into one ``LoopOptions``.
 
     App builders accept either an options-first ``options=LoopOptions(...)``
-    or the historical per-knob keyword arguments (which ``parallel_for``
-    itself deprecates).  This merges both — explicit kwargs win over the
-    ``options`` bundle — and empties ``loop_opts`` so the builder can make
-    a single warning-free ``parallel_for(space, options=...)`` call.
+    or per-knob keyword arguments (which ``parallel_for`` itself no longer
+    takes).  This merges both — explicit kwargs win over the ``options``
+    bundle — and empties ``loop_opts`` so the builder can make a single
+    ``parallel_for(space, options=...)`` call.
     """
     base = loop_opts.pop("options", None) or LoopOptions()
     if loop_opts:

@@ -19,7 +19,7 @@ arrays rotated together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from repro.apps.base import (
     Entry,
     OrionProgram,
     SerialApp,
-    resolve_kernel_option,
     resolve_loop_options,
 )
 from repro.runtime.cluster import ClusterSpec
@@ -150,15 +149,12 @@ def build_orion_program(
     hyper: GloVeHyper = GloVeHyper(),
     seed: int = 0,
     label: Optional[str] = None,
-    use_kernel: Any = True,
     **loop_opts,
 ) -> OrionProgram:
     """Build the GloVe Orion program (2D unordered).
 
-    GloVe ships no hand-written kernel; ``use_kernel=True`` (default)
-    therefore synthesizes one from the loop body (``kernel="auto"``) —
-    the app picks up the batched fast path for free.  Pass ``False`` /
-    ``"off"`` for the scalar interpreter.
+    Under the default ``kernel="auto"`` the batched kernel is synthesized
+    from the loop body below (vector tier).
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)
@@ -185,9 +181,9 @@ def build_orion_program(
         bw[key[0]] = bw[key[0]] - scale
         bc[key[1]] = bc[key[1]] - scale
 
-    kernel_opt = loop_opts.pop("kernel", resolve_kernel_option(use_kernel))
-    opts = resolve_loop_options(loop_opts).merged_with(kernel=kernel_opt)
-    loop = ctx.parallel_for(cooc, options=opts)(body)
+    loop = ctx.parallel_for(
+        cooc, options=resolve_loop_options(loop_opts)
+    )(body)
 
     def loss_fn() -> float:
         return glove_loss(

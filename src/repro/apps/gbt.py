@@ -20,16 +20,12 @@ production GBT systems.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.api import OrionContext
-from repro.apps.base import (
-    OrionProgram,
-    resolve_kernel_option,
-    resolve_loop_options,
-)
+from repro.apps.base import OrionProgram, resolve_loop_options
 from repro.data.synthetic import TableDataset
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.simtime import CostModel
@@ -114,16 +110,15 @@ def build_orion_program(
     hyper: GBTHyper = GBTHyper(),
     seed: int = 0,
     label: Optional[str] = None,
-    use_kernel: Any = True,
     **loop_opts,
 ) -> OrionProgram:
     """Build the GBT Orion program (one epoch = one boosting round).
 
-    GBT has no hand kernel; ``use_kernel=True`` attempts synthesis
-    (``kernel="auto"``) for each of the round's three loops.  The
-    histogram loop batches (its shared writes are buffered); the grow and
-    apply loops fall back to the scalar interpreter with W50x diagnostics
-    (state-dependent branching / unbuffered shared writes).
+    Under the default ``kernel="auto"`` each of the round's three loops
+    attempts synthesis.  The histogram loop batches (its shared writes
+    are buffered); the grow and apply loops fall back to the scalar
+    interpreter with W50x diagnostics (state-dependent branching /
+    unbuffered shared writes).
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)
@@ -175,8 +170,7 @@ def build_orion_program(
         preds[key[0]] = preds[key[0]] + leaf_values[leaf]
         node_assign[key[0]] = 0.0
 
-    kernel_opt = loop_opts.pop("kernel", resolve_kernel_option(use_kernel))
-    opts = resolve_loop_options(loop_opts).merged_with(kernel=kernel_opt)
+    opts = resolve_loop_options(loop_opts)
     hist_loop = ctx.parallel_for(samples, options=opts)(hist_body)
     grow_loop = ctx.parallel_for(samples, options=opts)(grow_body)
     apply_loop = ctx.parallel_for(samples, options=opts)(apply_body)

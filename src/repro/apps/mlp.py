@@ -16,7 +16,7 @@ networks.  The weight DistArrays are 2-D; buffer writes address whole rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from repro.apps.base import (
     Entry,
     OrionProgram,
     SerialApp,
-    resolve_kernel_option,
     resolve_loop_options,
 )
 from repro.runtime.cluster import ClusterSpec
@@ -115,7 +114,6 @@ def build_orion_program(
     hyper: MLPHyper = MLPHyper(),
     seed: int = 0,
     label: Optional[str] = None,
-    use_kernel: Any = True,
     **loop_opts,
 ) -> OrionProgram:
     """Build the MLP Orion program (dense access; buffered data parallelism).
@@ -125,11 +123,9 @@ def build_orion_program(
     through per-matrix buffers, so the analyzer selects 1D data
     parallelism, as the paper prescribes for neural networks.
 
-    MLP has no hand kernel; ``use_kernel=True`` attempts synthesis
-    (``kernel="auto"``).  The body folds its loss into an accumulator, so
-    synthesis currently falls back to the scalar interpreter with a W501
-    diagnostic — the flag documents the intent and keeps the builder
-    uniform with the other apps.
+    The body folds its loss into an accumulator, so kernel synthesis
+    (the default ``kernel="auto"``) currently falls back to the scalar
+    interpreter with a W501 diagnostic.
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)
@@ -167,9 +163,9 @@ def build_orion_program(
         w2_buf[:, :] = -step * g_w2
         b2_buf[:] = -step * g_b2
 
-    kernel_opt = loop_opts.pop("kernel", resolve_kernel_option(use_kernel))
-    opts = resolve_loop_options(loop_opts).merged_with(kernel=kernel_opt)
-    loop = ctx.parallel_for(samples, options=opts)(body)
+    loop = ctx.parallel_for(
+        samples, options=resolve_loop_options(loop_opts)
+    )(body)
 
     def loss_fn() -> float:
         total = 0.0

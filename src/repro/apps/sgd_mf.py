@@ -12,7 +12,7 @@ rotated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,23 +21,13 @@ from repro.apps.base import (
     Entry,
     OrionProgram,
     SerialApp,
-    resolve_kernel_option,
     resolve_loop_options,
 )
 from repro.data.synthetic import MFDataset
 from repro.runtime.cluster import ClusterSpec
-from repro.runtime.kernels import conflict_free_groups
 from repro.runtime.simtime import CostModel
 
 __all__ = ["MFHyper", "SGDMFApp", "build_orion_program", "mf_cost_model", "nzsl"]
-
-try:
-    _vecdot = np.vecdot
-except AttributeError:  # numpy < 2: row-wise dots, same strided operands
-
-    def _vecdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.array([x @ y for x, y in zip(a, b)])
-
 
 @dataclass(frozen=True)
 class MFHyper:
@@ -88,16 +78,6 @@ def mf_cost_model(hyper: MFHyper, base_entry_cost: float = 1e-6) -> CostModel:
     return CostModel(entry_cost_s=base_entry_cost * factor)
 
 
-def _block_prep(block, kctx):
-    """Index arrays + conflict-free groups for one block, cached per block."""
-    prep = kctx.cache.get("prep")
-    if prep is None:
-        rows, cols, values = _index_arrays(block)
-        groups = conflict_free_groups(rows.tolist(), cols.tolist())
-        kctx.cache["prep"] = prep = (rows, cols, values, groups)
-    return prep
-
-
 def build_orion_program(
     dataset: MFDataset,
     cluster: Optional[ClusterSpec] = None,
@@ -106,7 +86,6 @@ def build_orion_program(
     eval_with_loop: bool = False,
     seed: int = 0,
     label: Optional[str] = None,
-    use_kernel: Any = True,
     **loop_opts,
 ) -> OrionProgram:
     """Build the paper's Fig. 5 program against the real Orion API.
@@ -120,11 +99,11 @@ def build_orion_program(
     listing) — instead of a driver-side vectorized computation.  The
     evaluation loop is read-only, so the analyzer parallelizes it 1D.
 
-    ``use_kernel`` registers a batched block kernel that produces
-    bit-identical factors and accounting to the per-entry body (vectorized
-    elementwise updates over conflict-free entry groups; dot products stay
-    in the body's exact strided-view form).  Pass ``False`` to force the
-    scalar path everywhere.
+    Under the default ``kernel="auto"`` the batched block kernel is
+    synthesized from the body below (vector tier: elementwise updates
+    over conflict-free entry groups, dot products in the body's exact
+    strided-view form) and produces bit-identical factors and accounting
+    to the per-entry interpreter.
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)
@@ -165,56 +144,6 @@ def build_orion_program(
             Hz[:, key[1]] = Hz[:, key[1]] + h_grad
             W[:, key[0]] = w_col - ada_step * w_grad / np.sqrt(wn2)
             H[:, key[1]] = h_col - ada_step * h_grad / np.sqrt(hn2)
-
-        def kernel(block, kctx):
-            rows, cols, values, groups = _block_prep(block, kctx)
-            Wd, Hd = W.values, H.values
-            Wn2d, Hn2d = Wn2.values, Hn2.values
-            Wzd, Hzd = Wz.values, Hz.values
-            for lo, hi in groups:
-                if hi - lo == 1:
-                    # Single-entry group: replay the body exactly (the
-                    # batched dot below needs ≥ 2 columns to keep the
-                    # strided reduction path).
-                    i, j = rows[lo], cols[lo]
-                    w_col, h_col = Wd[:, i], Hd[:, j]
-                    diff = values[lo] - w_col @ h_col
-                    w_grad = -2.0 * diff * h_col
-                    h_grad = -2.0 * diff * w_col
-                    wn2 = Wn2d[:, i] + w_grad * w_grad
-                    hn2 = Hn2d[:, j] + h_grad * h_grad
-                    Wn2d[:, i] = wn2
-                    Hn2d[:, j] = hn2
-                    Wzd[:, i] = Wzd[:, i] + w_grad
-                    Hzd[:, j] = Hzd[:, j] + h_grad
-                    Wd[:, i] = w_col - ada_step * w_grad / np.sqrt(wn2)
-                    Hd[:, j] = h_col - ada_step * h_grad / np.sqrt(hn2)
-                    continue
-                r, c = rows[lo:hi], cols[lo:hi]
-                W_g = Wd.take(r, axis=1)
-                H_g = Hd.take(c, axis=1)
-                # One batched dot per group.  The transposed rows of a
-                # C-ordered gather are strided vectors, which keeps vecdot
-                # on the same sequential reduction the body's strided
-                # ``w_col @ h_col`` uses — bit-identical predictions.
-                preds = _vecdot(W_g.T, H_g.T)
-                coeff = -2.0 * (values[lo:hi] - preds)
-                w_grads = coeff * H_g
-                h_grads = coeff * W_g
-                wn2 = Wn2d.take(r, axis=1) + w_grads * w_grads
-                hn2 = Hn2d.take(c, axis=1) + h_grads * h_grads
-                Wn2d[:, r] = wn2
-                Hn2d[:, c] = hn2
-                Wzd[:, r] = Wzd.take(r, axis=1) + w_grads
-                Hzd[:, c] = Hzd.take(c, axis=1) + h_grads
-                Wd[:, r] = W_g - ada_step * w_grads / np.sqrt(wn2)
-                Hd[:, c] = H_g - ada_step * h_grads / np.sqrt(hn2)
-            for array in (W, Wn2, Wz):
-                kctx.account_col_reads(array, rows)
-                kctx.account_col_writes(array, rows)
-            for array in (H, Hn2, Hz):
-                kctx.account_col_reads(array, cols)
-                kctx.account_col_writes(array, cols)
     else:
 
         def body(key, rating):
@@ -225,51 +154,9 @@ def build_orion_program(
             W[:, key[0]] = w_col + step_size * 2.0 * diff * h_col
             H[:, key[1]] = h_col + step_size * 2.0 * diff * w_col
 
-        scale = step_size * 2.0
-
-        def kernel(block, kctx):
-            rows, cols, values, groups = _block_prep(block, kctx)
-            Wd, Hd = W.values, H.values
-            for lo, hi in groups:
-                if hi - lo == 1:
-                    # Single-entry group: replay the body exactly (the
-                    # batched dot below needs ≥ 2 columns to keep the
-                    # strided reduction path).
-                    i, j = rows[lo], cols[lo]
-                    w_col, h_col = Wd[:, i], Hd[:, j]
-                    coeff = scale * (values[lo] - w_col @ h_col)
-                    w_new = w_col + coeff * h_col
-                    Wd[:, i] = w_new
-                    # The body writes W first, so its H update reads the
-                    # already-updated W column.
-                    Hd[:, j] = h_col + coeff * w_new
-                    continue
-                r, c = rows[lo:hi], cols[lo:hi]
-                W_g = Wd.take(r, axis=1)
-                H_g = Hd.take(c, axis=1)
-                # One batched dot per group.  The transposed rows of a
-                # C-ordered gather are strided vectors, which keeps vecdot
-                # on the same sequential reduction the body's strided
-                # ``w_col @ h_col`` uses — bit-identical predictions.
-                preds = _vecdot(W_g.T, H_g.T)
-                coeff = scale * (values[lo:hi] - preds)
-                W_new = W_g + coeff * H_g
-                # The body writes W first, so its H update reads the
-                # already-updated W column.
-                Hd[:, c] = H_g + coeff * W_new
-                Wd[:, r] = W_new
-            kctx.account_col_reads(W, rows)
-            kctx.account_col_writes(W, rows)
-            kctx.account_col_reads(H, cols)
-            kctx.account_col_writes(H, cols)
-
-    kernel_opt = loop_opts.pop(
-        "kernel", resolve_kernel_option(use_kernel, kernel)
-    )
-    base_opts = resolve_loop_options(loop_opts)
+    opts = resolve_loop_options(loop_opts)
     loop = ctx.parallel_for(
-        ratings,
-        options=base_opts.merged_with(ordered=ordered, kernel=kernel_opt),
+        ratings, options=opts.merged_with(ordered=ordered)
     )(body)
     rows, cols, values = _index_arrays(dataset.entries)
 
@@ -280,7 +167,11 @@ def build_orion_program(
             prediction = W[:, key[0]] @ H[:, key[1]]
             err.add((rating - prediction) ** 2)
 
-        eval_loop = ctx.parallel_for(ratings, options=base_opts)(eval_body)
+        # An accumulator fold is not batchable; don't hand the training
+        # loop's kernel choice to it.
+        eval_loop = ctx.parallel_for(
+            ratings, options=opts.merged_with(kernel="off")
+        )(eval_body)
 
         def loss_fn() -> float:
             ctx.reset_accumulator("err")

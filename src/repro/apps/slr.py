@@ -17,7 +17,7 @@ element-wise UDF — the atomic read-modify-write hook the paper highlights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from repro.apps.base import (
     Entry,
     OrionProgram,
     SerialApp,
-    resolve_kernel_option,
     resolve_loop_options,
 )
 from repro.data.synthetic import SLRDataset
@@ -63,45 +62,22 @@ def slr_cost_model(hyper: SLRHyper, base_entry_cost: float = 2e-6) -> CostModel:
     return CostModel(entry_cost_s=base_entry_cost * factor)
 
 
-def _block_prep(block, kctx):
-    """Flattened feature ids/values + per-sample extents, cached per block.
-
-    Everything here derives from the immutable block entry list, so the
-    first epoch builds it and later epochs reuse it.
-    """
-    prep = kctx.cache.get("prep")
-    if prep is None:
-        flat_fids: list = []
-        meta = []
-        for _key, (features, target) in block:
-            flat_fids.extend(fid for fid, _fval in features)
-            meta.append((len(features), target))
-        flat_fvals = np.array(
-            [fval for _key, (features, _t) in block for _fid, fval in features],
-            dtype=np.float64,
-        )
-        fid_index = np.array(flat_fids, dtype=np.intp)
-        kctx.cache["prep"] = prep = (flat_fids, fid_index, flat_fvals, meta)
-    return prep
-
-
 def build_orion_program(
     dataset: SLRDataset,
     cluster: Optional[ClusterSpec] = None,
     hyper: SLRHyper = SLRHyper(),
     seed: int = 0,
     label: Optional[str] = None,
-    use_kernel: Any = True,
     **loop_opts,
 ) -> OrionProgram:
     """Build the SLR Orion program (1D data parallelism with buffers).
 
-    ``use_kernel`` registers a batched block kernel: one weight gather for
-    the whole block (legal because every update is buffered until the block
-    boundary, so the weights are frozen during the block), sequential
-    per-sample margin accumulation in the body's exact order, and one bulk
-    buffer merge — bit-identical weights and traffic accounting to the
-    scalar path.
+    Under the default ``kernel="auto"`` the batched block kernel is
+    synthesized from the body below (block-loop tier: direct dense weight
+    reads — legal because every update is buffered until the block
+    boundary — the body's exact per-sample accumulation order, and one
+    bulk buffer merge), with bit-identical weights and traffic accounting
+    to the scalar path.
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)
@@ -132,9 +108,6 @@ def build_orion_program(
             grad_scale = prob - target
             for fid, fval in features:
                 weight_buf[fid] = grad_scale * fval
-
-        def coefficient(grad_scale):
-            return grad_scale
     else:
         weight_buf = ctx.dist_array_buffer(weights, name="weight_buf")
 
@@ -148,36 +121,9 @@ def build_orion_program(
             for fid, fval in features:
                 weight_buf[fid] = -step_size * grad_scale * fval
 
-        def coefficient(grad_scale):
-            return -step_size * grad_scale
-
-    def kernel(block, kctx):
-        flat_fids, fid_index, flat_fvals, meta = _block_prep(block, kctx)
-        wd = weights.values
-        # Buffered updates only reach the weights at the block boundary, so
-        # one gather serves every sample's margin terms.
-        products = wd[fid_index] * flat_fvals
-        values = np.empty(len(flat_fvals))
-        offset = 0
-        for num_features, target in meta:
-            end = offset + num_features
-            # Sequential accumulation in the body's exact order (a
-            # vectorized sum pairs terms differently).
-            margin = 0.0
-            for term in products[offset:end]:
-                margin = margin + term
-            prob = 1.0 / (1.0 + np.exp(-margin))
-            grad_scale = prob - target
-            values[offset:end] = coefficient(grad_scale) * flat_fvals[offset:end]
-            offset = end
-        kctx.buffer_add(weight_buf, flat_fids, values)
-        kctx.account_point_reads(weights, flat_fids)
-
-    kernel_opt = loop_opts.pop(
-        "kernel", resolve_kernel_option(use_kernel, kernel)
-    )
-    opts = resolve_loop_options(loop_opts).merged_with(kernel=kernel_opt)
-    loop = ctx.parallel_for(samples, options=opts)(body)
+    loop = ctx.parallel_for(
+        samples, options=resolve_loop_options(loop_opts)
+    )(body)
 
     def loss_fn() -> float:
         return logistic_loss(weights.values, dataset.entries)

@@ -71,6 +71,7 @@ import sys
 import tempfile
 from typing import Dict, List, Optional
 
+from repro.analysis.synth import synthesize_kernel
 from repro.apps import (
     LDAApp,
     LDAHyper,
@@ -522,8 +523,8 @@ def _lint_main(argv: List[str], out) -> int:
 def _synth_main(argv: List[str], out) -> int:
     """``repro synth``: show what kernel synthesis makes of an app's loop.
 
-    Builds the requested app's training loop with ``kernel="auto"`` and
-    prints the synthesis report — the generated NumPy block-kernel source
+    Builds the requested app's training loop and prints the synthesis
+    report of its body — the generated NumPy block-kernel source
     when a tier succeeded, or the W50x fallback diagnostics explaining why
     the scalar interpreter runs instead (see docs/analysis.md, "Kernel
     synthesis").  ``--check`` additionally runs one equivalence-checked
@@ -577,9 +578,11 @@ def _synth_main(argv: List[str], out) -> int:
             **cluster_kwargs,
         )
     extra = {"equivalence_check": True} if args.check else {}
-    program = builder(cluster, use_kernel="auto", **extra)
+    program = builder(cluster, **extra)
     loop = program.train_loop
-    synth = loop.synthesis()
+    # Synthesis of the built loop's own body — LDA runs a registered
+    # kernel, so its loop carries no synthesis outcome to read back.
+    synth = synthesize_kernel(loop.body, loop.info)
     out.write(f"== synth: {args.app} ==\n{synth.describe()}\n")
     w503 = [d for d in loop.diagnostics() if d.code == "W503"]
     for diag in w503:

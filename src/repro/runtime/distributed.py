@@ -209,9 +209,7 @@ class _WorkerProcess:
         self.token_kind = token_kind
         self.depth = depth
         executor = self.executor
-        self.use_kernel = (
-            executor.kernel is not None and executor._kernel_supported
-        )
+        self.kernel_path = executor.kernel_path
         self.broker = PlainBroker()
         #: Sanitize mode: the (pre-fork) executor forced kernels off, so
         #: every block takes the scalar path under a recording broker;
@@ -266,7 +264,7 @@ class _WorkerProcess:
         executor = self.executor
         block_key = (task.space_idx, task.time_idx or 0)
         block = executor.partitions.block(*block_key)
-        if self.use_kernel:
+        if self.kernel_path:
             with access.worker_scope(self.worker_id), \
                     access.install_broker(self.broker):
                 kctx = KernelContext(

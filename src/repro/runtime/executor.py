@@ -36,7 +36,7 @@ from repro.runtime import partition as parts
 from repro.runtime import schedule as sched
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.kernels import KernelContext, normalize_index
-from repro.runtime.options import UNSET, LoopOptions
+from repro.runtime.options import LoopOptions
 from repro.runtime.pserver import PrefetchManager, index_nbytes
 
 __all__ = [
@@ -278,48 +278,10 @@ class OrionExecutor:
         info: static analysis of the body.
         plan: the chosen parallelization.
         cluster: simulated cluster spec.
-        options: a :class:`~repro.runtime.options.LoopOptions` carrying
-            every knob below plus the fault-injection configuration
-            (``faults`` / ``checkpoint``).  The individual keyword
-            arguments remain accepted; explicitly passed ones override
-            the corresponding ``options`` field.
-        obs: bundled observability (tracer + metrics); the legacy
-            ``tracer=`` / ``metrics=`` kwargs override it component-wise.
-        pipeline_depth: time partitions per worker for unordered 2D
-            (paper Fig. 8 uses 2).
-        balance: histogram-balanced partition bounds (vs. equal width).
-        validate: record accesses and verify that same-step blocks touch
-            disjoint elements (serializability check; slow, for tests).
-        prefetch: ``"auto"`` synthesizes and uses a bulk-prefetch function
-            for server arrays, ``"none"`` models per-access round trips.
-        cache_prefetch: cache each block's prefetch indices across epochs
-            (on by default — the paper's 9.2 s → 6.3 s step; pass ``False``
-            to model re-running the synthesized function every pass).
-        concurrency: ``"serial"`` executes scheduled-concurrent blocks one
-            after another (a linearization — the default, fully
-            deterministic); ``"threads"`` runs each step's blocks on a
-            thread pool, demonstrating that the schedule's concurrency
-            claims hold under genuine parallel execution (dependence-
-            preserving plans touch disjoint elements, so results match the
-            serial linearization).
-        kernel: optional batched kernel ``kernel(block_entries, kctx)``
-            applying one block's updates with bulk NumPy operations (see
-            :mod:`repro.runtime.kernels`).  Used only when the plan proves
-            block-batched execution legal; the scalar body runs otherwise.
-        equivalence_check: execute the first kernel-eligible block through
-            *both* paths and raise :class:`ExecutionError` unless they
-            produce identical array/buffer state and accounting.  The block
-            is executed twice, so the check requires a replayable program:
-            no RNG draws in the body and no buffer apply UDF that mutates
-            state outside the DistArrays (the rewind between runs only
-            restores array and buffer contents).
-        tracer: observability tracer; spans are emitted on the virtual
-            timeline only when it is enabled (default: the shared disabled
-            :data:`~repro.obs.tracer.NULL_TRACER`, zero overhead).
-        metrics: observability metrics registry (default: the shared
-            disabled :data:`~repro.obs.metrics.NULL_METRICS`).
-        trace_process: Perfetto process label for this executor's spans,
-            letting several engines share one trace file side by side.
+        options: the :class:`~repro.runtime.options.LoopOptions` carrying
+            every knob, each documented there (defaults when omitted).
+        obs: bundled observability (tracer + metrics), overriding
+            ``options.obs``.
     """
 
     def __init__(
@@ -330,32 +292,8 @@ class OrionExecutor:
         cluster: ClusterSpec,
         options: Optional[LoopOptions] = None,
         obs: Optional[Observability] = None,
-        pipeline_depth: Any = UNSET,
-        balance: Any = UNSET,
-        validate: Any = UNSET,
-        prefetch: Any = UNSET,
-        cache_prefetch: Any = UNSET,
-        concurrency: Any = UNSET,
-        kernel: Any = UNSET,
-        equivalence_check: Any = UNSET,
-        tracer: Any = UNSET,
-        metrics: Any = UNSET,
-        trace_process: Any = UNSET,
     ) -> None:
         opts = options if options is not None else LoopOptions()
-        opts = opts.merged_with(
-            pipeline_depth=pipeline_depth,
-            balance=balance,
-            validate=validate,
-            prefetch=prefetch,
-            cache_prefetch=cache_prefetch,
-            concurrency=concurrency,
-            kernel=kernel,
-            equivalence_check=equivalence_check,
-            tracer=tracer,
-            metrics=metrics,
-            trace_process=trace_process,
-        )
         if obs is not None:
             opts = opts.merged_with(obs=obs)
         if opts.prefetch not in ("auto", "none"):
@@ -387,7 +325,7 @@ class OrionExecutor:
         self.prefetch_mode = opts.prefetch
         self.cache_prefetch = opts.cache_prefetch
         #: Synthesis outcome when ``kernel="auto"`` resolved the kernel
-        #: (``None`` for hand kernels / kernel-less loops).
+        #: (``None`` for callable kernels / kernel-less loops).
         self.synth = None
         self.kernel = self._resolve_kernel(opts.kernel)
         self.equivalence_check = opts.equivalence_check
@@ -461,12 +399,6 @@ class OrionExecutor:
         mode = kernel.lower()
         if mode == "off":
             return None
-        if mode == "hand":
-            raise ExecutionError(
-                "kernel='hand' is resolved by app builders (their "
-                "use_kernel flag); pass the hand kernel callable, 'auto', "
-                "or 'off' here"
-            )
         if mode != "auto":
             raise ExecutionError(f"unknown kernel mode {kernel!r}")
         from repro.analysis.synth import synthesize_kernel
@@ -794,7 +726,8 @@ class OrionExecutor:
         """Which update path blocks take, as a stable label.
 
         ``"scalar"`` (no kernel, or the plan refuses batching),
-        ``"hand"`` (an app-registered kernel), or ``"synth:<tier>"``
+        ``"hand"`` (a callable passed as ``LoopOptions.kernel`` — LDA's
+        registered kernel), or ``"synth:<tier>"``
         (a synthesized kernel: ``synth:vector`` / ``synth:block-loop``).
         Recorded in run-store records so cross-run comparisons can tell a
         genuine regression from a path change.
@@ -1253,13 +1186,9 @@ class OrionExecutor:
     ) -> _TaskStats:
         block_key = (task.space_idx, task.time_idx or 0)
         block = self.partitions.block(*block_key)
-        use_kernel = (
-            self.kernel is not None
-            and self._kernel_supported
-            and not force_scalar
-        )
+        batched = self.kernel_path and not force_scalar
         if (
-            use_kernel
+            batched
             and self.equivalence_check
             and not self._equivalence_checked
             and block
@@ -1273,7 +1202,7 @@ class OrionExecutor:
         else:
             broker = _AccountingBroker(self._server_ids, self.validate)
         with access.worker_scope(task.worker), access.install_broker(broker):
-            if use_kernel:
+            if batched:
                 kctx = KernelContext(
                     broker,
                     task.worker,

@@ -3,9 +3,11 @@
 The scalar execution path runs ``body(key, value)`` once per sparse entry,
 funnelling every DistArray element access through ``__getitem__`` → broker
 → per-element lookups.  Once the plan has proven a block safe to execute
-as one sequential unit, that per-entry dispatch is pure overhead: an app
-may instead register a *kernel* — ``kernel(block_entries, kctx)`` — that
-applies the same updates with bulk NumPy operations over the whole block.
+as one sequential unit, that per-entry dispatch is pure overhead: the
+executor instead runs a *kernel* — ``kernel(block_entries, kctx)``,
+synthesized from the body by :mod:`repro.analysis.synth` or passed as
+``LoopOptions.kernel`` — that applies the same updates with bulk NumPy
+operations over the whole block.
 
 The contract a kernel must satisfy:
 
@@ -135,6 +137,8 @@ def conflict_free_groups_nd(
     """
     if not seqs:
         return []
+    if len(seqs) == 2:  # the common case has a loop without per-entry lists
+        return conflict_free_groups(*seqs)
     n = len(seqs[0])
     groups: List[Tuple[int, int]] = []
     lo = 0

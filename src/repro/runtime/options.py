@@ -1,18 +1,11 @@
 """LoopOptions: the consolidated configuration of one parallel for-loop.
 
-``OrionContext.parallel_for`` historically grew 16 keyword arguments; this
-dataclass is their single home (plus the fault-injection and tuning knobs,
-which exist *only* here).  The options-first form is the documented one::
+Every knob of ``OrionContext.parallel_for`` lives on this dataclass; the
+call itself takes only ``options=`` (and ``obs=``)::
 
     loop = ctx.parallel_for(data, options=LoopOptions(ordered=True))(body)
 
-The bare legacy kwargs still work and override the corresponding
-``LoopOptions`` field (``dataclasses.replace`` semantics), but they now
-emit a :class:`DeprecationWarning`::
-
-    loop = ctx.parallel_for(data, ordered=True)(body)   # deprecated form
-
-See ``docs/api.md`` for the migration guide and ``docs/tuning.md`` for the
+See ``docs/api.md`` for the option table and ``docs/tuning.md`` for the
 auto-tuner the ``tune`` knob enables.
 """
 
@@ -27,17 +20,14 @@ if TYPE_CHECKING:  # annotation-only: repro.faults imports repro.runtime
     from repro.faults.plan import FaultPlan
     from repro.runtime.checkpoint import CheckpointConfig
 
-__all__ = ["LoopOptions", "UNSET"]
-
-#: Sentinel distinguishing "kwarg not passed" from an explicit None/False.
-UNSET: Any = type("_Unset", (), {"__repr__": lambda self: "UNSET"})()
+__all__ = ["LoopOptions"]
 
 
 @dataclass
 class LoopOptions:
     """Every knob of one parallel for-loop, in one place.
 
-    Scheduling / execution (the former ``parallel_for`` kwargs):
+    Scheduling / execution:
 
     Attributes:
         ordered: enforce lexicographic iteration order.
@@ -47,11 +37,20 @@ class LoopOptions:
             paper's Fig. 8 depth of 2) while marking the knob tunable.
             The executor's ``run_summary()["resolved"]`` reports the
             value actually used, so ``"auto"`` stays introspectable.
-        balance: histogram-balanced partitioning of skewed data.
-        validate: run the serializability validator every epoch.
-        prefetch: ``"auto"`` or ``"none"``.
-        cache_prefetch: cache prefetch indices across epochs.
-        concurrency: ``"serial"`` or ``"threads"``.
+        balance: histogram-balanced partition bounds (vs. equal width).
+        validate: record accesses and verify every epoch that same-step
+            blocks touch disjoint elements (serializability check; slow,
+            for tests).
+        prefetch: ``"auto"`` synthesizes and uses a bulk-prefetch function
+            for server arrays, ``"none"`` models per-access round trips.
+        cache_prefetch: cache each block's prefetch indices across epochs
+            (on by default — the paper's 9.2 s → 6.3 s step; ``False``
+            models re-running the synthesized function every pass).
+        concurrency: ``"serial"`` executes scheduled-concurrent blocks one
+            after another (a linearization — the default, fully
+            deterministic); ``"threads"`` runs each step's blocks on a
+            thread pool (dependence-preserving plans touch disjoint
+            elements, so results match the serial linearization).
         backend: which runtime executes the compiled plan.
             ``"simulated"`` (default) is the deterministic virtual-clock
             linearization; ``"threaded"`` runs each schedule step's blocks
@@ -59,16 +58,21 @@ class LoopOptions:
             on forked OS processes over shared-memory partitions
             (:class:`~repro.runtime.distributed.MultiprocessRunner`) and
             reports *real* wall-clock epoch times.
-        kernel: batched block kernel selection — a callable (a hand
-            kernel following the contract in ``runtime/kernels.py``),
-            ``"auto"`` (synthesize one from the loop body via
+        kernel: batched block kernel selection — ``"auto"`` (default:
+            synthesize one from the loop body via
             :mod:`repro.analysis.synth`, falling back to the scalar
             interpreter with a W50x diagnostic when the body is not
-            batchable), or ``"off"``/``None`` for the scalar path.
-            ``"hand"`` is resolved by the app builders' ``use_kernel``
-            flag, not here.
-        equivalence_check: run the first kernel-eligible block through
-            both paths and fail on any difference.
+            batchable), ``"off"``/``None`` for the scalar path, or a
+            callable following the contract in ``runtime/kernels.py``.
+            A kernel runs only where the plan proves block-batched
+            execution legal; the scalar body runs otherwise.
+        equivalence_check: execute the first kernel-eligible block through
+            *both* paths and raise ``ExecutionError`` unless they produce
+            identical array/buffer state and accounting.  The block runs
+            twice, so the program must be replayable: no RNG draws in the
+            body and no buffer apply UDF that mutates state outside the
+            DistArrays (the rewind restores only array and buffer
+            contents).
         sanitize: run the shadow-access race detector
             (:mod:`repro.sanitizer`): record every actual DistArray
             element access per iteration and fail the epoch if the
@@ -77,9 +81,10 @@ class LoopOptions:
             (non-kernel) execution.
         tracer / metrics: legacy observability pair (prefer ``obs``).
         obs: bundled :class:`~repro.obs.observability.Observability`.
-        trace_process: Perfetto process label for this loop's spans.
+        trace_process: Perfetto process label for this loop's spans,
+            letting several engines share one trace file side by side.
 
-    Fault tolerance (new — these knobs live only here):
+    Fault tolerance:
 
     Attributes:
         faults: a :class:`~repro.faults.plan.FaultPlan` of injected
@@ -126,7 +131,7 @@ class LoopOptions:
     cache_prefetch: bool = True
     concurrency: str = "serial"
     backend: str = "simulated"
-    kernel: Optional[Union[Callable[..., Any], str]] = None
+    kernel: Optional[Union[Callable[..., Any], str]] = "auto"
     equivalence_check: bool = False
     sanitize: bool = False
     tracer: Optional[Any] = None
@@ -140,12 +145,8 @@ class LoopOptions:
     tune: str = "off"
 
     def merged_with(self, **overrides: Any) -> "LoopOptions":
-        """A copy with every non-``UNSET`` override applied."""
-        explicit = {
-            key: value for key, value in overrides.items()
-            if value is not UNSET
-        }
-        return replace(self, **explicit) if explicit else self
+        """A copy with the overrides applied."""
+        return replace(self, **overrides) if overrides else self
 
     def resolve_obs(
         self, default: Optional[Observability] = None

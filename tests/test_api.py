@@ -6,6 +6,7 @@ import pytest
 from repro.api import OrionContext, ParallelLoop
 from repro.errors import AccumulatorError, ParallelizationError
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 
 def _ctx(seed=5):
@@ -172,7 +173,7 @@ class TestParallelFor:
             W[:, key[0]] = W[:, key[0]] + 0.1 * H[:, key[1]]
             H[:, key[1]] = H[:, key[1]] * 0.99
 
-        loop = ctx.parallel_for(space, ordered=True)(body)
+        loop = ctx.parallel_for(space, options=LoopOptions(ordered=True))(body)
         assert loop.plan.ordered
 
     def test_buffer_factory(self):

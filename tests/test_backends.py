@@ -17,6 +17,7 @@ from repro.data import netflix_like
 from repro.errors import ExecutionError
 from repro.runtime.backend import BACKENDS
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 
 def _cluster() -> ClusterSpec:
@@ -36,7 +37,7 @@ def _build_one_d(backend):
     def body(key, value):
         x[key[0]] = x[key[0]] * 0.9 + value
 
-    loop = ctx.parallel_for(space, backend=backend)(body)
+    loop = ctx.parallel_for(space, options=LoopOptions(backend=backend))(body)
     return loop, {"x": x}
 
 
@@ -76,7 +77,7 @@ def _build_data_parallel(backend):
     def body(key, value):
         y_buf[key[1]] = value * 2.0
 
-    loop = ctx.parallel_for(space, backend=backend)(body)
+    loop = ctx.parallel_for(space, options=LoopOptions(backend=backend))(body)
     return loop, {"y": y}
 
 
@@ -98,7 +99,9 @@ def _build_unimodular(backend):
         diag = grid[key[0] - 1, key[1] - 1]
         grid[key[0], key[1]] = 0.5 * (left + diag)
 
-    loop = ctx.parallel_for(space, ordered=True, backend=backend)(body)
+    loop = ctx.parallel_for(
+        space, options=LoopOptions(ordered=True, backend=backend)
+    )(body)
     return loop, {"grid": grid}
 
 
@@ -151,11 +154,10 @@ class TestBackendSelection:
             x[key[0]] = value
 
         with pytest.raises(ExecutionError, match="unknown backend"):
-            ctx.parallel_for(space, backend="gpu")(body)
+            ctx.parallel_for(space, options=LoopOptions(backend="gpu"))(body)
 
     def test_multiprocess_rejects_checkpointing(self, tmp_path):
         from repro.runtime.checkpoint import CheckpointConfig
-        from repro.runtime.options import LoopOptions
 
         data = netflix_like(num_rows=12, num_cols=10, num_ratings=60, seed=3)
         options = LoopOptions(

@@ -10,6 +10,7 @@ from repro.core.distarray import DistArray
 from repro.errors import ExecutionError
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import OrionExecutor, indices_overlap
+from repro.runtime.options import LoopOptions
 
 
 def _cluster(machines=2, workers=2):
@@ -70,7 +71,8 @@ def _mf_executor(cluster, ordered=False, validate=True, **opts):
     info = analyze_loop_body(body, ratings, ordered=ordered)
     plan = choose_plan(info)
     executor = OrionExecutor(
-        body, info, plan, cluster, validate=validate, **opts
+        body, info, plan, cluster,
+        options=LoopOptions(validate=validate, **opts),
     )
     return executor, (ratings, W, H)
 
@@ -152,7 +154,7 @@ class TestSerializabilityValidation:
             placements=honest.placements,
         )
         executor = OrionExecutor(
-            body, info, bogus, _cluster(), validate=True
+            body, info, bogus, _cluster(), options=LoopOptions(validate=True)
         )
         with pytest.raises(ExecutionError, match="serializability"):
             executor.run_epoch()
@@ -166,7 +168,9 @@ class TestSerializabilityValidation:
 
         info = analyze_loop_body(body, ratings)
         plan = choose_plan(info)
-        executor = OrionExecutor(body, info, plan, _cluster(), validate=True)
+        executor = OrionExecutor(
+            body, info, plan, _cluster(), options=LoopOptions(validate=True)
+        )
         executor.run_epoch()
 
 
@@ -193,7 +197,9 @@ class TestBuffersInExecution:
 
         info = analyze_loop_body(body, samples)
         plan = choose_plan(info)
-        executor = OrionExecutor(body, info, plan, cluster, **opts)
+        executor = OrionExecutor(
+            body, info, plan, cluster, options=LoopOptions(**opts)
+        )
         return executor, weights, buf
 
     def test_buffers_flushed_after_epoch(self):

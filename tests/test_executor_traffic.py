@@ -9,6 +9,7 @@ from repro.core.distarray import DistArray
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import OrionExecutor
 from repro.runtime.network import NetworkModel
+from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
 
@@ -173,7 +174,7 @@ class TestNumTimeClamping:
         info = analyze_loop_body(body, space)
         plan = choose_plan(info)
         executor = OrionExecutor(
-            body, info, plan, _cluster(), validate=True
+            body, info, plan, _cluster(), options=LoopOptions(validate=True)
         )
         assert executor.num_workers <= 3
         executor.run_epoch()

@@ -42,7 +42,7 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.network import RetryPolicy
-from repro.runtime.options import UNSET, LoopOptions
+from repro.runtime.options import LoopOptions
 
 
 @pytest.fixture(scope="module")
@@ -178,9 +178,9 @@ class TestRetryPolicy:
 
 
 class TestLoopOptions:
-    def test_merged_with_applies_only_explicit(self):
+    def test_merged_with_overrides_only_what_is_passed(self):
         opts = LoopOptions(ordered=True, pipeline_depth=3)
-        merged = opts.merged_with(ordered=UNSET, validate=True)
+        merged = opts.merged_with(validate=True)
         assert merged.ordered is True
         assert merged.pipeline_depth == 3
         assert merged.validate is True

@@ -21,6 +21,7 @@ from repro.core.distarray import DistArray
 from repro.errors import ParallelizationError
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import OrionExecutor
+from repro.runtime.options import LoopOptions
 
 _counter = itertools.count()
 
@@ -110,7 +111,7 @@ class TestGeneratedBodies:
             info,
             plan,
             ClusterSpec(num_machines=2, workers_per_machine=2),
-            validate=True,
+            options=LoopOptions(validate=True),
         )
         # Raises ExecutionError("serializability violation ...") on any
         # missed dependence.

@@ -67,7 +67,7 @@ class TestPlantedMissedDependence:
 
     def test_sanitize_catches_s601_simulated(self):
         ctx = _ctx()
-        loop = _aliased_loop(ctx, sanitize=True)
+        loop = _aliased_loop(ctx, options=LoopOptions(sanitize=True))
         with pytest.raises(SanitizerError) as excinfo:
             loop.run()
         codes = [d.code for d in excinfo.value.diagnostics]

@@ -1,12 +1,12 @@
 """Automatic kernel synthesis (repro.analysis.synth).
 
-Synthesized kernels carry the same contract as hand kernels — bit-identical
-DistArray/buffer state and identical accounting to the scalar interpreter —
-so these tests run every bundled app under ``kernel="auto"`` against the
-scalar path on both backends and compare exactly, exercise the built-in
-``equivalence_check`` and sanitizer over synthesized kernels, and pin the
-fallback story: bodies synthesis cannot batch run scalar with a W50x
-diagnostic, never an error.
+A batched kernel promises bit-identical DistArray/buffer state and
+identical accounting to the scalar interpreter, so these tests run every
+bundled app under ``kernel="auto"`` (the synthesized kernel; LDA's
+registered one) against ``kernel="off"`` on both backends and compare
+exactly, exercise the built-in ``equivalence_check`` and sanitizer over
+synthesized kernels, and pin the fallback story: bodies synthesis cannot
+batch run scalar with a W50x diagnostic, never an error.
 """
 
 import io
@@ -27,9 +27,9 @@ from repro.apps import (
     build_slr,
     cooccurrence_corpus,
 )
-from repro.apps.base import resolve_kernel_option
 from repro.apps.mlp import make_blobs
 from repro.apps.sgd_mf import MFHyper
+from repro.apps.slr import SLRHyper
 from repro.analysis.synth import synth_report, synthesize_kernel
 from repro.data.synthetic import (
     lda_corpus,
@@ -41,62 +41,100 @@ from repro.core.distarray import DistArray
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import ExecutionError, kernel_batching_legal
 from repro.runtime.kernels import conflict_free_groups_nd, scalar_pow
+from repro.runtime.options import LoopOptions
 
 
 # --------------------------------------------------------------------------- #
-# app registry: builder(cluster, use_kernel, **loop_opts) -> program
+# app registry: builder(cluster, kernel, **option_fields) -> program
 # --------------------------------------------------------------------------- #
 
 
-def _mf(cluster, use_kernel, **opts):
-    data = netflix_like(num_rows=36, num_cols=28, num_ratings=320, seed=5)
-    return build_sgd_mf(data, cluster=cluster, use_kernel=use_kernel, **opts)
+def _options(kernel, opts):
+    return LoopOptions(kernel=kernel, **opts)
 
 
-def _mf_adarev(cluster, use_kernel, **opts):
+def _mf(cluster, kernel, hyper=MFHyper(), ordered=False, **opts):
     data = netflix_like(num_rows=36, num_cols=28, num_ratings=320, seed=5)
     return build_sgd_mf(
-        data, cluster=cluster, hyper=MFHyper(adarev=True),
-        use_kernel=use_kernel, **opts,
+        data, cluster=cluster, hyper=hyper, ordered=ordered,
+        options=_options(kernel, opts),
     )
 
 
-def _glove(cluster, use_kernel, **opts):
+def _mf_adarev(cluster, kernel, **opts):
+    return _mf(cluster, kernel, hyper=MFHyper(adarev=True), **opts)
+
+
+def _mf_ordered(cluster, kernel, **opts):
+    return _mf(cluster, kernel, ordered=True, **opts)
+
+
+def _mf_adarev_ordered(cluster, kernel, **opts):
+    return _mf(
+        cluster, kernel, hyper=MFHyper(adarev=True), ordered=True, **opts
+    )
+
+
+def _glove(cluster, kernel, **opts):
     data = cooccurrence_corpus(vocab_size=36, num_tokens=1400, seed=6)
-    return build_glove(data, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_glove(data, cluster=cluster, options=_options(kernel, opts))
 
 
-def _slr(cluster, use_kernel, **opts):
+def _slr(cluster, kernel, hyper=SLRHyper(), **opts):
     data = sparse_classification(
         num_samples=110, num_features=70, nnz_per_sample=6, seed=7
     )
-    return build_slr(data, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_slr(
+        data, cluster=cluster, hyper=hyper, options=_options(kernel, opts)
+    )
 
 
-def _gbt(cluster, use_kernel, **opts):
+def _slr_adarev(cluster, kernel, **opts):
+    return _slr(cluster, kernel, hyper=SLRHyper(adarev=True), **opts)
+
+
+def _slr_no_prefetch(cluster, kernel, **opts):
+    return _slr(cluster, kernel, prefetch="none", **opts)
+
+
+def _gbt(cluster, kernel, **opts):
     data = regression_table(num_samples=110, num_features=4, seed=8)
-    return build_gbt(data, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_gbt(data, cluster=cluster, options=_options(kernel, opts))
 
 
-def _lda(cluster, use_kernel, **opts):
+def _lda(cluster, kernel, parallelism="2d", **opts):
     data = lda_corpus(
         num_docs=18, vocab_size=30, num_topics=4, doc_length=10, seed=9
     )
-    return build_lda(data, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_lda(
+        data, cluster=cluster, parallelism=parallelism,
+        options=_options(kernel, opts),
+    )
 
 
-def _mlp(cluster, use_kernel, **opts):
+def _lda_1d(cluster, kernel, **opts):
+    return _lda(cluster, kernel, parallelism="1d", **opts)
+
+
+def _mlp(cluster, kernel, **opts):
     data = make_blobs(num_samples=90, num_features=5, num_classes=3, seed=10)
-    return build_mlp(data, 5, 3, cluster=cluster, use_kernel=use_kernel, **opts)
+    return build_mlp(
+        data, 5, 3, cluster=cluster, options=_options(kernel, opts)
+    )
 
 
 APPS = {
     "mf": _mf,
     "mf-adarev": _mf_adarev,
+    "mf-ordered": _mf_ordered,
+    "mf-adarev-ordered": _mf_adarev_ordered,
     "glove": _glove,
     "slr": _slr,
+    "slr-adarev": _slr_adarev,
+    "slr-no-prefetch": _slr_no_prefetch,
     "gbt": _gbt,
     "lda": _lda,
+    "lda-1d": _lda_1d,
     "mlp": _mlp,
 }
 
@@ -104,30 +142,95 @@ APPS = {
 ENGAGES = {
     "mf": "vector",
     "mf-adarev": "vector",
+    "mf-ordered": "vector",
+    "mf-adarev-ordered": "vector",
     "glove": "vector",
     "slr": "block-loop",
+    "slr-adarev": "block-loop",
+    "slr-no-prefetch": "block-loop",
     "gbt": "block-loop",
 }
-#: Apps whose body must fall back with a W50x diagnostic.
-FALLS_BACK = ("lda", "mlp")
+#: Apps whose body synthesis declines with a W50x diagnostic.
+FALLS_BACK = ("lda", "lda-1d", "mlp")
 
 
 def _cluster():
     return ClusterSpec(num_machines=2, workers_per_machine=2)
 
 
-def _dense_state(program):
-    return {
-        name: array.values.copy()
-        for name, array in program.arrays.items()
-        if not array.sparse
-    }
+def _state(program):
+    """Every mutable array's contents: dense values, and sparse arrays of
+    ndarray entries (LDA's assignments) entry by entry.  The remaining
+    sparse arrays are the immutable iteration spaces."""
+    state = {}
+    for name, array in program.arrays.items():
+        if not array.sparse:
+            state[name] = array.values.copy()
+            continue
+        for key, value in array.entries():
+            if isinstance(value, np.ndarray):
+                state[f"{name}{key}"] = value.copy()
+    return state
 
 
 def _assert_same_state(ref, got):
     assert set(ref) == set(got)
     for name in ref:
         assert np.array_equal(ref[name], got[name]), name
+
+
+def _epoch_signature(batches, real_clock=False):
+    """Every accounting field of every EpochResult.  The real clock
+    measures the host, so only its counts are comparable."""
+    if real_clock:
+        return [(r.bytes_sent, r.num_tasks) for batch in batches for r in batch]
+    return [
+        (r.epoch_time_s, r.bytes_sent, r.num_tasks, r.utilization, r.events)
+        for batch in batches
+        for r in batch
+    ]
+
+
+#: kernel_tier each builder reports under kernel="auto": the synthesized
+#: tier where synthesis engages, LDA's registered kernel ("hand"), or the
+#: scalar interpreter where synthesis declines and there is no other path.
+AUTO_TIER = {name: f"synth:{tier}" for name, tier in ENGAGES.items()}
+AUTO_TIER.update({"lda": "hand", "lda-1d": "hand", "mlp": "scalar"})
+
+
+# --------------------------------------------------------------------------- #
+# LoopOptions.kernel is the only switch, and builders pass it through
+# --------------------------------------------------------------------------- #
+
+
+class TestKernelOption:
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_off_runs_scalar(self, app):
+        program = APPS[app](_cluster(), "off")
+        executor = program.train_loop.executor
+        assert executor.kernel_tier == "scalar"
+        assert executor.kernel is None
+        assert program.train_loop.synthesis() is None
+
+    @pytest.mark.parametrize("app", sorted(APPS))
+    def test_auto_runs_the_derived_kernel(self, app):
+        program = APPS[app](_cluster(), "auto")
+        assert program.train_loop.executor.kernel_tier == AUTO_TIER[app]
+
+    def test_default_is_auto(self):
+        assert LoopOptions().kernel == "auto"
+        data = netflix_like(num_rows=36, num_cols=28, num_ratings=320, seed=5)
+        program = build_sgd_mf(data, cluster=_cluster())
+        assert program.train_loop.executor.kernel_tier == "synth:vector"
+
+    @pytest.mark.parametrize("app", ["mf", "glove", "slr", "gbt", "lda", "mlp"])
+    def test_callable_is_the_kernel_that_runs(self, app):
+        def kernel(block, kctx):
+            raise AssertionError("never run: the loop is only built")
+
+        program = APPS[app](_cluster(), kernel)
+        assert program.train_loop.executor.kernel is kernel
+        assert program.train_loop.synthesis() is None
 
 
 # --------------------------------------------------------------------------- #
@@ -144,10 +247,10 @@ class TestEngagement:
         assert synth.tier == ENGAGES[app]
         assert "_synth_kernel" in synth.source
         assert not synth.diagnostics
+        assert callable(program.train_loop.executor.kernel)
 
-    @pytest.mark.parametrize("app", FALLS_BACK)
-    def test_unbatchable_apps_fall_back_with_diagnostic(self, app):
-        program = APPS[app](_cluster(), "auto")
+    def test_unbatchable_app_falls_back_with_diagnostic(self):
+        program = _mlp(_cluster(), "auto")
         synth = program.train_loop.synthesis()
         assert not synth.engaged
         assert synth.kernel is None
@@ -156,15 +259,15 @@ class TestEngagement:
         # The fallback surfaces through the loop's lint diagnostics too.
         assert codes <= {d.code for d in program.train_loop.diagnostics()}
 
-    def test_apps_without_hand_kernel_default_to_synthesis(self):
-        program = _glove(_cluster(), True)
-        assert program.train_loop.synthesis().engaged
-        assert callable(program.train_loop.executor.kernel)
-
-    def test_use_kernel_off_disables_synthesis(self):
-        program = _glove(_cluster(), "off")
-        assert program.train_loop.synthesis() is None
-        assert program.train_loop.executor.kernel is None
+    @pytest.mark.parametrize("app", ["lda", "lda-1d"])
+    def test_lda_registers_its_kernel_because_synthesis_declines(self, app):
+        program = APPS[app](_cluster(), "auto")
+        loop = program.train_loop
+        declined = synthesize_kernel(loop.body, loop.info)
+        assert not declined.engaged
+        assert {d.code for d in declined.diagnostics} == {"W501"}
+        assert callable(loop.executor.kernel)
+        assert loop.executor.kernel_path
 
 
 # --------------------------------------------------------------------------- #
@@ -175,25 +278,28 @@ class TestEngagement:
 class TestAutoMatchesScalar:
     @pytest.mark.parametrize("app", sorted(APPS))
     def test_simulated(self, app):
-        scalar = APPS[app](_cluster(), False)
-        auto = APPS[app](_cluster(), "auto")
-        for _ in range(2):
-            scalar.epoch_fn()
-            auto.epoch_fn()
-        _assert_same_state(_dense_state(scalar), _dense_state(auto))
+        scalar = APPS[app](_cluster(), "off", validate=True)
+        auto = APPS[app](_cluster(), "auto", validate=True)
+        scalar_results = [scalar.epoch_fn() for _ in range(3)]
+        auto_results = [auto.epoch_fn() for _ in range(3)]
+        _assert_same_state(_state(scalar), _state(auto))
+        assert _epoch_signature(scalar_results) == _epoch_signature(
+            auto_results
+        )
+        assert scalar.loss_fn() == auto.loss_fn()
 
     # gbt is absent: its boosting round interleaves three loops over the
     # same arrays, which backend="multiprocess" refuses (see below).
-    @pytest.mark.parametrize(
-        "app", ["glove", "lda", "mf", "mf-adarev", "mlp", "slr"]
-    )
+    @pytest.mark.parametrize("app", sorted(set(APPS) - {"gbt"}))
     def test_multiprocess(self, app):
-        scalar = APPS[app](_cluster(), False, backend="multiprocess")
+        scalar = APPS[app](_cluster(), "off", backend="multiprocess")
         auto = APPS[app](_cluster(), "auto", backend="multiprocess")
         with scalar, auto:  # releases forked workers + shared memory
-            scalar.epoch_fn()
-            auto.epoch_fn()
-        _assert_same_state(_dense_state(scalar), _dense_state(auto))
+            scalar_results = [scalar.epoch_fn()]
+            auto_results = [auto.epoch_fn()]
+        _assert_same_state(_state(scalar), _state(auto))
+        assert _epoch_signature(scalar_results, real_clock=True) == \
+            _epoch_signature(auto_results, real_clock=True)
 
     def test_multiprocess_refuses_interleaved_multi_loop(self):
         """GBT's round interleaves three loops over shared arrays; the
@@ -203,10 +309,14 @@ class TestAutoMatchesScalar:
         with program, pytest.raises(ExecutionError, match="already shared"):
             program.epoch_fn()
 
-    @pytest.mark.parametrize("app", ["mf", "glove", "slr", "gbt"])
+    # slr-adarev is absent: its apply UDF keeps AdaGrad state outside the
+    # DistArrays, which the check's rewind cannot restore.
+    @pytest.mark.parametrize("app", sorted(set(ENGAGES) - {"slr-adarev"}))
     def test_equivalence_checked_epoch(self, app):
         """The executor's own bitwise check passes over synthesized kernels."""
-        program = APPS[app](_cluster(), "auto", equivalence_check=True)
+        program = APPS[app](
+            _cluster(), "auto", validate=True, equivalence_check=True
+        )
         program.epoch_fn()
 
     @pytest.mark.parametrize("app", ["mf", "slr"])
@@ -265,12 +375,17 @@ def test_property_synthesis_never_changes_results(instance):
             W[:, key[0]] = w + step * diff * h
             H[:, key[1]] = h + step * diff * w
 
-        loop = ctx.parallel_for(space, kernel=kernel)(body)
+        loop = ctx.parallel_for(space, options=LoopOptions(kernel=kernel))(body)
         return loop, W, H
 
-    scalar_loop, sw, sh = build(None)
+    scalar_loop, sw, sh = build("off")
     auto_loop, aw, ah = build("auto")
     assert auto_loop.synthesis().engaged
+    # `step * diff`, which both updates spell out, is evaluated once in
+    # the replay arm and once in the vector arm.
+    source = auto_loop.synthesis().source
+    assert source.count("step * _s_diff") == 1
+    assert source.count("step * _v_diff") == 1
     scalar_results = scalar_loop.run()
     auto_results = auto_loop.run()
     assert np.array_equal(sw.values, aw.values)
@@ -278,6 +393,78 @@ def test_property_synthesis_never_changes_results(instance):
     assert [r.bytes_sent for r in scalar_results] == [
         r.bytes_sent for r in auto_results
     ]
+
+
+# --------------------------------------------------------------------------- #
+# what the vector tier emits: each scalar once, each index bound once
+# --------------------------------------------------------------------------- #
+
+
+class TestGeneratedSource:
+    def test_mf_scalars_evaluated_once(self):
+        source = _mf(_cluster(), "auto").train_loop.synthesis().source
+        prologue, group_loop = source.split("for _lo, _hi in _groups:")
+        # The loop-invariant product leaves the group loop ...
+        assert "= step_size * 2.0" in prologue
+        assert "step_size" not in group_loop
+        # ... the scalar both updates share is computed once per arm ...
+        assert group_loop.count("* _s_diff") == 1
+        assert group_loop.count("* _v_diff") == 1
+        # ... and the replay arm reads each loop index once per entry.
+        assert group_loop.count("_k0[_lo]") == 1
+        assert group_loop.count("_k1[_lo]") == 1
+
+    def test_index_aliases_and_offsets_replay_exactly(self):
+        """``i, j = key``, an alias of an alias and ``i + 1`` all resolve
+        to the per-entry index scalars, in both arms; a shared scalar
+        built on a local stays inside the group loop."""
+        rng = np.random.default_rng(3)
+        keys = sorted({
+            (int(rng.integers(0, 9)), int(rng.integers(0, 7)))
+            for _ in range(45)
+        })
+        entries = [(key, float(rng.standard_normal())) for key in keys]
+        side = rng.standard_normal((3, 10))
+
+        def build(kernel):
+            ctx = OrionContext(cluster=ClusterSpec(1, 2), seed=0)
+            space = ctx.from_entries(entries, name="space", shape=(9, 7))
+            ctx.materialize(space)
+            W = ctx.randn(3, 9, name="W", scale=0.1)
+            H = ctx.randn(3, 7, name="H", scale=0.1)
+            S = ctx.zeros(3, 10, name="S")
+            ctx.materialize(W, H, S)
+            S.values[:] = side
+
+            step = 0.2
+
+            def body(key, value):
+                i, j = key
+                col = j
+                rate = step * 0.5
+                shifted = S[:, i + 1]
+                W[:, i] = W[:, i] + rate * 2.0 * value * shifted
+                H[:, col] = H[:, col] + rate * 2.0 * value * shifted
+
+            loop = ctx.parallel_for(
+                space,
+                options=LoopOptions(kernel=kernel, equivalence_check=True),
+            )(body)
+            return loop, W, H
+
+        scalar_loop, sw, sh = build("off")
+        auto_loop, aw, ah = build("auto")
+        source = auto_loop.synthesis().source
+        assert auto_loop.executor.kernel_tier == "synth:vector"
+        assert "_nd_S[:, _s_i0 + 1]" in source
+        assert "_nd_H[:, _s_i1]" in source
+        prologue, group_loop = source.split("for _lo, _hi in _groups:")
+        assert "= step * 0.5" in prologue
+        assert group_loop.count("_s_rate * 2.0") == 1
+        scalar_loop.run(2)
+        auto_loop.run(2)
+        assert np.array_equal(sw.values, aw.values)
+        assert np.array_equal(sh.values, ah.values)
 
 
 # --------------------------------------------------------------------------- #
@@ -300,7 +487,7 @@ class TestReporting:
         assert "W501" in report
 
     def test_explain_without_synthesis_has_no_section(self):
-        program = _mf(_cluster(), False)
+        program = _mf(_cluster(), "off")
         assert "Kernel synthesis" not in program.train_loop.explain()
 
     def test_w503_when_plan_refuses_batching(self):
@@ -317,7 +504,7 @@ class TestReporting:
         def body(key, value):
             out[key[0]] = value * 2.0
 
-        loop = ctx.parallel_for(space, kernel="auto")(body)
+        loop = ctx.parallel_for(space)(body)
         assert loop.synthesis().engaged
         assert "W503" in {d.code for d in loop.diagnostics()}
         # The plan gate is the reason, not the synthesis itself.
@@ -343,47 +530,33 @@ class TestReporting:
 
 
 class TestOptionPlumbing:
-    def test_resolve_kernel_option(self):
-        hand = lambda block, kctx: None  # noqa: E731
-        assert resolve_kernel_option(True, hand) is hand
-        assert resolve_kernel_option(True) == "auto"
-        assert resolve_kernel_option("hand", hand) is hand
-        assert resolve_kernel_option("auto", hand) == "auto"
-        assert resolve_kernel_option(False, hand) is None
-        assert resolve_kernel_option(None, hand) is None
-        assert resolve_kernel_option("off", hand) is None
-        with pytest.raises(ValueError):
-            resolve_kernel_option("hand")
-        with pytest.raises(ValueError):
-            resolve_kernel_option("bogus", hand)
-
-    def test_executor_rejects_hand_and_unknown_strings(self):
+    def _space(self):
         ctx = OrionContext(cluster=ClusterSpec(1, 2), seed=0)
         space = ctx.from_entries(
             [((i,), 1.0) for i in range(4)], name="space", shape=(4,)
         )
         ctx.materialize(space)
+        return ctx, space
+
+    def test_executor_rejects_unknown_strings(self):
+        ctx, space = self._space()
 
         def body(key, value):
             pass
 
-        with pytest.raises(ExecutionError):
-            ctx.parallel_for(space, kernel="hand")(body)
-        with pytest.raises(ExecutionError):
-            ctx.parallel_for(space, kernel="bogus")(body)
+        with pytest.raises(ExecutionError, match="unknown kernel mode"):
+            ctx.parallel_for(space, options=LoopOptions(kernel="bogus"))(body)
 
-    def test_kernel_off_string(self):
-        ctx = OrionContext(cluster=ClusterSpec(1, 2), seed=0)
-        space = ctx.from_entries(
-            [((i,), 1.0) for i in range(4)], name="space", shape=(4,)
-        )
-        ctx.materialize(space)
+    @pytest.mark.parametrize("off", ["off", None])
+    def test_kernel_off(self, off):
+        ctx, space = self._space()
 
         def body(key, value):
             pass
 
-        loop = ctx.parallel_for(space, kernel="off")(body)
+        loop = ctx.parallel_for(space, options=LoopOptions(kernel=off))(body)
         assert loop.executor.kernel is None
+        assert loop.synthesis() is None
 
 
 # --------------------------------------------------------------------------- #

@@ -27,7 +27,6 @@ import sys
 import numpy as np
 import pytest
 
-from repro.api import OrionContext
 from repro.apps import MFHyper, build_sgd_mf
 from repro.apps.sgd_mf import mf_cost_model
 from repro.data import netflix_like
@@ -292,41 +291,12 @@ def test_pipeline_depth_auto_resolves(mf_data):
 
 
 # ---------------------------------------------------------------------------
-# the options-first API deprecation
-
-
-def test_legacy_kwargs_warn_options_do_not(mf_small):
-    ctx = OrionContext(
-        cluster=ClusterSpec(num_machines=1, workers_per_machine=2), seed=1
-    )
-    space = ctx.from_entries(
-        mf_small.entries, name="warn_space", shape=mf_small.shape
-    )
-    ctx.materialize(space)
-    W = ctx.randn(2, mf_small.shape[0], name="warn_W")
-    H = ctx.randn(2, mf_small.shape[1], name="warn_H")
-    ctx.materialize(W, H)
-
-    def body(key, rating):
-        w = W[:, key[0]]
-        h = H[:, key[1]]
-        e = rating - float(np.dot(w, h))
-        W[:, key[0]] = w + 0.01 * e * h
-        H[:, key[1]] = h + 0.01 * e * w
-
-    with pytest.warns(DeprecationWarning, match="pipeline_depth"):
-        ctx.parallel_for(space, pipeline_depth=2)(body)
-
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        ctx.parallel_for(space, options=LoopOptions(pipeline_depth=2))(body)
+# the options-first API
 
 
 def test_app_builders_are_warning_free(mf_data, tmp_path):
-    """The migrated builders reach parallel_for options-first even when
-    driven through legacy-style builder kwargs."""
+    """The builders reach parallel_for options-first even when driven
+    through per-knob builder kwargs."""
     import warnings
 
     with warnings.catch_warnings():
