@@ -9,7 +9,7 @@ layout of the paper's Fig. 6 walkthrough.  Exposed on the API as
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.analysis.loop_info import LoopInfo
 from repro.analysis.strategy import Plan, Strategy
@@ -29,13 +29,16 @@ def explain_plan(
     plan: Plan,
     synth: Optional["SynthResult"] = None,
     tuning: Optional[List[str]] = None,
+    level_schedule: Optional[Dict[str, float]] = None,
 ) -> str:
     """Render the static parallelization of one loop as a report.
 
     ``synth`` (when kernel synthesis ran) appends a section with the
-    generated kernel source or the fallback explanation; ``tuning``
-    (the adaptive tuner's ``describe()`` lines, for tuned loops)
-    appends the Tuning section.
+    generated kernel source or the fallback explanation, led by the
+    ``level_schedule`` statistics once an epoch has produced them (see
+    :func:`repro.analysis.synth.level_schedule_stats`); ``tuning`` (the
+    adaptive tuner's ``describe()`` lines, for tuned loops) appends the
+    Tuning section.
     """
     out: List[str] = []
 
@@ -113,6 +116,15 @@ def explain_plan(
 
     if synth is not None:
         lines = synth.describe().splitlines()
+        if level_schedule is not None:
+            lines.insert(
+                1,
+                "  level schedule: {entries} entries in {groups} groups "
+                "(mean {mean_group_size:.1f} entries/group, "
+                "{single_entry_share:.1%} single-entry)".format(
+                    **level_schedule
+                ),
+            )
         out += _section("Kernel synthesis", lines)
 
     if tuning is not None:

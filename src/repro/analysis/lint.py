@@ -57,7 +57,7 @@ CODES = {
     "W502": "kernel synthesis fell back: state-dependent access pattern",
     "W503": "kernel synthesis skipped: plan does not permit batching",
     "S601": "unreported loop-carried dependence",
-    "S602": "kernel conflict group is not conflict-free",
+    "S602": "kernel level schedule is not legal",
     "S603": "buffered write aliases a directly-written element",
     "S604": "access outside the prefetch footprint",
 }

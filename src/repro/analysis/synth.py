@@ -12,11 +12,13 @@ Two synthesis tiers are tried in order:
 
 * **vector** — for straight-line affine bodies whose every DistArray
   subscript is a whole-column, whole-row, or point access addressed by loop
-  indices (SGD MF, GloVe, ...).  Entries are split into conflict-free runs
-  (:func:`~repro.runtime.kernels.conflict_free_groups_nd`) and each run
-  executes as one gather → NumPy-expression → scatter, with the scalar
-  body replayed for single-entry runs.  Reductions keep the scalar form
-  (strided ``vecdot``), ``**`` routes through
+  indices (SGD MF, GloVe, ...).  Each block is scheduled once as a
+  wavefront over its conflict DAG
+  (:func:`~repro.runtime.kernels.level_schedule`: entries that share a
+  written index stay in entry order, everything else is free to move) and
+  each level executes as one gather → NumPy-expression → scatter, with the
+  scalar body replayed for single-entry levels.  Reductions keep the
+  scalar form (strided ``vecdot``), ``**`` routes through
   :func:`~repro.runtime.kernels.scalar_pow`, and scalar subexpressions are
   evaluated once (loop invariants before the group loop, repeated
   per-entry scalars in a local), so results stay bit-identical to the
@@ -44,7 +46,9 @@ import ast
 import copy
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 import numpy as np
 
@@ -55,19 +59,27 @@ from repro.analysis.subscript import SubscriptKind
 from repro.errors import AnalysisError
 from repro.runtime import kernels as _kernels
 
-__all__ = ["SynthResult", "synthesize_kernel", "synth_report"]
+__all__ = [
+    "SynthResult",
+    "level_schedule_counts",
+    "level_schedule_stats",
+    "synthesize_kernel",
+    "synth_report",
+]
 
 
 #: Names the generated source reserves for itself (injected helpers and the
 #: kernel's own parameters).  A body using any of them cannot be compiled.
 _RESERVED_NAMES = {
-    "_snp", "_vecdot", "_scalar_pow", "_cfg_nd", "_FULL", "block", "kctx",
-    "_synth_kernel", "_lo", "_hi", "_vals", "_prep", "_groups", "_n", "_e",
+    "_snp", "_vecdot", "_scalar_pow", "_level_schedule", "_FULL", "block",
+    "kctx", "_synth_kernel", "_lo", "_hi", "_vals", "_prep", "_groups",
+    "_order", "_n", "_e",
 }
 #: Prefixes of generated temporaries; body names must not collide.
 _RESERVED_PREFIXES = (
     "_s_", "_nd_", "_ix", "_rd", "_wr", "_bi_", "_bv_",
     "_k0", "_k1", "_k2", "_k3", "_g0", "_g1", "_g2", "_g3",
+    "_a0", "_a1", "_a2", "_a3",
     "_t0", "_t1", "_t2", "_t3", "_t4", "_t5", "_t6", "_t7", "_t8", "_t9",
     "_v_", "_vv", "_pt", "_inv", "_cse",
 )
@@ -286,11 +298,6 @@ class _Vectorizer:
     def _gidx(dim: int, const: int) -> str:
         """Group-relative index-array expression for ``key[dim] + const``."""
         return f"_g{dim}" if const == 0 else f"(_g{dim} + {const})"
-
-    @staticmethod
-    def _kidx(dim: int, const: int) -> str:
-        """Whole-block index-array expression (accounting)."""
-        return f"_k{dim}" if const == 0 else f"(_k{dim} + {const})"
 
     def _classify(self, node: ast.Subscript) -> Tuple[str, str, Tuple]:
         """Classify an array subscript; returns (array name, kind, pattern).
@@ -668,31 +675,38 @@ class _Vectorizer:
     def _emit(self, conflict_dims: List[int]) -> str:
         info = self.info
         dims = list(range(info.num_iter_dims))
-        need_pt: Dict[Tuple, str] = {}
-        acct_lines = self._accounting(need_pt)
+        acct_args: Dict[str, str] = {}
+        acct_lines = self._accounting(acct_args)
 
         lines: List[str] = []
         out = lines.append
+        # ``_a{d}`` / ``_pt{n}`` are the block's indices in entry order:
+        # they exist only on the first call, where the accounting
+        # declarations at the end memoize what they derive from them.
+        # What the cache keeps — ``_k{d}`` / ``_vals`` — is permuted into
+        # level order, ``_groups`` being the level boundaries.  It is
+        # stored last, after those declarations: a first call that raises
+        # in the body leaves no half-filled cache and can be run again.
+        acct_names = [f"_a{d}" for d in dims] + list(acct_args.values())
+        prep_names = [f"_k{d}" for d in dims] + ["_vals", "_groups"]
         out("def _synth_kernel(block, kctx):")
         out("    _prep = kctx.cache.get('_synth')")
         out("    if _prep is None:")
         out("        _n = len(block)")
         for d in dims:
-            out(f"        _k{d} = _snp.fromiter("
+            out(f"        _a{d} = _snp.fromiter("
                 f"(_e[0][{d}] for _e in block), _snp.intp, _n)")
         out("        _vals = _snp.fromiter((_e[1] for _e in block), "
             "_snp.float64, _n)")
-        group_args = ", ".join(f"_k{d}.tolist()" for d in conflict_dims)
-        out(f"        _groups = _cfg_nd([{group_args}])")
-        for key, pt_name in need_pt.items():
-            zip_args = ", ".join(
-                f"(_k{d} + {c}).tolist()" if c else f"_k{d}.tolist()"
-                for d, c in key
-            )
-            out(f"        {pt_name} = list(zip({zip_args}))")
-        prep_names = [f"_k{d}" for d in dims] + ["_vals", "_groups"] + \
-            list(need_pt.values())
-        out(f"        kctx.cache['_synth'] = _prep = ({', '.join(prep_names)})")
+        group_args = ", ".join(f"_a{d}.tolist()" for d in conflict_dims)
+        out(f"        _order, _groups = _level_schedule([{group_args}])")
+        for source, name in acct_args.items():
+            out(f"        {name} = {source}")
+        permuted = [f"_a{d}[_order]" for d in dims] + \
+            ["_vals[_order]", "_groups"]
+        out(f"        _prep = ({', '.join(permuted)})")
+        out("    else:")
+        out(f"        {' = '.join(acct_names)} = None")
         out(f"    ({', '.join(prep_names)}) = _prep")
         for name in self.patterns:
             out(f"    _nd_{name} = {name}.values")
@@ -713,11 +727,22 @@ class _Vectorizer:
         for line in self.vec_lines:
             out("        " + line)
         lines.extend(acct_lines)
+        out("    kctx.cache['_synth'] = _prep")
         return "\n".join(lines) + "\n"
 
-    def _accounting(self, need_pt: Dict[Tuple, str]) -> List[str]:
-        """One ``account_*`` declaration per static reference site."""
+    def _accounting(self, args: Dict[str, str]) -> List[str]:
+        """One ``account_*`` declaration per static reference site, over
+        the block's indices in entry order (``_a{d}``).  ``args`` collects
+        the derived index lists the prep block must build, source -> name.
+        """
         out: List[str] = []
+
+        def shifted(axis: Tuple[Any, ...]) -> str:
+            dim, const = axis[1], axis[2]
+            if not const:
+                return f"_a{dim}"
+            return args.setdefault(f"_a{dim} + {const}", f"_pt{len(args)}")
+
         for name, refs in self.info.refs.items():
             for ref in refs:
                 pattern = _pattern_of(ref.axes)
@@ -729,19 +754,23 @@ class _Vectorizer:
                 kinds = tuple(a[0] for a in pattern)
                 verb = "writes" if ref.is_write else "reads"
                 if kinds == (SubscriptKind.SLICE_ALL, SubscriptKind.INDEX):
-                    idx = self._kidx(pattern[1][1], pattern[1][2])
+                    idx = shifted(pattern[1])
                     out.append(f"    kctx.account_col_{verb}({name}, {idx})")
                 elif kinds == (SubscriptKind.INDEX, SubscriptKind.SLICE_ALL):
-                    idx = self._kidx(pattern[0][1], pattern[0][2])
+                    idx = shifted(pattern[0])
                     out.append(f"    kctx.account_row_{verb}({name}, {idx})")
                 elif len(pattern) == 1:
-                    idx = self._kidx(pattern[0][1], pattern[0][2])
+                    idx = shifted(pattern[0])
                     out.append(f"    kctx.account_point_{verb}({name}, {idx})")
                 else:
-                    key = tuple((a[1], a[2]) for a in pattern)
-                    pt_name = need_pt.setdefault(key, f"_pt{len(need_pt)}")
+                    columns = ", ".join(
+                        f"({shifted(a)}).tolist()" for a in pattern
+                    )
+                    idx = args.setdefault(
+                        f"list(zip({columns}))", f"_pt{len(args)}"
+                    )
                     method = "account_writes" if ref.is_write else "account_reads"
-                    out.append(f"    kctx.{method}({name}, {pt_name})")
+                    out.append(f"    kctx.{method}({name}, {idx})")
         return out
 
     def _replay_lines(self) -> List[str]:
@@ -785,6 +814,42 @@ class _Vectorizer:
         if value_param is not None:
             lines.append(f"_s_{value_param} = _vals[_lo]")
         return lines + body
+
+
+def level_schedule_counts(
+    caches: Iterable[Dict[Any, Any]],
+) -> Tuple[int, int, int]:
+    """``(entries, groups, single-entry groups)`` of the level schedules a
+    vector-tier kernel has memoized in the given per-block caches (blocks
+    it has not run yet, and other kernels' caches, count nothing)."""
+    entries = groups = singles = 0
+    for cache in caches:
+        prep = cache.get("_synth")
+        if prep is None:
+            continue
+        bounds = prep[-1]  # ``_groups``: see _Vectorizer._emit
+        groups += len(bounds)
+        for lo, hi in bounds:
+            entries += hi - lo
+            singles += hi - lo == 1
+    return entries, groups, singles
+
+
+def level_schedule_stats(
+    counts: Tuple[int, int, int],
+) -> Optional[Dict[str, float]]:
+    """The report form of :func:`level_schedule_counts` (``None`` before
+    any block was scheduled): how wide the vector kernel's groups are.  A
+    mean near 1 means the kernel is replaying entries one at a time."""
+    entries, groups, singles = counts
+    if not groups:
+        return None
+    return {
+        "entries": entries,
+        "groups": groups,
+        "mean_group_size": entries / groups,
+        "single_entry_share": singles / groups,
+    }
 
 
 # --------------------------------------------------------------------------- #
@@ -1234,7 +1299,7 @@ def _compile_kernel(source: str, env: Dict[str, Any],
         _snp=np,
         _vecdot=_vecdot,
         _scalar_pow=_kernels.scalar_pow,
-        _cfg_nd=_kernels.conflict_free_groups_nd,
+        _level_schedule=_kernels.level_schedule,
         _FULL=slice(None),
     )
     code = compile(source, f"<synth:{info.source_file or 'loop body'}>", "exec")

@@ -224,8 +224,14 @@ class ParallelLoop:
     def run_summary(self) -> Dict[str, Any]:
         """Plan/schedule introspection, including the requested vs.
         resolved values of every tunable knob (``pipeline_depth="auto"``
-        reports both sides).  Same payload the run store records."""
-        return self.executor.run_summary()
+        reports both sides), and — once an epoch has run — how wide the
+        vector kernel's level-scheduled groups are (``level_schedule``:
+        entries, groups, mean group size, single-entry share)."""
+        summary = self.executor.run_summary()
+        # The backend knows where the block caches live (multiprocess: in
+        # the workers, not in this process's executor).
+        summary["level_schedule"] = self.backend.level_schedule()
+        return summary
 
     def close(self) -> None:
         """Release the backend's resources (worker processes, shared
@@ -267,8 +273,9 @@ class ParallelLoop:
         """A Fig. 6-style report of what static parallelization decided.
 
         When kernel synthesis ran (``kernel="auto"``), the report also
-        shows the outcome — the generated kernel source, or why synthesis
-        fell back to the scalar interpreter.  When the loop is tuned
+        shows the outcome — the generated kernel source (after the first
+        epoch also how wide its level-scheduled groups came out), or why
+        synthesis fell back to the scalar interpreter.  When the loop is tuned
         (``tune="auto"|"cached"``), a Tuning section shows the cache
         seed, the live configuration and the decision trail.
         """
@@ -278,6 +285,7 @@ class ParallelLoop:
             self.info,
             self.plan,
             synth=self.executor.synth,
+            level_schedule=self.run_summary()["level_schedule"],
             tuning=self._tuner.describe() if self._tuner else None,
         )
 

@@ -20,14 +20,15 @@ Parsl popularized, applied to Orion's plans):
     wall-clock epoch times (``EpochResult.clock == "real"``), worker-side
     kernels, direct token-based rotation.
 
-Each backend exposes the same two methods, so
+Each backend exposes the same few methods (:class:`Backend`), so
 :class:`~repro.api.ParallelLoop` drives them interchangeably.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+from repro.analysis.synth import level_schedule_stats
 from repro.errors import ExecutionError
 from repro.runtime.executor import EpochResult
 
@@ -67,6 +68,13 @@ class Backend:
         invalidate it here; the virtual-clock backends read the executor
         directly every epoch, so the default is a no-op."""
 
+    def level_schedule(self) -> Optional[Dict[str, float]]:
+        """Width of the vector kernel's level-scheduled groups (see
+        :func:`repro.analysis.synth.level_schedule_stats`), read from
+        wherever this backend's per-block kernel caches live; ``None``
+        before the first epoch."""
+        raise NotImplementedError
+
 
 class SimulatedBackend(Backend):
     """The virtual-clock executor — a thin adapter, zero overhead."""
@@ -83,6 +91,9 @@ class SimulatedBackend(Backend):
 
     def close(self) -> None:
         self._executor.close()
+
+    def level_schedule(self) -> Optional[Dict[str, float]]:
+        return level_schedule_stats(self._executor.level_schedule_counts())
 
 
 class ThreadedBackend(SimulatedBackend):
@@ -125,6 +136,13 @@ class MultiprocessBackend(Backend):
             self._runner.close()
             self._runner = None
         self._loop.executor.close()
+
+    def level_schedule(self) -> Optional[Dict[str, float]]:
+        """The workers hold the caches; their counts reach the runner
+        with the first epoch's payload."""
+        if self._runner is None:
+            return None
+        return self._runner.runner_meta()["level_schedule"]
 
     def on_retune(self) -> None:
         """Forked workers snapshot the executor's partitions at

@@ -64,6 +64,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.strategy import PlacementKind, Strategy
+from repro.analysis.synth import level_schedule_stats
 from repro.core import access
 from repro.errors import ExecutionError
 from repro.runtime.executor import EpochResult
@@ -227,6 +228,10 @@ class _WorkerProcess:
         self.timings: List[Tuple[Any, ...]] = []
         self.tokens_consumed = 0
         self._epochs_run = 0
+        #: Level-schedule counts ride on the first epoch's payload only:
+        #: that epoch schedules every one of this worker's blocks, and
+        #: the block caches never change after.
+        self._level_counts_sent = False
 
     # ---------------- serve loop --------------------------------------- #
 
@@ -392,6 +397,9 @@ class _WorkerProcess:
             "tokens": self.tokens_consumed,
             "sanitize": self._sanitize_records,
         }
+        if not self._level_counts_sent:
+            payload["level_counts"] = self.executor.level_schedule_counts()
+            self._level_counts_sent = True
         self.timings = []
         self.tokens_consumed = 0
         self._sanitize_records = []
@@ -482,6 +490,8 @@ class MultiprocessRunner:
         self._started = False
         self._wall0 = 0.0
         self._epoch_counter = 0
+        #: Workers' level-schedule counts, summed (see ``runner_meta``).
+        self._level_counts: Tuple[int, ...] = (0, 0, 0)
         for name, placement in loop.plan.placements.items():
             if name.startswith("<target:"):
                 continue
@@ -735,6 +745,11 @@ class MultiprocessRunner:
         for worker, payload in enumerate(payloads):
             self._fold_accumulators(worker, payload["accumulators"])
             self._apply_sparse(payload["sparse"])
+        if "level_counts" in payloads[0]:  # the workers' first epoch
+            self._level_counts = tuple(
+                sum(counts)
+                for counts in zip(*(p["level_counts"] for p in payloads))
+            )
         if self.executor.sanitize:
             # Workers shipped their shadow-access records; the master runs
             # the same epoch-boundary cross-check the simulated backend
@@ -776,6 +791,7 @@ class MultiprocessRunner:
             "sequential_steps": self._sequential_steps,
             "num_workers": self.executor.num_workers,
             "shared_nbytes": self.pool.nbytes,
+            "level_schedule": level_schedule_stats(self._level_counts),
         }
 
     def _record_obs(

@@ -28,6 +28,11 @@ import numpy as np
 from repro.analysis.loop_info import LoopInfo
 from repro.analysis.prefetch import synthesize_prefetch
 from repro.analysis.strategy import PlacementKind, Plan, Strategy
+from repro.analysis.synth import (
+    level_schedule_counts,
+    level_schedule_stats,
+    synthesize_kernel,
+)
 from repro.core import access
 from repro.core.distarray import DistArray
 from repro.errors import ExecutionError
@@ -401,8 +406,6 @@ class OrionExecutor:
             return None
         if mode != "auto":
             raise ExecutionError(f"unknown kernel mode {kernel!r}")
-        from repro.analysis.synth import synthesize_kernel
-
         self.synth = synthesize_kernel(self.body, self.info)
         self.info.diagnostics.extend(self.synth.diagnostics)
         return self.synth.kernel
@@ -455,13 +458,12 @@ class OrionExecutor:
                 workers,
                 num_time,
                 balance=self.balance,
-            )
-            if not plan.ordered:
-                # Canonical time-sorted block order: makes a worker's
+                # Unordered: the canonical in-block order makes a worker's
                 # per-epoch entry sequence identical at every pipeline
                 # depth, which is what lets the tuner re-tile mid-run
                 # without perturbing numerics (docs/tuning.md).
-                parts.sort_blocks_by_dim(self.partitions, time_dim)
+                canonical_order=not plan.ordered,
+            )
             self.num_workers, self.num_time = workers, num_time
         elif plan.strategy is Strategy.TWO_D_UNIMODULAR:
             workers = requested
@@ -684,7 +686,7 @@ class OrionExecutor:
         self.steps = sched.unordered_2d_schedule(self.num_workers, num_time)
         self.num_time = num_time
         #: Block keys changed shape — cached kernel index arrays and
-        #: conflict groups are stale.
+        #: level schedules are stale.
         self._kernel_caches.clear()
         rebin = self.cluster.cost.compute_time(len(self._entries))
         reshuffle = self.cluster.network.transfer_time(self._rotated_bytes)
@@ -754,6 +756,9 @@ class OrionExecutor:
             "num_time": self.num_time,
             "num_steps": len(self.steps),
             "kernel_tier": self.kernel_tier,
+            "level_schedule": level_schedule_stats(
+                self.level_schedule_counts()
+            ),
             "uses_buffers": bool(self.info.buffers),
             # Requested vs. resolved values of the tunable knobs, so
             # "auto" requests stay introspectable (no sentinel guessing).
@@ -773,6 +778,13 @@ class OrionExecutor:
                 "cache_prefetch": bool(self.cache_prefetch),
             },
         }
+
+    def level_schedule_counts(self) -> Tuple[int, int, int]:
+        """Entries, groups and single-entry groups of the vector kernel's
+        level schedules over the blocks *this process* has executed (a
+        multiprocess worker's blocks are counted in the worker and reach
+        the master through ``runner_meta()``)."""
+        return level_schedule_counts(self._kernel_caches.values())
 
     @property
     def kernel_path(self) -> bool:

@@ -13,12 +13,13 @@ The contract a kernel must satisfy:
 
 * **Bit-identical state**: after the kernel runs, every DistArray and
   DistArray Buffer must hold exactly the values the scalar body loop would
-  have produced for the same block in entry order.  (In practice: vectorize
-  elementwise arithmetic freely — NumPy broadcasting applies the same
-  per-element operation chain — but keep reductions such as dot products
-  in the scalar body's exact form, and split entries that touch the same
-  parameter into sequential conflict-free groups, see
-  :func:`conflict_free_groups`.)
+  have produced for the same block in entry order — which any order that
+  keeps *conflicting* entries (ones touching the same parameter) in entry
+  order also produces.  (In practice: vectorize elementwise arithmetic
+  freely — NumPy broadcasting applies the same per-element operation
+  chain — but keep reductions such as dot products in the scalar body's
+  exact form, and execute entries that touch the same parameter in
+  sequential conflict-free groups, see :func:`level_schedule`.)
 * **Identical accounting**: declare every DistArray access the body would
   have made through the :class:`KernelContext` ``account_*`` methods, so
   traffic counters and the serializability validator see the same numbers
@@ -43,8 +44,7 @@ from repro.runtime.pserver import index_nbytes
 __all__ = [
     "KernelContext",
     "PlainBroker",
-    "conflict_free_groups",
-    "conflict_free_groups_nd",
+    "level_schedule",
     "normalize_index",
     "scalar_pow",
 ]
@@ -94,67 +94,57 @@ def normalize_index(index: Any) -> Tuple[Any, ...]:
     return tuple(out)
 
 
-def conflict_free_groups(
-    rows: Sequence[int], cols: Sequence[int]
-) -> List[Tuple[int, int]]:
-    """Split entries into maximal runs with no repeated row or column.
-
-    Within such a run, every entry reads and writes parameter columns no
-    other run member touches, so a vectorized gather-update-scatter over
-    the run is exactly the sequential per-entry execution.  Runs are
-    returned as half-open ``(lo, hi)`` index ranges into the input order;
-    executing runs in order preserves the scalar path's update sequence
-    for conflicting entries.
-    """
-    groups: List[Tuple[int, int]] = []
-    lo = 0
-    seen_rows: set = set()
-    seen_cols: set = set()
-    for position in range(len(rows)):
-        row, col = rows[position], cols[position]
-        if row in seen_rows or col in seen_cols:
-            groups.append((lo, position))
-            lo = position
-            seen_rows = {row}
-            seen_cols = {col}
-        else:
-            seen_rows.add(row)
-            seen_cols.add(col)
-    if lo < len(rows):
-        groups.append((lo, len(rows)))
-    return groups
-
-
-def conflict_free_groups_nd(
+def level_schedule(
     seqs: Sequence[Sequence[int]],
-) -> List[Tuple[int, int]]:
-    """N-dimensional generalization of :func:`conflict_free_groups`.
+) -> Tuple[np.ndarray, List[Tuple[int, int]]]:
+    """Schedule a block's entries as a wavefront over its conflict DAG.
 
-    ``seqs`` holds one per-entry index sequence per conflict dimension
-    (all the same length).  A run breaks as soon as any dimension repeats
-    a value already seen in the current run; within a run, no two entries
-    touch the same parameter index on any conflict dimension.
+    ``seqs`` holds one per-entry index sequence per conflict dimension (all
+    the same length, in entry order).  Two entries *conflict* when they
+    share a value on any dimension — they touch the same parameter
+    row/column/cell, so their relative order is part of the result.  Every
+    entry gets ``level = 1 + max(level of the latest earlier entry sharing
+    its value, per dimension)``, i.e. its depth in the DAG whose edges run
+    from each entry to the later entries it conflicts with.
+
+    Returns ``(order, groups)``: ``order`` is the entry permutation sorted
+    stably by level and ``groups`` the half-open ``(lo, hi)`` ranges of
+    ``order`` holding one level each.  Within a group no two entries share
+    a value on any dimension, so a vectorized gather-update-scatter over
+    the group is exactly its sequential execution; conflicting entries
+    sit in different groups in their original relative order, and
+    non-conflicting entries touch disjoint cells of everything written,
+    so executing the groups in order is bit-identical to executing the
+    entries in order.  An entry in the k-th greedy conflict-free *run* of
+    the entry sequence has level at most k, so the schedule never has more
+    groups than splitting the sequence into consecutive runs would.
     """
-    if not seqs:
-        return []
-    if len(seqs) == 2:  # the common case has a loop without per-entry lists
-        return conflict_free_groups(*seqs)
-    n = len(seqs[0])
-    groups: List[Tuple[int, int]] = []
-    lo = 0
-    seen: List[set] = [set() for _ in seqs]
-    for position in range(n):
-        values = [seq[position] for seq in seqs]
-        if any(v in s for v, s in zip(values, seen)):
-            groups.append((lo, position))
-            lo = position
-            seen = [{v} for v in values]
-        else:
-            for s, v in zip(seen, values):
-                s.add(v)
-    if lo < n:
-        groups.append((lo, n))
-    return groups
+    levels: List[int] = []
+    append = levels.append
+    if len(seqs) == 2:  # the common case: no per-entry inner loop
+        last_a: Dict[int, int] = {}
+        last_b: Dict[int, int] = {}
+        get_a, get_b = last_a.get, last_b.get
+        for a, b in zip(*seqs):
+            level_a, level_b = get_a(a, 0), get_b(b, 0)
+            level = (level_a if level_a > level_b else level_b) + 1
+            last_a[a] = last_b[b] = level
+            append(level)
+    else:
+        lasts: List[Dict[int, int]] = [{} for _ in seqs]
+        for values in zip(*seqs):
+            level = 1 + max(
+                last.get(value, 0) for last, value in zip(lasts, values)
+            )
+            for last, value in zip(lasts, values):
+                last[value] = level
+            append(level)
+    by_entry = np.asarray(levels, dtype=np.intp)
+    order = np.argsort(by_entry, kind="stable")
+    # Levels are 1..L with none empty (a level-k entry has a level-(k-1)
+    # predecessor), so the cumulative counts are the group boundaries.
+    bounds = np.cumsum(np.bincount(by_entry)).tolist()
+    return order, list(zip(bounds[:-1], bounds[1:]))
 
 
 def scalar_pow(base: Any, exponent: Any) -> Any:
@@ -191,7 +181,7 @@ class KernelContext:
     Attributes:
         worker: the simulated worker executing the block.
         cache: a per-block dict that persists across epochs — kernels use
-            it to memoize index arrays, conflict-free groups, and anything
+            it to memoize index arrays, the level schedule, and anything
             else derivable from the (immutable) block entry list.
     """
 

@@ -31,7 +31,6 @@ __all__ = [
     "partition_2d",
     "partition_transformed",
     "retile_time_2d",
-    "sort_blocks_by_dim",
 ]
 
 #: Half-open ``(lo, hi)`` coordinate ranges, one per partition.
@@ -139,11 +138,72 @@ class IterationPartitions:
         return sum(len(entries) for entries in self.blocks.values())
 
 
-def _histogram(entries: Sequence[Entry], dim: int, extent: int) -> np.ndarray:
-    counts = np.zeros(extent, dtype=np.int64)
-    for key, _value in entries:
-        counts[key[dim]] += 1
-    return counts
+def _coords(entries: Sequence[Entry], dim: int) -> np.ndarray:
+    """Every entry's coordinate along one iteration-space dimension."""
+    return np.fromiter(
+        (key[dim] for key, _value in entries), np.intp, len(entries)
+    )
+
+
+def _cut(
+    coords: np.ndarray, extent: int, num_parts: int, balance: bool
+) -> Bounds:
+    """Bounds along one dimension: balanced on the coordinates' histogram
+    (paper Sec. 4.3), or equal-width."""
+    if not balance:
+        return equal_bounds(extent, num_parts)
+    if coords.size and (coords.min() < 0 or coords.max() >= extent):
+        raise PartitionError(
+            f"coordinates span [{coords.min()}, {coords.max()}], "
+            f"outside the extent {extent}"
+        )
+    return balanced_bounds(np.bincount(coords, minlength=extent), num_parts)
+
+
+def _bucket(bounds: Bounds, coords: np.ndarray) -> np.ndarray:
+    """Partition index of every coordinate (:func:`bucket_of`, vectorized)."""
+    uppers = np.array([hi for _lo, hi in bounds])
+    return np.searchsorted(uppers, coords, side="right")
+
+
+def _grid(
+    entries: Sequence[Entry],
+    space_bounds: Bounds,
+    space_coords: np.ndarray,
+    time_bounds: Optional[Bounds] = None,
+    time_coords: Optional[np.ndarray] = None,
+    order_keys: Sequence[np.ndarray] = (),
+) -> IterationPartitions:
+    """Distribute entries over the blocks the bounds cut, with one stable
+    sort (1D: no time bounds, every block has ``time_idx`` 0).
+
+    Within a block, entries are ordered by ``order_keys`` (most significant
+    first) and, where those tie or are absent, keep their dataset order.
+    """
+    partitions = IterationPartitions(
+        num_space=len(space_bounds),
+        num_time=len(time_bounds) if time_bounds is not None else 1,
+        space_bounds=space_bounds,
+        time_bounds=time_bounds,
+    )
+    space_idx = _bucket(space_bounds, space_coords)
+    if time_bounds is None:
+        time_idx = np.zeros_like(space_idx)
+    else:
+        time_idx = _bucket(time_bounds, time_coords)
+    order = np.lexsort((*reversed(order_keys), time_idx, space_idx))
+    if not order.size:
+        return partitions
+    space_idx, time_idx = space_idx[order], time_idx[order]
+    cuts = (np.flatnonzero(
+        (np.diff(space_idx) != 0) | (np.diff(time_idx) != 0)
+    ) + 1).tolist()
+    positions = order.tolist()
+    for lo, hi in zip([0] + cuts, cuts + [len(positions)]):
+        partitions.blocks[(int(space_idx[lo]), int(time_idx[lo]))] = [
+            entries[position] for position in positions[lo:hi]
+        ]
+    return partitions
 
 
 def partition_1d(
@@ -154,18 +214,21 @@ def partition_1d(
     balance: bool = True,
 ) -> IterationPartitions:
     """Partition entries along one iteration-space dimension."""
-    if balance:
-        bounds = balanced_bounds(_histogram(entries, dim, extent), num_parts)
-    else:
-        bounds = equal_bounds(extent, num_parts)
-    uppers = np.array([hi for _lo, hi in bounds])
-    partitions = IterationPartitions(
-        num_space=num_parts, num_time=1, space_bounds=bounds
-    )
-    for key, value in entries:
-        space_idx = int(np.searchsorted(uppers, key[dim], side="right"))
-        partitions.blocks.setdefault((space_idx, 0), []).append((key, value))
-    return partitions
+    coords = _coords(entries, dim)
+    return _grid(entries, _cut(coords, extent, num_parts, balance), coords)
+
+
+def _canonical_keys(
+    entries: Sequence[Entry], time_dim: int, known: Dict[int, np.ndarray]
+) -> List[np.ndarray]:
+    """Sort keys of the unordered-2D canonical in-block order:
+    lexicographic by the time coordinate, then the remaining key dims."""
+    ndim = len(entries[0][0]) if len(entries) else 0
+    return [known[time_dim]] + [
+        known[dim] if dim in known else _coords(entries, dim)
+        for dim in range(ndim)
+        if dim != time_dim
+    ]
 
 
 def partition_2d(
@@ -177,47 +240,42 @@ def partition_2d(
     num_space: int,
     num_time: int,
     balance: bool = True,
+    canonical_order: bool = False,
 ) -> IterationPartitions:
-    """Partition entries into a (space × time) grid of blocks."""
-    if balance:
-        space_bounds = balanced_bounds(
-            _histogram(entries, space_dim, space_extent), num_space
-        )
-        time_bounds = balanced_bounds(
-            _histogram(entries, time_dim, time_extent), num_time
-        )
-    else:
-        space_bounds = equal_bounds(space_extent, num_space)
-        time_bounds = equal_bounds(time_extent, num_time)
-    space_uppers = np.array([hi for _lo, hi in space_bounds])
-    time_uppers = np.array([hi for _lo, hi in time_bounds])
-    partitions = IterationPartitions(
-        num_space=num_space,
-        num_time=num_time,
-        space_bounds=space_bounds,
-        time_bounds=time_bounds,
-    )
-    for key, value in entries:
-        space_idx = int(np.searchsorted(space_uppers, key[space_dim], side="right"))
-        time_idx = int(np.searchsorted(time_uppers, key[time_dim], side="right"))
-        partitions.blocks.setdefault((space_idx, time_idx), []).append((key, value))
-    return partitions
+    """Partition entries into a (space × time) grid of blocks.
 
+    Blocks keep their entries in dataset order (what an ordered plan's
+    lexicographic execution relies on) unless ``canonical_order`` asks for
+    the unordered-2D canonical order: each block sorted lexicographically
+    by (time coordinate, then the remaining key dims), duplicates of one
+    key in dataset order.  Any serial order is legal for an unordered
+    loop; this one has two properties the runtime builds on:
 
-def sort_blocks_by_dim(partitions: IterationPartitions, dim: int) -> None:
-    """Stably sort every block's entries by one iteration-space dimension.
-
-    The unordered-2D canonical order: with each block's entries sorted by
-    the *time* coordinate (stable, so same-coordinate entries keep their
-    dataset order), a worker's rotation over any time tiling concatenates
-    to the same per-worker entry sequence — coarse bins traversed whole
-    equal their fine sub-bins traversed in rotation order.  That is the
-    invariant that makes a mid-run pipeline-depth change bit-identical
-    (see :func:`retile_time_2d`); it must therefore hold from the *first*
-    epoch, not just after a re-tile.
+    * it is *tiling-independent* — a worker's rotation over any time
+      tiling concatenates to the same per-worker entry sequence (coarse
+      bins traversed whole equal their fine sub-bins traversed in rotation
+      order), which is what makes a mid-run pipeline-depth change
+      bit-identical (see :func:`retile_time_2d`), so it must hold from
+      the *first* epoch, not just after a re-tile;
+    * consecutive time coordinates visit their space coordinates in the
+      same ascending order, so a block's conflict DAG is shallow and the
+      vector kernel's level schedule
+      (:func:`repro.runtime.kernels.level_schedule`) gets wide groups —
+      with ties in dataset order the DAG zig-zags through thousands of
+      near-empty levels.
     """
-    for entries in partitions.blocks.values():
-        entries.sort(key=lambda entry: entry[0][dim])
+    coords = {
+        space_dim: _coords(entries, space_dim),
+        time_dim: _coords(entries, time_dim),
+    }
+    return _grid(
+        entries,
+        _cut(coords[space_dim], space_extent, num_space, balance),
+        coords[space_dim],
+        _cut(coords[time_dim], time_extent, num_time, balance),
+        coords[time_dim],
+        _canonical_keys(entries, time_dim, coords) if canonical_order else (),
+    )
 
 
 def retile_time_2d(
@@ -234,40 +292,31 @@ def retile_time_2d(
     The adaptive tuner's legal re-tiling primitive (``docs/tuning.md``):
     the given ``space_bounds`` are reused verbatim — never recomputed —
     so every entry provably stays on the worker that owned it before, and
-    blocks hold the canonical time-sorted entry order
-    (:func:`sort_blocks_by_dim`), so each worker's rotation concatenates
-    to the same per-worker entry sequence at every depth.  Changing
-    ``num_time`` therefore changes scheduling granularity without
-    changing the execution linearization, which is what keeps results
-    bit-identical across pipeline depths (the executor additionally
-    verifies that the worker-start time cuts nest before committing a
-    re-tile).
+    blocks hold the canonical entry order (:func:`partition_2d`), so each
+    worker's rotation concatenates to the same per-worker entry sequence
+    at every depth.  Changing ``num_time`` therefore changes scheduling
+    granularity without changing the execution linearization, which is
+    what keeps results bit-identical across pipeline depths (the executor
+    additionally verifies that the worker-start time cuts nest before
+    committing a re-tile).
     """
     if space_bounds is None:
         raise PartitionError(
             "retile_time_2d needs the existing space bounds "
             "(equal/balanced cuts from the original partitioning)"
         )
-    if balance:
-        time_bounds = balanced_bounds(
-            _histogram(entries, time_dim, time_extent), num_time
-        )
-    else:
-        time_bounds = equal_bounds(time_extent, num_time)
-    space_uppers = np.array([hi for _lo, hi in space_bounds])
-    time_uppers = np.array([hi for _lo, hi in time_bounds])
-    partitions = IterationPartitions(
-        num_space=len(space_bounds),
-        num_time=num_time,
-        space_bounds=list(space_bounds),
-        time_bounds=time_bounds,
+    coords = {
+        space_dim: _coords(entries, space_dim),
+        time_dim: _coords(entries, time_dim),
+    }
+    return _grid(
+        entries,
+        list(space_bounds),
+        coords[space_dim],
+        _cut(coords[time_dim], time_extent, num_time, balance),
+        coords[time_dim],
+        _canonical_keys(entries, time_dim, coords),
     )
-    for key, value in entries:
-        space_idx = int(np.searchsorted(space_uppers, key[space_dim], side="right"))
-        time_idx = int(np.searchsorted(time_uppers, key[time_dim], side="right"))
-        partitions.blocks.setdefault((space_idx, time_idx), []).append((key, value))
-    sort_blocks_by_dim(partitions, time_dim)
-    return partitions
 
 
 def partition_transformed(
@@ -285,11 +334,9 @@ def partition_transformed(
     """
     if not entries:
         raise PartitionError("cannot partition an empty iteration space")
-    transformed = [
-        (transform_point(matrix, key), key, value) for key, value in entries
-    ]
-    time_coords = np.array([q[0] for q, _k, _v in transformed])
-    space_coords = np.array([q[1] for q, _k, _v in transformed])
+    points = [transform_point(matrix, key) for key, _value in entries]
+    time_coords = np.array([q[0] for q in points])
+    space_coords = np.array([q[1] for q in points])
 
     def _bounds_from(coords: np.ndarray, parts: int) -> Bounds:
         lo, hi = int(coords.min()), int(coords.max()) + 1
@@ -297,18 +344,10 @@ def partition_transformed(
         ranges = balanced_bounds(shifted, parts)
         return [(rlo + lo, rhi + lo) for rlo, rhi in ranges]
 
-    time_bounds = _bounds_from(time_coords, num_time)
-    space_bounds = _bounds_from(space_coords, num_space)
-    time_uppers = np.array([hi for _lo, hi in time_bounds])
-    space_uppers = np.array([hi for _lo, hi in space_bounds])
-    partitions = IterationPartitions(
-        num_space=num_space,
-        num_time=num_time,
-        space_bounds=space_bounds,
-        time_bounds=time_bounds,
+    return _grid(
+        entries,
+        _bounds_from(space_coords, num_space),
+        space_coords,
+        _bounds_from(time_coords, num_time),
+        time_coords,
     )
-    for q, key, value in transformed:
-        time_idx = int(np.searchsorted(time_uppers, q[0], side="right"))
-        space_idx = int(np.searchsorted(space_uppers, q[1], side="right"))
-        partitions.blocks.setdefault((space_idx, time_idx), []).append((key, value))
-    return partitions

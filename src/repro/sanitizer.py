@@ -6,8 +6,9 @@ claims about every loop it accepts:
 1. the reported dependence vectors are *complete* — every actual
    cross-iteration write/read (and, for ordered loops, write/write)
    conflict is covered by some reported vector;
-2. batched-kernel ``conflict_free_groups`` really contain no two
-   iterations touching the same row or column;
+2. a batched kernel's level schedule is legal — no group holds two
+   iterations touching the same row or column, and iterations that do
+   share one keep their original relative order;
 3. buffered writes — exempt from dependence analysis — never alias an
    element the loop also writes directly;
 4. the access footprint stays inside what the prefetch oracle predicts
@@ -460,48 +461,68 @@ def _check_prefetch_footprint(
 
 
 def verify_conflict_groups(
-    rows: Sequence[int],
-    cols: Sequence[int],
+    seqs: Sequence[Sequence[int]],
+    order: Sequence[int],
     groups: Iterable[Tuple[int, int]],
 ) -> List[Diagnostic]:
-    """S602: check that each claimed conflict-free group really contains
-    no two entries sharing a row or a column.
+    """S602: check a claimed level schedule against both halves of its
+    legality argument.
 
-    ``rows``/``cols`` are the per-entry coordinates a batched kernel
-    updates; ``groups`` are half-open ``(lo, hi)`` index ranges claimed
-    conflict-free (the output of ``conflict_free_groups``).  Sanitize
+    ``seqs`` holds, per conflict dimension, the coordinate each entry of a
+    block updates (entry order); ``order`` is the claimed execution
+    permutation of the entries and ``groups`` the half-open ``(lo, hi)``
+    ranges of ``order`` a batched kernel executes as one vector step (the
+    output of :func:`repro.runtime.kernels.level_schedule`).  Legal means:
+    no two entries of a group share a coordinate on any dimension (the
+    vector step is then exactly their sequential execution), *and* every
+    pair of entries that does share one executes in its original relative
+    order (the guarantee a reordering scheduler could break).  Sanitize
     mode forces scalar execution, so this check runs on the *claimed*
-    grouping rather than live kernel traffic — tests also call it
-    directly with planted bad groupings."""
+    schedule rather than live kernel traffic — tests also call it
+    directly with planted bad schedules."""
     diagnostics: List[Diagnostic] = []
-    for lo, hi in groups:
-        seen_rows: Dict[int, int] = {}
-        seen_cols: Dict[int, int] = {}
-        for pos in range(lo, hi):
-            row, col = rows[pos], cols[pos]
-            clash = None
-            if row in seen_rows:
-                clash = ("row", row, seen_rows[row])
-            elif col in seen_cols:
-                clash = ("col", col, seen_cols[col])
-            if clash is not None:
-                axis, coord, other = clash
+    #: Per dimension: coordinate -> (entry, group) that last updated it.
+    last: List[Dict[int, Tuple[int, Tuple[int, int]]]] = [{} for _ in seqs]
+    for group in groups:
+        flagged = False  # one witness per group
+        for position in range(*group):
+            entry = int(order[position])
+            for dim, seq in enumerate(seqs):
+                coord = seq[entry]
+                other, other_group = last[dim].get(coord, (None, None))
+                last[dim][coord] = (entry, group)
+                if other is None or flagged:
+                    continue
+                if other_group == group:
+                    message = (
+                        f"group {group} claimed conflict-free but entries "
+                        f"{other} and {entry} share coordinate {coord} on "
+                        f"conflict dim {dim}"
+                    )
+                    hint = ("the batched kernel would apply these updates "
+                            "with undefined relative order")
+                elif other > entry:
+                    message = (
+                        f"entries {entry} and {other} share coordinate "
+                        f"{coord} on conflict dim {dim} but execute in "
+                        f"reversed order (groups {other_group} then {group})"
+                    )
+                    hint = ("the schedule reorders two updates of one "
+                            "parameter; only non-conflicting entries may "
+                            "move")
+                else:
+                    continue
+                flagged = True
                 diagnostics.append(
                     Diagnostic(
                         code="S602",
-                        message=(
-                            f"group ({lo}, {hi}) claimed conflict-free but "
-                            f"entries {other} and {pos} share {axis} {coord}"
-                        ),
+                        message=message,
                         details=(
-                            ("group", (lo, hi)),
-                            ("entries", (other, pos)),
+                            ("group", group),
+                            ("entries", tuple(sorted((other, entry)))),
+                            ("dim", dim),
                         ),
-                        hint="the batched kernel would apply these updates "
-                        "with undefined relative order",
+                        hint=hint,
                     )
                 )
-                break  # one witness per group
-            seen_rows[row] = pos
-            seen_cols[col] = pos
     return diagnostics

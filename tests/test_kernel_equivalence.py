@@ -4,19 +4,22 @@ The executor's kernel fast path (repro.runtime.kernels) promises the same
 floating-point results *and* the same accounting — every EpochResult field
 — as the per-entry interpreted body.  ``tests/test_synth.py`` runs every
 app both ways; here ``equivalence_check`` must reject a caller-supplied
-kernel that breaks the promise, and the bulk DistArray accessors and
-conflict-free grouping the kernels are built on are tested directly.
+kernel that breaks the promise, and the bulk DistArray accessors and the
+level schedule the kernels are built on are tested directly.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import OrionContext
 from repro.core.distarray import DistArray, SubscriptError
 from repro.data.synthetic import sparse_classification
 from repro.runtime.executor import ExecutionError
-from repro.runtime.kernels import conflict_free_groups
+from repro.runtime.kernels import level_schedule
 from repro.runtime.options import LoopOptions
+from repro.sanitizer import verify_conflict_groups
 
 
 @pytest.fixture(scope="module")
@@ -92,17 +95,68 @@ class TestBulkAccessors:
         assert np.array_equal(gathered, array.values[:, [4, 1]])
 
 
-class TestConflictFreeGroups:
-    def test_groups_partition_and_are_conflict_free(self):
-        rows = [0, 1, 0, 2, 3, 1]
-        cols = [0, 1, 2, 3, 4, 5]
-        groups = conflict_free_groups(rows, cols)
-        assert groups[0][0] == 0 and groups[-1][1] == len(rows)
-        for (_, hi), (lo2, _) in zip(groups, groups[1:]):
-            assert hi == lo2
+def _consecutive_runs(seqs):
+    """The grouping ``level_schedule`` replaced, kept as the oracle for its
+    group count: maximal runs of consecutive entries with no value
+    repeated on any dimension."""
+    groups, lo, seen = [], 0, [set() for _ in seqs]
+    for position, values in enumerate(zip(*seqs)):
+        if any(value in s for value, s in zip(values, seen)):
+            groups.append((lo, position))
+            lo, seen = position, [set() for _ in seqs]
+        for s, value in zip(seen, values):
+            s.add(value)
+    if seqs and lo < len(seqs[0]):
+        groups.append((lo, len(seqs[0])))
+    return groups
+
+
+class TestLevelSchedule:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(
+            st.tuples(*[st.integers(0, 6)] * 3), min_size=1, max_size=60
+        ),
+        ndim=st.sampled_from([2, 3]),
+    )
+    def test_legal_complete_and_no_deeper_than_consecutive_runs(
+        self, keys, ndim
+    ):
+        seqs = [[key[d] for key in keys] for d in range(ndim)]
+        order, groups = level_schedule(seqs)
+        n = len(keys)
+        # Every entry exactly once; the groups tile the permutation.
+        assert sorted(order.tolist()) == list(range(n))
+        assert groups[0][0] == 0 and groups[-1][1] == n
+        assert all(lo < hi for lo, hi in groups)
+        assert all(a[1] == b[0] for a, b in zip(groups, groups[1:]))
+        # Legal: two entries sharing a value on any dimension sit in
+        # different groups, the earlier entry's group first.
+        group_of = {}
+        for index, (lo, hi) in enumerate(groups):
+            for entry in order[lo:hi].tolist():
+                group_of[entry] = index
+        for later in range(n):
+            for earlier in range(later):
+                if any(seq[earlier] == seq[later] for seq in seqs):
+                    assert group_of[earlier] < group_of[later]
+        assert verify_conflict_groups(seqs, order, groups) == []
+        # Within a level, entries keep their relative (entry) order.
         for lo, hi in groups:
-            assert len(set(rows[lo:hi])) == hi - lo
-            assert len(set(cols[lo:hi])) == hi - lo
+            assert order[lo:hi].tolist() == sorted(order[lo:hi].tolist())
+        assert len(groups) <= len(_consecutive_runs(seqs))
+
+    def test_independent_entries_share_one_level(self):
+        rows = [0, 0, 1, 1]
+        cols = [0, 1, 2, 3]
+        order, groups = level_schedule([rows, cols])
+        # Entry 2 does not wait for entry 1; splitting the entry sequence
+        # into consecutive conflict-free runs gave (0, 1) (1, 3) (3, 4).
+        assert order.tolist() == [0, 2, 1, 3]
+        assert groups == [(0, 2), (2, 4)]
+        assert len(_consecutive_runs([rows, cols])) == 3
 
     def test_empty(self):
-        assert conflict_free_groups([], []) == []
+        for seqs in ([], [[]], [[], []], [[], [], []]):
+            order, groups = level_schedule(seqs)
+            assert order.tolist() == [] and groups == []

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.unimodular import skew
+from repro.data.synthetic import netflix_like
 from repro.errors import PartitionError
 from repro.runtime import partition as parts
+from repro.runtime.schedule import unordered_2d_schedule
 
 
 class TestEqualBounds:
@@ -140,6 +142,139 @@ class TestPartition2D:
         partitions = parts.partition_2d(entries, 0, 1, 4, 4, 2, 2)
         assert partitions.block(1, 1) == []
         assert partitions.block_size(1, 1) == 0
+
+
+def _scalar_blocks(entries, dims_and_bounds):
+    """The per-entry bucketing loop the vectorized bucketing replaced,
+    kept as its oracle: block key -> entries in dataset order."""
+    blocks = {}
+    for key, value in entries:
+        block_key = tuple(
+            parts.bucket_of(bounds, key[dim]) for dim, bounds in dims_and_bounds
+        )
+        blocks.setdefault(block_key, []).append((key, value))
+    return blocks
+
+
+@pytest.fixture(scope="module")
+def shuffled_ratings():
+    """Skewed, shuffled (row, col) entries: ~40 ratings per column."""
+    return netflix_like(
+        num_rows=120, num_cols=96, num_ratings=4000, seed=3
+    ).entries
+
+
+class TestVectorizedBucketing:
+    @pytest.mark.parametrize("balance", [True, False])
+    def test_1d_matches_the_scalar_loop(self, shuffled_ratings, balance):
+        got = parts.partition_1d(shuffled_ratings, 1, 96, 5, balance=balance)
+        want = _scalar_blocks(shuffled_ratings, [(1, got.space_bounds)])
+        assert got.blocks == {(s, 0): block for (s,), block in want.items()}
+
+    @pytest.mark.parametrize("balance", [True, False])
+    def test_2d_keeps_dataset_order_by_default(self, shuffled_ratings, balance):
+        """What an ordered 2D plan executes: same blocks, dataset order."""
+        got = parts.partition_2d(
+            shuffled_ratings, 0, 1, 120, 96, 3, 6, balance=balance
+        )
+        assert got.blocks == _scalar_blocks(
+            shuffled_ratings, [(0, got.space_bounds), (1, got.time_bounds)]
+        )
+
+    def test_bounds_are_the_histogram_cuts(self, shuffled_ratings):
+        got = parts.partition_2d(shuffled_ratings, 0, 1, 120, 96, 3, 6)
+        for dim, extent, num, bounds in (
+            (0, 120, 3, got.space_bounds), (1, 96, 6, got.time_bounds)
+        ):
+            counts = np.zeros(extent, dtype=np.int64)
+            for key, _value in shuffled_ratings:
+                counts[key[dim]] += 1
+            assert bounds == parts.balanced_bounds(counts, num)
+
+    def test_transformed_matches_the_scalar_loop(self):
+        entries = _grid_entries(6, 6)[::-1]
+        got = parts.partition_transformed(entries, skew(2, 0, 1, 1), 3, 4)
+        want = {}
+        for key, value in entries:
+            block_key = (
+                parts.bucket_of(got.space_bounds, key[1]),
+                parts.bucket_of(got.time_bounds, key[0] + key[1]),
+            )
+            want.setdefault(block_key, []).append((key, value))
+        assert got.blocks == want
+
+    def test_coordinate_outside_extent_raises(self):
+        with pytest.raises(PartitionError):
+            parts.partition_1d([((7,), 1.0)], 0, 4, 2)
+        with pytest.raises(PartitionError):
+            parts.partition_2d([((0, -1), 1.0)], 0, 1, 4, 4, 2, 2)
+
+    def test_no_entries_no_blocks(self):
+        assert parts.partition_1d([], 0, 4, 2).blocks == {}
+        assert parts.partition_2d(
+            [], 0, 1, 4, 4, 2, 2, canonical_order=True
+        ).blocks == {}
+
+
+class TestCanonicalOrder:
+    """The unordered-2D in-block order: (time coordinate, remaining key
+    dims), duplicates of one key in dataset order."""
+
+    def test_blocks_sorted_by_time_coordinate_then_key(self, shuffled_ratings):
+        got = parts.partition_2d(
+            shuffled_ratings, 0, 1, 120, 96, 3, 6, canonical_order=True
+        )
+        plain = parts.partition_2d(shuffled_ratings, 0, 1, 120, 96, 3, 6)
+        assert got.space_bounds == plain.space_bounds
+        assert got.time_bounds == plain.time_bounds
+        for block_key, block in plain.blocks.items():
+            assert got.blocks[block_key] == sorted(
+                block, key=lambda entry: (entry[0][1], entry[0])
+            )
+
+    def test_three_dim_keys_and_duplicates(self):
+        entries = [
+            ((2, 1, 0), "a"), ((0, 1, 5), "b"), ((0, 1, 5), "c"),
+            ((1, 0, 9), "d"), ((0, 1, 2), "e"), ((2, 0, 0), "f"),
+        ]
+        got = parts.partition_2d(
+            entries, 0, 1, 3, 2, 1, 1, canonical_order=True
+        )
+        assert [value for _key, value in got.block(0, 0)] == [
+            "d", "f", "e", "b", "c", "a"
+        ]
+
+    @pytest.mark.parametrize("depth", [2, 4])
+    def test_worker_sequence_is_the_same_at_every_depth(
+        self, shuffled_ratings, depth
+    ):
+        """A worker's rotation visits the same entries in the same order
+        at pipeline depths 1, 2 and 4 — partitioned afresh or re-tiled."""
+        workers = 3
+
+        def sequences(partitions):
+            out = {worker: [] for worker in range(workers)}
+            for step in unordered_2d_schedule(workers, partitions.num_time):
+                for task in step:
+                    out[task.worker] += partitions.block(
+                        task.space_idx, task.time_idx
+                    )
+            return out
+
+        base = parts.partition_2d(
+            shuffled_ratings, 0, 1, 120, 96, workers, workers,
+            canonical_order=True,
+        )
+        fresh = parts.partition_2d(
+            shuffled_ratings, 0, 1, 120, 96, workers, workers * depth,
+            canonical_order=True,
+        )
+        retiled = parts.retile_time_2d(
+            shuffled_ratings, 0, 1, 96, base.space_bounds, workers * depth
+        )
+        assert retiled.blocks == fresh.blocks
+        assert sequences(fresh) == sequences(base)
+        assert sum(len(seq) for seq in sequences(base).values()) == 4000
 
 
 class TestTransformedPartition:

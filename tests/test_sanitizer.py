@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import OrionContext
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.kernels import level_schedule
 from repro.runtime.options import LoopOptions
 from repro.sanitizer import (
     SanitizerError,
@@ -95,21 +96,44 @@ class TestConflictGroupCheck:
     def test_planted_non_conflict_free_group(self):
         # Entries 0 and 2 share row 0 inside the claimed-free group.
         diagnostics = verify_conflict_groups(
-            rows=[0, 1, 0, 2], cols=[5, 6, 7, 8], groups=[(0, 3), (3, 4)]
+            [[0, 1, 0, 2], [5, 6, 7, 8]],
+            order=[0, 1, 2, 3],
+            groups=[(0, 3), (3, 4)],
         )
         assert [d.code for d in diagnostics] == ["S602"]
         assert ("entries", (0, 2)) in diagnostics[0].details
+        assert "claimed conflict-free" in diagnostics[0].message
 
     def test_shared_column_detected(self):
         diagnostics = verify_conflict_groups(
-            rows=[0, 1], cols=[4, 4], groups=[(0, 2)]
+            [[0, 1], [4, 4]], order=[0, 1], groups=[(0, 2)]
         )
         assert [d.code for d in diagnostics] == ["S602"]
-        assert "col 4" in diagnostics[0].message
+        assert "coordinate 4 on conflict dim 1" in diagnostics[0].message
 
-    def test_truly_conflict_free_groups_pass(self):
+    def test_planted_reordered_conflicting_pair(self):
+        # Every group is conflict-free, but entry 2 (row 0) runs before
+        # entry 0 (row 0): the schedule swapped two updates of one row.
+        diagnostics = verify_conflict_groups(
+            [[0, 1, 0, 2], [5, 6, 7, 8]],
+            order=[2, 1, 3, 0],
+            groups=[(0, 3), (3, 4)],
+        )
+        assert [d.code for d in diagnostics] == ["S602"]
+        assert ("entries", (0, 2)) in diagnostics[0].details
+        assert "reversed order" in diagnostics[0].message
+
+    def test_legal_schedules_pass(self):
+        seqs = [[0, 1, 2, 0], [3, 4, 5, 6]]
+        # Entry order split into runs, and the level schedule that moves
+        # nothing here because entry 3 already comes last.
         assert verify_conflict_groups(
-            rows=[0, 1, 2, 0], cols=[3, 4, 5, 6], groups=[(0, 3), (3, 4)]
+            seqs, order=[0, 1, 2, 3], groups=[(0, 3), (3, 4)]
+        ) == []
+        assert verify_conflict_groups(seqs, *level_schedule(seqs)) == []
+        # A permutation that moves only non-conflicting entries is legal.
+        assert verify_conflict_groups(
+            seqs, order=[2, 0, 1, 3], groups=[(0, 3), (3, 4)]
         ) == []
 
 

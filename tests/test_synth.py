@@ -40,7 +40,7 @@ from repro.data.synthetic import (
 from repro.core.distarray import DistArray
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import ExecutionError, kernel_batching_legal
-from repro.runtime.kernels import conflict_free_groups_nd, scalar_pow
+from repro.runtime.kernels import scalar_pow
 from repro.runtime.options import LoopOptions
 
 
@@ -560,24 +560,101 @@ class TestOptionPlumbing:
 
 
 # --------------------------------------------------------------------------- #
+# the vector tier's level schedule, end to end
+# --------------------------------------------------------------------------- #
+
+
+class TestLevelScheduledKernel:
+    """Blocks big enough that the level schedule really moves entries
+    (the app matrix above runs ~20-entry blocks)."""
+
+    @staticmethod
+    def _mf(kernel, ordered=False, **opts):
+        data = netflix_like(
+            num_rows=240, num_cols=192, num_ratings=8000, seed=5
+        )
+        return build_sgd_mf(
+            data,
+            cluster=ClusterSpec(num_machines=1, workers_per_machine=2),
+            ordered=ordered,
+            options=LoopOptions(kernel=kernel, pipeline_depth=1, **opts),
+        )
+
+    @pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
+    def test_mf_groups_are_wide_and_reported(self, backend):
+        """Count-only guard: with the canonical in-block order a ~2000
+        entry block of shuffled ratings schedules into groups tens of
+        entries wide.  At 1.0x (every group a single entry) the "vector"
+        kernel is a scalar interpreter with extra steps — the regime
+        that consecutive-run grouping produced unnoticed."""
+        with self._mf("auto", backend=backend) as program:
+            loop = program.train_loop
+            assert loop.run_summary()["level_schedule"] is None
+            assert "level schedule:" not in loop.explain()
+            loop.run(1)
+            stats = loop.run_summary()["level_schedule"]
+            assert stats["entries"] == 8000
+            assert stats["mean_group_size"] >= 8
+            assert stats["single_entry_share"] <= 0.1
+            assert stats["groups"] * stats["mean_group_size"] == \
+                pytest.approx(8000)
+            assert (
+                f"level schedule: 8000 entries in {stats['groups']} groups"
+                in loop.explain()
+            )
+            loop.run(1)  # the report is of the schedule, not of the epochs
+            assert loop.run_summary()["level_schedule"] == stats
+
+    def test_ordered_2d_auto_matches_off_bitwise(self):
+        """An ordered plan keeps dataset order inside a block, so the
+        level schedule reorders heavily — and must not show."""
+        with self._mf("off", ordered=True) as ref, \
+                self._mf("auto", ordered=True) as got:
+            assert got.train_loop.executor.kernel_tier == "synth:vector"
+            for _ in range(2):
+                ref.train_loop.run(1)
+                got.train_loop.run(1)
+                _assert_same_state(_state(ref), _state(got))
+            stats = got.train_loop.run_summary()["level_schedule"]
+            assert stats["groups"] < stats["entries"] / 2
+
+    def test_equivalence_checked_epoch(self):
+        with self._mf("auto", ordered=True, equivalence_check=True) as program:
+            program.train_loop.run(1)
+
+    def test_first_call_that_raises_can_be_run_again(self, monkeypatch):
+        """The entry-order index arrays the accounting declarations read
+        exist only on a block's first call, so the schedule is memoized
+        after them: a first call that dies once the schedule is built
+        must leave a cache the next call can start over from."""
+        with self._mf("off") as ref, self._mf("auto") as got:
+            H, values, armed = got.arrays["H"], DistArray.values.fget, [True]
+
+            def interrupted_once(array):
+                if array is H and armed:
+                    armed.clear()
+                    raise KeyboardInterrupt
+                return values(array)
+
+            monkeypatch.setattr(
+                DistArray, "values", property(interrupted_once)
+            )
+            with pytest.raises(KeyboardInterrupt):
+                got.train_loop.run(1)
+            _assert_same_state(_state(ref), _state(got))  # nothing written
+            ref.train_loop.run(1)
+            got.train_loop.run(1)
+            _assert_same_state(_state(ref), _state(got))
+            assert got.train_loop.run_summary()["level_schedule"]["entries"] \
+                == 8000
+
+
+# --------------------------------------------------------------------------- #
 # synthesis primitives
 # --------------------------------------------------------------------------- #
 
 
 class TestPrimitives:
-    def test_conflict_free_groups_nd_no_repeats_within_group(self):
-        rows = [0, 1, 0, 2, 1, 0]
-        cols = [5, 6, 7, 5, 6, 7]
-        groups = conflict_free_groups_nd([rows, cols])
-        assert [hi for _lo, hi in groups][-1] == len(rows)
-        for lo, hi in groups:
-            assert len(set(rows[lo:hi])) == hi - lo
-            assert len(set(cols[lo:hi])) == hi - lo
-
-    def test_conflict_free_groups_nd_empty(self):
-        assert conflict_free_groups_nd([]) == []
-        assert conflict_free_groups_nd([[]]) == []
-
     def test_scalar_pow_matches_python_pow_bitwise(self):
         rng = np.random.default_rng(0)
         base = rng.uniform(0.01, 4.0, size=200)
