@@ -17,19 +17,18 @@ exactly this path.
 import os
 
 from repro import ClusterSpec, OrionContext
-from repro.obs import MetricsRegistry, Tracer, straggler_report, write_chrome_trace
+from repro.obs import Observability, straggler_report, write_chrome_trace
 from repro.data import netflix_like
 
 # A small synthetic rating matrix (a Netflix stand-in: low rank + noise).
 dataset = netflix_like(num_rows=120, num_cols=90, num_ratings=5000, seed=7)
 
 trace_path = os.environ.get("REPRO_TRACE")
-tracer = Tracer() if trace_path else None
-metrics = MetricsRegistry() if trace_path else None
+obs = Observability.enabled() if trace_path else None
 
 ctx = OrionContext(
     cluster=ClusterSpec(num_machines=2, workers_per_machine=4), seed=1,
-    tracer=tracer, metrics=metrics,
+    obs=obs,
 )
 
 # DistArray creation is lazy; materialize() evaluates (and fuses maps).
@@ -83,7 +82,7 @@ for epoch in range(1, 11):
 print(f"\ntotal virtual time: {ctx.now * 1e3:.1f} ms")
 print(f"total network traffic: {ctx.traffic.total_bytes / 1e3:.1f} KB")
 
-if tracer is not None:
-    write_chrome_trace(tracer, trace_path)
+if obs is not None:
+    write_chrome_trace(obs.tracer, trace_path)
     print(f"\ntrace written to {trace_path} (open in ui.perfetto.dev)")
-    print(straggler_report(tracer, metrics))
+    print(straggler_report(obs.tracer, obs.metrics))

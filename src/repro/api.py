@@ -48,7 +48,6 @@ from repro.core.accumulator import Accumulator, AccumulatorRegistry
 from repro.core.buffers import DistArrayBuffer, default_apply
 from repro.core.distarray import DistArray, parse_dense_line
 from repro.faults.recovery import RecoveryManager
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.observability import Observability
 from repro.obs.tracer import Tracer
 from repro.runtime.backend import Backend, create_backend
@@ -88,16 +87,24 @@ class ParallelLoop:
         self._epoch = 0
         self._recovery: Optional[RecoveryManager] = None
         opts = self.options
-        if opts.backend == "multiprocess" and (
-            opts.faults is not None or opts.checkpoint is not None
-        ):
+        if opts.backend == "multiprocess":
             from repro.errors import ExecutionError
 
-            raise ExecutionError(
-                "fault injection and checkpointing model virtual-clock "
-                "crashes; they are not supported on the multiprocess "
-                "backend (run them on backend='simulated')"
-            )
+            if opts.faults is not None or opts.checkpoint is not None:
+                raise ExecutionError(
+                    "fault injection and checkpointing model virtual-clock "
+                    "crashes; they are not supported on the multiprocess "
+                    "backend (run them on backend='simulated')"
+                )
+            if opts.equivalence_check:
+                raise ExecutionError(
+                    "equivalence_check runs a block twice and rewinds the "
+                    "arrays in between; rewinding shared-memory state "
+                    "while other worker processes run is unsound, so it is "
+                    "not supported on the multiprocess backend (check the "
+                    "kernel on backend='simulated' — workers run the same "
+                    "block runner)"
+                )
         #: The adaptive tuner (``tune="auto"|"cached"``); ``None`` keeps
         #: the default path free of even the import.
         self._tuner: Optional["AdaptiveTuner"] = None
@@ -316,29 +323,21 @@ class OrionContext:
             examples run instantly (the paper's figures use
             ``ClusterSpec.paper_default()``).
         seed: base seed for random array initialization.
-        tracer: observability tracer shared by every loop this context
-            builds (legacy form; default: the disabled
-            :data:`~repro.obs.tracer.NULL_TRACER`, zero overhead).
-        metrics: observability metrics registry shared by every loop
-            (legacy form; default: the disabled
-            :data:`~repro.obs.metrics.NULL_METRICS`).
-        obs: bundled :class:`~repro.obs.observability.Observability`
-            (``Observability.enabled()`` for a live pair).  Explicit
-            ``tracer=`` / ``metrics=`` arguments override the bundle
-            component-wise, so both forms mix freely.
+        obs: the :class:`~repro.obs.observability.Observability` (tracer
+            + metrics) shared by every loop this context builds —
+            ``Observability.enabled()`` for a live pair; default: the
+            disabled singletons, zero overhead.
     """
 
     def __init__(
         self,
         cluster: Optional[ClusterSpec] = None,
         seed: Optional[int] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
         obs: Optional[Observability] = None,
     ) -> None:
         self.cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
         self.seed = seed
-        self.obs = Observability.resolve(obs=obs, tracer=tracer, metrics=metrics)
+        self.obs = Observability.resolve(obs=obs)
         self.tracer = self.obs.tracer
         self.metrics = self.obs.metrics
         self.accumulators = AccumulatorRegistry()
@@ -493,10 +492,7 @@ class OrionContext:
         if obs is not None:
             opts = opts.merged_with(obs=obs)
         resolved = opts.resolve_obs(default=self.obs)
-        final = replace(opts, obs=resolved, tracer=None, metrics=None)
-        if final.backend == "threaded" and final.concurrency == "serial":
-            # The threaded backend *is* the executor's thread-pool mode.
-            final = replace(final, concurrency="threads")
+        final = replace(opts, obs=resolved)
         if final.tune == "auto" and not final.obs.tracer.enabled:
             # The tuner's model scan reads the epoch attribution, so an
             # adapting loop needs a live tracer; attach a private one

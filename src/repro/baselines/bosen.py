@@ -30,9 +30,7 @@ import numpy as np
 
 from repro.apps.base import Entry, SerialApp
 from repro.faults.plan import FaultPlan, RecoveryCosts
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.observability import Observability
-from repro.obs.tracer import Tracer
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.history import RunHistory
 
@@ -89,8 +87,6 @@ def run_bosen(
     seed: int = 0,
     syncs_per_epoch: int = 1,
     label: Optional[str] = None,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
     trace_process: str = "bosen",
     faults: Optional[FaultPlan] = None,
     ckpt_every: Optional[int] = None,
@@ -102,11 +98,6 @@ def run_bosen(
         syncs_per_epoch: synchronization barriers per data pass (Bösen's
             default configuration in the paper synchronizes after the whole
             local partition, i.e. 1).
-        tracer: observability tracer; per-worker shard spans and sync
-            transfers are placed on the virtual timeline under the
-            ``trace_process`` process, comparable side by side with Orion
-            traces in one Perfetto file.
-        metrics: observability metrics registry.
         trace_process: Perfetto process label for this run's spans.
         faults: optional fault plan (crashes/drops/stragglers), resolved
             against the same virtual clock as the Orion executor's.
@@ -114,10 +105,12 @@ def run_bosen(
             passes; crashes replay from the latest checkpoint (without it,
             from the initial state).  The checkpoint write and restore are
             charged at the plan's restore bandwidth.
-        obs: bundled observability (explicit ``tracer=``/``metrics=``
-            override it component-wise).
+        obs: observability (tracer + metrics); per-worker shard spans
+            and sync transfers are placed on the virtual timeline under
+            the ``trace_process`` process, comparable side by side with
+            Orion traces in one Perfetto file.
     """
-    resolved = Observability.resolve(obs=obs, tracer=tracer, metrics=metrics)
+    resolved = Observability.resolve(obs=obs)
     tracer, metrics = resolved.tracer, resolved.metrics
     workers = cluster.num_workers
     state = app.init_state(seed)

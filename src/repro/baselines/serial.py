@@ -11,7 +11,6 @@ from typing import List, Optional
 
 from repro.apps.base import SerialApp
 from repro.obs.observability import Observability
-from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.history import RunHistory
 from repro.runtime.simtime import CostModel
 
@@ -25,7 +24,6 @@ def run_serial(
     cost: Optional[CostModel] = None,
     label: Optional[str] = None,
     shuffle_each_epoch: bool = False,
-    tracer: Optional[Tracer] = None,
     trace_process: str = "serial",
     obs: Optional[Observability] = None,
 ) -> RunHistory:
@@ -34,13 +32,12 @@ def run_serial(
     Virtual time per pass is simply ``entries × entry_cost`` — no
     communication, no synchronization, no abstraction overhead.  The lone
     worker is always busy, so every record reports utilization 1.0 (and the
-    optional ``tracer`` gets one back-to-back block span per pass).
+    tracer of ``obs``, when given, gets one back-to-back block span per
+    pass).
     """
     import numpy as np
 
-    if tracer is None and obs is not None:
-        tracer = obs.tracer
-    tracer = tracer if tracer is not None else NULL_TRACER
+    tracer = Observability.resolve(obs=obs).tracer
     cost = cost or CostModel()
     state = app.init_state(seed)
     entries = list(app.entries())

@@ -66,7 +66,7 @@ def run_strads(
 
     Args:
         builder_opts: extra keyword arguments forwarded to the builder —
-            e.g. ``{"tracer": tracer, "trace_process": "strads"}`` to place
+            e.g. ``{"obs": obs, "trace_process": "strads"}`` to place
             this run's spans next to Orion's in one trace file.
         options: optional :class:`~repro.runtime.options.LoopOptions`
             (e.g. carrying a fault plan/checkpoint config) forwarded to the

@@ -106,8 +106,8 @@ from repro.data import (
 from repro.faults.plan import FaultPlan, Straggler
 from repro.obs import (
     MetricsRegistry,
+    Observability,
     RunStore,
-    Tracer,
     add_traffic_spans,
     check_store,
     compare_records,
@@ -130,11 +130,35 @@ ENGINES = ["serial", "orion", "orion-ordered", "bosen", "cm", "strads", "tf", "t
 _NATIVELY_TRACED = {"serial", "orion", "orion-ordered", "bosen", "strads"}
 
 
+def _shared_flags(workers_per_machine: int = 4) -> argparse.ArgumentParser:
+    """The argparse parent every subcommand builds on: the modeled
+    cluster's shape, the seed and the dataset scale.  (A fresh parent per
+    parser: argparse shares a parent's actions by reference.)"""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--machines", type=int, default=4,
+        help="machines in the modeled cluster (default 4)",
+    )
+    parent.add_argument(
+        "--workers-per-machine", type=int, default=workers_per_machine,
+        help=f"workers per machine (default {workers_per_machine})",
+    )
+    parent.add_argument("--seed", type=int, default=0)
+    parent.add_argument(
+        "--scale", type=float, default=1.0,
+        help="dataset size multiplier (1.0 = the small demo default; "
+             "analysis and synthesis are size-independent, so smaller is "
+             "faster to build)",
+    )
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument schema (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Run an Orion-reproduction training experiment.",
+        parents=[_shared_flags()],
     )
     parser.add_argument(
         "app", choices=["mf", "mf-adarev", "lda", "lda-1d", "slr", "gbt"],
@@ -145,13 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="training engine (or 'all' for a comparison table)",
     )
     parser.add_argument("--epochs", type=int, default=5)
-    parser.add_argument("--machines", type=int, default=4)
-    parser.add_argument("--workers-per-machine", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="dataset size multiplier (1.0 = the small demo default)",
-    )
     parser.add_argument(
         "--plot", action="store_true",
         help="render ASCII loss curves alongside the tables",
@@ -357,18 +374,14 @@ def _dataset_and_builders(args):
 
 def _run_engine(
     engine: str, args, cluster: ClusterSpec, builder, app,
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
+    obs: Optional[Observability] = None,
 ) -> Optional[RunHistory]:
-    obs_opts = {}
-    if tracer is not None:
-        obs_opts = {"tracer": tracer, "metrics": metrics}
+    obs_opts = {"obs": obs} if obs is not None else {}
     if engine == "serial":
         if app is None:
             return None
         return run_serial(
-            app, args.epochs, seed=args.seed, cost=cluster.cost,
-            tracer=tracer,
+            app, args.epochs, seed=args.seed, cost=cluster.cost, obs=obs
         )
     backend = args.backend if args.backend != "simulated" else None
     tune = getattr(args, "tune", "off")
@@ -466,20 +479,13 @@ def _lint_main(argv: List[str], out) -> int:
         prog="repro lint",
         description="Statically analyze a parallel loop without running "
                     "it; see docs/analysis.md for the diagnostic catalog.",
+        parents=[_shared_flags()],
     )
     parser.add_argument(
         "app",
         choices=["mf", "mf-adarev", "lda", "lda-1d", "slr", "gbt", "demo"],
         help="application whose training loop to lint, or 'demo' for "
              "the diagnostic-code showcase",
-    )
-    parser.add_argument("--machines", type=int, default=4)
-    parser.add_argument("--workers-per-machine", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="dataset size multiplier (analysis is size-independent; "
-             "smaller is faster to build)",
     )
     parser.add_argument(
         "--ordered", action="store_true",
@@ -535,19 +541,12 @@ def _synth_main(argv: List[str], out) -> int:
         prog="repro synth",
         description="Synthesize a vectorized block kernel from an app's "
                     "loop body and print the generated source.",
+        parents=[_shared_flags()],
     )
     parser.add_argument(
         "app",
         choices=["mf", "mf-adarev", "glove", "lda", "lda-1d", "slr", "gbt"],
         help="application whose training-loop body to compile",
-    )
-    parser.add_argument("--machines", type=int, default=4)
-    parser.add_argument("--workers-per-machine", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="dataset size multiplier (synthesis is size-independent; "
-             "smaller is faster to build)",
     )
     parser.add_argument(
         "--check", action="store_true",
@@ -748,26 +747,15 @@ def _tune_main(argv: List[str], out) -> int:
         description="Sweep fixed pipeline depths, then let the adaptive "
                     "tuner recover from a mistuned start (see "
                     "docs/tuning.md).",
+        # One worker per machine: inter-machine rotation dominates, which
+        # is the regime pipeline depth tunes.
+        parents=[_shared_flags(workers_per_machine=1)],
     )
     parser.add_argument(
         "app", choices=["mf", "mf-adarev", "lda", "lda-1d", "slr"],
         help="application to tune",
     )
     parser.add_argument("--epochs", type=int, default=4)
-    parser.add_argument(
-        "--machines", type=int, default=4,
-        help="machines in the modeled cluster (default 4)",
-    )
-    parser.add_argument(
-        "--workers-per-machine", type=int, default=1,
-        help="workers per machine (default 1: inter-machine rotation "
-             "dominates, which is the regime pipeline depth tunes)",
-    )
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--scale", type=float, default=1.0,
-        help="dataset size multiplier",
-    )
     parser.add_argument(
         "--depth", type=int, default=1,
         help="starting pipeline depth for the tuned run (default 1: "
@@ -912,9 +900,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         **cluster_kwargs,
     )
 
-    tracing = bool(args.trace or args.report)
-    tracer = Tracer() if tracing else None
-    metrics = MetricsRegistry() if tracing else None
+    obs = Observability.enabled() if args.trace or args.report else None
+    tracer = obs.tracer if obs is not None else None
 
     if args.ckpt_every and not args.ckpt_dir:
         args.ckpt_dir = tempfile.mkdtemp(prefix="orion-ckpt-")
@@ -922,10 +909,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     engines = ENGINES if args.engine == "all" else [args.engine]
     results: Dict[str, RunHistory] = {}
     for engine in engines:
-        history = _run_engine(
-            engine, args, cluster, builder, app, tracer=tracer,
-            metrics=metrics,
-        )
+        history = _run_engine(engine, args, cluster, builder, app, obs=obs)
         if history is None:
             if args.engine != "all":
                 out.write(
@@ -986,7 +970,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 if engine in results:
                     _run_engine(
                         engine, sim_args, cluster, builder, app,
-                        tracer=tracer, metrics=MetricsRegistry(),
+                        obs=Observability(
+                            tracer=tracer, metrics=MetricsRegistry()
+                        ),
                     )
         kernel_diags = [
             f"({engine}) {diag}"
@@ -995,7 +981,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         ]
         out.write(
             "\n"
-            + straggler_report(tracer, metrics, diagnostics=kernel_diags)
+            + straggler_report(tracer, obs.metrics, diagnostics=kernel_diags)
             + "\n"
         )
         out.write("\n" + insight_report(tracer) + "\n")

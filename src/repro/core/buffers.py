@@ -28,6 +28,10 @@ __all__ = ["DistArrayBuffer", "default_apply"]
 #: Marker used to store (unhashable-before-3.12) slices in buffer keys.
 _SLICE = "__slice__"
 
+#: What :meth:`DistArrayBuffer.snapshot` returns: per-worker pending
+#: writes and per-worker buffered-write age.
+_Snapshot = Tuple[Dict[int, Dict[Tuple[Any, ...], Any]], Dict[int, int]]
+
 
 def _canonical_key(index: Any) -> Tuple[Any, ...]:
     """Hashable form of a buffer index; slices become tagged tuples."""
@@ -217,6 +221,43 @@ class DistArrayBuffer:
                 new_value = self.apply_fn(current, update)
             self.target.direct_set(subscript, new_value)
         return len(slot)
+
+    def take_pending(self, worker: int) -> Dict[Tuple[Any, ...], Any]:
+        """Remove and return one worker's pending writes *without*
+        applying them — a worker process hands them to whoever owns the
+        apply UDF (see :meth:`apply_pending`)."""
+        return self._pending.pop(worker, None) or {}
+
+    def apply_pending(
+        self, worker: int, pending: Dict[Tuple[Any, ...], Any]
+    ) -> None:
+        """Merge writes another process took with :meth:`take_pending`
+        into ``worker``'s slot and flush it to the target."""
+        slot = self._pending.setdefault(worker, {})
+        for key, update in pending.items():
+            if key in slot:
+                slot[key] = self.combiner(slot[key], update)
+            else:
+                slot[key] = update
+        self.flush_worker(worker)
+
+    def snapshot(self) -> _Snapshot:
+        """Copies of every worker's pending writes and buffered-write
+        age, for :meth:`restore`."""
+        return (
+            {worker: dict(slot) for worker, slot in self._pending.items()},
+            dict(self._age),
+        )
+
+    def restore(self, snapshot: _Snapshot) -> None:
+        """Rewind pending writes and ages to a :meth:`snapshot`."""
+        pending, age = snapshot
+        self._pending.clear()
+        self._pending.update(
+            (worker, dict(slot)) for worker, slot in pending.items()
+        )
+        self._age.clear()
+        self._age.update(age)
 
     def flush_all(self) -> int:
         """Flush every worker's pending writes (driver-side convenience)."""

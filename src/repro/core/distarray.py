@@ -42,6 +42,10 @@ def _fresh_name(prefix: str) -> str:
     return f"{prefix}_{next(_name_counter)}"
 
 
+def _copy_value(value: Any) -> Any:
+    return value.copy() if isinstance(value, np.ndarray) else value
+
+
 @dataclass
 class Recipe:
     """One recorded (not yet evaluated) step of a DistArray's derivation.
@@ -534,6 +538,30 @@ class DistArray:
             raise SubscriptError(f"{self.name} is sparse")
         self._dense = np.ascontiguousarray(values, dtype=float)
         self._shape = self._dense.shape
+
+    def snapshot(self) -> Any:
+        """An independent copy of the stored contents, for :meth:`restore`
+        — an ndarray for dense arrays, a ``key -> value`` dict (ndarray
+        values copied) for sparse ones."""
+        self._require_materialized()
+        if self.sparse:
+            return {
+                key: _copy_value(value) for key, value in self._entries.items()
+            }
+        return self._dense.copy()
+
+    def restore(self, snapshot: Any) -> None:
+        """Rewind the contents to a :meth:`snapshot`, in place: the dense
+        backing array (possibly a shared-memory view) keeps its identity,
+        and the snapshot stays reusable."""
+        self._require_materialized()
+        if self.sparse:
+            self._entries.clear()
+            self._entries.update(
+                (key, _copy_value(value)) for key, value in snapshot.items()
+            )
+        else:
+            self._dense[...] = snapshot
 
     # ------------------------------------------------------------------ #
     # Eager set operations                                                #

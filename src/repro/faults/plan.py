@@ -12,6 +12,7 @@ when instrumentation changes the query order.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -143,7 +144,9 @@ def stable_uniform(*parts) -> float:
         if isinstance(part, float):
             part = hash(part)
         elif isinstance(part, str):
-            part = hash(part) & 0xFFFFFFFFFFFFFFFF
+            # Not hash(): str hashes are salted per process, and a plan
+            # must replay identically on every run.
+            part = zlib.crc32(part.encode())
         state = _splitmix64(state ^ (int(part) & 0xFFFFFFFFFFFFFFFF))
     return state / 2.0 ** 64
 

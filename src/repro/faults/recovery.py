@@ -83,39 +83,16 @@ class RecoveryManager:
             )
         #: Epoch of the newest checkpoint (0 = only the initial snapshot).
         self.checkpoint_epoch = 0
-        self._initial = self._snapshot_arrays()
+        #: Epoch-0 contents — what a crash before the first checkpoint
+        #: restores.
+        self._initial = [
+            (array, array.snapshot())
+            for array in self.arrays
+            if array.is_materialized
+        ]
         self._acc_snapshot = self._snapshot_accumulators()
 
     # ---------------- snapshots ---------------------------------------- #
-
-    def _snapshot_arrays(self) -> Dict[str, Tuple[str, Any]]:
-        snapshot: Dict[str, Tuple[str, Any]] = {}
-        for array in self.arrays:
-            if not array.is_materialized:
-                continue
-            if array.sparse:
-                snapshot[array.name] = (
-                    "sparse",
-                    {
-                        key: _copy_value(value)
-                        for key, value in array._entries.items()
-                    },
-                )
-            else:
-                snapshot[array.name] = ("dense", array._dense.copy())
-        return snapshot
-
-    def _restore_initial(self) -> None:
-        by_name = {array.name: array for array in self.arrays}
-        for name, (kind, data) in self._initial.items():
-            array = by_name[name]
-            if kind == "dense":
-                array._dense[...] = data
-            else:
-                array._entries.clear()
-                array._entries.update(
-                    (key, _copy_value(value)) for key, value in data.items()
-                )
 
     def _snapshot_accumulators(self) -> Dict[str, Dict[int, Any]]:
         return {
@@ -197,7 +174,8 @@ class RecoveryManager:
             replay_from = epoch
             restored_nbytes = self.nbytes
         else:
-            self._restore_initial()
+            for array, saved in self._initial:
+                array.restore(saved)
         self._restore_accumulators()
         seconds = self.costs.restart_s + (
             restored_nbytes / self.costs.restore_bandwidth_bytes_per_s

@@ -1,10 +1,8 @@
 """One handle on the observability pair: tracer + metrics.
 
-Every instrumented surface in this package used to take two keyword
-arguments (``tracer=``, ``metrics=``); :class:`Observability` bundles them
-so contexts, loops, baselines and the CLI thread a single object around.
-The legacy two-kwarg form keeps working everywhere — explicit ``tracer=``
-/ ``metrics=`` arguments override the bundle component-wise.
+Every instrumented surface in this package takes one ``obs=``:
+:class:`Observability` bundles the pair so contexts, loops, baselines and
+the CLI thread a single object around.
 """
 
 from __future__ import annotations
@@ -49,21 +47,10 @@ class Observability:
     def resolve(
         cls,
         obs: Optional["Observability"] = None,
-        tracer: Optional[Tracer] = None,
-        metrics: Optional[MetricsRegistry] = None,
         default: Optional["Observability"] = None,
     ) -> "Observability":
-        """Merge the new bundle form with the legacy two-kwarg form.
-
-        Component-wise precedence: an explicit ``tracer=``/``metrics=``
-        wins, then the ``obs`` bundle, then ``default`` (e.g. a context's
-        observability), then the disabled singletons.
-        """
-        base = default if default is not None else cls.disabled()
-        resolved_tracer = tracer
-        if resolved_tracer is None:
-            resolved_tracer = obs.tracer if obs is not None else base.tracer
-        resolved_metrics = metrics
-        if resolved_metrics is None:
-            resolved_metrics = obs.metrics if obs is not None else base.metrics
-        return cls(tracer=resolved_tracer, metrics=resolved_metrics)
+        """``obs``, else ``default`` (e.g. a context's observability),
+        else the disabled singletons."""
+        if obs is not None:
+            return obs
+        return default if default is not None else cls.disabled()

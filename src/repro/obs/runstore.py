@@ -122,8 +122,7 @@ def loop_signature(loop: Any, exclude: Sequence[str] = ()) -> str:
     ``exclude`` drops named payload keys before hashing; the tuning cache
     uses it to key on the signature *minus* the tunable knobs
     (``pipeline_depth``/``prefetch``/``cache_prefetch``), so a run at any
-    depth can seed later runs of the same loop.  With ``exclude`` empty
-    the hash is unchanged from earlier schema versions.
+    depth can seed later runs of the same loop.
     """
     executor = loop.executor
     info, plan = loop.info, loop.plan
@@ -147,7 +146,6 @@ def loop_signature(loop: Any, exclude: Sequence[str] = ()) -> str:
         "prefetch": executor.prefetch_mode,
         "cache_prefetch": bool(executor.cache_prefetch),
         "balance": bool(executor.balance),
-        "concurrency": executor.concurrency,
         "sanitize": bool(opts.sanitize),
     }
     for key in exclude:

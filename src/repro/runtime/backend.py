@@ -12,8 +12,7 @@ Parsl popularized, applied to Orion's plans):
     against it.
 ``threaded``
     The same executor with each schedule step's blocks on a thread pool
-    (``concurrency="threads"``) — real in-process concurrency, still on
-    the virtual clock.
+    — real in-process concurrency, still on the virtual clock.
 ``multiprocess``
     Forked OS processes over shared-memory partitions
     (:class:`~repro.runtime.distributed.MultiprocessRunner`): real
@@ -39,7 +38,6 @@ __all__ = [
     "BACKENDS",
     "Backend",
     "SimulatedBackend",
-    "ThreadedBackend",
     "MultiprocessBackend",
     "create_backend",
 ]
@@ -77,12 +75,15 @@ class Backend:
 
 
 class SimulatedBackend(Backend):
-    """The virtual-clock executor — a thin adapter, zero overhead."""
+    """The virtual-clock executor — a thin adapter, zero overhead.
 
-    name = "simulated"
+    Serves ``backend="simulated"`` and ``"threaded"`` alike: the executor
+    reads the option itself to decide whether a step's blocks go to its
+    thread pool, so the adapter only reports which one was asked for."""
 
     def __init__(self, loop: "ParallelLoop") -> None:
         self._executor = loop.executor
+        self.name = loop.options.backend
 
     def run_epoch(
         self, t0: float = 0.0, epoch: Optional[int] = None
@@ -94,17 +95,6 @@ class SimulatedBackend(Backend):
 
     def level_schedule(self) -> Optional[Dict[str, float]]:
         return level_schedule_stats(self._executor.level_schedule_counts())
-
-
-class ThreadedBackend(SimulatedBackend):
-    """The executor with ``concurrency="threads"``.
-
-    The promotion happens at ``parallel_for`` time (the executor is built
-    threaded), so mechanically this is the simulated adapter — the class
-    exists so ``loop.backend.name`` reports what was asked for.
-    """
-
-    name = "threaded"
 
 
 class MultiprocessBackend(Backend):
@@ -156,10 +146,8 @@ class MultiprocessBackend(Backend):
 def create_backend(loop: "ParallelLoop") -> Backend:
     """Instantiate the backend the loop's options selected."""
     backend = loop.options.backend
-    if backend == "simulated":
+    if backend in ("simulated", "threaded"):
         return SimulatedBackend(loop)
-    if backend == "threaded":
-        return ThreadedBackend(loop)
     if backend == "multiprocess":
         return MultiprocessBackend(loop)
     raise ExecutionError(f"unknown backend {backend!r}")

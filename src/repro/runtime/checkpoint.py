@@ -254,7 +254,7 @@ def restore_arrays(
                 f"but target array is not"
             )
         if loaded.sparse:
-            array._entries = loaded._entries
+            array.restore(dict(loaded.entries()))
             array._shape = loaded._shape
         else:
             array.set_dense(loaded.values)

@@ -10,13 +10,15 @@ compiled plan* on real OS processes as a performance backend:
   process is immediately visible to every other — workers read and write
   parameters in place instead of holding forked full-object copies and
   shipping slices through the master.
-* **Worker-side kernels.**  When the plan admits the PR-1 batched kernel,
-  each worker runs ``kernel(block, kctx)`` against the shared arrays
-  through a data-movement-only broker
-  (:class:`~repro.runtime.kernels.PlainBroker`); otherwise the scalar
-  interpreter body runs per entry.  Either way the per-block computation
-  is exactly the simulated executor's, so dependence-preserving plans
-  produce *bitwise identical* final parameters.
+* **One block runner.**  A worker executes each block by calling the
+  forked executor's :meth:`~repro.runtime.executor.OrionExecutor.run_block`
+  — the same code the simulated backend runs (kernel when the plan
+  batches, scalar body otherwise, sanitizer recording when asked)
+  against the shared arrays, with an empty server-array set (the master
+  owns the virtual timeline) and buffered writes handed to the master
+  instead of flushed locally.  The per-block computation is therefore
+  the simulated executor's by construction, and dependence-preserving
+  plans produce *bitwise identical* final parameters.
 * **Direct worker→worker rotation.**  Because a rotated time-slice already
   lives in shared memory, handing it to the next worker needs no payload
   at all — only a happens-before edge.  Per-edge token queues carry bare
@@ -67,8 +69,7 @@ from repro.analysis.strategy import PlacementKind, Strategy
 from repro.analysis.synth import level_schedule_stats
 from repro.core import access
 from repro.errors import ExecutionError
-from repro.runtime.executor import EpochResult
-from repro.runtime.kernels import KernelContext, PlainBroker
+from repro.runtime.executor import EpochResult, TaskRecord
 
 if TYPE_CHECKING:  # import cycle: repro.api imports the backend registry
     from repro.api import ParallelLoop
@@ -119,9 +120,9 @@ class SharedArrayPool:
         """Reback one dense materialized array (idempotent per array)."""
         if id(array) in self._ids:
             return
-        dense = getattr(array, "_dense", None)
-        if dense is None:
+        if array.sparse or not array.is_materialized:
             return
+        dense = array.values
         if id(array) in SharedArrayPool._live:
             raise ExecutionError(
                 f"array {array.name!r} is already shared with a live "
@@ -134,7 +135,7 @@ class SharedArrayPool:
         view: np.ndarray = np.ndarray(dense.shape, dtype=dense.dtype,
                                       buffer=shm.buf)
         view[...] = dense
-        array._dense = view
+        array.set_dense(view)
         self._adopted.append(_Adopted(shm, array, dense, view))
         self._ids.add(id(array))
         SharedArrayPool._live[id(array)] = self
@@ -147,11 +148,11 @@ class SharedArrayPool:
     def release(self) -> None:
         """Restore ordinary backing and unlink every segment (idempotent)."""
         for record in self._adopted:
-            if record.array._dense is record.view:
+            if record.array.values is record.view:
                 # Nobody rebound the storage meanwhile: preserve the final
                 # shared contents past the segment's lifetime.
                 record.original[...] = record.view
-                record.array._dense = record.original
+                record.array.set_dense(record.original)
             record.view = None
             try:
                 record.shm.close()
@@ -181,8 +182,9 @@ class _WorkerProcess:
       neighbours purely through rotation tokens; reply ``("epoch_done",
       payload)``.
     * ``("step", s)`` — stepped mode: execute this worker's blocks of
-      schedule step ``s``; reply ``("step_done", flushes, flush_bytes)``
-      where ``flushes`` maps buffer name → pending updates.
+      schedule step ``s``; reply ``("step_done", records)`` — their
+      :class:`~repro.runtime.executor.TaskRecord` s, buffered writes
+      riding in ``record.pending`` for the master to apply.
     * ``("finish_epoch",)`` — stepped mode epilogue; reply
       ``("epoch_done", payload)``.
     * ``("stop",)`` — reply ``("bye",)`` and exit.
@@ -209,23 +211,16 @@ class _WorkerProcess:
         self.token_out = token_out
         self.token_kind = token_kind
         self.depth = depth
-        executor = self.executor
-        self.kernel_path = executor.kernel_path
-        self.broker = PlainBroker()
-        #: Sanitize mode: the (pre-fork) executor forced kernels off, so
-        #: every block takes the scalar path under a recording broker;
-        #: records ship to the master in the epoch payload.
-        self.sanitize = executor.sanitize
-        self._sanitize_records: List[Tuple[Any, str, Tuple[Any, ...], str]] = []
         #: This worker's tasks over a whole epoch, in step order.
         self.tasks = [
             task
-            for step_tasks in executor.steps
+            for step_tasks in self.executor.steps
             for task in step_tasks
             if task.worker == worker_id
         ]
-        #: Per-block wall timings: (step, space, time, t_start, t_end, wait).
-        self.timings: List[Tuple[Any, ...]] = []
+        #: Records of the blocks run since the last message that shipped
+        #: them (``step_done`` when stepped, ``epoch_done`` free-running).
+        self.records: List[TaskRecord] = []
         self.tokens_consumed = 0
         self._epochs_run = 0
         #: Level-schedule counts ride on the first epoch's payload only:
@@ -263,45 +258,16 @@ class _WorkerProcess:
 
     # ---------------- block execution ---------------------------------- #
 
-    def _run_task(self, task: Any) -> None:
-        """Execute one block against the shared arrays — exactly the
-        simulated executor's per-block computation (kernel or scalar)."""
-        executor = self.executor
-        block_key = (task.space_idx, task.time_idx or 0)
-        block = executor.partitions.block(*block_key)
-        if self.kernel_path:
-            with access.worker_scope(self.worker_id), \
-                    access.install_broker(self.broker):
-                kctx = KernelContext(
-                    self.broker,
-                    self.worker_id,
-                    executor._kernel_caches.setdefault(block_key, {}),
-                )
-                executor.kernel(block, kctx)
-        elif self.sanitize:
-            from repro.sanitizer import RecordingBroker
-
-            body = self.loop.body
-            recorder = RecordingBroker()
-            with access.worker_scope(self.worker_id), \
-                    access.install_broker(recorder):
-                for key, value in block:
-                    recorder.iteration = key
-                    body(key, value)
-            self._sanitize_records.extend(recorder.records)
-        else:
-            body = self.loop.body
-            with access.worker_scope(self.worker_id):
-                for key, value in block:
-                    body(key, value)
-
     def _timed_task(self, task: Any, wait: float) -> None:
+        """Run one block through the shared block runner: nothing to
+        count (the master owns the virtual timeline), buffered writes
+        taken for the master's parameter server — it owns the apply UDFs
+        and their ordering."""
         t_start = time.perf_counter()
-        self._run_task(task)
-        t_end = time.perf_counter()
-        self.timings.append(
-            (task.step, task.space_idx, task.time_idx, t_start, t_end, wait)
-        )
+        record = self.executor.run_block(task, frozenset(), flush_local=False)
+        record.t_start, record.t_end = t_start, time.perf_counter()
+        record.token_wait = wait
+        self.records.append(record)
 
     # ---------------- free-running epochs ------------------------------ #
 
@@ -369,19 +335,10 @@ class _WorkerProcess:
 
     def _run_step(self, step_index: int) -> None:
         for task in self.executor.steps[step_index]:
-            if task.worker != self.worker_id:
-                continue
-            self._timed_task(task, 0.0)
-        # Extract buffered writes (do NOT apply locally: the master's
-        # parameter server owns the apply UDFs and their ordering).
-        flushes: Dict[str, Dict[Tuple[Any, ...], Any]] = {}
-        flush_bytes = 0.0
-        for name, buffer in self.loop.info.buffers.items():
-            flush_bytes += buffer.pending_bytes(self.worker_id)
-            pending = buffer._pending.pop(self.worker_id, None)
-            if pending:
-                flushes[name] = pending
-        self.conn.send(("step_done", flushes, flush_bytes))
+            if task.worker == self.worker_id:
+                self._timed_task(task, 0.0)
+        records, self.records = self.records, []
+        self.conn.send(("step_done", records))
 
     # ---------------- epoch epilogue ----------------------------------- #
 
@@ -391,18 +348,16 @@ class _WorkerProcess:
             if self.worker_id in acc._slots:
                 accumulators[name] = acc._slots.pop(self.worker_id)
         payload = {
-            "timings": self.timings,
+            "records": self.records,
             "accumulators": accumulators,
             "sparse": self._sparse_payload(),
             "tokens": self.tokens_consumed,
-            "sanitize": self._sanitize_records,
         }
         if not self._level_counts_sent:
             payload["level_counts"] = self.executor.level_schedule_counts()
             self._level_counts_sent = True
-        self.timings = []
+        self.records = []
         self.tokens_consumed = 0
-        self._sanitize_records = []
         return payload
 
     def _sparse_payload(self) -> Dict[str, Dict[Tuple[Any, ...], Any]]:
@@ -652,23 +607,18 @@ class MultiprocessRunner:
 
     # ---------------- parameter service --------------------------------- #
 
-    def _apply_flushes(
-        self, worker: int, flushes: Dict[str, Dict[Tuple[Any, ...], Any]]
-    ) -> None:
-        """Parameter-server write path: apply buffered writes via UDFs.
+    def _apply_flushes(self, records: List[TaskRecord]) -> None:
+        """Parameter-server write path: apply the buffered writes a
+        worker's blocks handed over, via the buffers' UDFs.
 
         Targets are shared, so the write-through is immediately visible to
         every worker — but only between steps, which is exactly the
         step-start staleness the stepped protocol promises."""
-        for name, pending in flushes.items():
-            buffer = self.loop.info.buffers[name]
-            slot = buffer._pending.setdefault(worker, {})
-            for key, update in pending.items():
-                if key in slot:
-                    slot[key] = buffer.combiner(slot[key], update)
-                else:
-                    slot[key] = update
-            buffer.flush_worker(worker)
+        for record in records:
+            for name, pending in record.pending.items():
+                self.loop.info.buffers[name].apply_pending(
+                    record.task.worker, pending
+                )
 
     def _fold_accumulators(self, worker: int, values: Dict[str, Any]) -> None:
         for name, value in values.items():
@@ -705,7 +655,7 @@ class MultiprocessRunner:
         if epoch is None:
             epoch = self._epoch_counter
         num_workers = self.executor.num_workers
-        flush_bytes = 0.0
+        records: List[TaskRecord] = []
         t0 = time.perf_counter()
         if self.free_running:
             for worker in range(num_workers):
@@ -717,24 +667,21 @@ class MultiprocessRunner:
                     # linearize the step exactly as the simulator does.
                     for task in step_tasks:
                         self._send(task.worker, ("step", step_index))
-                        _kind, flushes, nbytes = self._recv(
-                            task.worker, "step_done"
-                        )
-                        self._apply_flushes(task.worker, flushes)
-                        flush_bytes += nbytes
+                        done = self._recv(task.worker, "step_done")[1]
+                        self._apply_flushes(done)
+                        records += done
                     continue
                 for worker in range(num_workers):
                     self._send(worker, ("step", step_index))
                 replies = [
-                    self._recv(worker, "step_done")
+                    self._recv(worker, "step_done")[1]
                     for worker in range(num_workers)
                 ]
                 # Apply flushes in task order — the same order the
                 # simulated linearization applies them.
                 for task in step_tasks:
-                    _kind, flushes, nbytes = replies[task.worker]
-                    self._apply_flushes(task.worker, flushes)
-                    flush_bytes += nbytes
+                    self._apply_flushes(replies[task.worker])
+                    records += replies[task.worker]
             for worker in range(num_workers):
                 self._send(worker, ("finish_epoch",))
         payloads = [
@@ -743,6 +690,7 @@ class MultiprocessRunner:
         ]
         t_end = time.perf_counter()
         for worker, payload in enumerate(payloads):
+            records += payload["records"]
             self._fold_accumulators(worker, payload["accumulators"])
             self._apply_sparse(payload["sparse"])
         if "level_counts" in payloads[0]:  # the workers' first epoch
@@ -750,27 +698,18 @@ class MultiprocessRunner:
                 sum(counts)
                 for counts in zip(*(p["level_counts"] for p in payloads))
             )
-        if self.executor.sanitize:
-            # Workers shipped their shadow-access records; the master runs
-            # the same epoch-boundary cross-check the simulated backend
-            # does (raises SanitizerError on any violation).
-            for payload in payloads:
-                self.executor._sanitize_records.extend(
-                    tuple(record) for record in payload.get("sanitize", ())
-                )
-            self.executor._sanitize_check()
+        # The same post-epoch passes the simulated backend runs, over the
+        # records the workers shipped (raise on any violation).
+        self.executor.check_records(records)
         epoch_s = t_end - t0
-        busy = sum(
-            span[4] - span[3]
-            for payload in payloads
-            for span in payload["timings"]
-        )
-        num_tasks = sum(len(payload["timings"]) for payload in payloads)
-        self._record_obs(epoch, t0, t_end, payloads, flush_bytes)
+        busy = sum(record.t_end - record.t_start for record in records)
+        flush_bytes = sum(record.flush_bytes for record in records)
+        tokens = sum(payload["tokens"] for payload in payloads)
+        self._record_obs(epoch, t0, t_end, records, flush_bytes, tokens)
         return EpochResult(
             epoch_time_s=epoch_s,
             bytes_sent=flush_bytes,
-            num_tasks=num_tasks,
+            num_tasks=len(records),
             utilization=min(busy / (num_workers * epoch_s), 1.0)
             if epoch_s > 0 else 0.0,
             kernel_path=self.executor.kernel_path,
@@ -799,8 +738,9 @@ class MultiprocessRunner:
         epoch: int,
         t0: float,
         t_end: float,
-        payloads: List[Dict[str, Any]],
+        records: List[TaskRecord],
         flush_bytes: float,
+        tokens: int,
     ) -> None:
         """Real-time spans on the ``@wall`` clock domain + counters."""
         metrics = self.executor.metrics
@@ -808,14 +748,9 @@ class MultiprocessRunner:
             metrics.counter("real_epochs_total").inc()
             if flush_bytes:
                 metrics.counter("real_flush_bytes_total").inc(flush_bytes)
-            tokens = sum(payload["tokens"] for payload in payloads)
             if tokens:
                 metrics.counter("rotation_tokens_total").inc(tokens)
-            waits = sum(
-                span[5]
-                for payload in payloads
-                for span in payload["timings"]
-            )
+            waits = sum(record.token_wait for record in records)
             if waits > 0:
                 metrics.counter("token_wait_seconds_total").inc(waits)
         tracer = self.executor.tracer
@@ -834,14 +769,14 @@ class MultiprocessRunner:
             process=process,
             args={"epoch": epoch},
         )
-        for worker, payload in enumerate(payloads):
-            for step, space_idx, time_idx, ts, te, wait in payload["timings"]:
-                tracer.add_span(
-                    name=f"block[{space_idx},{time_idx or 0}]",
-                    cat="block",
-                    t_start=ts - base,
-                    t_end=te - base,
-                    track=f"worker{worker}",
-                    process=process,
-                    args={"step": step, "token_wait_s": wait},
-                )
+        for record in records:
+            task = record.task
+            tracer.add_span(
+                name=f"block[{task.space_idx},{task.time_idx or 0}]",
+                cat="block",
+                t_start=record.t_start - base,
+                t_end=record.t_end - base,
+                track=f"worker{task.worker}",
+                process=process,
+                args={"step": task.step, "token_wait_s": record.token_wait},
+            )

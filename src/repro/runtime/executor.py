@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,79 +36,83 @@ from repro.analysis.synth import (
 from repro.core import access
 from repro.core.distarray import DistArray
 from repro.errors import ExecutionError
-from repro.obs.observability import Observability
 from repro.runtime import partition as parts
 from repro.runtime import schedule as sched
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.kernels import KernelContext, normalize_index
 from repro.runtime.options import LoopOptions
 from repro.runtime.pserver import PrefetchManager, index_nbytes
+from repro.sanitizer import (
+    AccessRecord,
+    RecordingBroker,
+    SanitizerError,
+    check_epoch,
+    indices_overlap,
+)
 
 __all__ = [
     "EpochResult",
     "OrionExecutor",
+    "TaskRecord",
     "indices_overlap",
     "kernel_batching_legal",
 ]
 
 
 # --------------------------------------------------------------------- #
-# Index normalization and overlap (for the serializability validator)    #
-# --------------------------------------------------------------------- #
-
-#: Canonical implementation lives in :mod:`repro.runtime.kernels` so the
-#: kernel fast path can record the same normal form without an import cycle.
-_normalize_index = normalize_index
-
-
-def _axis_overlap(a: Any, b: Any) -> bool:
-    if a[0] == "pt" and b[0] == "pt":
-        return a[1] == b[1]
-    if a[0] == "pt":
-        a, b = b, a
-    if b[0] == "pt":
-        lo = a[1] if a[1] is not None else -np.inf
-        hi = a[2] if a[2] is not None else np.inf
-        return lo <= b[1] < hi
-    a_lo = a[1] if a[1] is not None else -np.inf
-    a_hi = a[2] if a[2] is not None else np.inf
-    b_lo = b[1] if b[1] is not None else -np.inf
-    b_hi = b[2] if b[2] is not None else np.inf
-    return a_lo < b_hi and b_lo < a_hi
-
-
-def indices_overlap(a: Tuple[Any, ...], b: Tuple[Any, ...]) -> bool:
-    """Whether two normalized indices can address a common element."""
-    if len(a) != len(b):
-        return False
-    return all(_axis_overlap(x, y) for x, y in zip(a, b))
-
-
-# --------------------------------------------------------------------- #
-# Access broker: accounting + optional validation                        #
+# The per-task record and the broker that fills it                      #
 # --------------------------------------------------------------------- #
 
 @dataclass
-class _TaskStats:
+class TaskRecord:
+    """What executing one block produced — the one per-task record.
+
+    Built by :meth:`OrionExecutor.run_block` in whichever process ran the
+    block (a multiprocess worker pickles it back to the master), so
+    timing, serializability validation, the sanitizer cross-check and
+    span emission are post-epoch passes over the same type on either
+    clock.
+    """
+
+    task: sched.Task
     entries: int = 0
     server_reads: int = 0
     server_read_bytes: float = 0.0
     flush_bytes: float = 0.0
+    #: Validation mode: ``(array, normalized index, is_write)`` per access.
     accesses: List[Tuple[str, Tuple[Any, ...], bool]] = field(default_factory=list)
+    #: Sanitize mode: per-iteration shadow-access records.
+    shadow: List[AccessRecord] = field(default_factory=list)
+    #: Buffered writes taken for the master to apply (buffer name ->
+    #: pending updates) when the block's runner does not own the flush.
+    pending: Dict[str, Dict[Tuple[Any, ...], Any]] = field(default_factory=dict)
+    #: Real-clock execution window and rotation-token wait
+    #: (``perf_counter`` seconds; multiprocess workers only).
+    t_start: float = 0.0
+    t_end: float = 0.0
+    token_wait: float = 0.0
 
 
 class _AccountingBroker(access.AccessBroker):
-    """Counts server-array traffic and, in validation mode, records every
-    touched index for the post-epoch serializability check.
+    """Counts server-array traffic into a :class:`TaskRecord` and, in
+    validation mode, records every touched index for the post-epoch
+    serializability check.
 
     One instance is created per task, so concurrently executing tasks
-    (threaded backend) never share mutable accounting state.
+    (threaded backend) never share mutable accounting state.  A
+    multiprocess worker passes an empty ``server_ids``: the master owns
+    the virtual timeline, so the worker moves data and counts nothing.
     """
 
-    def __init__(self, server_ids: Set[int], validate: bool) -> None:
+    def __init__(
+        self, server_ids: AbstractSet[int], validate: bool, stats: TaskRecord
+    ) -> None:
         self.server_ids = server_ids
         self.validate = validate
-        self.stats = _TaskStats()
+        self.stats = stats
+        #: The loop key whose body is running (set by the block runner;
+        #: the sanitizer's recording wrapper is what reads it).
+        self.iteration: Any = None
 
     def read(self, array: DistArray, index: Any) -> Any:
         if id(array) in self.server_ids:
@@ -116,14 +120,14 @@ class _AccountingBroker(access.AccessBroker):
             self.stats.server_read_bytes += index_nbytes(array, index)
         if self.validate:
             self.stats.accesses.append(
-                (array.name, _normalize_index(index), False)
+                (array.name, normalize_index(index), False)
             )
         return array.direct_get(index)
 
     def write(self, array: DistArray, index: Any, value: Any) -> None:
         if self.validate:
             self.stats.accesses.append(
-                (array.name, _normalize_index(index), True)
+                (array.name, normalize_index(index), True)
             )
         array.direct_set(index, value)
 
@@ -141,7 +145,7 @@ class _AccountingBroker(access.AccessBroker):
         if self.validate:
             name = array.name
             self.stats.accesses.extend(
-                (name, _normalize_index(index), False) for index in indices
+                (name, normalize_index(index), False) for index in indices
             )
         return array.bulk_get(indices)
 
@@ -149,45 +153,12 @@ class _AccountingBroker(access.AccessBroker):
         if self.validate:
             name = array.name
             self.stats.accesses.extend(
-                (name, _normalize_index(index), True) for index in indices
+                (name, normalize_index(index), True) for index in indices
             )
         array.bulk_set(indices, values)
 
     def bulk_buffer_write(self, buffer: Any, indices: Any, values: Any) -> None:
         buffer.direct_buffer_write_many(indices, values)
-
-
-class _SanitizingBroker(_AccountingBroker):
-    """Accounting broker that additionally logs each element access with
-    the iteration key that performed it, feeding the sanitizer's
-    epoch-boundary cross-check (:mod:`repro.sanitizer`).
-
-    ``_run_scalar`` sets :attr:`iteration` before every body call; sanitize
-    mode forces scalar execution, so the bulk hooks never fire on this
-    broker."""
-
-    def __init__(self, server_ids: Set[int], validate: bool) -> None:
-        super().__init__(server_ids, validate)
-        self.records: List[Tuple[Any, str, Tuple[Any, ...], str]] = []
-        self.iteration: Any = None
-
-    def read(self, array: DistArray, index: Any) -> Any:
-        self.records.append(
-            (self.iteration, array.name, _normalize_index(index), "r")
-        )
-        return super().read(array, index)
-
-    def write(self, array: DistArray, index: Any, value: Any) -> None:
-        self.records.append(
-            (self.iteration, array.name, _normalize_index(index), "w")
-        )
-        super().write(array, index, value)
-
-    def buffer_write(self, buffer: Any, index: Any, value: Any) -> None:
-        self.records.append(
-            (self.iteration, buffer.target.name, _normalize_index(index), "b")
-        )
-        super().buffer_write(buffer, index, value)
 
 
 # --------------------------------------------------------------------- #
@@ -285,8 +256,6 @@ class OrionExecutor:
         cluster: simulated cluster spec.
         options: the :class:`~repro.runtime.options.LoopOptions` carrying
             every knob, each documented there (defaults when omitted).
-        obs: bundled observability (tracer + metrics), overriding
-            ``options.obs``.
     """
 
     def __init__(
@@ -296,17 +265,10 @@ class OrionExecutor:
         plan: Plan,
         cluster: ClusterSpec,
         options: Optional[LoopOptions] = None,
-        obs: Optional[Observability] = None,
     ) -> None:
         opts = options if options is not None else LoopOptions()
-        if obs is not None:
-            opts = opts.merged_with(obs=obs)
         if opts.prefetch not in ("auto", "none"):
             raise ExecutionError(f"unknown prefetch mode {opts.prefetch!r}")
-        if opts.concurrency not in ("serial", "threads"):
-            raise ExecutionError(
-                f"unknown concurrency mode {opts.concurrency!r}"
-            )
         if opts.backend not in ("simulated", "threaded", "multiprocess"):
             raise ExecutionError(f"unknown backend {opts.backend!r}")
         if opts.tune not in ("off", "auto", "cached"):
@@ -315,7 +277,6 @@ class OrionExecutor:
                 "(expected 'off', 'auto' or 'cached')"
             )
         self.options = opts
-        self.concurrency = opts.concurrency
         self.body = body
         self.info = info
         self.plan = plan
@@ -335,10 +296,6 @@ class OrionExecutor:
         self.kernel = self._resolve_kernel(opts.kernel)
         self.equivalence_check = opts.equivalence_check
         self.sanitize = opts.sanitize
-        #: Shadow-access records accumulated during a sanitized epoch
-        #: (extended by tasks on this process and, for the multiprocess
-        #: backend, from worker payloads), drained by `_sanitize_check`.
-        self._sanitize_records: List[Tuple[Any, str, Tuple[Any, ...], str]] = []
         self._sanitize_values: Optional[Dict[Any, Any]] = None
         resolved = opts.resolve_obs()
         self.obs = resolved
@@ -822,15 +779,15 @@ class OrionExecutor:
         work_s = np.zeros((self.num_workers, self.num_time))
         flush_bytes = np.zeros((self.num_workers, self.num_time))
         prefetch_bytes = np.zeros((self.num_workers, self.num_time))
-        task_records: List[Tuple[sched.Task, _TaskStats]] = []
-        validation: Dict[int, List[Tuple[sched.Task, _TaskStats]]] = {}
+        task_records: List[TaskRecord] = []
         tracing = self.tracer.enabled
         #: block_key -> (prefetch, compute, flush, overhead) seconds, the
         #: phase breakdown behind each block span (only kept when tracing).
         phases: Dict[Tuple[int, int], Tuple[float, float, float, float]] = {}
 
         for step_tasks in self.steps:
-            for task, stats in self._run_step(step_tasks):
+            for stats in self._run_step(step_tasks):
+                task = stats.task
                 block_key = (task.space_idx, task.time_idx)
                 compute = self.cluster.cost.compute_time(stats.entries)
                 if self.prefetch.prefetch_fn is not None:
@@ -845,18 +802,9 @@ class OrionExecutor:
                 flush_transfer = 0.0
                 flush_messages = 0
                 if stats.flush_bytes:
-                    if self._link is not None:
-                        outcome = self._link.transfer(
-                            stats.flush_bytes,
-                            key=("flush",) + tuple(block_key),
-                        )
-                        flush_transfer = outcome.seconds
-                        flush_messages = outcome.attempts
-                    else:
-                        flush_transfer = self.cluster.network.transfer_time(
-                            stats.flush_bytes
-                        )
-                        flush_messages = 1
+                    flush_transfer, _sent, flush_messages = self._transfer(
+                        stats.flush_bytes, ("flush",) + tuple(block_key)
+                    )
                 # Serializing the outgoing rotated partition is CPU work on
                 # the worker — pipelining cannot hide it (paper Sec. 6.4).
                 marshalling = 0.0
@@ -884,15 +832,9 @@ class OrionExecutor:
                         flush_transfer,
                         marshalling + message_cpu,
                     )
-                task_records.append((task, stats))
-                if self.validate:
-                    validation.setdefault(task.step, []).append((task, stats))
+                task_records.append(stats)
 
-        if self.validate:
-            self._check_serializability(validation)
-            self.metrics.counter("serializability_validations_total").inc()
-        if self.sanitize:
-            self._sanitize_check()
+        self.check_records(task_records)
 
         straggled = self._apply_stragglers(work_s, phases, epoch, t0, tracing)
         timing = self._timing(work_s)
@@ -902,18 +844,9 @@ class OrionExecutor:
             else None
         )
 
-        if crash is None:
-            events = self._traffic_events(
-                timing, work_s, flush_bytes, prefetch_bytes, t0=t0
-            )
-            total_bytes = sum(event[2] for event in events)
-            busy = float(work_s.sum())
-            makespan = timing.makespan
-            num_tasks = len(task_records)
-            barriers = list(timing.barriers)
-            fault_info = None
-            cutoff = None
-        else:
+        makespan = timing.makespan
+        cutoff = None
+        if crash is not None:
             # The crash becomes visible at the next barrier; recovery is
             # decided after the detection timeout.  Only work finished
             # before detection counts — the rest is lost and replayed.
@@ -926,11 +859,16 @@ class OrionExecutor:
             detect_rel = max(detect_rel, crash_rel)
             makespan = detect_rel + faults.costs.detection_timeout_s
             cutoff = crash_rel
-            events = self._traffic_events(
-                timing, work_s, flush_bytes, prefetch_bytes, t0=t0,
-                cutoff=cutoff,
-            )
-            total_bytes = sum(event[2] for event in events)
+        events = self._traffic_events(
+            timing, work_s, flush_bytes, prefetch_bytes, t0=t0, cutoff=cutoff
+        )
+        total_bytes = sum(event[2] for event in events)
+        if crash is None:
+            busy = float(work_s.sum())
+            num_tasks = len(task_records)
+            barriers = list(timing.barriers)
+            fault_info = None
+        else:
             busy = 0.0
             num_tasks = 0
             for step_tasks in self.steps:
@@ -1164,22 +1102,20 @@ class OrionExecutor:
                     )
                     cursor += phase_s
 
-    def _run_step(
-        self, step_tasks: List[sched.Task]
-    ) -> List[Tuple[sched.Task, _TaskStats]]:
-        """Execute one step's blocks: serially (a linearization) or on a
-        thread pool (genuinely concurrent; safe because a correct plan's
-        same-step blocks touch disjoint elements)."""
-        if self.concurrency == "serial" or len(step_tasks) <= 1:
-            return [(task, self._run_task(task)) for task in step_tasks]
+    def _run_step(self, step_tasks: List[sched.Task]) -> List[TaskRecord]:
+        """Execute one step's blocks: serially (a linearization) or, on
+        ``backend="threaded"``, on a thread pool (genuinely concurrent;
+        safe because a correct plan's same-step blocks touch disjoint
+        elements)."""
+        if self.options.backend != "threaded" or len(step_tasks) <= 1:
+            return [self._run_task(task) for task in step_tasks]
         if self._pool is None:
             import concurrent.futures
 
             self._pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=self.num_workers
             )
-        stats = list(self._pool.map(self._run_task, step_tasks))
-        return list(zip(step_tasks, stats))
+        return list(self._pool.map(self._run_task, step_tasks))
 
     def close(self) -> None:
         """Release the persistent thread pool (idempotent)."""
@@ -1193,69 +1129,78 @@ class OrionExecutor:
         except Exception:
             pass
 
-    def _run_task(
-        self, task: sched.Task, force_scalar: bool = False
-    ) -> _TaskStats:
-        block_key = (task.space_idx, task.time_idx or 0)
-        block = self.partitions.block(*block_key)
-        batched = self.kernel_path and not force_scalar
+    def _run_task(self, task: sched.Task) -> TaskRecord:
+        """One block on this process's virtual worker, self-checking the
+        kernel on the first non-empty block when asked to."""
         if (
-            batched
-            and self.equivalence_check
+            self.equivalence_check
             and not self._equivalence_checked
-            and block
+            and self.kernel_path
+            and self.partitions.block(task.space_idx, task.time_idx or 0)
         ):
             self._equivalence_checked = True
-            return self._run_task_checked(task, block_key, block)
+            return self._run_task_checked(task)
+        return self.run_block(task, self._server_ids)
+
+    def run_block(
+        self,
+        task: sched.Task,
+        server_ids: AbstractSet[int],
+        flush_local: bool = True,
+        force_scalar: bool = False,
+    ) -> TaskRecord:
+        """Execute one block and return its record — the one place that
+        knows how: kernel when the plan batches, else the scalar body per
+        entry; under an accounting broker (wrapped by the sanitizer's
+        recorder in sanitize mode) and the task's ``worker_scope``.
+
+        The caller chooses what the broker counts (``server_ids``) and
+        who owns buffer synchronization.  With ``flush_local`` (this
+        process owns the apply UDFs) buffers honour ``max_delay`` per
+        entry and flush at the block boundary — a worker synchronizes at
+        most once per partition (paper Sec. 4.3).  Without it (a forked
+        worker: the master is the parameter server) the block's pending
+        writes are taken off the buffers into ``record.pending``.
+        """
+        block_key = (task.space_idx, task.time_idx or 0)
+        block = self.partitions.block(*block_key)
+        worker = task.worker
+        record = TaskRecord(task, entries=len(block))
+        broker: Any = _AccountingBroker(server_ids, self.validate, record)
         if self.sanitize:
-            broker: _AccountingBroker = _SanitizingBroker(
-                self._server_ids, self.validate
-            )
-        else:
-            broker = _AccountingBroker(self._server_ids, self.validate)
-        with access.worker_scope(task.worker), access.install_broker(broker):
-            if batched:
+            broker = RecordingBroker(broker, record.shadow)
+        buffers = self.info.buffers
+        with access.worker_scope(worker), access.install_broker(broker):
+            if self.kernel_path and not force_scalar:
                 kctx = KernelContext(
                     broker,
-                    task.worker,
+                    worker,
                     self._kernel_caches.setdefault(block_key, {}),
                 )
                 self.kernel(block, kctx)
             else:
-                self._run_scalar(block, task.worker, broker)
-        if self.sanitize:
-            # list.extend is atomic under the GIL, so thread-pool tasks
-            # can merge their local records without a lock.
-            self._sanitize_records.extend(broker.records)
-        stats = broker.stats
-        stats.entries = len(block)
-        # Flush remaining buffered writes at the block boundary: a worker
-        # synchronizes at most once per partition (paper Sec. 4.3).
-        for buffer in self.info.buffers.values():
-            stats.flush_bytes += buffer.pending_bytes(task.worker)
-            buffer.flush_worker(task.worker)
-        return stats
-
-    def _run_scalar(
-        self, block: Any, worker: int, broker: _AccountingBroker
-    ) -> None:
-        body = self.body
-        buffers = list(self.info.buffers.values())
-        sanitizing = self.sanitize
-        for key, value in block:
-            if sanitizing:
-                broker.iteration = key
-            body(key, value)
-            for buffer in buffers:
-                if buffer.tick(worker):
-                    broker.stats.flush_bytes += buffer.pending_bytes(worker)
-                    buffer.flush_worker(worker)
+                body = self.body
+                ticking = list(buffers.values()) if flush_local else ()
+                for key, value in block:
+                    broker.iteration = key
+                    body(key, value)
+                    for buffer in ticking:
+                        if buffer.tick(worker):
+                            record.flush_bytes += buffer.pending_bytes(worker)
+                            buffer.flush_worker(worker)
+        for name, buffer in buffers.items():
+            record.flush_bytes += buffer.pending_bytes(worker)
+            if flush_local:
+                buffer.flush_worker(worker)
+            else:
+                taken = buffer.take_pending(worker)
+                if taken:
+                    record.pending[name] = taken
+        return record
 
     # ---------------- kernel/scalar equivalence check ------------------- #
 
-    def _run_task_checked(
-        self, task: sched.Task, block_key: Tuple[int, int], block: Any
-    ) -> _TaskStats:
+    def _run_task_checked(self, task: sched.Task) -> TaskRecord:
         """Run one block through both paths and demand identical outcomes.
 
         Executes the scalar body first, snapshots the resulting state,
@@ -1265,17 +1210,18 @@ class OrionExecutor:
         alone had run.
         """
         saved = self._snapshot_state()
-        scalar_stats = self._run_task(task, force_scalar=True)
+        scalar_stats = self.run_block(task, self._server_ids, force_scalar=True)
         scalar_state = self._snapshot_state()
         self._restore_state(saved)
-        kernel_stats = self._run_task(task)
+        kernel_stats = self.run_block(task, self._server_ids)
         kernel_state = self._snapshot_state()
         problems = self._compare_states(scalar_state, kernel_state)
         problems += self._compare_stats(scalar_stats, kernel_stats)
         if problems:
             raise ExecutionError(
                 "kernel/scalar equivalence check failed for block "
-                f"{block_key}: " + "; ".join(problems)
+                f"{(task.space_idx, task.time_idx or 0)}: "
+                + "; ".join(problems)
             )
         return kernel_stats
 
@@ -1289,66 +1235,33 @@ class OrionExecutor:
         return arrays
 
     def _snapshot_state(self) -> Dict[str, Any]:
-        arrays: Dict[str, Tuple[str, Any]] = {}
-        for name, array in self._state_arrays().items():
-            if not array.is_materialized:
-                continue
-            if array.sparse:
-                arrays[name] = (
-                    "sparse",
-                    {
-                        key: (
-                            value.copy()
-                            if isinstance(value, np.ndarray)
-                            else value
-                        )
-                        for key, value in array._entries.items()
-                    },
-                )
-            else:
-                arrays[name] = ("dense", array._dense.copy())
-        buffers: Dict[str, Tuple[Dict[int, Dict], Dict[int, int]]] = {}
-        for name, buffer in self.info.buffers.items():
-            buffers[name] = (
-                {w: dict(slot) for w, slot in buffer._pending.items()},
-                dict(buffer._age),
-            )
-        return {"arrays": arrays, "buffers": buffers}
+        return {
+            "arrays": {
+                name: array.snapshot()
+                for name, array in self._state_arrays().items()
+                if array.is_materialized
+            },
+            "buffers": {
+                name: buffer.snapshot()
+                for name, buffer in self.info.buffers.items()
+            },
+        }
 
     def _restore_state(self, saved: Dict[str, Any]) -> None:
         state_arrays = self._state_arrays()
-        for name, (kind, data) in saved["arrays"].items():
-            array = state_arrays[name]
-            if kind == "dense":
-                array._dense[...] = data
-            else:
-                array._entries.clear()
-                array._entries.update(
-                    (
-                        key,
-                        value.copy()
-                        if isinstance(value, np.ndarray)
-                        else value,
-                    )
-                    for key, value in data.items()
-                )
-        for name, (pending, age) in saved["buffers"].items():
-            buffer = self.info.buffers[name]
-            buffer._pending.clear()
-            buffer._pending.update(
-                (worker, dict(slot)) for worker, slot in pending.items()
-            )
-            buffer._age.clear()
-            buffer._age.update(age)
+        for name, data in saved["arrays"].items():
+            state_arrays[name].restore(data)
+        for name, data in saved["buffers"].items():
+            self.info.buffers[name].restore(data)
 
     @staticmethod
     def _compare_states(
         scalar: Dict[str, Any], kernel: Dict[str, Any]
     ) -> List[str]:
         problems: List[str] = []
-        for name, (kind, s_data) in scalar["arrays"].items():
-            _k_kind, k_data = kernel["arrays"][name]
-            if kind == "dense":
+        for name, s_data in scalar["arrays"].items():
+            k_data = kernel["arrays"][name]
+            if isinstance(s_data, np.ndarray):  # dense
                 if not np.array_equal(s_data, k_data):
                     problems.append(f"array {name!r} values differ")
             elif s_data.keys() != k_data.keys():
@@ -1379,7 +1292,7 @@ class OrionExecutor:
         return problems
 
     @staticmethod
-    def _compare_stats(scalar: _TaskStats, kernel: _TaskStats) -> List[str]:
+    def _compare_stats(scalar: TaskRecord, kernel: TaskRecord) -> List[str]:
         problems: List[str] = []
         for field_name in (
             "entries",
@@ -1418,6 +1331,18 @@ class OrionExecutor:
             )
         return sched.time_sequential_outer(work_s, self.cluster)
 
+    def _transfer(
+        self, nbytes: float, key: Tuple[Any, ...]
+    ) -> Tuple[float, float, int]:
+        """One message on the (possibly lossy) network: ``(seconds, bytes
+        put on the wire, attempts)``.  With an unreliable link attached
+        the outcome is the link's memoized fate of the message ``key``
+        names (resends included); otherwise the loss-free cost model."""
+        if self._link is not None:
+            outcome = self._link.transfer(nbytes, key=key)
+            return outcome.seconds, outcome.nbytes_sent, outcome.attempts
+        return self.cluster.network.transfer_time(nbytes), nbytes, 1
+
     def _traffic_events(
         self,
         timing: sched.ScheduleTiming,
@@ -1440,7 +1365,6 @@ class OrionExecutor:
         tracer, process = self.tracer, self.trace_process
         tracing = tracer.enabled
         metrics = self.metrics
-        link = self._link
 
         events: List[Tuple[float, float, float, str]] = []
 
@@ -1466,18 +1390,11 @@ class OrionExecutor:
                 )
 
         if self._replicated_bytes:
+            duration, _sent, attempts = self._transfer(
+                self._replicated_bytes, ("broadcast",)
+            )
             nbytes = self._replicated_bytes * self.cluster.num_machines
-            if link is not None:
-                outcome = link.transfer(
-                    self._replicated_bytes, key=("broadcast",)
-                )
-                duration = outcome.seconds
-                nbytes *= outcome.attempts
-            else:
-                duration = self.cluster.network.transfer_time(
-                    self._replicated_bytes
-                )
-            emit(0.0, duration, nbytes, "broadcast")
+            emit(0.0, duration, nbytes * attempts, "broadcast")
         rotated = self.rotated_block_bytes
         num_workers = self.num_workers
         for step_tasks in self.steps:
@@ -1488,20 +1405,14 @@ class OrionExecutor:
                 time_idx = task.time_idx or 0
                 start = finish - float(work_s[task.space_idx, time_idx])
                 if rotated and self.plan.strategy is Strategy.TWO_D:
-                    nbytes = rotated
-                    if link is not None:
-                        # Same message keys as the timing model: per global
-                        # step when ordered, per (sender, step) otherwise.
-                        key = (
-                            ("rotation", task.step)
-                            if self.plan.ordered
-                            else ("rotation", task.worker, task.step)
-                        )
-                        outcome = link.transfer(rotated, key=key)
-                        duration = outcome.seconds
-                        nbytes = outcome.nbytes_sent
-                    else:
-                        duration = self.cluster.network.transfer_time(rotated)
+                    # Same message keys as the timing model: per global
+                    # step when ordered, per (sender, step) otherwise.
+                    key = (
+                        ("rotation", task.step)
+                        if self.plan.ordered
+                        else ("rotation", task.worker, task.step)
+                    )
+                    duration, nbytes, _ = self._transfer(rotated, key)
                     # The finished rotated partition moves to the worker's
                     # predecessor in rotation order.
                     hop = (
@@ -1512,35 +1423,35 @@ class OrionExecutor:
                          worker=task.worker, hop=hop)
                 fb = float(flush_bytes[task.space_idx, time_idx])
                 if fb:
-                    if link is not None:
-                        outcome = link.transfer(
-                            fb, key=("flush", task.space_idx, time_idx)
-                        )
-                        duration = outcome.seconds
-                        fb = outcome.nbytes_sent
-                    else:
-                        duration = self.cluster.network.transfer_time(fb)
+                    duration, fb, _ = self._transfer(
+                        fb, ("flush", task.space_idx, time_idx)
+                    )
                     emit(finish, finish + duration, fb, "flush",
                          worker=task.worker)
                 pb = float(prefetch_bytes[task.space_idx, time_idx])
                 if pb:
-                    if link is not None:
-                        outcome = link.transfer(
-                            pb, key=("prefetch", task.space_idx, time_idx)
-                        )
-                        duration = outcome.seconds
-                        pb = outcome.nbytes_sent
-                    else:
-                        duration = self.cluster.network.transfer_time(pb)
+                    duration, pb, _ = self._transfer(
+                        pb, ("prefetch", task.space_idx, time_idx)
+                    )
                     emit(start, start + duration, pb, "prefetch",
                          worker=task.worker)
         return events
 
-    # ---------------- serializability validation ----------------------- #
+    # ---------------- post-epoch checks over the task records ---------- #
 
-    def _check_serializability(
-        self, by_step: Dict[int, List[Tuple[sched.Task, _TaskStats]]]
-    ) -> None:
+    def check_records(self, records: List[TaskRecord]) -> None:
+        """The opt-in correctness passes over one epoch's task records —
+        the same two on every backend (the multiprocess master runs them
+        over the records its workers shipped): ``validate`` checks that
+        same-step blocks touched disjoint elements, ``sanitize``
+        cross-checks the shadow-access records against the plan."""
+        if self.validate:
+            self._check_serializability(records)
+            self.metrics.counter("serializability_validations_total").inc()
+        if self.sanitize:
+            self._sanitize_check(records)
+
+    def _check_serializability(self, records: List[TaskRecord]) -> None:
         """Verify blocks claimed concurrent touch disjoint elements.
 
         Two same-step blocks conflict when they access an overlapping index
@@ -1549,64 +1460,46 @@ class OrionExecutor:
         relaxed dependences (buffered writes / parameter-server reads).
         """
         server_names = set(self._server_arrays)
-        for step, records in by_step.items():
-            for left in range(len(records)):
-                task_a, stats_a = records[left]
-                for right in range(left + 1, len(records)):
-                    task_b, stats_b = records[right]
-                    self._check_pair(
-                        step, task_a, stats_a, task_b, stats_b, server_names
-                    )
+        by_step: Dict[int, List[TaskRecord]] = {}
+        for record in records:
+            by_step.setdefault(record.task.step, []).append(record)
+        for step_records in by_step.values():
+            for left, stats_a in enumerate(step_records):
+                for stats_b in step_records[left + 1:]:
+                    self._check_pair(stats_a, stats_b, server_names)
 
     @staticmethod
-    def _check_pair(step, task_a, stats_a, task_b, stats_b, server_names):
-        writes_a = [
-            (name, idx) for name, idx, w in stats_a.accesses
-            if w and name not in server_names
-        ]
-        writes_b = [
-            (name, idx) for name, idx, w in stats_b.accesses
-            if w and name not in server_names
-        ]
-        touched_b: Dict[str, List[Tuple[Any, ...]]] = {}
-        for name, idx, _w in stats_b.accesses:
-            if name not in server_names:
-                touched_b.setdefault(name, []).append(idx)
-        touched_a: Dict[str, List[Tuple[Any, ...]]] = {}
-        for name, idx, _w in stats_a.accesses:
-            if name not in server_names:
-                touched_a.setdefault(name, []).append(idx)
-        for name, idx in writes_a:
-            for other in touched_b.get(name, ()):  # write vs anything
-                if indices_overlap(idx, other):
-                    raise ExecutionError(
-                        f"serializability violation at step {step}: workers "
-                        f"{task_a.worker} and {task_b.worker} both touch "
-                        f"{name}{idx} (write involved)"
-                    )
-        for name, idx in writes_b:
-            for other in touched_a.get(name, ()):
-                if indices_overlap(idx, other):
-                    raise ExecutionError(
-                        f"serializability violation at step {step}: workers "
-                        f"{task_a.worker} and {task_b.worker} both touch "
-                        f"{name}{idx} (write involved)"
-                    )
+    def _check_pair(stats_a, stats_b, server_names):
+        task_a, task_b = stats_a.task, stats_b.task
+        for writer, other in ((stats_a, stats_b), (stats_b, stats_a)):
+            touched: Dict[str, List[Tuple[Any, ...]]] = {}
+            for name, idx, _w in other.accesses:
+                if name not in server_names:
+                    touched.setdefault(name, []).append(idx)
+            for name, idx, is_write in writer.accesses:
+                if not is_write or name in server_names:
+                    continue
+                for other_idx in touched.get(name, ()):  # write vs anything
+                    if indices_overlap(idx, other_idx):
+                        raise ExecutionError(
+                            f"serializability violation at step "
+                            f"{task_a.step}: workers {task_a.worker} and "
+                            f"{task_b.worker} both touch {name}{idx} "
+                            "(write involved)"
+                        )
 
-    # ---------------- sanitize mode (shadow-access check) --------------- #
-
-    def _sanitize_check(self) -> None:
+    def _sanitize_check(self, task_records: List[TaskRecord]) -> None:
         """Cross-check the epoch's shadow-access records against the plan.
 
-        Drains :attr:`_sanitize_records`, runs :func:`repro.sanitizer.
-        check_epoch`, bumps the sanitize counters, and raises
+        Runs :func:`repro.sanitizer.check_epoch` over every task's
+        records, bumps the sanitize counters, and raises
         :class:`~repro.sanitizer.SanitizerError` (fail-stop) on any
         violation — a sanitized run that completes is a certificate that
         the analyzer's claims held for every executed iteration.
         """
-        from repro import sanitizer
-
-        records, self._sanitize_records = self._sanitize_records, []
+        records = [
+            shadow for record in task_records for shadow in record.shadow
+        ]
         server_names = frozenset(
             array.name for array in self._server_arrays.values()
         )
@@ -1618,7 +1511,7 @@ class OrionExecutor:
                     self.info.iteration_space.entries()
                 )
             values = self._sanitize_values
-        diagnostics = sanitizer.check_epoch(
+        diagnostics = check_epoch(
             self.info,
             self.plan,
             records,
@@ -1632,4 +1525,4 @@ class OrionExecutor:
             self.metrics.counter("sanitize_violations_total").inc(
                 len(diagnostics)
             )
-            raise sanitizer.SanitizerError(diagnostics)
+            raise SanitizerError(diagnostics)

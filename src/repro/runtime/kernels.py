@@ -37,48 +37,17 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core import access
 from repro.core.distarray import DistArray
 from repro.runtime.pserver import index_nbytes
 
 __all__ = [
     "KernelContext",
-    "PlainBroker",
     "level_schedule",
     "normalize_index",
     "scalar_pow",
 ]
 
 _FULL = slice(None)
-
-
-class _NullStats:
-    """Accounting sink for brokers that only move data."""
-
-    __slots__ = ("server_reads", "server_read_bytes", "accesses")
-
-    def __init__(self) -> None:
-        self.server_reads = 0
-        self.server_read_bytes = 0
-        self.accesses: List[Tuple[str, Tuple[Any, ...], bool]] = []
-
-
-class PlainBroker(access.AccessBroker):
-    """Data-movement-only broker for running kernels outside the simulator.
-
-    The multiprocess backend executes kernels *inside* worker processes,
-    where virtual-clock accounting is meaningless (the master owns the
-    timeline) and validation runs on the simulated oracle instead.  This
-    broker direct-passes every read/write to the arrays and swallows the
-    ``account_*`` declarations: no server byte counters, no access records,
-    so :class:`KernelContext` stays usable verbatim in workers.
-    """
-
-    validate = False
-    server_ids: frozenset = frozenset()
-
-    def __init__(self) -> None:
-        self.stats = _NullStats()
 
 
 def normalize_index(index: Any) -> Tuple[Any, ...]:

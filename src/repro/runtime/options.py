@@ -40,21 +40,21 @@ class LoopOptions:
         balance: histogram-balanced partition bounds (vs. equal width).
         validate: record accesses and verify every epoch that same-step
             blocks touch disjoint elements (serializability check; slow,
-            for tests).
+            for tests).  Honoured on every backend: multiprocess workers
+            ship their access records to the master, which runs the same
+            check.
         prefetch: ``"auto"`` synthesizes and uses a bulk-prefetch function
             for server arrays, ``"none"`` models per-access round trips.
         cache_prefetch: cache each block's prefetch indices across epochs
             (on by default — the paper's 9.2 s → 6.3 s step; ``False``
             models re-running the synthesized function every pass).
-        concurrency: ``"serial"`` executes scheduled-concurrent blocks one
-            after another (a linearization — the default, fully
-            deterministic); ``"threads"`` runs each step's blocks on a
-            thread pool (dependence-preserving plans touch disjoint
-            elements, so results match the serial linearization).
         backend: which runtime executes the compiled plan.
             ``"simulated"`` (default) is the deterministic virtual-clock
-            linearization; ``"threaded"`` runs each schedule step's blocks
-            on the executor thread pool; ``"multiprocess"`` runs the plan
+            linearization — scheduled-concurrent blocks run one after
+            another; ``"threaded"`` runs each schedule step's blocks on
+            the executor thread pool (dependence-preserving plans touch
+            disjoint elements, so results match the serial
+            linearization); ``"multiprocess"`` runs the plan
             on forked OS processes over shared-memory partitions
             (:class:`~repro.runtime.distributed.MultiprocessRunner`) and
             reports *real* wall-clock epoch times.
@@ -72,15 +72,17 @@ class LoopOptions:
             twice, so the program must be replayable: no RNG draws in the
             body and no buffer apply UDF that mutates state outside the
             DistArrays (the rewind restores only array and buffer
-            contents).
+            contents).  Refused on ``backend="multiprocess"``, where
+            rewinding shared-memory state under concurrently running
+            workers is unsound.
         sanitize: run the shadow-access race detector
             (:mod:`repro.sanitizer`): record every actual DistArray
             element access per iteration and fail the epoch if the
             analyzer's dependence claims, buffered-write exemptions or
             prefetch footprint are contradicted.  Forces scalar
             (non-kernel) execution.
-        tracer / metrics: legacy observability pair (prefer ``obs``).
-        obs: bundled :class:`~repro.obs.observability.Observability`.
+        obs: bundled :class:`~repro.obs.observability.Observability`
+            (tracer + metrics); ``None`` takes the context's.
         trace_process: Perfetto process label for this loop's spans,
             letting several engines share one trace file side by side.
 
@@ -129,13 +131,10 @@ class LoopOptions:
     validate: bool = False
     prefetch: str = "auto"
     cache_prefetch: bool = True
-    concurrency: str = "serial"
     backend: str = "simulated"
     kernel: Optional[Union[Callable[..., Any], str]] = "auto"
     equivalence_check: bool = False
     sanitize: bool = False
-    tracer: Optional[Any] = None
-    metrics: Optional[Any] = None
     obs: Optional[Observability] = None
     trace_process: str = "orion"
     faults: Optional[FaultPlan] = None
@@ -151,14 +150,6 @@ class LoopOptions:
     def resolve_obs(
         self, default: Optional[Observability] = None
     ) -> Observability:
-        """The effective observability pair for this loop.
-
-        Component-wise: explicit ``tracer``/``metrics`` fields win, then
-        the ``obs`` bundle, then ``default`` (the context's pair).
-        """
-        return Observability.resolve(
-            obs=self.obs,
-            tracer=self.tracer,
-            metrics=self.metrics,
-            default=default,
-        )
+        """The effective observability pair for this loop: ``obs``,
+        else ``default`` (the context's pair), else disabled."""
+        return Observability.resolve(obs=self.obs, default=default)

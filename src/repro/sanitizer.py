@@ -45,12 +45,14 @@ from typing import (
 from repro.analysis.lint import Diagnostic
 from repro.core import access
 from repro.errors import ExecutionError
+from repro.runtime.kernels import normalize_index
 
 __all__ = [
     "AccessRecord",
     "RecordingBroker",
     "SanitizerError",
     "check_epoch",
+    "indices_overlap",
     "verify_conflict_groups",
 ]
 
@@ -71,43 +73,39 @@ class SanitizerError(ExecutionError):
 
 
 class RecordingBroker(access.AccessBroker):
-    """Pass-through broker that logs every element access per iteration.
+    """Wraps a broker and logs every element access per iteration.
 
-    The executor (or a forked worker) sets :attr:`iteration` to the
-    current loop key before running the body; every read/write the body
-    performs while that key is current lands in :attr:`records`.
-    Delegation goes straight to the arrays' ``direct_*`` accessors, so
-    recording never changes what the loop computes.
+    The block runner sets :attr:`iteration` to the current loop key
+    before each body call; every read/write the body performs while that
+    key is current is appended to ``records``, then served by ``inner``
+    (the accounting broker, on every backend), so recording never changes
+    what the loop computes or counts.
     """
 
-    def __init__(self) -> None:
-        self.records: List[AccessRecord] = []
+    def __init__(
+        self, inner: access.AccessBroker, records: List[AccessRecord]
+    ) -> None:
+        self.inner = inner
+        self.records = records
         self.iteration: Any = None
 
     def read(self, array: Any, index: Any) -> Any:
         self.records.append(
             (self.iteration, array.name, normalize_index(index), "r")
         )
-        return array.direct_get(index)
+        return self.inner.read(array, index)
 
     def write(self, array: Any, index: Any, value: Any) -> None:
         self.records.append(
             (self.iteration, array.name, normalize_index(index), "w")
         )
-        array.direct_set(index, value)
+        self.inner.write(array, index, value)
 
     def buffer_write(self, buffer: Any, index: Any, value: Any) -> None:
         self.records.append(
             (self.iteration, buffer.target.name, normalize_index(index), "b")
         )
-        buffer.direct_buffer_write(index, value)
-
-
-def normalize_index(index: Any) -> Tuple[Any, ...]:
-    """Canonical per-axis form: ``("pt", i)`` or ``("range", lo, hi)``."""
-    from repro.runtime.kernels import normalize_index as _normalize
-
-    return _normalize(index)
+        self.inner.buffer_write(buffer, index, value)
 
 
 # --------------------------------------------------------------------- #
@@ -130,10 +128,13 @@ def _axis_overlap(a: Tuple[Any, ...], b: Tuple[Any, ...]) -> bool:
     return lo is None or hi is None or lo < hi
 
 
-def _forms_overlap(a: Tuple[Any, ...], b: Tuple[Any, ...]) -> bool:
-    """Whether two normalized subscripts can touch a common element."""
+def indices_overlap(a: Tuple[Any, ...], b: Tuple[Any, ...]) -> bool:
+    """Whether two normalized subscripts can touch a common element —
+    the one overlap geometry, shared with the executor's serializability
+    validator."""
     if len(a) != len(b):
-        return True  # differing arity: stay conservative
+        # A shorter subscript addresses whole sub-arrays: stay conservative.
+        return True
     return all(_axis_overlap(x, y) for x, y in zip(a, b))
 
 
@@ -308,7 +309,7 @@ def _check_dependence_completeness(
     form_list = list(forms.items())
     for i, (form_a, kinds_a) in enumerate(form_list):
         for form_b, kinds_b in form_list[i:]:
-            if not _forms_overlap(form_a, form_b):
+            if not indices_overlap(form_a, form_b):
                 continue
             pairs = [("w", "r"), ("r", "w")]
             if ordered:
@@ -368,7 +369,7 @@ def _check_buffer_aliasing(
         return diagnostics
     for form_b, iters_b in buffered:
         for form_w, iters_w in direct:
-            if not _forms_overlap(form_b, form_w):
+            if not indices_overlap(form_b, form_w):
                 continue
             it_b = next(iter(iters_b))
             it_w = next(iter(iters_w))

@@ -187,3 +187,21 @@ class TestParallelFor:
     def test_default_cluster_when_none(self):
         ctx = OrionContext()
         assert ctx.cluster.num_workers == 4
+
+
+class TestOptionSurface:
+    def test_loop_options_match_the_documented_table(self):
+        """The option surface is pinned: every ``LoopOptions`` field is a
+        row of the option table in ``docs/api.md`` and vice versa, so a
+        new knob (or a removed one) shows up as a diff of this test."""
+        import dataclasses
+        import pathlib
+        import re
+
+        doc = pathlib.Path(__file__).parent.parent / "docs" / "api.md"
+        table = doc.read_text().split("### `LoopOptions`", 1)[1]
+        table = table.split("\n## ", 1)[0]
+        documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+        fields = [field.name for field in dataclasses.fields(LoopOptions)]
+        assert documented == fields
+        assert len(fields) == 18

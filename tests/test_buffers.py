@@ -205,3 +205,54 @@ class TestSliceKeys:
         buf.clear()
         buf[:, :] = np.zeros((4, 8))
         assert buf.pending_bytes() > 8 * point_bytes
+
+
+class TestSnapshotAndHandOff:
+    def _buffer(self):
+        target = DistArray.zeros(6, name="handoff_t").materialize()
+        return target, DistArrayBuffer(target, max_delay=5)
+
+    def test_snapshot_restore_round_trips_pending_and_age(self):
+        _target, buf = self._buffer()
+        with access.worker_scope(1):
+            buf[2] = 1.5
+            buf[4] = -2.0
+        buf.tick(1, iterations=3)
+        saved = buf.snapshot()
+        with access.worker_scope(1):
+            buf[2] = 10.0      # merges into the pending write
+        with access.worker_scope(0):
+            buf[0] = 1.0       # a new worker slot
+        buf.tick(1)
+        buf.restore(saved)
+        assert buf.pending_count() == 2
+        with access.worker_scope(1):
+            assert buf[2] == 1.5 and buf[4] == -2.0
+        with access.worker_scope(0):
+            assert buf[0] is None
+        # Age came back too: two more ticks reach max_delay=5, not one.
+        assert not buf.tick(1)
+        assert buf.tick(1)
+        # The snapshot is reusable (restore copied the slots).
+        with access.worker_scope(1):
+            buf[2] = 99.0
+        buf.restore(saved)
+        with access.worker_scope(1):
+            assert buf[2] == 1.5
+
+    def test_take_then_apply_equals_a_local_flush(self):
+        target, buf = self._buffer()
+        with access.worker_scope(3):
+            buf[1] = 2.0
+            buf[1] = 0.5
+            buf[5] = -1.0
+        taken = buf.take_pending(3)
+        assert buf.pending_count() == 0
+        assert np.array_equal(target.values, np.zeros(6))  # not applied
+        assert buf.take_pending(3) == {}
+        # The owner of the apply UDF merges with what it already holds.
+        with access.worker_scope(3):
+            buf[5] = 4.0
+        buf.apply_pending(3, taken)
+        assert np.array_equal(target.values, [0, 2.5, 0, 0, 0, 3.0])
+        assert buf.pending_count() == 0

@@ -296,3 +296,41 @@ class TestCheckpoint:
         a = DistArray.zeros(2).materialize()
         with pytest.raises(CheckpointError):
             a.checkpoint("/nonexistent-dir-xyz/a.ckpt")
+
+
+class TestSnapshotRestore:
+    def test_dense_round_trip_keeps_the_backing_array(self):
+        array = DistArray.randn(3, 4, name="snap_d", seed=2).materialize()
+        backing = array.values
+        saved = array.snapshot()
+        array[1, 2] = 99.0
+        array[:, 0] = -1.0
+        assert not np.array_equal(array.values, saved)
+        array.restore(saved)
+        assert array.values is backing  # in place: shared memory survives
+        assert np.array_equal(array.values, saved)
+        # The snapshot is independent of the array and reusable.
+        array[0, 0] = 7.0
+        assert saved[0, 0] != 7.0
+        array.restore(saved)
+        assert np.array_equal(array.values, saved)
+
+    def test_sparse_round_trip_copies_ndarray_values(self):
+        array = DistArray.from_entries(
+            [((0, 1), np.array([1.0, 2.0])), ((2, 0), 5.0)], name="snap_s"
+        ).materialize()
+        saved = array.snapshot()
+        array[0, 1][0] = -3.0          # mutate a stored ndarray in place
+        array[2, 0] = 6.0              # overwrite a scalar
+        array.direct_set((1, 1), 8.0)  # add a key
+        array.restore(saved)
+        assert dict(array.entries()).keys() == {(0, 1), (2, 0)}
+        assert np.array_equal(array[0, 1], [1.0, 2.0])
+        assert array[2, 0] == 5.0
+        # Restoring copied again: mutating the array leaves the snapshot.
+        array[0, 1][1] = 0.0
+        assert np.array_equal(saved[(0, 1)], [1.0, 2.0])
+
+    def test_unmaterialized_array_refuses(self):
+        with pytest.raises(MaterializationError):
+            DistArray.zeros(3, name="snap_lazy").snapshot()

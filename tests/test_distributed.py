@@ -100,6 +100,57 @@ class TestProtocol:
         runner.close()
 
 
+class TestValidationOnRealProcesses:
+    """``validate=True`` is honoured on multiprocess: workers ship their
+    access records in the task records and the master runs the simulated
+    backend's serializability check over them."""
+
+    def test_clean_plan_is_validated_every_epoch(self, mf_data, cluster):
+        from repro.obs import Observability
+
+        obs = Observability.enabled()
+        with build_sgd_mf(
+            mf_data, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
+            backend="multiprocess", validate=True, obs=obs,
+        ) as program:
+            program.run(2)
+        validated = obs.metrics.counter("serializability_validations_total")
+        assert validated.value == 2
+
+    def test_bogus_plan_caught(self, cluster):
+        # Claim 1D over dim 0 while the body writes a column keyed by
+        # dim 1: same-step workers then write overlapping H columns.
+        from repro.analysis.loop_info import analyze_loop_body
+        from repro.analysis.strategy import Plan, Strategy, choose_plan
+        from repro.api import ParallelLoop
+        from repro.core.distarray import DistArray
+        from repro.runtime.executor import OrionExecutor
+        from repro.runtime.options import LoopOptions
+
+        entries = [((i, j), 1.0) for i in range(8) for j in range(8)]
+        space = DistArray.from_entries(
+            entries, name="mp_bogus", shape=(8, 8)
+        ).materialize()
+        H = DistArray.randn(3, 8, name="mp_bogus_H", seed=3).materialize()
+
+        def body(key, value):
+            H[:, key[1]] = H[:, key[1]] + value
+
+        info = analyze_loop_body(body, space)
+        honest = choose_plan(info)
+        bogus = Plan(
+            strategy=Strategy.ONE_D,
+            ordered=False,
+            space_dim=0,
+            placements=honest.placements,
+        )
+        options = LoopOptions(validate=True, backend="multiprocess")
+        executor = OrionExecutor(body, info, bogus, cluster, options=options)
+        with ParallelLoop(None, body, info, bogus, executor) as loop:
+            with pytest.raises(ExecutionError, match="serializability"):
+                loop.run()
+
+
 class TestParameterServerPlans:
     """Buffered / server-array plans run with the master as a real
     parameter server: prefetched values ship with each block, buffered

@@ -209,16 +209,12 @@ class TestLoopOptions:
     def test_observability_resolution(self):
         tracer, metrics = Tracer(), MetricsRegistry()
         obs = Observability(tracer=tracer, metrics=metrics)
-        # Bundle alone.
-        r = Observability.resolve(obs=obs)
+        # The bundle wins.
+        r = Observability.resolve(obs=obs, default=Observability.enabled())
         assert r.tracer is tracer and r.metrics is metrics
-        # Explicit component wins over bundle.
-        other = Tracer()
-        r = Observability.resolve(obs=obs, tracer=other)
-        assert r.tracer is other and r.metrics is metrics
-        # Default fills the gaps.
+        # Without one, the default (a context's pair).
         r = Observability.resolve(default=obs)
-        assert r.tracer is tracer
+        assert r.tracer is tracer and r.metrics is metrics
         # Nothing: the disabled singletons.
         r = Observability.resolve()
         assert not r.enabled_any

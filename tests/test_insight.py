@@ -14,6 +14,7 @@ import pytest
 
 from repro.obs import (
     MetricsRegistry,
+    Observability,
     Tracer,
     attribute_epochs,
     insight_report,
@@ -37,7 +38,7 @@ def _build_program(app, data, cluster, tracer, metrics):
         build_slr,
     )
 
-    obs = {"tracer": tracer, "metrics": metrics}
+    obs = {"obs": Observability(tracer=tracer, metrics=metrics)}
     if app == "mf":
         return build_sgd_mf(
             data, cluster=cluster, hyper=MFHyper(rank=4), seed=3, **obs

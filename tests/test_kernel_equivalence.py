@@ -17,6 +17,7 @@ from repro.api import OrionContext
 from repro.core.distarray import DistArray, SubscriptError
 from repro.data.synthetic import sparse_classification
 from repro.runtime.executor import ExecutionError
+from repro.runtime.backend import BACKENDS
 from repro.runtime.kernels import level_schedule
 from repro.runtime.options import LoopOptions
 from repro.sanitizer import verify_conflict_groups
@@ -29,22 +30,29 @@ def slr_data():
     )
 
 
+def _buffered_loop_parts(slr_data):
+    """A context plus the pieces of a buffered data-parallel loop."""
+    ctx = OrionContext(seed=1)
+    samples = ctx.from_entries(
+        slr_data.entries, name="samples", shape=slr_data.shape
+    )
+    ctx.materialize(samples)
+    weights = ctx.zeros(slr_data.num_features, name="weights")
+    ctx.materialize(weights)
+    buf = ctx.dist_array_buffer(weights, name="buf")
+
+    def body(key, sample):
+        features, _target = sample
+        for fid, fval in features:
+            buf[fid] = -0.1 * fval
+
+    return ctx, samples, weights, buf, body
+
+
 class TestEquivalenceCheckMode:
     def test_catches_wrong_kernel(self, slr_data):
         """A kernel that diverges from the body must fail the check."""
-        ctx = OrionContext(seed=1)
-        samples = ctx.from_entries(
-            slr_data.entries, name="samples", shape=slr_data.shape
-        )
-        ctx.materialize(samples)
-        weights = ctx.zeros(slr_data.num_features, name="weights")
-        ctx.materialize(weights)
-        buf = ctx.dist_array_buffer(weights, name="buf")
-
-        def body(key, sample):
-            features, _target = sample
-            for fid, fval in features:
-                buf[fid] = -0.1 * fval
+        ctx, samples, weights, buf, body = _buffered_loop_parts(slr_data)
 
         def bad_kernel(block, kctx):
             for _key, (features, _target) in block:
@@ -58,6 +66,23 @@ class TestEquivalenceCheckMode:
         )(body)
         with pytest.raises(ExecutionError, match="kernel/scalar"):
             loop.run()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_noop_kernel_never_passes(self, slr_data, backend):
+        """A do-nothing kernel under ``equivalence_check=True`` fails on
+        every backend: at the first block on the virtual-clock ones, at
+        loop construction on multiprocess (which cannot rewind shared
+        memory under running workers) — never a silent pass."""
+        ctx, samples, _weights, _buf, body = _buffered_loop_parts(slr_data)
+
+        def noop_kernel(block, kctx):
+            pass
+
+        options = LoopOptions(
+            kernel=noop_kernel, equivalence_check=True, backend=backend
+        )
+        with ctx, pytest.raises(ExecutionError, match="equivalence.check"):
+            ctx.parallel_for(samples, options=options)(body).run()
 
 
 class TestBulkAccessors:

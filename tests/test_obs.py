@@ -16,6 +16,7 @@ from repro.obs import (
     NULL_METRICS,
     NULL_TRACER,
     MetricsRegistry,
+    Observability,
     Tracer,
     add_traffic_spans,
     chrome_trace_events,
@@ -299,7 +300,7 @@ def traced_mf(mf_small):
     metrics = MetricsRegistry()
     program = build_sgd_mf(
         mf_small, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
-        tracer=tracer, metrics=metrics,
+        obs=Observability(tracer=tracer, metrics=metrics),
     )
     history = program.run(2)
     return history, tracer, metrics, cluster
@@ -395,7 +396,7 @@ class TestEndToEndTracing:
             return program.run(3)
 
         plain = run()
-        traced = run(tracer=Tracer(), metrics=MetricsRegistry())
+        traced = run(obs=Observability.enabled())
         assert [r.loss for r in plain.records] \
             == [r.loss for r in traced.records]
         assert [r.time_s for r in plain.records] \
@@ -409,7 +410,7 @@ class TestEndToEndTracing:
 
         tracer = Tracer()
         history = run_serial(SGDMFApp(mf_small, MFHyper(rank=4)), 2,
-                             tracer=tracer)
+                             obs=Observability(tracer=tracer))
         blocks = tracer.filter(cat="block", process="serial")
         assert len(blocks) == 2
         assert sum(b.duration for b in blocks) \
@@ -425,7 +426,7 @@ class TestEndToEndTracing:
         metrics = MetricsRegistry()
         cluster = ClusterSpec(num_machines=2, workers_per_machine=2)
         history = run_bosen(SGDMFApp(mf_small, MFHyper(rank=4)), cluster, 2,
-                            tracer=tracer, metrics=metrics)
+                            obs=Observability(tracer=tracer, metrics=metrics))
         assert "bosen" in tracer.processes()
         busy = tracer.busy_by_track(cat="block", process="bosen")
         traced_busy = sum(v for k, v in busy.items() if k.startswith("worker"))
@@ -451,7 +452,8 @@ class TestWallClockTraceRoundTrip:
         cluster = ClusterSpec(num_machines=1, workers_per_machine=2)
         program = build_sgd_mf(
             mf_small, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
-            tracer=tracer, metrics=metrics, backend="multiprocess",
+            obs=Observability(tracer=tracer, metrics=metrics),
+            backend="multiprocess",
         )
         try:
             program.run(2)

@@ -1,4 +1,4 @@
-"""Tests for the threaded execution backend (executor concurrency modes).
+"""Tests for the threaded execution backend (``backend="threaded"``).
 
 A dependence-preserving schedule's same-step blocks touch disjoint
 elements, so running them on a thread pool must produce *bitwise identical*
@@ -30,10 +30,10 @@ class TestThreadedMF:
     def test_bitwise_identical_to_serial(self, mf_data, cluster):
         hyper = MFHyper(rank=4, step_size=0.05)
         serial = build_sgd_mf(
-            mf_data, cluster=cluster, hyper=hyper, seed=3, concurrency="serial"
+            mf_data, cluster=cluster, hyper=hyper, seed=3, backend="simulated"
         )
         threaded = build_sgd_mf(
-            mf_data, cluster=cluster, hyper=hyper, seed=3, concurrency="threads"
+            mf_data, cluster=cluster, hyper=hyper, seed=3, backend="threaded"
         )
         serial.run(3)
         threaded.run(3)
@@ -49,7 +49,7 @@ class TestThreadedMF:
             mf_data,
             cluster=cluster,
             hyper=MFHyper(rank=4),
-            concurrency="threads",
+            backend="threaded",
             validate=True,
         )
         program.run(2)  # raises on any serializability violation
@@ -60,7 +60,7 @@ class TestThreadedMF:
             cluster=cluster,
             hyper=MFHyper(rank=4),
             ordered=True,
-            concurrency="threads",
+            backend="threaded",
             validate=True,
         )
         history = program.run(2)
@@ -69,10 +69,10 @@ class TestThreadedMF:
     def test_virtual_time_unaffected_by_backend(self, mf_data, cluster):
         hyper = MFHyper(rank=4)
         t_serial = build_sgd_mf(
-            mf_data, cluster=cluster, hyper=hyper, concurrency="serial"
+            mf_data, cluster=cluster, hyper=hyper, backend="simulated"
         ).run(2).total_time_s
         t_threads = build_sgd_mf(
-            mf_data, cluster=cluster, hyper=hyper, concurrency="threads"
+            mf_data, cluster=cluster, hyper=hyper, backend="threaded"
         ).run(2).total_time_s
         assert t_serial == pytest.approx(t_threads)
 
@@ -86,18 +86,18 @@ class TestThreadedBuffered:
             dataset,
             cluster=cluster,
             hyper=SLRHyper(step_size=0.2),
-            concurrency="threads",
+            backend="threaded",
         )
         history = program.run(3)
         assert history.final_loss < history.meta["initial_loss"]
 
 
 class TestBadMode:
-    def test_unknown_concurrency_rejected(self, mf_data, cluster):
-        with pytest.raises(ExecutionError, match="concurrency"):
+    def test_unknown_backend_rejected(self, mf_data, cluster):
+        with pytest.raises(ExecutionError, match="backend"):
             build_sgd_mf(
                 mf_data,
                 cluster=cluster,
                 hyper=MFHyper(rank=4),
-                concurrency="gpus",
+                backend="gpus",
             )
