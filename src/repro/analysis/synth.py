@@ -1,8 +1,10 @@
 """Automatic kernel synthesis: compile a scalar loop body into a block kernel.
 
 The batched fast path (:mod:`repro.runtime.kernels`) runs one
-``kernel(block_entries, kctx)`` call per block.  This module derives that
-kernel from the serial loop body, the only source of truth: starting from
+``kernel(block_entries, kctx)`` call per dispatch unit — a block, or a
+whole schedule step's blocks when the kernel is ``fusable``.  This
+module derives that kernel from the serial loop body, the only source of
+truth: starting from
 the body's AST, the ``ArrayRef`` / ``IndexBinding`` records, and the
 subscript classification that :mod:`repro.analysis.loop_info` already
 extracted, it *generates* the kernel source, compiles it against the
@@ -54,15 +56,20 @@ import numpy as np
 
 from repro.analysis import ast_utils
 from repro.analysis.lint import Diagnostic, location_of
-from repro.analysis.loop_info import LoopInfo, _axes_for_ref
+from repro.analysis.loop_info import (
+    LoopInfo, _axes_for_ref, analyze_loop_body,
+)
+from repro.analysis.strategy import Plan, Strategy, choose_plan
 from repro.analysis.subscript import SubscriptKind
 from repro.errors import AnalysisError
 from repro.runtime import kernels as _kernels
 
 __all__ = [
     "SynthResult",
+    "kernel_batching_legal",
     "level_schedule_counts",
     "level_schedule_stats",
+    "plan_refusal",
     "synthesize_kernel",
     "synth_report",
 ]
@@ -130,6 +137,10 @@ class SynthResult:
     kernel: Optional[Callable[..., Any]] = None
     source: Optional[str] = None
     tier: Optional[str] = None  # "vector" | "block-loop" | None
+    #: The kernel keeps no per-worker state (no buffers, no accumulators)
+    #: and declares one access per entry per site, so the blocks one
+    #: process runs in a schedule step may be concatenated into one call.
+    fusable: bool = False
     diagnostics: List[Diagnostic] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
@@ -820,8 +831,9 @@ def level_schedule_counts(
     caches: Iterable[Dict[Any, Any]],
 ) -> Tuple[int, int, int]:
     """``(entries, groups, single-entry groups)`` of the level schedules a
-    vector-tier kernel has memoized in the given per-block caches (blocks
-    it has not run yet, and other kernels' caches, count nothing)."""
+    vector-tier kernel has memoized in the given per-dispatch-unit caches
+    (units it has not run yet, and other kernels' caches, count
+    nothing)."""
     entries = groups = singles = 0
     for cache in caches:
         prep = cache.get("_synth")
@@ -1323,6 +1335,9 @@ def synthesize_kernel(body: Callable[..., Any], info: LoopInfo) -> SynthResult:
     try:
         source = _Vectorizer(info, env).build()
         result.tier = "vector"
+        # ``build`` refused buffers and accumulators, and ``_accounting``
+        # emitted every declaration over the per-entry index arrays.
+        result.fusable = True
     except _Fallback as fallback:
         vector_reason = fallback
         try:
@@ -1367,6 +1382,57 @@ def synthesize_kernel(body: Callable[..., Any], info: LoopInfo) -> SynthResult:
     return result
 
 
+def kernel_batching_legal(info: LoopInfo, plan: Plan) -> Tuple[bool, str]:
+    """Whether a plan permits batched (whole-block) kernel execution.
+
+    A kernel replaces the per-entry body loop with one call per block, so
+    it is legal exactly when the schedule already treats the block as one
+    sequential unit whose relaxed dependences all flow through buffers:
+
+    * 2D plans (ordered or unordered): each block owns disjoint rotated
+      partitions, so intra-block entries are free to batch.
+    * 1D / data-parallel plans: legal only when the body's shared writes
+      go through DistArray Buffers (otherwise direct writes may carry
+      loop-ordered dependences the analysis preserved by other means).
+    * Unimodular-transformed plans: blocks follow skewed wavefronts; the
+      scalar path keeps the transformed order, so no batching.
+    * ``max_delay`` buffers flush mid-block on the scalar path; a batched
+      kernel cannot reproduce that timing, so fall back.
+
+    Returns ``(legal, reason)``; ``reason`` explains a ``False`` verdict.
+    """
+    if any(
+        buffer.max_delay is not None for buffer in info.buffers.values()
+    ):
+        return False, "max_delay buffers flush mid-block on the scalar path"
+    if plan.strategy is Strategy.TWO_D:
+        return True, ""
+    if plan.strategy in (Strategy.ONE_D, Strategy.DATA_PARALLEL):
+        if info.buffers:
+            return True, ""
+        return False, (
+            "1D/data-parallel plans only batch bodies whose shared writes "
+            "go through buffers"
+        )
+    return False, f"{plan.strategy.name} blocks are not batchable"
+
+
+def plan_refusal(info: LoopInfo, plan: Plan) -> List[Diagnostic]:
+    """W503 when ``plan`` refuses batched execution of a successfully
+    synthesized kernel (e.g. a parameter-server loop without buffered
+    writes); empty when it batches."""
+    legal, reason = kernel_batching_legal(info, plan)
+    if legal:
+        return []
+    return [
+        Diagnostic(
+            code="W503",
+            message=f"synthesized kernel is unused: {reason}",
+            location=location_of(info.tree, info.source_file),
+        )
+    ]
+
+
 def synth_report(
     body: Callable[..., Any],
     iteration_space: Any,
@@ -1378,22 +1444,10 @@ def synth_report(
     (analysis warnings, the W50x fallback codes, and W503 when the chosen
     plan refuses batched execution of a successfully synthesized kernel).
     """
-    from repro.analysis.loop_info import analyze_loop_body
-    from repro.analysis.strategy import choose_plan
-    from repro.runtime.executor import kernel_batching_legal
-
     info = analyze_loop_body(body, iteration_space, ordered=ordered)
     plan = choose_plan(info)
     result = synthesize_kernel(body, info)
     diagnostics = list(info.diagnostics) + list(result.diagnostics)
     if result.engaged:
-        legal, reason = kernel_batching_legal(info, plan)
-        if not legal:
-            diagnostics.append(
-                Diagnostic(
-                    code="W503",
-                    message=f"synthesized kernel is unused: {reason}",
-                    location=location_of(info.tree, info.source_file),
-                )
-            )
+        diagnostics += plan_refusal(info, plan)
     return result, diagnostics

@@ -11,9 +11,10 @@ compiled plan* on real OS processes as a performance backend:
   parameters in place instead of holding forked full-object copies and
   shipping slices through the master.
 * **One block runner.**  A worker executes each block by calling the
-  forked executor's :meth:`~repro.runtime.executor.OrionExecutor.run_block`
-  — the same code the simulated backend runs (kernel when the plan
-  batches, scalar body otherwise, sanitizer recording when asked)
+  forked executor's :meth:`~repro.runtime.executor.OrionExecutor.run_blocks`
+  (a worker has one block per step) — the same code the simulated
+  backend runs (kernel when the plan batches, scalar body otherwise,
+  sanitizer recording when asked)
   against the shared arrays, with an empty server-array set (the master
   owns the virtual timeline) and buffered writes handed to the master
   instead of flushed locally.  The per-block computation is therefore
@@ -264,7 +265,9 @@ class _WorkerProcess:
         taken for the master's parameter server — it owns the apply UDFs
         and their ordering."""
         t_start = time.perf_counter()
-        record = self.executor.run_block(task, frozenset(), flush_local=False)
+        (record,) = self.executor.run_blocks(
+            [task], frozenset(), flush_local=False
+        )
         record.t_start, record.t_end = t_start, time.perf_counter()
         record.token_wait = wait
         self.records.append(record)

@@ -19,6 +19,7 @@ analyzed loop and runs epochs over the simulated cluster:
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Any, Callable, Dict, List, Optional, Tuple
@@ -29,8 +30,10 @@ from repro.analysis.loop_info import LoopInfo
 from repro.analysis.prefetch import synthesize_prefetch
 from repro.analysis.strategy import PlacementKind, Plan, Strategy
 from repro.analysis.synth import (
+    kernel_batching_legal,
     level_schedule_counts,
     level_schedule_stats,
+    plan_refusal,
     synthesize_kernel,
 )
 from repro.core import access
@@ -67,11 +70,12 @@ __all__ = [
 class TaskRecord:
     """What executing one block produced — the one per-task record.
 
-    Built by :meth:`OrionExecutor.run_block` in whichever process ran the
-    block (a multiprocess worker pickles it back to the master), so
-    timing, serializability validation, the sanitizer cross-check and
-    span emission are post-epoch passes over the same type on either
-    clock.
+    Built by :meth:`OrionExecutor.run_blocks` in whichever process ran
+    the block (a multiprocess worker pickles it back to the master), one
+    per block even when a whole schedule step went through one kernel
+    call, so virtual-clock cost, serializability validation, the
+    sanitizer cross-check and span emission are post-epoch passes over
+    the same type on either clock.
     """
 
     task: sched.Task
@@ -79,6 +83,9 @@ class TaskRecord:
     server_reads: int = 0
     server_read_bytes: float = 0.0
     flush_bytes: float = 0.0
+    #: Kernel calls charged to this block: 1 for the first block of each
+    #: dispatch unit that ran through the kernel, 0 otherwise.
+    kernel_calls: int = 0
     #: Validation mode: ``(array, normalized index, is_write)`` per access.
     accesses: List[Tuple[str, Tuple[Any, ...], bool]] = field(default_factory=list)
     #: Sanitize mode: per-iteration shadow-access records.
@@ -195,40 +202,23 @@ class EpochResult:
     clock: str = "virtual"
 
 
-def kernel_batching_legal(info: Any, plan: Any) -> Tuple[bool, str]:
-    """Whether a plan permits batched (whole-block) kernel execution.
-
-    A kernel replaces the per-entry body loop with one call per block, so
-    it is legal exactly when the schedule already treats the block as one
-    sequential unit whose relaxed dependences all flow through buffers:
-
-    * 2D plans (ordered or unordered): each block owns disjoint rotated
-      partitions, so intra-block entries are free to batch.
-    * 1D / data-parallel plans: legal only when the body's shared writes
-      go through DistArray Buffers (otherwise direct writes may carry
-      loop-ordered dependences the analysis preserved by other means).
-    * Unimodular-transformed plans: blocks follow skewed wavefronts; the
-      scalar path keeps the transformed order, so no batching.
-    * ``max_delay`` buffers flush mid-block on the scalar path; a batched
-      kernel cannot reproduce that timing, so fall back.
-
-    Returns ``(legal, reason)``; ``reason`` explains a ``False`` verdict.
-    """
-    if any(
-        buffer.max_delay is not None for buffer in info.buffers.values()
-    ):
-        return False, "max_delay buffers flush mid-block on the scalar path"
-    if plan.strategy is Strategy.TWO_D:
-        return True, ""
-    if plan.strategy in (Strategy.ONE_D, Strategy.DATA_PARALLEL):
-        if info.buffers:
-            return True, ""
-        return False, (
-            "1D/data-parallel plans only batch bodies whose shared writes "
-            "go through buffers"
+def _same_snapshot(left: Any, right: Any) -> bool:
+    """Bitwise equality of two ``snapshot()`` results: an ndarray, a dict
+    of them (sparse arrays; a buffer's per-worker pending writes), or a
+    buffer's ``(pending, age)`` pair — compared on the pending writes
+    only, because the kernel path does not tick buffered-write ages."""
+    if isinstance(left, tuple):
+        left, right = left[0], right[0]
+    if isinstance(left, dict):
+        return left.keys() == right.keys() and all(
+            _same_snapshot(left[key], right[key]) for key in left
         )
-    return False, f"{plan.strategy.name} blocks are not batchable"
+    return np.array_equal(left, right)
 
+
+#: block key -> (prefetch, compute, flush, overhead) seconds: the phase
+#: breakdown behind each block span (only filled when tracing).
+Phases = Dict[Tuple[int, int], Tuple[float, float, float, float]]
 
 #: The heuristic pipeline depth ``pipeline_depth="auto"`` resolves to —
 #: the paper's Fig. 8 configuration (clamped per-plan during setup).
@@ -315,9 +305,12 @@ class OrionExecutor:
                 self.faults, cluster.network, metrics=self.metrics
             )
         self._equivalence_checked = False
-        #: Per-block caches handed to kernels (index arrays, conflict
-        #: groups, memoized accounting) — persist across epochs.
-        self._kernel_caches: Dict[Tuple[int, int], Dict[Any, Any]] = {}
+        #: Per-dispatch-unit caches handed to kernels (index arrays, level
+        #: schedules, memoized accounting), keyed by the unit's block keys
+        #: — persist across epochs.
+        self._kernel_caches: Dict[
+            Tuple[Tuple[int, int], ...], Dict[Any, Any]
+        ] = {}
         #: One thread pool per executor, created lazily and reused across
         #: steps and epochs (a fresh pool per step costs thread spawns on
         #: every schedule step).
@@ -330,19 +323,7 @@ class OrionExecutor:
         self.epochs_run = 0
         self._setup()
         if self.synth is not None and self.synth.engaged:
-            legal, reason = kernel_batching_legal(self.info, self.plan)
-            if not legal:
-                from repro.analysis.lint import Diagnostic, location_of
-
-                self.info.diagnostics.append(
-                    Diagnostic(
-                        code="W503",
-                        message=f"synthesized kernel is unused: {reason}",
-                        location=location_of(
-                            self.info.tree, self.info.source_file
-                        ),
-                    )
-                )
+            self.info.diagnostics.extend(plan_refusal(self.info, self.plan))
 
     def _resolve_kernel(self, kernel: Any) -> Optional[Callable[..., Any]]:
         """Resolve ``LoopOptions.kernel`` to a callable (or ``None``).
@@ -450,7 +431,7 @@ class OrionExecutor:
 
         self._build_prefetch()
         self._server_ids = {id(array) for array in self._server_arrays.values()}
-        self._kernel_supported = self._kernel_legal()
+        self._kernel_supported = kernel_batching_legal(info, plan)[0]
         if self.sanitize:
             # The sanitizer attributes accesses to iterations, which only
             # the interpreted per-entry path can do.
@@ -476,9 +457,6 @@ class OrionExecutor:
             cache_indices=self.cache_prefetch,
             metrics=self.metrics,
         )
-
-    def _kernel_legal(self) -> bool:
-        return kernel_batching_legal(self.info, self.plan)[0]
 
     # ---------------- epoch execution ---------------------------------- #
 
@@ -566,7 +544,7 @@ class OrionExecutor:
         else raises :class:`ExecutionError`.  A depth change re-tiles the
         time dimension (space bounds are *reused*, not recomputed, so
         worker ownership provably cannot move), rebuilds the schedule and
-        prefetch manager, clears the per-block kernel caches, and charges
+        prefetch manager, clears the per-unit kernel caches, and charges
         one re-binning pass over the entries plus one reshuffle of the
         rotated arrays to the virtual clock.  Prefetch-policy changes are
         free (they only swap the access cost model for future blocks).
@@ -738,9 +716,11 @@ class OrionExecutor:
 
     def level_schedule_counts(self) -> Tuple[int, int, int]:
         """Entries, groups and single-entry groups of the vector kernel's
-        level schedules over the blocks *this process* has executed (a
-        multiprocess worker's blocks are counted in the worker and reach
-        the master through ``runner_meta()``)."""
+        level schedules over the dispatch units *this process* has
+        executed — whole schedule steps on the simulated backend, single
+        blocks on the threaded one (a multiprocess worker's one-block
+        units are counted in the worker and reach the master through
+        ``runner_meta()``)."""
         return level_schedule_counts(self._kernel_caches.values())
 
     @property
@@ -776,67 +756,15 @@ class OrionExecutor:
         faults = self.faults
         if self._link is not None:
             self._link.begin_epoch(self.epochs_run)
-        work_s = np.zeros((self.num_workers, self.num_time))
-        flush_bytes = np.zeros((self.num_workers, self.num_time))
-        prefetch_bytes = np.zeros((self.num_workers, self.num_time))
-        task_records: List[TaskRecord] = []
-        tracing = self.tracer.enabled
-        #: block_key -> (prefetch, compute, flush, overhead) seconds, the
-        #: phase breakdown behind each block span (only kept when tracing).
-        phases: Dict[Tuple[int, int], Tuple[float, float, float, float]] = {}
-
-        for step_tasks in self.steps:
-            for stats in self._run_step(step_tasks):
-                task = stats.task
-                block_key = (task.space_idx, task.time_idx)
-                compute = self.cluster.cost.compute_time(stats.entries)
-                if self.prefetch.prefetch_fn is not None:
-                    block = self.partitions.block(*block_key)
-                    cost = self.prefetch.block_read_cost(
-                        block_key, block, link=self._link
-                    )
-                else:
-                    cost = self.prefetch.random_access_cost_from_counts(
-                        stats.server_reads, stats.server_read_bytes
-                    )
-                flush_transfer = 0.0
-                flush_messages = 0
-                if stats.flush_bytes:
-                    flush_transfer, _sent, flush_messages = self._transfer(
-                        stats.flush_bytes, ("flush",) + tuple(block_key)
-                    )
-                # Serializing the outgoing rotated partition is CPU work on
-                # the worker — pipelining cannot hide it (paper Sec. 6.4).
-                marshalling = 0.0
-                if self.plan.strategy is Strategy.TWO_D:
-                    marshalling = (
-                        self.cluster.cost.marshalling_s_per_byte
-                        * self.rotated_block_bytes
-                    )
-                # Per-message CPU (request setup, locking): one prefetch
-                # request plus one flush message per block, when present
-                # (dropped messages pay per-message CPU per resend).
-                messages = cost.num_requests + flush_messages
-                message_cpu = self.cluster.cost.per_message_cpu_s * messages
-                time_idx = task.time_idx or 0
-                work_s[task.space_idx, time_idx] = (
-                    compute + cost.seconds + flush_transfer + marshalling
-                    + message_cpu
-                )
-                flush_bytes[task.space_idx, time_idx] = stats.flush_bytes
-                prefetch_bytes[task.space_idx, time_idx] = cost.nbytes
-                if tracing:
-                    phases[(task.space_idx, time_idx)] = (
-                        cost.seconds,
-                        compute,
-                        flush_transfer,
-                        marshalling + message_cpu,
-                    )
-                task_records.append(stats)
-
+        task_records = [
+            record
+            for step_tasks in self.steps
+            for record in self._run_step(step_tasks)
+        ]
+        work_s, flush_bytes, prefetch_bytes, phases = self._charge(task_records)
         self.check_records(task_records)
 
-        straggled = self._apply_stragglers(work_s, phases, epoch, t0, tracing)
+        straggled = self._apply_stragglers(work_s, phases, epoch, t0)
         timing = self._timing(work_s)
         crash = (
             faults.claim_crash(epoch, t0, t0 + timing.makespan)
@@ -869,15 +797,12 @@ class OrionExecutor:
             barriers = list(timing.barriers)
             fault_info = None
         else:
-            busy = 0.0
-            num_tasks = 0
-            for step_tasks in self.steps:
-                for task in step_tasks:
-                    finish = timing.finish.get((task.worker, task.step))
-                    if finish is None or finish > detect_rel:
-                        continue
-                    busy += float(work_s[task.space_idx, task.time_idx or 0])
-                    num_tasks += 1
+            done = [
+                float(work_s[key])
+                for _task, key, _start, finish in self._placed(timing, work_s)
+                if finish <= detect_rel
+            ]
+            busy, num_tasks = sum(done, 0.0), len(done)
             barriers = [b for b in timing.barriers if b[1] <= detect_rel]
             fault_info = {
                 "kind": (
@@ -905,11 +830,11 @@ class OrionExecutor:
             barriers=barriers,
             fault=fault_info,
         )
-        if tracing:
+        if self.tracer.enabled:
             self._emit_spans(t0, timing, work_s, phases, result, cutoff=cutoff)
             self._emit_fault_spans(t0, result, straggled)
         if crash is None:
-            self._record_metrics(result, work_s)
+            self._record_metrics(result, work_s, task_records)
         elif self.metrics.enabled:
             self.metrics.counter("worker_crashes_total").inc()
             self.metrics.counter("fault_lost_seconds_total").inc(makespan)
@@ -920,10 +845,9 @@ class OrionExecutor:
     def _apply_stragglers(
         self,
         work_s: np.ndarray,
-        phases: Dict[Tuple[int, int], Tuple[float, float, float, float]],
+        phases: Phases,
         epoch: Optional[int],
         t0: float,
-        tracing: bool,
     ) -> Dict[int, float]:
         """Scale straggling workers' block times in place.
 
@@ -946,13 +870,8 @@ class OrionExecutor:
             factor = factors[worker]
             work_s[worker, :] *= factor
             applied[worker] = factor
-            if tracing:
-                for time_idx in range(self.num_time):
-                    breakdown = phases.get((worker, time_idx))
-                    if breakdown is not None:
-                        phases[(worker, time_idx)] = tuple(
-                            value * factor for value in breakdown
-                        )
+            for key in [key for key in phases if key[0] == worker]:
+                phases[key] = tuple(v * factor for v in phases[key])
         return applied
 
     def _emit_fault_spans(
@@ -982,7 +901,12 @@ class OrionExecutor:
                 args=dict(result.fault),
             )
 
-    def _record_metrics(self, result: EpochResult, work_s: np.ndarray) -> None:
+    def _record_metrics(
+        self,
+        result: EpochResult,
+        work_s: np.ndarray,
+        records: List[TaskRecord],
+    ) -> None:
         metrics = self.metrics
         if not metrics.enabled:
             return
@@ -993,6 +917,9 @@ class OrionExecutor:
         path = "kernel_blocks_total" if result.kernel_path \
             else "scalar_blocks_total"
         metrics.counter(path).inc(result.num_tasks)
+        metrics.counter("kernel_calls_total").inc(
+            sum(record.kernel_calls for record in records)
+        )
         metrics.gauge("utilization").set(result.utilization)
         if result.epoch_time_s > 0:
             metrics.gauge("entries_per_virtual_s").set(
@@ -1008,7 +935,7 @@ class OrionExecutor:
         t0: float,
         timing: sched.ScheduleTiming,
         work_s: np.ndarray,
-        phases: Dict[Tuple[int, int], Tuple[float, float, float, float]],
+        phases: Phases,
         result: EpochResult,
         cutoff: Optional[float] = None,
     ) -> None:
@@ -1056,66 +983,59 @@ class OrionExecutor:
                 depth=1,
             )
         phase_names = ("prefetch", "compute", "flush", "overhead")
-        for step_tasks in self.steps:
-            for task in step_tasks:
-                finish = timing.finish.get((task.worker, task.step))
-                if finish is None:
+        for task, key, start, finish in self._placed(timing, work_s):
+            if cutoff is not None and start >= cutoff:
+                continue
+            clipped = cutoff is not None and finish > cutoff
+            end = min(finish, cutoff) if clipped else finish
+            track = f"worker{task.worker}"
+            breakdown = phases.get(key)
+            args = {"step": task.step, "space": key[0], "time": key[1]}
+            if clipped:
+                args["aborted"] = True
+            if breakdown is not None:
+                args.update(zip(phase_names, breakdown))
+            tracer.add_span(
+                f"block[{key[0]},{key[1]}]",
+                "block",
+                t0 + start,
+                t0 + end,
+                track=track,
+                process=process,
+                args=args,
+            )
+            if breakdown is None or clipped:
+                continue
+            cursor = start
+            for phase_name, phase_s in zip(phase_names, breakdown):
+                if phase_s <= 0.0:
                     continue
-                time_idx = task.time_idx or 0
-                duration = float(work_s[task.space_idx, time_idx])
-                start = finish - duration
-                if cutoff is not None and start >= cutoff:
-                    continue
-                clipped = cutoff is not None and finish > cutoff
-                end = min(finish, cutoff) if clipped else finish
-                track = f"worker{task.worker}"
-                breakdown = phases.get((task.space_idx, time_idx))
-                args = {"step": task.step, "space": task.space_idx,
-                        "time": time_idx}
-                if clipped:
-                    args["aborted"] = True
-                if breakdown is not None:
-                    args.update(zip(phase_names, breakdown))
                 tracer.add_span(
-                    f"block[{task.space_idx},{time_idx}]",
-                    "block",
-                    t0 + start,
-                    t0 + end,
+                    phase_name,
+                    phase_name,
+                    t0 + cursor,
+                    t0 + cursor + phase_s,
                     track=track,
                     process=process,
-                    args=args,
+                    depth=1,
                 )
-                if breakdown is None or clipped:
-                    continue
-                cursor = start
-                for phase_name, phase_s in zip(phase_names, breakdown):
-                    if phase_s <= 0.0:
-                        continue
-                    tracer.add_span(
-                        phase_name,
-                        phase_name,
-                        t0 + cursor,
-                        t0 + cursor + phase_s,
-                        track=track,
-                        process=process,
-                        depth=1,
-                    )
-                    cursor += phase_s
+                cursor += phase_s
 
     def _run_step(self, step_tasks: List[sched.Task]) -> List[TaskRecord]:
-        """Execute one step's blocks: serially (a linearization) or, on
-        ``backend="threaded"``, on a thread pool (genuinely concurrent;
-        safe because a correct plan's same-step blocks touch disjoint
-        elements)."""
+        """Execute one step's blocks: as one dispatch unit (a
+        linearization) or, on ``backend="threaded"``, one block per
+        thread-pool task (genuinely concurrent; safe because a correct
+        plan's same-step blocks touch disjoint elements)."""
         if self.options.backend != "threaded" or len(step_tasks) <= 1:
-            return [self._run_task(task) for task in step_tasks]
+            return self._run_unit(step_tasks)
         if self._pool is None:
             import concurrent.futures
 
             self._pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=self.num_workers
             )
-        return list(self._pool.map(self._run_task, step_tasks))
+        units = self._pool.map(self._run_unit, ([task] for task in step_tasks))
+        return [record for unit in units for record in unit]
 
     def close(self) -> None:
         """Release the persistent thread pool (idempotent)."""
@@ -1129,30 +1049,40 @@ class OrionExecutor:
         except Exception:
             pass
 
-    def _run_task(self, task: sched.Task) -> TaskRecord:
-        """One block on this process's virtual worker, self-checking the
-        kernel on the first non-empty block when asked to."""
+    def _run_unit(self, tasks: List[sched.Task]) -> List[TaskRecord]:
+        """The blocks this process runs in one schedule step, self-checking
+        the kernel on the first unit with any entries when asked to."""
         if (
             self.equivalence_check
             and not self._equivalence_checked
             and self.kernel_path
-            and self.partitions.block(task.space_idx, task.time_idx or 0)
+            and any(self.partitions.block(*task.block_key) for task in tasks)
         ):
             self._equivalence_checked = True
-            return self._run_task_checked(task)
-        return self.run_block(task, self._server_ids)
+            return self._run_unit_checked(tasks)
+        return self.run_blocks(tasks, self._server_ids)
 
-    def run_block(
+    def run_blocks(
         self,
-        task: sched.Task,
+        tasks: List[sched.Task],
         server_ids: AbstractSet[int],
         flush_local: bool = True,
         force_scalar: bool = False,
-    ) -> TaskRecord:
-        """Execute one block and return its record — the one place that
-        knows how: kernel when the plan batches, else the scalar body per
-        entry; under an accounting broker (wrapped by the sanitizer's
-        recorder in sanitize mode) and the task's ``worker_scope``.
+    ) -> List[TaskRecord]:
+        """Execute the blocks one process runs in one schedule step and
+        return one record per block — the one place that knows how:
+        kernel when the plan batches, else the scalar body per entry;
+        under an accounting broker (wrapped by the sanitizer's recorder
+        in sanitize mode) and the task's ``worker_scope``.
+
+        The block is the scheduling unit; the *dispatch* unit — what one
+        kernel call executes — is the whole step when the kernel carries
+        no per-worker state (``SynthResult.fusable``): the blocks are
+        concatenated in task order, which is the order they would have
+        run in, so the kernel's level schedule keeps every conflicting
+        pair of entries in that order and the result is bit-identical,
+        with levels as wide as the step.  Every other path dispatches one
+        block at a time.
 
         The caller chooses what the broker counts (``server_ids``) and
         who owns buffer synchronization.  With ``flush_local`` (this
@@ -1162,150 +1092,122 @@ class OrionExecutor:
         worker: the master is the parameter server) the block's pending
         writes are taken off the buffers into ``record.pending``.
         """
-        block_key = (task.space_idx, task.time_idx or 0)
-        block = self.partitions.block(*block_key)
-        worker = task.worker
-        record = TaskRecord(task, entries=len(block))
-        broker: Any = _AccountingBroker(server_ids, self.validate, record)
-        if self.sanitize:
-            broker = RecordingBroker(broker, record.shadow)
+        use_kernel = self.kernel_path and not force_scalar
+        keys = [task.block_key for task in tasks]
+        blocks = [self.partitions.block(*key) for key in keys]
+        records = [
+            TaskRecord(task, entries=len(block))
+            for task, block in zip(tasks, blocks)
+        ]
+        fuse = use_kernel and self.synth is not None and self.synth.fusable
+        cuts = [0, len(tasks)] if fuse else range(len(tasks) + 1)
         buffers = self.info.buffers
-        with access.worker_scope(worker), access.install_broker(broker):
-            if self.kernel_path and not force_scalar:
-                kctx = KernelContext(
-                    broker,
-                    worker,
-                    self._kernel_caches.setdefault(block_key, {}),
-                )
-                self.kernel(block, kctx)
-            else:
-                body = self.body
-                ticking = list(buffers.values()) if flush_local else ()
-                for key, value in block:
-                    broker.iteration = key
-                    body(key, value)
-                    for buffer in ticking:
-                        if buffer.tick(worker):
-                            record.flush_bytes += buffer.pending_bytes(worker)
-                            buffer.flush_worker(worker)
-        for name, buffer in buffers.items():
-            record.flush_bytes += buffer.pending_bytes(worker)
-            if flush_local:
-                buffer.flush_worker(worker)
-            else:
-                taken = buffer.take_pending(worker)
-                if taken:
-                    record.pending[name] = taken
-        return record
+        for lo, hi in zip(cuts, cuts[1:]):
+            record, worker = records[lo], tasks[lo].worker
+            broker: Any = _AccountingBroker(server_ids, self.validate, record)
+            if self.sanitize:
+                broker = RecordingBroker(broker, record.shadow)
+            with access.worker_scope(worker), access.install_broker(broker):
+                if use_kernel:
+                    unit = blocks[lo:hi]
+                    kctx = KernelContext(
+                        broker,
+                        worker,
+                        self._kernel_caches.setdefault(tuple(keys[lo:hi]), {}),
+                        records[lo:hi],
+                        [0, *itertools.accumulate(map(len, unit))],
+                    )
+                    self.kernel(
+                        unit[0] if hi - lo == 1
+                        else list(itertools.chain.from_iterable(unit)),
+                        kctx,
+                    )
+                    record.kernel_calls = 1
+                else:
+                    body = self.body
+                    ticking = list(buffers.values()) if flush_local else ()
+                    for key, value in blocks[lo]:
+                        broker.iteration = key
+                        body(key, value)
+                        for buffer in ticking:
+                            if buffer.tick(worker):
+                                record.flush_bytes += buffer.pending_bytes(worker)
+                                buffer.flush_worker(worker)
+            for name, buffer in buffers.items():
+                record.flush_bytes += buffer.pending_bytes(worker)
+                if flush_local:
+                    buffer.flush_worker(worker)
+                else:
+                    taken = buffer.take_pending(worker)
+                    if taken:
+                        record.pending[name] = taken
+        return records
 
     # ---------------- kernel/scalar equivalence check ------------------- #
 
-    def _run_task_checked(self, task: sched.Task) -> TaskRecord:
-        """Run one block through both paths and demand identical outcomes.
+    def _run_unit_checked(self, tasks: List[sched.Task]) -> List[TaskRecord]:
+        """Run one step's blocks through both paths and demand identical
+        outcomes.
 
-        Executes the scalar body first, snapshots the resulting state,
-        rewinds, executes the kernel, and compares array/buffer contents
-        (bitwise) plus every accounting quantity.  The kernel run's state is
-        kept, so a passing check leaves execution exactly as if the kernel
-        alone had run.
+        Executes the scalar body over the blocks in task order, snapshots
+        the resulting state, rewinds, executes the kernel path (one fused
+        call when the kernel is fusable), and compares array/buffer
+        contents (bitwise) plus every accounting quantity of every block.
+        The kernel run's state is kept, so a passing check leaves
+        execution exactly as if the kernel alone had run.
         """
-        saved = self._snapshot_state()
-        scalar_stats = self.run_block(task, self._server_ids, force_scalar=True)
-        scalar_state = self._snapshot_state()
-        self._restore_state(saved)
-        kernel_stats = self.run_block(task, self._server_ids)
-        kernel_state = self._snapshot_state()
-        problems = self._compare_states(scalar_state, kernel_state)
-        problems += self._compare_stats(scalar_stats, kernel_stats)
+        # Everything the body references plus every buffer and its flush
+        # target (a target need not appear in the body at all).
+        buffers = self.info.buffers
+        arrays = {b.target.name: b.target for b in buffers.values()}
+        arrays.update(self.info.arrays)
+        holders: Dict[str, Any] = {
+            f"buffer {name!r}": buffer for name, buffer in buffers.items()
+        }
+        holders.update(
+            (f"array {name!r}", array)
+            for name, array in arrays.items() if array.is_materialized
+        )
+
+        def snapshot() -> Dict[str, Any]:
+            return {label: h.snapshot() for label, h in holders.items()}
+
+        saved = snapshot()
+        scalar_records = self.run_blocks(
+            tasks, self._server_ids, force_scalar=True
+        )
+        scalar_state = snapshot()
+        for label, data in saved.items():
+            holders[label].restore(data)
+        kernel_records = self.run_blocks(tasks, self._server_ids)
+        kernel_state = snapshot()
+        problems = [
+            f"{label} contents differ"
+            for label, data in scalar_state.items()
+            if not _same_snapshot(data, kernel_state[label])
+        ]
+        for scalar, kernel in zip(scalar_records, kernel_records):
+            problems += [
+                f"block {scalar.task.block_key} {problem}"
+                for problem in self._compare_stats(scalar, kernel)
+            ]
         if problems:
             raise ExecutionError(
-                "kernel/scalar equivalence check failed for block "
-                f"{(task.space_idx, task.time_idx or 0)}: "
-                + "; ".join(problems)
+                f"kernel/scalar equivalence check failed at step "
+                f"{tasks[0].step}: " + "; ".join(problems)
             )
-        return kernel_stats
-
-    def _state_arrays(self) -> Dict[str, Any]:
-        """Arrays whose contents the check must compare: everything the
-        body references plus every buffer's flush target (a target need
-        not appear in the body at all)."""
-        arrays = dict(self.info.arrays)
-        for buffer in self.info.buffers.values():
-            arrays.setdefault(buffer.target.name, buffer.target)
-        return arrays
-
-    def _snapshot_state(self) -> Dict[str, Any]:
-        return {
-            "arrays": {
-                name: array.snapshot()
-                for name, array in self._state_arrays().items()
-                if array.is_materialized
-            },
-            "buffers": {
-                name: buffer.snapshot()
-                for name, buffer in self.info.buffers.items()
-            },
-        }
-
-    def _restore_state(self, saved: Dict[str, Any]) -> None:
-        state_arrays = self._state_arrays()
-        for name, data in saved["arrays"].items():
-            state_arrays[name].restore(data)
-        for name, data in saved["buffers"].items():
-            self.info.buffers[name].restore(data)
-
-    @staticmethod
-    def _compare_states(
-        scalar: Dict[str, Any], kernel: Dict[str, Any]
-    ) -> List[str]:
-        problems: List[str] = []
-        for name, s_data in scalar["arrays"].items():
-            k_data = kernel["arrays"][name]
-            if isinstance(s_data, np.ndarray):  # dense
-                if not np.array_equal(s_data, k_data):
-                    problems.append(f"array {name!r} values differ")
-            elif s_data.keys() != k_data.keys():
-                problems.append(f"array {name!r} sparse key sets differ")
-            elif any(
-                not np.array_equal(s_data[key], k_data[key])
-                for key in s_data
-            ):
-                problems.append(f"array {name!r} sparse values differ")
-        for name, (s_pending, _s_age) in scalar["buffers"].items():
-            k_pending, _k_age = kernel["buffers"][name]
-            if s_pending.keys() != k_pending.keys():
-                problems.append(f"buffer {name!r} worker slots differ")
-                continue
-            for worker, s_slot in s_pending.items():
-                k_slot = k_pending[worker]
-                if s_slot.keys() != k_slot.keys():
-                    problems.append(
-                        f"buffer {name!r} pending keys differ (worker {worker})"
-                    )
-                elif any(
-                    not np.array_equal(s_slot[key], k_slot[key])
-                    for key in s_slot
-                ):
-                    problems.append(
-                        f"buffer {name!r} pending values differ (worker {worker})"
-                    )
-        return problems
+        return kernel_records
 
     @staticmethod
     def _compare_stats(scalar: TaskRecord, kernel: TaskRecord) -> List[str]:
-        problems: List[str] = []
-        for field_name in (
-            "entries",
-            "server_reads",
-            "server_read_bytes",
-            "flush_bytes",
-        ):
-            s_value = getattr(scalar, field_name)
-            k_value = getattr(kernel, field_name)
-            if s_value != k_value:
-                problems.append(
-                    f"{field_name}: scalar={s_value} kernel={k_value}"
-                )
+        problems = [
+            f"{name}: scalar={getattr(scalar, name)} "
+            f"kernel={getattr(kernel, name)}"
+            for name in (
+                "entries", "server_reads", "server_read_bytes", "flush_bytes"
+            )
+            if getattr(scalar, name) != getattr(kernel, name)
+        ]
         # Access records are order-insensitive for the serializability
         # checker, so compare them as multisets.
         if Counter(scalar.accesses) != Counter(kernel.accesses):
@@ -1313,6 +1215,69 @@ class OrionExecutor:
         return problems
 
     # ---------------- timing + traffic --------------------------------- #
+
+    def _charge(
+        self, records: List[TaskRecord]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Phases]:
+        """Virtual-clock cost of one epoch's executed blocks.
+
+        A pass over the task records after execution: per block, the
+        seconds charged (``work_s[space, time]``), the bytes it flushed
+        and prefetched, and — when tracing — the ``(prefetch, compute,
+        flush, overhead)`` phase breakdown behind its span.
+        """
+        shape = (self.num_workers, self.num_time)
+        work_s = np.zeros(shape)
+        flush_bytes = np.zeros(shape)
+        prefetch_bytes = np.zeros(shape)
+        phases: Phases = {}
+        tracing = self.tracer.enabled
+        cost_model, prefetch = self.cluster.cost, self.prefetch
+        # Serializing the outgoing rotated partition is CPU work on the
+        # worker — pipelining cannot hide it (paper Sec. 6.4).
+        marshalling = 0.0
+        if self.plan.strategy is Strategy.TWO_D:
+            marshalling = (
+                cost_model.marshalling_s_per_byte * self.rotated_block_bytes
+            )
+        for stats in records:
+            block_key = stats.task.block_key
+            compute = cost_model.compute_time(stats.entries)
+            if prefetch.prefetch_fn is not None:
+                cost = prefetch.block_read_cost(
+                    block_key, self.partitions.block(*block_key),
+                    link=self._link,
+                )
+            else:
+                cost = prefetch.random_access_cost_from_counts(
+                    stats.server_reads, stats.server_read_bytes
+                )
+            flush_transfer = 0.0
+            flush_messages = 0
+            if stats.flush_bytes:
+                flush_transfer, _sent, flush_messages = self._transfer(
+                    stats.flush_bytes, ("flush",) + block_key
+                )
+            # Per-message CPU (request setup, locking): one prefetch
+            # request plus one flush message per block, when present
+            # (dropped messages pay per-message CPU per resend).
+            message_cpu = cost_model.per_message_cpu_s * (
+                cost.num_requests + flush_messages
+            )
+            work_s[block_key] = (
+                compute + cost.seconds + flush_transfer + marshalling
+                + message_cpu
+            )
+            flush_bytes[block_key] = stats.flush_bytes
+            prefetch_bytes[block_key] = cost.nbytes
+            if tracing:
+                phases[block_key] = (
+                    cost.seconds,
+                    compute,
+                    flush_transfer,
+                    marshalling + message_cpu,
+                )
+        return work_s, flush_bytes, prefetch_bytes, phases
 
     def _timing(self, work_s: np.ndarray) -> sched.ScheduleTiming:
         plan = self.plan
@@ -1397,45 +1362,44 @@ class OrionExecutor:
             emit(0.0, duration, nbytes * attempts, "broadcast")
         rotated = self.rotated_block_bytes
         num_workers = self.num_workers
+        for task, block_key, start, finish in self._placed(timing, work_s):
+            if rotated and self.plan.strategy is Strategy.TWO_D:
+                # Same message keys as the timing model: per global
+                # step when ordered, per (sender, step) otherwise.
+                key = (
+                    ("rotation", task.step)
+                    if self.plan.ordered
+                    else ("rotation", task.worker, task.step)
+                )
+                duration, nbytes, _ = self._transfer(rotated, key)
+                # The finished rotated partition moves to the worker's
+                # predecessor in rotation order.
+                hop = f"{task.worker}->{(task.worker - 1) % num_workers}"
+                emit(finish, finish + duration, nbytes, "rotation",
+                     worker=task.worker, hop=hop)
+            fb = float(flush_bytes[block_key])
+            if fb:
+                duration, fb, _ = self._transfer(fb, ("flush",) + block_key)
+                emit(finish, finish + duration, fb, "flush",
+                     worker=task.worker)
+            pb = float(prefetch_bytes[block_key])
+            if pb:
+                duration, pb, _ = self._transfer(
+                    pb, ("prefetch",) + block_key
+                )
+                emit(start, start + duration, pb, "prefetch",
+                     worker=task.worker)
+        return events
+
+    def _placed(self, timing: sched.ScheduleTiming, work_s: np.ndarray):
+        """Every task ``timing`` placed, in schedule order, with its block
+        key and epoch-relative ``(start, finish)``."""
         for step_tasks in self.steps:
             for task in step_tasks:
                 finish = timing.finish.get((task.worker, task.step))
-                if finish is None:
-                    continue
-                time_idx = task.time_idx or 0
-                start = finish - float(work_s[task.space_idx, time_idx])
-                if rotated and self.plan.strategy is Strategy.TWO_D:
-                    # Same message keys as the timing model: per global
-                    # step when ordered, per (sender, step) otherwise.
-                    key = (
-                        ("rotation", task.step)
-                        if self.plan.ordered
-                        else ("rotation", task.worker, task.step)
-                    )
-                    duration, nbytes, _ = self._transfer(rotated, key)
-                    # The finished rotated partition moves to the worker's
-                    # predecessor in rotation order.
-                    hop = (
-                        f"{task.worker}->"
-                        f"{(task.worker - 1) % num_workers}"
-                    )
-                    emit(finish, finish + duration, nbytes, "rotation",
-                         worker=task.worker, hop=hop)
-                fb = float(flush_bytes[task.space_idx, time_idx])
-                if fb:
-                    duration, fb, _ = self._transfer(
-                        fb, ("flush", task.space_idx, time_idx)
-                    )
-                    emit(finish, finish + duration, fb, "flush",
-                         worker=task.worker)
-                pb = float(prefetch_bytes[task.space_idx, time_idx])
-                if pb:
-                    duration, pb, _ = self._transfer(
-                        pb, ("prefetch", task.space_idx, time_idx)
-                    )
-                    emit(start, start + duration, pb, "prefetch",
-                         worker=task.worker)
-        return events
+                if finish is not None:
+                    key = task.block_key
+                    yield task, key, finish - float(work_s[key]), finish
 
     # ---------------- post-epoch checks over the task records ---------- #
 

@@ -24,11 +24,15 @@ The contract a kernel must satisfy:
   have made through the :class:`KernelContext` ``account_*`` methods, so
   traffic counters and the serializability validator see the same numbers
   as the scalar path.
-* **Determinism**: per block, the same ``account_*`` call sequence every
-  epoch (the declarations are memoized across epochs).
+* **Determinism**: per dispatch unit, the same ``account_*`` call
+  sequence every epoch (the declarations are memoized across epochs).
 
 Kernels are only invoked when the plan legally permits block-batched
-execution (see ``OrionExecutor``); otherwise the scalar body runs.
+execution (see ``OrionExecutor``); otherwise the scalar body runs.  A
+kernel is called once per block, except that a synthesized kernel with no
+per-worker state (``SynthResult.fusable``) is handed all the blocks its
+process runs in one schedule step, concatenated in task order
+(``OrionExecutor.run_blocks``).
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.distarray import DistArray
+from repro.errors import ExecutionError
 from repro.runtime.pserver import index_nbytes
 
 __all__ = [
@@ -137,7 +142,10 @@ def scalar_pow(base: Any, exponent: Any) -> Any:
 
 
 class KernelContext:
-    """Handed to an app kernel for one block execution.
+    """Handed to a kernel for one dispatch unit: the blocks one kernel
+    call executes — one block, or a whole schedule step's blocks
+    concatenated in task order when the kernel carries no per-worker
+    state (see ``OrionExecutor.run_blocks``).
 
     Provides bulk data movement (:meth:`bulk_read`, :meth:`bulk_write`,
     :meth:`buffer_add`) and accounting-only declarations (``account_*``)
@@ -145,19 +153,32 @@ class KernelContext:
     Accounting declarations reproduce exactly what the scalar body's
     per-element broker traffic would have recorded — server read counts
     and bytes, and (in validation mode) the normalized access records the
-    serializability checker consumes.
+    serializability checker consumes — into the unit's per-block
+    ``records``, split at the block boundaries ``bounds``.
 
     Attributes:
-        worker: the simulated worker executing the block.
-        cache: a per-block dict that persists across epochs — kernels use
+        worker: the simulated worker executing the unit's first block.
+        cache: a per-unit dict that persists across epochs — kernels use
             it to memoize index arrays, the level schedule, and anything
-            else derivable from the (immutable) block entry list.
+            else derivable from the (immutable) entry list.
+        records: one task record per block of the unit, in task order.
+        bounds: cumulative entry offsets of the blocks in the entry list
+            the kernel receives (``len(records) + 1`` values).
     """
 
-    def __init__(self, broker: Any, worker: int, cache: Dict[Any, Any]) -> None:
+    def __init__(
+        self,
+        broker: Any,
+        worker: int,
+        cache: Dict[Any, Any],
+        records: Sequence[Any],
+        bounds: Sequence[int],
+    ) -> None:
         self.broker = broker
         self.worker = worker
         self.cache = cache
+        self.records = records
+        self.bounds = bounds
         self._seq = 0
 
     # ---------------- bulk data movement ------------------------------- #
@@ -181,9 +202,11 @@ class KernelContext:
 
     # ---------------- accounting-only declarations --------------------- #
     #
-    # Each call declares the accesses the scalar body would have made; the
-    # derived quantities (byte totals, normalized records) are memoized in
-    # the block cache under the call's sequence number, so epochs after the
+    # Each call declares the accesses the scalar body would have made.  A
+    # declaration nobody consumes (a write, or a read of an array that is
+    # not server-placed, outside validation mode) costs nothing; the rest
+    # memoize their per-block counts, bytes and normalized records in the
+    # unit cache under the call's sequence number, so epochs after the
     # first pay one dict lookup per declaration.
 
     def account_point_reads(self, array: DistArray, keys: Sequence[Any]) -> None:
@@ -217,11 +240,11 @@ class KernelContext:
     def account_reads(self, array: DistArray, indices: Sequence[Any]) -> None:
         """Declare N reads with raw subscripts (ints, tuples, slices) —
         the generic form synthesized kernels emit for arbitrary sites."""
-        self._account(array, False, lambda: list(indices))
+        self._account(array, False, lambda: list(indices), uniform=False)
 
     def account_writes(self, array: DistArray, indices: Sequence[Any]) -> None:
         """Declare N writes with raw subscripts."""
-        self._account(array, True, lambda: list(indices))
+        self._account(array, True, lambda: list(indices), uniform=False)
 
     # ---------------- internals ---------------------------------------- #
 
@@ -230,28 +253,54 @@ class KernelContext:
         array: DistArray,
         write: bool,
         build_indices: Callable[[], List[Any]],
+        uniform: bool = True,
     ) -> None:
+        """Charge one site's accesses to the unit's records.  ``uniform``
+        sites subscript every access alike, so one index prices them all;
+        a multi-block unit must declare one access per entry (the only
+        kernels dispatched that way, the vector tier's, do)."""
         broker = self.broker
         tag = ("acct", self._seq, array.name, write)
         self._seq += 1
+        counted = not write and id(array) in broker.server_ids
+        if not (counted or broker.validate):
+            return
         cached = self.cache.get(tag)
         if cached is None:
             indices = build_indices()
-            count = len(indices)
-            nbytes = 0
-            if not write:
-                nbytes = sum(index_nbytes(array, index) for index in indices)
-            records: Optional[List[Tuple[str, Tuple[Any, ...], bool]]] = None
+            bounds = self.bounds
+            if len(bounds) > 2 and len(indices) != bounds[-1]:
+                raise ExecutionError(
+                    f"kernel declared {len(indices)} accesses of "
+                    f"{array.name!r} for a {bounds[-1]}-entry fused unit; "
+                    "per-block accounting needs one per entry"
+                )
+            parts = [indices] if len(bounds) == 2 else [
+                indices[lo:hi] for lo, hi in zip(bounds, bounds[1:])
+            ]
+            nbytes: List[int] = [0] * len(parts)
+            if counted and uniform and indices:
+                each = index_nbytes(array, indices[0])
+                nbytes = [each * len(part) for part in parts]
+            elif counted:
+                nbytes = [
+                    sum(index_nbytes(array, index) for index in part)
+                    for part in parts
+                ]
+            accesses: Optional[List[List[Tuple[str, Tuple[Any, ...], bool]]]]
+            accesses = None
             if broker.validate:
                 name = array.name
-                records = [
-                    (name, normalize_index(index), write) for index in indices
+                accesses = [
+                    [(name, normalize_index(index), write) for index in part]
+                    for part in parts
                 ]
-            self.cache[tag] = cached = (count, nbytes, records)
-        count, nbytes, records = cached
-        stats = broker.stats
-        if not write and id(array) in broker.server_ids:
-            stats.server_reads += count
-            stats.server_read_bytes += nbytes
-        if records is not None:
-            stats.accesses.extend(records)
+            cached = ([len(part) for part in parts], nbytes, accesses)
+            self.cache[tag] = cached
+        counts, nbytes, accesses = cached
+        for position, record in enumerate(self.records):
+            if counted:
+                record.server_reads += counts[position]
+                record.server_read_bytes += nbytes[position]
+            if accesses is not None:
+                record.accesses.extend(accesses[position])

@@ -68,6 +68,11 @@ class Task:
     space_idx: int
     time_idx: Optional[int]
 
+    @property
+    def block_key(self) -> Tuple[int, int]:
+        """``(space, time)`` index of the block this task executes."""
+        return (self.space_idx, self.time_idx or 0)
+
 
 @dataclass
 class ScheduleTiming:

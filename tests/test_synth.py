@@ -347,7 +347,8 @@ def _mf_instances(draw):
 @settings(max_examples=12, deadline=None)
 def test_property_synthesis_never_changes_results(instance):
     """For random MF-like programs, an engaged synthesized kernel is
-    bit-identical to the scalar interpreter — state and traffic stats."""
+    bit-identical to the scalar interpreter — state and traffic stats —
+    with each schedule step of the 2x2 cluster fused into one call."""
     rows, cols, num, seed, step = instance
     rng = np.random.default_rng(seed)
     keys = {
@@ -386,8 +387,17 @@ def test_property_synthesis_never_changes_results(instance):
     source = auto_loop.synthesis().source
     assert source.count("step * _s_diff") == 1
     assert source.count("step * _v_diff") == 1
+    assert auto_loop.synthesis().fusable
+    calls = []
+    kernel = auto_loop.executor.kernel
+    auto_loop.executor.kernel = lambda block, kctx: (
+        calls.append(len(kctx.records)), kernel(block, kctx)
+    )
     scalar_results = scalar_loop.run()
     auto_results = auto_loop.run()
+    steps = auto_loop.executor.steps
+    assert calls == [len(step) for step in steps]
+    assert max(calls) >= 3  # every step really is several blocks
     assert np.array_equal(sw.values, aw.values)
     assert np.array_equal(sh.values, ah.values)
     assert [r.bytes_sent for r in scalar_results] == [
