@@ -2,7 +2,7 @@ PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
 .PHONY: check compile test trace-smoke fault-smoke distributed-smoke \
-	lint-smoke sanitize-smoke synth-smoke perf-smoke tune-smoke \
+	lint-smoke sanitize-smoke synth-smoke perf-smoke \
 	layered-smoke bench-smoke bench-distributed clean
 
 ## Default verification: imports compile, tier-1 tests pass, the tracing
@@ -11,13 +11,12 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 ## multiprocess backend stays bitwise-faithful to the simulated oracle,
 ## every bundled app lints clean, sanitize mode passes a mini-run of
 ## each parallelization strategy on both backends, kernel synthesis
-## emits equivalence-checked kernels for the batchable apps, and
+## emits equivalence-checked kernels for the batchable apps,
 ## `repro perf` regression detection passes clean seeded runs while
-## flagging an artificial slowdown, the adaptive tuner recovers a
-## deliberately mistuned pipeline depth, and the layered benchmark's
+## flagging an artificial slowdown, and the layered benchmark's
 ## harness still produces every metric it declares.
 check: compile test trace-smoke fault-smoke distributed-smoke lint-smoke \
-	sanitize-smoke synth-smoke perf-smoke tune-smoke layered-smoke
+	sanitize-smoke synth-smoke perf-smoke layered-smoke
 
 compile:
 	$(PYTHON) -m compileall -q src
@@ -127,20 +126,6 @@ perf-smoke:
 	fi
 	rm -rf .repro_runs_smoke
 
-## Adaptive-tuner recovery end to end (see docs/tuning.md): SGD MF
-## deliberately mistuned to pipeline_depth=1 must converge to within 5%
-## of the best fixed depth by epoch 3 (exit 0 from `repro tune`), and a
-## follow-up `--mode cached` run against the same store must start at
-## the persisted winner from epoch 1.
-tune-smoke:
-	rm -rf .repro_tune_smoke
-	$(PYTHON) -m repro.cli tune mf --depth 1 --epochs 4 \
-		--store .repro_tune_smoke
-	$(PYTHON) -m repro.cli tune mf --depth 1 --epochs 3 \
-		--mode cached --store .repro_tune_smoke
-	rm -rf .repro_tune_smoke
-	@echo "tune-smoke ok"
-
 ## The layered benchmark's self-test (~25 s): a --smoke pass of all four
 ## workloads plus schema, unit, span-tree and driver-line validation.
 ## Run through benchmarks/layered_smoke.py since PR 14: the self-test
@@ -166,5 +151,4 @@ bench-distributed:
 
 clean:
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +
-	rm -rf .pytest_cache trace.json .repro_runs .repro_runs_smoke \
-		.repro_tune_smoke
+	rm -rf .pytest_cache trace.json .repro_runs .repro_runs_smoke

@@ -28,7 +28,6 @@ def explain_plan(
     info: LoopInfo,
     plan: Plan,
     synth: Optional["SynthResult"] = None,
-    tuning: Optional[List[str]] = None,
     level_schedule: Optional[Dict[str, float]] = None,
 ) -> str:
     """Render the static parallelization of one loop as a report.
@@ -36,9 +35,7 @@ def explain_plan(
     ``synth`` (when kernel synthesis ran) appends a section with the
     generated kernel source or the fallback explanation, led by the
     ``level_schedule`` statistics once an epoch has produced them (see
-    :func:`repro.analysis.synth.level_schedule_stats`); ``tuning`` (the
-    adaptive tuner's ``describe()`` lines, for tuned loops) appends the
-    Tuning section.
+    :func:`repro.analysis.synth.level_schedule_stats`).
     """
     out: List[str] = []
 
@@ -126,9 +123,6 @@ def explain_plan(
                 ),
             )
         out += _section("Kernel synthesis", lines)
-
-    if tuning is not None:
-        out += _section("Tuning", list(tuning))
 
     if info.diagnostics:
         lines = [diag.describe() for diag in info.diagnostics]

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional,
 
 if TYPE_CHECKING:  # annotation-only: synth itself lazily imports the API
     from repro.analysis.synth import SynthResult
-    from repro.tuning import AdaptiveTuner
 
 from repro.analysis.lint import Diagnostic
 from repro.analysis.loop_info import LoopInfo, analyze_loop_body
@@ -49,7 +48,6 @@ from repro.core.buffers import DistArrayBuffer, default_apply
 from repro.core.distarray import DistArray, parse_dense_line
 from repro.faults.recovery import RecoveryManager
 from repro.obs.observability import Observability
-from repro.obs.tracer import Tracer
 from repro.runtime.backend import Backend, create_backend
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.executor import EpochResult, OrionExecutor
@@ -105,24 +103,6 @@ class ParallelLoop:
                     "kernel on backend='simulated' — workers run the same "
                     "block runner)"
                 )
-        #: The adaptive tuner (``tune="auto"|"cached"``); ``None`` keeps
-        #: the default path free of even the import.
-        self._tuner: Optional["AdaptiveTuner"] = None
-        if opts.tune != "off":
-            if opts.faults is not None or opts.checkpoint is not None:
-                from repro.errors import ExecutionError
-
-                raise ExecutionError(
-                    "adaptive tuning and fault injection both re-shape "
-                    "the epoch timeline; run them separately "
-                    "(tune='off' with faults, or drop the fault plan)"
-                )
-            from repro.tuning import AdaptiveTuner
-
-            self._tuner = AdaptiveTuner(self)
-            # Seeding happens before the backend exists (and before any
-            # partition has been used), so a cache hit costs nothing.
-            self._tuner.seed()
         #: The execution engine driving :meth:`run` — see
         #: :mod:`repro.runtime.backend`.
         self.backend: Backend = create_backend(self)
@@ -176,19 +156,10 @@ class ParallelLoop:
                 if self.ctx is not None:
                     self.ctx._absorb(result)
                 results.append(result)
-                if self._tuner is not None:
-                    cost = self._tuner.after_epoch(self._epoch, result)
-                    if cost > 0.0 and result.clock != "real":
-                        # Re-partitioning isn't free: the tuner's re-bin
-                        # + reshuffle lands on the virtual clock, right
-                        # after the epoch that motivated it.
-                        self.ctx.now += cost
         else:
             for _ in range(epochs):
                 self._epoch += 1
                 self._run_protected(self._epoch, results)
-        if self._tuner is not None:
-            self._tuner.finish()
         if self.options.run_store is not None:
             self._persist_run(results)
         return results
@@ -206,32 +177,10 @@ class ParallelLoop:
             record_run(self, results, label=self.options.run_label)
         )
 
-    def _apply_retune(self, **knobs: Any) -> float:
-        """Apply a legal knob change and invalidate backend state.
-
-        The executor validates legality (see
-        :meth:`~repro.runtime.executor.OrionExecutor.retunable`) and
-        returns the virtual seconds the change costs; the backend hook
-        lets engines holding state derived from the old tiling (the
-        multiprocess runner's forked partitions) rebuild it lazily.
-        """
-        cost = self.executor.retune(**knobs)
-        self.backend.on_retune()
-        return cost
-
-    def tuning(self) -> Optional["AdaptiveTuner"]:
-        """The loop's adaptive tuner, or ``None`` when ``tune="off"``.
-
-        Exposes the decision trail (``tuning().decisions``), the live
-        configuration (``tuning().current_config()``) and the JSON
-        summary recorded in run-store records (``tuning().summary()``).
-        """
-        return self._tuner
-
     def run_summary(self) -> Dict[str, Any]:
         """Plan/schedule introspection, including the requested vs.
-        resolved values of every tunable knob (``pipeline_depth="auto"``
-        reports both sides), and — once an epoch has run — how wide the
+        resolved values of ``pipeline_depth`` (clamped per plan) and the
+        prefetch knobs, and — once an epoch has run — how wide the
         vector kernel's level-scheduled groups are (``level_schedule``:
         entries, groups, mean group size, single-entry share)."""
         summary = self.executor.run_summary()
@@ -282,9 +231,7 @@ class ParallelLoop:
         When kernel synthesis ran (``kernel="auto"``), the report also
         shows the outcome — the generated kernel source (after the first
         epoch also how wide its level-scheduled groups came out), or why
-        synthesis fell back to the scalar interpreter.  When the loop is tuned
-        (``tune="auto"|"cached"``), a Tuning section shows the cache
-        seed, the live configuration and the decision trail.
+        synthesis fell back to the scalar interpreter.
         """
         from repro.analysis.explain import explain_plan
 
@@ -293,7 +240,6 @@ class ParallelLoop:
             self.plan,
             synth=self.executor.synth,
             level_schedule=self.run_summary()["level_schedule"],
-            tuning=self._tuner.describe() if self._tuner else None,
         )
 
     def synthesis(self) -> Optional["SynthResult"]:
@@ -471,15 +417,14 @@ class OrionContext:
 
             loop = ctx.parallel_for(
                 ratings,
-                options=LoopOptions(pipeline_depth="auto", validate=True),
+                options=LoopOptions(pipeline_depth=4, validate=True),
             )(body)
 
         Every field is documented on ``LoopOptions`` itself; the knobs
         that exist only there include fault injection (``faults`` /
-        ``checkpoint``), run recording (``run_store`` / ``run_label``)
-        and adaptive tuning (``tune="auto"|"cached"``, see
-        ``docs/tuning.md``).  Use ``options.merged_with(...)`` for
-        call-site overrides.
+        ``checkpoint``) and run recording (``run_store`` /
+        ``run_label``).  Use ``options.merged_with(...)`` for call-site
+        overrides.
 
         Args:
             iteration_space: materialized DistArray to iterate over.
@@ -493,17 +438,6 @@ class OrionContext:
             opts = opts.merged_with(obs=obs)
         resolved = opts.resolve_obs(default=self.obs)
         final = replace(opts, obs=resolved)
-        if final.tune == "auto" and not final.obs.tracer.enabled:
-            # The tuner's model scan reads the epoch attribution, so an
-            # adapting loop needs a live tracer; attach a private one
-            # rather than fail (virtual-clock tracing never changes
-            # numerics or timing — it only records them).
-            final = replace(
-                final,
-                obs=Observability(
-                    tracer=Tracer(), metrics=final.obs.metrics
-                ),
-            )
 
         def decorate(body: Callable[..., Any]) -> ParallelLoop:
             info = analyze_loop_body(

@@ -46,20 +46,6 @@ Fault injection (see ``docs/fault_tolerance.md``)::
 drops, stragglers) to engines that support it (orion, orion-ordered,
 bosen, strads); ``--ckpt-every N`` checkpoints the model every N passes so
 crashes replay from the latest checkpoint instead of from scratch.
-
-Adaptive tuning (see ``docs/tuning.md``)::
-
-    python -m repro.cli mf --engine orion --tune auto --run-store .repro_runs
-    python -m repro.cli tune mf --depth 1 --epochs 4
-
-``--tune auto`` lets the orion engines re-choose pipeline depth and
-prefetch policy between epochs from the epoch trace (numerics stay
-bit-identical; only legal re-tilings are applied) and persists the
-winner in the run store's tuning cache; ``--tune cached`` seeds from the
-cache without adapting.  ``repro tune <app>`` sweeps fixed pipeline
-depths, then shows the tuner recovering from a deliberately mistuned
-depth, with its full decision trail — exit 0 iff it converges to within
-5% of the best fixed configuration by epoch 3.
 """
 
 from __future__ import annotations
@@ -227,14 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
              "backend only) — for exercising `repro perf check` "
              "regression detection",
     )
-    parser.add_argument(
-        "--tune", choices=["off", "auto", "cached"], default="off",
-        help="adaptive tuning for the orion engines: 'auto' re-chooses "
-             "pipeline depth and prefetch policy between epochs from the "
-             "trace and persists the winner in the run store's tuning "
-             "cache; 'cached' only seeds from the cache (see "
-             "docs/tuning.md)",
-    )
     return parser
 
 
@@ -264,7 +242,6 @@ def _fault_plan(args, cluster: ClusterSpec) -> Optional[FaultPlan]:
 
 def _fault_options(
     engine: str, args, cluster: ClusterSpec, backend: Optional[str] = None,
-    tune: str = "off",
 ) -> Optional[LoopOptions]:
     """LoopOptions carrying this engine's fault plan / checkpoint config.
 
@@ -274,14 +251,12 @@ def _fault_options(
 
     ``backend`` (orion engines only) selects the execution backend; the
     baseline engines model their systems on the virtual clock and ignore
-    ``--backend``.  ``tune`` (orion engines only) enables the adaptive
-    tuner — mutually exclusive with fault injection, which ``main``
-    rejects up front.
+    ``--backend``.
     """
     if not (
         args.faults or args.ckpt_every or backend is not None
         or args.sanitize or getattr(args, "slow_factor", None)
-        or getattr(args, "run_store", None) or tune != "off"
+        or getattr(args, "run_store", None)
     ):
         return None
     checkpoint = None
@@ -297,7 +272,6 @@ def _fault_options(
         sanitize=args.sanitize,
         run_store=getattr(args, "run_store", None),
         run_label=f"{args.app}:{engine}",
-        tune=tune,
     )
 
 
@@ -384,17 +358,12 @@ def _run_engine(
             app, args.epochs, seed=args.seed, cost=cluster.cost, obs=obs
         )
     backend = args.backend if args.backend != "simulated" else None
-    tune = getattr(args, "tune", "off")
     if engine == "orion":
-        fault_opts = _fault_options(
-            engine, args, cluster, backend=backend, tune=tune
-        )
+        fault_opts = _fault_options(engine, args, cluster, backend=backend)
         extra = {"options": fault_opts} if fault_opts is not None else {}
         return builder(cluster, **obs_opts, **extra).run(args.epochs)
     if engine == "orion-ordered":
-        fault_opts = _fault_options(
-            engine, args, cluster, backend=backend, tune=tune
-        )
+        fault_opts = _fault_options(engine, args, cluster, backend=backend)
         extra = {"options": fault_opts} if fault_opts is not None else {}
         try:
             return builder(
@@ -651,6 +620,12 @@ def _perf_main(argv: List[str], out) -> int:
 
     store = RunStore(args.store)
     records = store.load()
+    if store.unreadable:
+        lines = ", ".join(str(number) for number in store.unreadable)
+        out.write(
+            f"note: skipped {len(store.unreadable)} unreadable line(s) in "
+            f"{store.path} (lines {lines})\n"
+        )
 
     if args.action == "show":
         if not records:
@@ -727,142 +702,6 @@ def _perf_main(argv: List[str], out) -> int:
     return 1 if any(verdict.regressed for verdict in verdicts) else 0
 
 
-def _tune_main(argv: List[str], out) -> int:
-    """``repro tune``: demonstrate the adaptive tuner against fixed configs.
-
-    Runs the requested app once per fixed pipeline depth in ``--sweep``,
-    then once more starting from the (deliberately mistunable) ``--depth``
-    with ``tune=auto`` — printing the tuner's per-epoch decision trail and
-    where its epoch times land relative to the best fixed configuration.
-    Exit code 0 when the tuned run converges to within ``--within`` of the
-    best fixed depth's steady epoch time by epoch ``--by-epoch``, else 1 —
-    which makes this subcommand double as the ``make tune-smoke`` driver.
-
-    The winning configuration is persisted in ``--store``'s tuning cache
-    (``tuning.json``); a follow-up ``--mode cached`` run against the same
-    store starts at the cached configuration from epoch 1.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro tune",
-        description="Sweep fixed pipeline depths, then let the adaptive "
-                    "tuner recover from a mistuned start (see "
-                    "docs/tuning.md).",
-        # One worker per machine: inter-machine rotation dominates, which
-        # is the regime pipeline depth tunes.
-        parents=[_shared_flags(workers_per_machine=1)],
-    )
-    parser.add_argument(
-        "app", choices=["mf", "mf-adarev", "lda", "lda-1d", "slr"],
-        help="application to tune",
-    )
-    parser.add_argument("--epochs", type=int, default=4)
-    parser.add_argument(
-        "--depth", type=int, default=1,
-        help="starting pipeline depth for the tuned run (default 1: "
-             "deliberately mistuned, no pipelining)",
-    )
-    parser.add_argument(
-        "--sweep", default="1,2,4,8", metavar="D,D,...",
-        help="fixed pipeline depths to sweep as the reference "
-             "(default 1,2,4,8; out-of-range depths clamp)",
-    )
-    parser.add_argument(
-        "--mode", choices=["auto", "cached"], default="auto",
-        help="'auto' adapts mid-run and persists the winner; 'cached' "
-             "only seeds from a previous run's cache entry",
-    )
-    parser.add_argument(
-        "--store", metavar="PATH", default=None,
-        help="run-store directory holding the tuning cache "
-             "(default: a fresh temp directory)",
-    )
-    parser.add_argument(
-        "--within", type=float, default=0.05,
-        help="relative tolerance against the best fixed config "
-             "(default 0.05 = 5%%)",
-    )
-    parser.add_argument(
-        "--by-epoch", type=int, default=3,
-        help="epoch by which the tuned run must have converged "
-             "(default 3)",
-    )
-    args = parser.parse_args(argv)
-
-    dataset, cost, builder, _app = _dataset_and_builders(args)
-    cluster_kwargs = {"cost": cost} if cost is not None else {}
-    cluster = ClusterSpec(
-        num_machines=args.machines,
-        workers_per_machine=args.workers_per_machine,
-        **cluster_kwargs,
-    )
-    store = args.store or tempfile.mkdtemp(prefix="orion-tune-")
-
-    sweep = sorted({int(d) for d in args.sweep.split(",") if d.strip()})
-    out.write(f"== tune: {args.app} ==\n")
-    out.write("fixed-depth sweep (steady epoch time):\n")
-    fixed: Dict[int, float] = {}
-    for depth in sweep:
-        program = builder(
-            cluster, options=LoopOptions(pipeline_depth=depth)
-        )
-        history = program.run(args.epochs)
-        resolved = program.train_loop.run_summary()["resolved"]
-        steady = history.records[-1].epoch_time_s
-        fixed[depth] = steady
-        out.write(
-            f"  depth {depth:3d} (resolved "
-            f"{resolved['pipeline_depth']:3d}): "
-            f"{steady * 1e3:10.3f} ms/epoch\n"
-        )
-    best_depth = min(fixed, key=fixed.get)
-    best = fixed[best_depth]
-    out.write(
-        f"best fixed: depth {best_depth} at {best * 1e3:.3f} ms/epoch\n\n"
-    )
-
-    out.write(
-        f"tuned run (tune={args.mode!r}, starting depth {args.depth}):\n"
-    )
-    program = builder(
-        cluster,
-        options=LoopOptions(
-            pipeline_depth=args.depth, tune=args.mode, run_store=store,
-            run_label=f"{args.app}:tune",
-        ),
-    )
-    history = program.run(args.epochs)
-    tuner = program.train_loop.tuning()
-    for record in history.records:
-        out.write(
-            f"  epoch {record.epoch}: {record.epoch_time_s * 1e3:10.3f} ms "
-            f"({record.epoch_time_s / best:.3f}x best fixed)\n"
-        )
-    if tuner.seeded:
-        out.write(f"seeded from cache: {tuner.seeded}\n")
-    out.write("decisions:\n")
-    for decision in tuner.decisions:
-        status = "applied" if decision.applied else "declined"
-        out.write(
-            f"  epoch {decision.epoch}: {decision.knob} "
-            f"{decision.old!r} -> {decision.new!r} [{status}] "
-            f"{decision.reason}\n"
-        )
-    if not tuner.decisions:
-        out.write("  (none)\n")
-    out.write(f"tuning cache: {os.path.join(store, 'tuning.json')}\n")
-
-    check_epoch = min(args.by_epoch, len(history.records))
-    converged_time = history.records[check_epoch - 1].epoch_time_s
-    target = best * (1.0 + args.within)
-    converged = converged_time <= target
-    out.write(
-        f"epoch {check_epoch}: {converged_time * 1e3:.3f} ms vs target "
-        f"{target * 1e3:.3f} ms ({(1 + args.within) * 100:.0f}% of best "
-        f"fixed) -> {'converged' if converged else 'NOT converged'}\n"
-    )
-    return 0 if converged else 1
-
-
 def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out or sys.stdout
@@ -874,20 +713,11 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         return _synth_main(list(argv[1:]), out)
     if argv[:1] == ["perf"]:
         return _perf_main(list(argv[1:]), out)
-    if argv[:1] == ["tune"]:
-        return _tune_main(list(argv[1:]), out)
     args = build_parser().parse_args(argv)
     if args.slow_factor is not None and args.backend != "simulated":
         out.write(
             "--slow-factor injects virtual-clock stragglers and requires "
             "--backend simulated\n"
-        )
-        return 2
-    if args.tune != "off" and (args.faults or args.ckpt_every):
-        out.write(
-            "--tune is mutually exclusive with --faults/--ckpt-every: "
-            "fault injection re-shapes the epoch timeline the tuner "
-            "reads\n"
         )
         return 2
     dataset, cost, builder, app = _dataset_and_builders(args)
@@ -965,7 +795,6 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             sim_args.backend = "simulated"
             sim_args.run_store = None
             sim_args.slow_factor = None
-            sim_args.tune = "off"
             for engine in ("orion", "orion-ordered"):
                 if engine in results:
                     _run_engine(

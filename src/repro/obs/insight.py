@@ -206,17 +206,6 @@ class EpochAttribution:
                 )
         return problems
 
-    def busy_by_worker(self) -> Dict[str, float]:
-        """Busy seconds per worker track, correctly rounded.
-
-        The adaptive tuner's load signal (:mod:`repro.tuning`): feeding
-        these measured per-worker totals back through the schedule's
-        timing model predicts the epoch makespan at other tilings."""
-        return {
-            track: worker.busy_seconds()
-            for track, worker in self.workers.items()
-        }
-
     def what_if(self) -> Dict[str, float]:
         """Bottleneck what-if estimates (lower-bound epoch times).
 

@@ -71,11 +71,6 @@ class RunRecord:
     diagnostics: List[str] = field(default_factory=list)
     #: Multiprocess-runner topology, when that backend ran.
     runner: Dict[str, Any] = field(default_factory=dict)
-    #: Adaptive-tuner outcome when the run tuned itself (mode, seeded
-    #: config, decision records, final resolved config) — empty for
-    #: untuned runs, so records written before the tuner existed load
-    #: unchanged (``from_json`` filters to known fields either way).
-    tuning: Dict[str, Any] = field(default_factory=dict)
     #: Whether any pass in this run was aborted by an injected fault.
     faulted: bool = False
     #: Logical epoch number of the first pass in this run (1 for a fresh
@@ -111,18 +106,13 @@ class RunRecord:
         return cls(**{k: v for k, v in payload.items() if k in known})
 
 
-def loop_signature(loop: Any, exclude: Sequence[str] = ()) -> str:
+def loop_signature(loop: Any) -> str:
     """Stable hash of what shapes a loop's performance.
 
     Covers the body AST, iteration-space shape/size, chosen strategy,
     ordering, backend, kernel tier, cluster size and scheduling options.
     Excludes the fault plan on purpose — an artificially slowed run must
     keep its baselines' signature so ``repro perf check`` can flag it.
-
-    ``exclude`` drops named payload keys before hashing; the tuning cache
-    uses it to key on the signature *minus* the tunable knobs
-    (``pipeline_depth``/``prefetch``/``cache_prefetch``), so a run at any
-    depth can seed later runs of the same loop.
     """
     executor = loop.executor
     info, plan = loop.info, loop.plan
@@ -148,8 +138,6 @@ def loop_signature(loop: Any, exclude: Sequence[str] = ()) -> str:
         "balance": bool(executor.balance),
         "sanitize": bool(opts.sanitize),
     }
-    for key in exclude:
-        payload.pop(key, None)
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -183,10 +171,6 @@ def record_run(
     metrics_snapshot: Dict[str, Any] = {}
     if executor.metrics.enabled:
         metrics_snapshot = executor.metrics.snapshot()
-    tuner = getattr(loop, "_tuner", None)
-    tuning_meta: Dict[str, Any] = {}
-    if tuner is not None:
-        tuning_meta = tuner.summary()
     return RunRecord(
         label=label or opts.trace_process,
         signature=loop_signature(loop),
@@ -204,7 +188,6 @@ def record_run(
             "prefetch": executor.prefetch_mode,
             "cache_prefetch": bool(executor.cache_prefetch),
             "sanitize": bool(opts.sanitize),
-            "tune": getattr(opts, "tune", "off"),
         },
         epochs=epochs,
         metrics=metrics_snapshot,
@@ -212,7 +195,6 @@ def record_run(
             f"{d.code}: {d.message}" for d in loop.info.diagnostics
         ],
         runner=runner_meta,
-        tuning=tuning_meta,
         faulted=any(r.fault is not None for r in results),
         first_epoch=max(1, getattr(loop, "_epoch", len(results))
                         - len(results) + 1),
@@ -225,6 +207,8 @@ class RunStore:
 
     def __init__(self, root: Union[str, Path] = DEFAULT_ROOT) -> None:
         self.root = Path(root)
+        #: 1-based numbers of the lines the last :meth:`load` skipped.
+        self.unreadable: List[int] = []
 
     @property
     def path(self) -> Path:
@@ -245,19 +229,34 @@ class RunStore:
 
     def append(self, record: RunRecord) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(record.to_json()) + "\n")
+        with self.path.open("a+b") as handle:
+            # A run killed mid-append leaves a last line without its
+            # newline; start a fresh one so this record is not glued to it.
+            if handle.tell():
+                handle.seek(-1, 2)
+                if handle.read(1) != b"\n":
+                    handle.write(b"\n")
+            handle.write((json.dumps(record.to_json()) + "\n").encode())
 
     def load(self) -> List[RunRecord]:
-        """Every recorded run, in append order (oldest first)."""
+        """Every recorded run, in append order (oldest first).
+
+        ``append`` is a plain write, so a run killed mid-append leaves a
+        torn line behind; lines that do not decode to a complete record
+        are skipped and their numbers kept in :attr:`unreadable`."""
+        self.unreadable = []
         if not self.path.exists():
             return []
         records: List[RunRecord] = []
         with self.path.open() as handle:
-            for line in handle:
+            for number, line in enumerate(handle, 1):
                 line = line.strip()
-                if line:
+                if not line:
+                    continue
+                try:
                     records.append(RunRecord.from_json(json.loads(line)))
+                except (ValueError, TypeError, AttributeError):
+                    self.unreadable.append(number)
         return records
 
     def __len__(self) -> int:
@@ -387,37 +386,7 @@ def compare_records(
             f"clock domains differ ({baseline.clock} vs {candidate.clock})"
             " — times are not directly comparable"
         )
-    if _tuning_group_key(baseline) != _tuning_group_key(candidate):
-        verdict.notes.append(
-            "tuning configurations differ — one run adapted its knobs "
-            "mid-run (see the records' 'tuning' field)"
-        )
     return verdict
-
-
-def _tuning_group_key(record: RunRecord) -> str:
-    """Stable grouping component for a record's tuning outcome.
-
-    Empty for untuned runs (including every pre-tuner record), so their
-    grouping is unchanged; for tuned runs, a canonical JSON of the mode,
-    seeded config and knob trajectory.  Without this, a run that adapted
-    ``pipeline_depth`` mid-run would alias with its untuned baseline —
-    the final knobs hash identically even though the epochs were executed
-    under a changing configuration.
-    """
-    tuning = record.tuning or {}
-    if not tuning:
-        return ""
-    key = {
-        "mode": tuning.get("mode"),
-        "seeded": tuning.get("seeded"),
-        "final": tuning.get("final"),
-        "trajectory": [
-            [d.get("epoch"), d.get("knob"), d.get("old"), d.get("new")]
-            for d in tuning.get("decisions", ())
-        ],
-    }
-    return json.dumps(key, sort_keys=True)
 
 
 def check_store(
@@ -425,27 +394,17 @@ def check_store(
     threshold: float = 0.2,
     noise_factor: float = 2.0,
 ) -> List[Verdict]:
-    """Latest-vs-baselines verdict per (signature, clock, epoch, tuning)
-    group.
+    """Latest-vs-baselines verdict per (signature, clock, epoch) group.
 
     Grouping on ``first_epoch`` keeps cold-cache first epochs from being
     compared against warm later epochs (deterministic virtual-clock runs
-    then match their baselines *bit for bit*); grouping on the tuning key
-    keeps a run that re-chose knobs mid-run from aliasing with its
-    untuned baseline (untuned records — including every pre-tuner record
-    — carry the empty key, so their groups are unchanged).  Groups with a
-    single record have no baseline and are skipped.
+    then match their baselines *bit for bit*).  Groups with a single
+    record have no baseline and are skipped.
     """
     groups: Dict[Any, List[RunRecord]] = {}
     for record in records:
         groups.setdefault(
-            (
-                record.signature,
-                record.clock,
-                record.first_epoch,
-                _tuning_group_key(record),
-            ),
-            [],
+            (record.signature, record.clock, record.first_epoch), []
         ).append(record)
     verdicts: List[Verdict] = []
     for key in groups:

@@ -60,12 +60,6 @@ class Backend:
     def close(self) -> None:
         """Release any resources (processes, pools, shared memory)."""
 
-    def on_retune(self) -> None:
-        """The executor's partitions/schedule changed between epochs
-        (adaptive tuning).  Backends holding state derived from them must
-        invalidate it here; the virtual-clock backends read the executor
-        directly every epoch, so the default is a no-op."""
-
     def level_schedule(self) -> Optional[Dict[str, float]]:
         """Width of the vector kernel's level-scheduled groups (see
         :func:`repro.analysis.synth.level_schedule_stats`), read from
@@ -133,14 +127,6 @@ class MultiprocessBackend(Backend):
         if self._runner is None:
             return None
         return self._runner.runner_meta()["level_schedule"]
-
-    def on_retune(self) -> None:
-        """Forked workers snapshot the executor's partitions at
-        construction, so a retune makes the runner stale: tear it down
-        and let the next epoch fork a fresh one from the new tiling."""
-        if self._runner is not None:
-            self._runner.close()
-            self._runner = None
 
 
 def create_backend(loop: "ParallelLoop") -> Backend:

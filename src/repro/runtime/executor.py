@@ -220,18 +220,12 @@ def _same_snapshot(left: Any, right: Any) -> bool:
 #: breakdown behind each block span (only filled when tracing).
 Phases = Dict[Tuple[int, int], Tuple[float, float, float, float]]
 
-#: The heuristic pipeline depth ``pipeline_depth="auto"`` resolves to —
-#: the paper's Fig. 8 configuration (clamped per-plan during setup).
-AUTO_PIPELINE_DEPTH = 2
-
 
 def _resolve_pipeline_depth(value: Any) -> int:
-    """Resolve ``LoopOptions.pipeline_depth`` to a concrete int."""
-    if value == "auto":
-        return AUTO_PIPELINE_DEPTH
-    if isinstance(value, str):
+    """Check ``LoopOptions.pipeline_depth`` is an int and floor it at 1."""
+    if not isinstance(value, (int, np.integer)):
         raise ExecutionError(
-            f"pipeline_depth must be an int or 'auto'; got {value!r}"
+            f"pipeline_depth must be an int (default 2); got {value!r}"
         )
     return max(1, int(value))
 
@@ -261,20 +255,13 @@ class OrionExecutor:
             raise ExecutionError(f"unknown prefetch mode {opts.prefetch!r}")
         if opts.backend not in ("simulated", "threaded", "multiprocess"):
             raise ExecutionError(f"unknown backend {opts.backend!r}")
-        if opts.tune not in ("off", "auto", "cached"):
-            raise ExecutionError(
-                f"unknown tune mode {opts.tune!r} "
-                "(expected 'off', 'auto' or 'cached')"
-            )
         self.options = opts
         self.body = body
         self.info = info
         self.plan = plan
         self.cluster = cluster
-        #: What the caller asked for (``"auto"`` or an int) — kept apart
-        #: from the resolved :attr:`pipeline_depth` so ``run_summary()``
-        #: can report both sides without sentinel ambiguity.
-        self.requested_pipeline_depth = opts.pipeline_depth
+        #: Clamped per plan in :meth:`_setup`; ``options`` keeps the
+        #: requested value and ``run_summary()`` reports both sides.
         self.pipeline_depth = _resolve_pipeline_depth(opts.pipeline_depth)
         self.balance = opts.balance
         self.validate = opts.validate
@@ -355,9 +342,6 @@ class OrionExecutor:
         entries = list(info.iteration_space.entries())
         if not entries:
             raise ExecutionError("iteration space is empty")
-        #: Kept for mid-run re-tiling (:meth:`retune`); the iteration
-        #: space is immutable across epochs, so this never goes stale.
-        self._entries = entries
         shape = info.iteration_space.shape
         requested = self.cluster.num_workers
 
@@ -398,8 +382,8 @@ class OrionExecutor:
                 balance=self.balance,
                 # Unordered: the canonical in-block order makes a worker's
                 # per-epoch entry sequence identical at every pipeline
-                # depth, which is what lets the tuner re-tile mid-run
-                # without perturbing numerics (docs/tuning.md).
+                # depth (changing depth moves the clock, never the model)
+                # and is what the kernels' level schedule is built on.
                 canonical_order=not plan.ordered,
             )
             self.num_workers, self.num_time = workers, num_time
@@ -429,26 +413,10 @@ class OrionExecutor:
             elif placement.kind is PlacementKind.REPLICATED:
                 self._replicated_bytes += array.nbytes
 
-        self._build_prefetch()
-        self._server_ids = {id(array) for array in self._server_arrays.values()}
-        self._kernel_supported = kernel_batching_legal(info, plan)[0]
-        if self.sanitize:
-            # The sanitizer attributes accesses to iterations, which only
-            # the interpreted per-entry path can do.
-            self._kernel_supported = False
-        self._ready = True
-
-    def _build_prefetch(self) -> None:
-        """(Re)build the prefetch manager for the current knob settings.
-
-        Called from :meth:`_setup` and again from :meth:`retune` — a
-        re-tiled loop's block keys change, so cached prefetch index sets
-        must be rebuilt (the epoch after a retune honestly re-pays the
-        prefetch-synthesis CPU, exactly like a fresh first epoch)."""
         prefetch_fn = None
         if self.prefetch_mode == "auto" and self._server_arrays:
             prefetch_fn = synthesize_prefetch(
-                self.body, self.info, list(self._server_arrays)
+                self.body, info, list(self._server_arrays)
             )
         self.prefetch = PrefetchManager(
             self.cluster,
@@ -457,6 +425,13 @@ class OrionExecutor:
             cache_indices=self.cache_prefetch,
             metrics=self.metrics,
         )
+        self._server_ids = {id(array) for array in self._server_arrays.values()}
+        self._kernel_supported = kernel_batching_legal(info, plan)[0]
+        if self.sanitize:
+            # The sanitizer attributes accesses to iterations, which only
+            # the interpreted per-entry path can do.
+            self._kernel_supported = False
+        self._ready = True
 
     # ---------------- epoch execution ---------------------------------- #
 
@@ -466,197 +441,6 @@ class OrionExecutor:
         if self.num_time == 0:
             return 0.0
         return self._rotated_bytes / self.num_time
-
-    @property
-    def rotated_bytes_total(self) -> float:
-        """Total bytes of every rotated array (all time partitions)."""
-        return self._rotated_bytes
-
-    # ---------------- mid-run retuning --------------------------------- #
-
-    @property
-    def max_pipeline_depth(self) -> int:
-        """Largest legal pipeline depth for this plan's unordered 2D
-        rotation (1 when the plan cannot pipeline at all)."""
-        if self.plan.strategy is not Strategy.TWO_D or self.plan.ordered:
-            return 1
-        shape = self.info.iteration_space.shape
-        return max(1, shape[self.plan.time_dim] // self.num_workers)
-
-    def retunable(self) -> Dict[str, Any]:
-        """Which knobs a mid-run retune may legally change, and why the
-        rest are refused.
-
-        Returns ``{"knobs": {...}, "refused": {...}}``.  ``knobs`` maps
-        each adjustable knob to its legal values — ``pipeline_depth`` to
-        an inclusive ``(1, max)`` range, ``prefetch`` to its modes,
-        ``cache_prefetch`` to both booleans.  ``refused`` maps every
-        knob a tuner must NOT touch to the legality argument: anything
-        that changes which worker owns which entries (strategy, the
-        partition dimensions, balancing) changes the execution
-        linearization and with it the floating-point result, so only the
-        plan-preserving knobs are offered.  Re-tiling the *time*
-        dimension of an unordered 2D rotation is the exception the plan
-        proves legal: balanced time cuts nest across depths and each
-        worker still visits its row's entries in the same per-column
-        order, so numerics stay bit-identical (see ``docs/tuning.md``).
-        """
-        knobs: Dict[str, Any] = {}
-        refused: Dict[str, str] = {
-            "strategy": "the dependence-driven strategy is never retuned",
-            "force_dims": "changing partition dimensions reassigns entry "
-                          "ownership and breaks bit-identity",
-            "balance": "re-balancing moves partition cuts and entry "
-                       "ownership with them",
-        }
-        if self.plan.strategy is Strategy.TWO_D and not self.plan.ordered:
-            upper = self.max_pipeline_depth
-            if upper > 1:
-                knobs["pipeline_depth"] = (1, upper)
-            else:
-                refused["pipeline_depth"] = (
-                    "the time extent admits only one depth"
-                )
-        else:
-            refused["pipeline_depth"] = (
-                "only the unordered 2D rotation re-tiles its time "
-                "dimension legally; this plan is "
-                f"{self.plan.strategy.name}"
-                + (" (ordered)" if self.plan.ordered else "")
-            )
-        if self._server_arrays:
-            knobs["prefetch"] = ("auto", "none")
-        else:
-            refused["prefetch"] = "the loop reads no server arrays"
-        knobs["cache_prefetch"] = (False, True)
-        return {"knobs": knobs, "refused": refused}
-
-    def retune(
-        self,
-        pipeline_depth: Optional[int] = None,
-        prefetch: Optional[str] = None,
-        cache_prefetch: Optional[bool] = None,
-    ) -> float:
-        """Apply a legal knob change between epochs; returns the virtual
-        seconds the change costs.
-
-        Only the knobs :meth:`retunable` offers are accepted — anything
-        else raises :class:`ExecutionError`.  A depth change re-tiles the
-        time dimension (space bounds are *reused*, not recomputed, so
-        worker ownership provably cannot move), rebuilds the schedule and
-        prefetch manager, clears the per-unit kernel caches, and charges
-        one re-binning pass over the entries plus one reshuffle of the
-        rotated arrays to the virtual clock.  Prefetch-policy changes are
-        free (they only swap the access cost model for future blocks).
-        """
-        allowed = self.retunable()["knobs"]
-        cost = 0.0
-        rebuild_prefetch = False
-        if (
-            pipeline_depth is not None
-            and pipeline_depth != self.pipeline_depth
-        ):
-            bounds = allowed.get("pipeline_depth")
-            if bounds is None or not (
-                bounds[0] <= pipeline_depth <= bounds[1]
-            ):
-                raise ExecutionError(
-                    f"illegal retune: pipeline_depth={pipeline_depth} "
-                    f"({self.retunable()['refused'].get('pipeline_depth', 'outside the legal range ' + repr(bounds))})"
-                )
-            old_depth = self.pipeline_depth
-            self.pipeline_depth = pipeline_depth
-            try:
-                cost += self._retile_time()
-            except Exception:
-                self.pipeline_depth = old_depth
-                raise
-            rebuild_prefetch = True
-        if prefetch is not None and prefetch != self.prefetch_mode:
-            if "prefetch" not in allowed or prefetch not in allowed["prefetch"]:
-                raise ExecutionError(
-                    f"illegal retune: prefetch={prefetch!r}"
-                )
-            self.prefetch_mode = prefetch
-            rebuild_prefetch = True
-        if (
-            cache_prefetch is not None
-            and bool(cache_prefetch) != self.cache_prefetch
-        ):
-            self.cache_prefetch = bool(cache_prefetch)
-            rebuild_prefetch = True
-        if rebuild_prefetch:
-            self._build_prefetch()
-        return cost
-
-    def _retile_time(self) -> float:
-        """Re-tile the unordered 2D time dimension at the current depth.
-
-        Space bounds are carried over verbatim from the existing
-        partitions; only the time cuts are recomputed, so every entry
-        stays on its worker and each worker's per-column entry order is
-        unchanged — the bit-identity invariant the tuner relies on.
-        Returns the modeled cost: one CPU pass over the entries to re-bin
-        them plus one transfer of the rotated arrays (their time slices
-        must be re-cut across the ring)."""
-        plan = self.plan
-        shape = self.info.iteration_space.shape
-        depth = max(
-            1, min(self.pipeline_depth, self.max_pipeline_depth)
-        )
-        self.pipeline_depth = depth
-        num_time = depth * self.num_workers
-        assert self.partitions is not None
-        retiled = parts.retile_time_2d(
-            self._entries,
-            plan.space_dim,
-            plan.time_dim,
-            shape[plan.time_dim],
-            self.partitions.space_bounds,
-            num_time,
-            balance=self.balance,
-        )
-        self._check_cut_nesting(retiled, depth)
-        self.partitions = retiled
-        self.steps = sched.unordered_2d_schedule(self.num_workers, num_time)
-        self.num_time = num_time
-        #: Block keys changed shape — cached kernel index arrays and
-        #: level schedules are stale.
-        self._kernel_caches.clear()
-        rebin = self.cluster.cost.compute_time(len(self._entries))
-        reshuffle = self.cluster.network.transfer_time(self._rotated_bytes)
-        return rebin + reshuffle
-
-    def _check_cut_nesting(
-        self, retiled: parts.IterationPartitions, depth: int
-    ) -> None:
-        """Refuse a re-tile whose worker-start time cuts moved.
-
-        Bit-identity across depths only needs the ``W`` cuts where each
-        worker's rotation *starts* to coincide (interior cuts just split a
-        worker's already time-sorted traversal).  Balanced cuts place the
-        ``j·d``-th boundary at the prefix-count target ``total·j/W`` for
-        every depth ``d``, so they coincide by construction — except in
-        degenerately skewed histograms where the cut clamping fires.
-        Rather than silently drift the numerics there, refuse the retune
-        (the tuner records the refusal and keeps the current depth).
-        """
-        old_bounds = self.partitions.time_bounds
-        new_bounds = retiled.time_bounds
-        if old_bounds is None or new_bounds is None:
-            return
-        old_depth = max(1, self.num_time // self.num_workers)
-        for worker in range(self.num_workers):
-            old_start = old_bounds[worker * old_depth][0]
-            new_start = new_bounds[worker * depth][0]
-            if old_start != new_start:
-                raise ExecutionError(
-                    "illegal retune: re-tiling to pipeline_depth="
-                    f"{depth} moves worker {worker}'s rotation start cut "
-                    f"({old_start} -> {new_start}; degenerately skewed "
-                    "time histogram), which would change the execution "
-                    "order and the floating-point result"
-                )
 
     @property
     def kernel_tier(self) -> str:
@@ -695,10 +479,10 @@ class OrionExecutor:
                 self.level_schedule_counts()
             ),
             "uses_buffers": bool(self.info.buffers),
-            # Requested vs. resolved values of the tunable knobs, so
-            # "auto" requests stay introspectable (no sentinel guessing).
+            # Requested vs. resolved knob values: the per-plan depth
+            # clamp and a missing prefetch function make them differ.
             "requested": {
-                "pipeline_depth": self.requested_pipeline_depth,
+                "pipeline_depth": self.options.pipeline_depth,
                 "prefetch": self.options.prefetch,
                 "cache_prefetch": bool(self.options.cache_prefetch),
             },

@@ -5,8 +5,7 @@ call itself takes only ``options=`` (and ``obs=``)::
 
     loop = ctx.parallel_for(data, options=LoopOptions(ordered=True))(body)
 
-See ``docs/api.md`` for the option table and ``docs/tuning.md`` for the
-auto-tuner the ``tune`` knob enables.
+See ``docs/api.md`` for the option table.
 """
 
 from __future__ import annotations
@@ -32,11 +31,12 @@ class LoopOptions:
     Attributes:
         ordered: enforce lexicographic iteration order.
         force_dims: override the partitioning-dimension heuristic.
-        pipeline_depth: time partitions per worker for unordered 2D — an
-            ``int``, or ``"auto"`` to take the heuristic default (the
-            paper's Fig. 8 depth of 2) while marking the knob tunable.
-            The executor's ``run_summary()["resolved"]`` reports the
-            value actually used, so ``"auto"`` stays introspectable.
+        pipeline_depth: time partitions per worker for unordered 2D
+            (default 2, the paper's Fig. 8 depth).  Each plan clamps it
+            to the time extent; the executor's
+            ``run_summary()["resolved"]`` reports the value actually
+            used.  Changing it moves the clock, never the model (see
+            "Pipeline depth" in ``docs/runtime.md``).
         balance: histogram-balanced partition bounds (vs. equal width).
         validate: record accesses and verify every epoch that same-step
             blocks touch disjoint elements (serializability check; slow,
@@ -108,25 +108,11 @@ class LoopOptions:
             introspection written after the pass completes).
         run_label: label stored in the run records (defaults to
             ``trace_process``).
-
-    Adaptive tuning (see :mod:`repro.tuning` and ``docs/tuning.md``):
-
-    Attributes:
-        tune: ``"off"`` (default) — no tuner; the run is bit-identical to
-            pre-tuner builds and :mod:`repro.tuning` is not even imported.
-            ``"auto"`` — an :class:`~repro.tuning.AdaptiveTuner` consumes
-            each traced epoch's attribution and re-chooses the legally
-            tunable knobs (pipeline depth, prefetch policy) for the next
-            epoch, charging re-partitioning to the virtual clock; winning
-            configurations persist to a cross-run cache that seeds future
-            runs.  ``"cached"`` — seed from the cache only (read-only, no
-            mid-run adaptation, no cache writes).  Mutually exclusive
-            with ``faults`` / ``checkpoint``.
     """
 
     ordered: bool = False
     force_dims: Optional[Tuple[int, ...]] = None
-    pipeline_depth: Union[int, str] = 2
+    pipeline_depth: int = 2
     balance: bool = True
     validate: bool = False
     prefetch: str = "auto"
@@ -141,7 +127,6 @@ class LoopOptions:
     checkpoint: Optional[CheckpointConfig] = None
     run_store: Optional[Any] = None
     run_label: Optional[str] = None
-    tune: str = "off"
 
     def merged_with(self, **overrides: Any) -> "LoopOptions":
         """A copy with the overrides applied."""

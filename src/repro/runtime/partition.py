@@ -30,7 +30,6 @@ __all__ = [
     "partition_1d",
     "partition_2d",
     "partition_transformed",
-    "retile_time_2d",
 ]
 
 #: Half-open ``(lo, hi)`` coordinate ranges, one per partition.
@@ -254,9 +253,11 @@ def partition_2d(
     * it is *tiling-independent* — a worker's rotation over any time
       tiling concatenates to the same per-worker entry sequence (coarse
       bins traversed whole equal their fine sub-bins traversed in rotation
-      order), which is what makes a mid-run pipeline-depth change
-      bit-identical (see :func:`retile_time_2d`), so it must hold from
-      the *first* epoch, not just after a re-tile;
+      order), so changing ``pipeline_depth`` moves the clock, never the
+      model: runs at different depths end in bit-identical parameters
+      (wherever the cuts at which each worker's rotation starts coincide
+      across depths — balanced cuts do by construction, except on
+      histograms skewed enough for the cut clamping to fire);
     * consecutive time coordinates visit their space coordinates in the
       same ascending order, so a block's conflict DAG is shallow and the
       vector kernel's level schedule
@@ -275,47 +276,6 @@ def partition_2d(
         _cut(coords[time_dim], time_extent, num_time, balance),
         coords[time_dim],
         _canonical_keys(entries, time_dim, coords) if canonical_order else (),
-    )
-
-
-def retile_time_2d(
-    entries: Sequence[Entry],
-    space_dim: int,
-    time_dim: int,
-    time_extent: int,
-    space_bounds: Optional[Bounds],
-    num_time: int,
-    balance: bool = True,
-) -> IterationPartitions:
-    """Re-cut only the *time* dimension of an existing 2D partitioning.
-
-    The adaptive tuner's legal re-tiling primitive (``docs/tuning.md``):
-    the given ``space_bounds`` are reused verbatim — never recomputed —
-    so every entry provably stays on the worker that owned it before, and
-    blocks hold the canonical entry order (:func:`partition_2d`), so each
-    worker's rotation concatenates to the same per-worker entry sequence
-    at every depth.  Changing ``num_time`` therefore changes scheduling
-    granularity without changing the execution linearization, which is
-    what keeps results bit-identical across pipeline depths (the executor
-    additionally verifies that the worker-start time cuts nest before
-    committing a re-tile).
-    """
-    if space_bounds is None:
-        raise PartitionError(
-            "retile_time_2d needs the existing space bounds "
-            "(equal/balanced cuts from the original partitioning)"
-        )
-    coords = {
-        space_dim: _coords(entries, space_dim),
-        time_dim: _coords(entries, time_dim),
-    }
-    return _grid(
-        entries,
-        list(space_bounds),
-        coords[space_dim],
-        _cut(coords[time_dim], time_extent, num_time, balance),
-        coords[time_dim],
-        _canonical_keys(entries, time_dim, coords),
     )
 
 

@@ -22,7 +22,7 @@ the executor uses to place traffic events on the virtual timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "time_ordered_2d",
     "time_unordered_2d",
     "time_sequential_outer",
-    "scan_unordered_depths",
 ]
 
 
@@ -255,51 +254,6 @@ def time_unordered_2d(
     return ScheduleTiming(
         makespan=makespan, finish=finish, barriers=[(slowest, makespan)]
     )
-
-
-def scan_unordered_depths(
-    tileable_s: Sequence[float],
-    per_block_s: Sequence[float],
-    cluster: ClusterSpec,
-    rotated_bytes_total: float,
-    depths: Sequence[int],
-) -> Dict[int, float]:
-    """Predicted unordered-2D makespan per candidate pipeline depth.
-
-    The adaptive tuner's what-if engine: it feeds one *measured* epoch's
-    per-worker busy time back through the very timing model the simulator
-    charges (:func:`time_unordered_2d`), re-tiled at each candidate depth.
-
-    Args:
-        tileable_s: per-worker seconds that re-tile with the blocks —
-            compute + prefetch + flush + marshalling (marshalling totals
-            are depth-invariant: finer blocks are proportionally smaller).
-        per_block_s: per-worker seconds charged once per *block*
-            regardless of its size (message-setup CPU) — the cost that
-            grows linearly with the block count and makes deep pipelines
-            eventually lose.
-        cluster: supplies the network model and barrier cost.
-        rotated_bytes_total: total rotated-array bytes; one block's
-            transfer is this divided by the depth's ``num_time``.
-        depths: candidate pipeline depths to score.
-
-    Returns ``{depth: predicted makespan seconds}`` — deterministic, so
-    the tuner's decisions are reproducible from the same traces.
-    """
-    num_workers = len(tileable_s)
-    out: Dict[int, float] = {}
-    for depth in depths:
-        num_time = depth * num_workers
-        work = np.empty((num_workers, num_time))
-        for worker in range(num_workers):
-            work[worker, :] = (
-                tileable_s[worker] / num_time + per_block_s[worker]
-            )
-        timing = time_unordered_2d(
-            work, cluster, rotated_bytes_total / num_time, depth=depth
-        )
-        out[int(depth)] = timing.makespan
-    return out
 
 
 def time_sequential_outer(

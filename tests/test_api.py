@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.api import OrionContext, ParallelLoop
-from repro.errors import AccumulatorError, ParallelizationError
+from repro.errors import (
+    AccumulatorError,
+    ExecutionError,
+    ParallelizationError,
+)
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.options import LoopOptions
 
@@ -204,4 +208,21 @@ class TestOptionSurface:
         documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
         fields = [field.name for field in dataclasses.fields(LoopOptions)]
         assert documented == fields
-        assert len(fields) == 18
+        assert len(fields) == 17
+
+    @pytest.mark.parametrize("depth", ["auto", 2.0])
+    def test_pipeline_depth_is_a_plain_int(self, depth):
+        """There is no tuner, so no ``"auto"`` spelling of the default:
+        anything but an int is refused at loop construction."""
+        ctx = OrionContext(seed=1)
+        space = ctx.from_entries([((0, 0), 1.0)], name="pd", shape=(1, 1))
+        x = ctx.zeros(1, name="pd_x")
+        ctx.materialize(space, x)
+
+        def body(key, value):
+            x[key[0]] = value
+
+        with pytest.raises(ExecutionError, match=r"int \(default 2\)"):
+            ctx.parallel_for(
+                space, options=LoopOptions(pipeline_depth=depth)
+            )(body)

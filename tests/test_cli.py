@@ -25,8 +25,14 @@ class TestParser:
             assert args.engine == engine
 
     def test_bad_app_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["resnet"])
+        from repro.cli import main
+
+        # The adaptive tuner is gone: neither its subcommand nor its flag
+        # parses any more.
+        for argv in (["resnet"], ["tune", "mf"], ["mf", "--tune", "auto"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
 
 
 class TestSingleEngineRuns:

@@ -249,7 +249,7 @@ class TestCanonicalOrder:
         self, shuffled_ratings, depth
     ):
         """A worker's rotation visits the same entries in the same order
-        at pipeline depths 1, 2 and 4 — partitioned afresh or re-tiled."""
+        at pipeline depths 1, 2 and 4."""
         workers = 3
 
         def sequences(partitions):
@@ -269,10 +269,6 @@ class TestCanonicalOrder:
             shuffled_ratings, 0, 1, 120, 96, workers, workers * depth,
             canonical_order=True,
         )
-        retiled = parts.retile_time_2d(
-            shuffled_ratings, 0, 1, 96, base.space_bounds, workers * depth
-        )
-        assert retiled.blocks == fresh.blocks
         assert sequences(fresh) == sequences(base)
         assert sum(len(seq) for seq in sequences(base).values()) == 4000
 

@@ -8,8 +8,10 @@ noise-aware regression verdicts, and the ``repro perf`` CLI.
 
 import io
 import json
+import sys
 
 import numpy as np
+import pytest
 
 from repro.apps import MFHyper, build_sgd_mf
 from repro.faults.plan import FaultPlan, Straggler
@@ -126,6 +128,29 @@ class TestRoundTrip:
         payload = _record().to_json()
         payload["from_the_future"] = {"schema": 99}
         assert RunRecord.from_json(payload) == _record()
+        # A v1 record written while the tuner existed: its top-level
+        # ``tuning`` field is dropped, ``options["tune"]`` rides along in
+        # the options dict, and it groups with a fresh record of the loop.
+        payload["tuning"] = {"mode": "auto", "decisions": [{"epoch": 1}]}
+        payload["options"] = {"tune": "auto"}
+        old = RunRecord.from_json(payload)
+        assert old == _record(options={"tune": "auto"})
+        (verdict,) = check_store([old, _record()])
+        assert verdict.num_baselines == 1 and not verdict.regressed
+
+    def test_torn_and_incomplete_lines_are_skipped(self, tmp_path):
+        """``append`` is a plain write: a run killed mid-append leaves a
+        torn last line, which must not take the whole store down."""
+        store = RunStore(tmp_path / "rs")
+        store.append(_record())
+        with store.path.open("a") as handle:
+            handle.write('{"label": "x", "signature": "abc"\n')  # torn
+            handle.write('{"label": "x", "signature": "abc"}\n')  # partial
+            handle.write("[1, 2]\n")  # decodes, but is no record
+            handle.write('{"label": "y", "signa')  # torn, no newline
+        store.append(_record(total_s=2.0))  # must not be glued to it
+        assert store.load() == [_record(), _record(total_s=2.0)]
+        assert store.unreadable == [2, 3, 4, 5]
 
 
 class TestSignature:
@@ -133,6 +158,16 @@ class TestSignature:
         a = _program(mf_small).train_loop
         b = _program(mf_small).train_loop
         assert loop_signature(a) == loop_signature(b)
+
+    @pytest.mark.skipif(
+        not (3, 9) <= sys.version_info[:2] <= (3, 12),
+        reason="the hex pins ast.dump's 3.9-3.12 output format",
+    )
+    def test_signature_survived_the_tuner_deletion(self, mf_small):
+        """Pinned at the last commit that had ``LoopOptions.tune``: the
+        payload never contained it, so recorded baselines keep matching."""
+        loop = _program(mf_small).train_loop
+        assert loop_signature(loop) == "923b330199b556aa"
 
     def test_excludes_fault_plan(self, mf_small):
         clean = _program(mf_small).train_loop
@@ -239,6 +274,24 @@ class TestPerfCli:
         assert code == 2
         code, _ = self._run(["perf", "check", "--store", store])
         assert code == 0
+
+    def test_torn_last_line_is_a_note_not_a_traceback(self, tmp_path):
+        root = tmp_path / "rs"
+        store = RunStore(root)
+        store.append(_record())
+        with store.path.open("a") as handle:
+            handle.write('{"label": "x", "signature": "abc"\n')
+        store.append(_record())
+        note = f"note: skipped 1 unreadable line(s) in {store.path} (lines 2)"
+
+        code, text = self._run(["perf", "show", "--store", str(root)])
+        assert code == 0 and text.count("mf:orion") == 2
+        assert text.count(note) == 1
+        code, text = self._run(["perf", "check", "--store", str(root)])
+        assert code == 0 and text.count(note) == 1
+        assert "REGRESSION" not in text
+        code, text = self._run(["perf", "compare", "--store", str(root)])
+        assert code == 0 and text.count(note) == 1
 
     def test_slow_factor_needs_simulated_backend(self):
         code, text = self._run(
