@@ -10,7 +10,7 @@ subscript classification that :mod:`repro.analysis.loop_info` already
 extracted, it *generates* the kernel source, compiles it against the
 body's own environment, and hands the callable to the executor.
 
-Two synthesis tiers are tried in order:
+Three synthesis tiers are tried in order:
 
 * **vector** — for straight-line affine bodies whose every DistArray
   subscript is a whole-column, whole-row, or point access addressed by loop
@@ -25,14 +25,28 @@ Two synthesis tiers are tried in order:
   evaluated once (loop invariants before the group loop, repeated
   per-entry scalars in a local), so results stay bit-identical to the
   interpreter.
+* **segmented** — for bodies whose inner loops walk a ragged field of
+  the entry value (a sample's ``(fid, fval)`` pairs) and whose every
+  shared write is buffered (SLR).  Nothing writes a DistArray directly,
+  so a whole block batches: the block is flattened to CSR form once
+  (:func:`~repro.runtime.kernels.segment_block`), after which an epoch is
+  one gather per read site, each ``r = r + e`` reduction as a
+  position-major loop in the scalar loop's own left-to-right order
+  (:func:`~repro.runtime.kernels.ragged_levels`), and one ``np.add.at``
+  fold per buffer
+  (:meth:`~repro.runtime.kernels.KernelContext.buffer_fold`) — no
+  per-entry Python.  What the kernel assumes about the *data* (arities,
+  integer in-range subscripts, real values) is guarded per block; a
+  block that fails runs the block-loop kernel of the same body.
 * **block-loop** — for bodies with inner loops, branches, or buffered
-  writes (SLR, ...).  The original statements are kept, but DistArray
-  subscripts become direct dense-array accesses with per-site accounting
-  lists, and buffered writes collect into one ordered
-  :meth:`~repro.runtime.kernels.KernelContext.buffer_add` per buffer —
-  removing the per-element broker dispatch that dominates scalar runs.
+  writes the segmented tier declines (GBT, ...).  The original statements
+  are kept, but DistArray subscripts become direct dense-array accesses
+  with per-site accounting lists, and buffered writes collect into one
+  ordered :meth:`~repro.runtime.kernels.KernelContext.buffer_add` per
+  buffer — removing the per-element broker dispatch that dominates scalar
+  runs.
 
-Bodies neither tier can prove safe fall back to the scalar interpreter and
+Bodies no tier can prove safe fall back to the scalar interpreter and
 the reason surfaces as a lint diagnostic: **W501** (unsupported construct)
 or **W502** (state-dependent access pattern — batching would break the
 accounting contract).  **W503** marks a successful synthesis the *plan*
@@ -49,7 +63,8 @@ import copy
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set,
+    Tuple,
 )
 
 import numpy as np
@@ -80,7 +95,7 @@ __all__ = [
 _RESERVED_NAMES = {
     "_snp", "_vecdot", "_scalar_pow", "_level_schedule", "_FULL", "block",
     "kctx", "_synth_kernel", "_lo", "_hi", "_vals", "_prep", "_groups",
-    "_order", "_n", "_e",
+    "_order", "_n", "_e", "_segment", "_block_loop", "_alive", "_pos",
 }
 #: Prefixes of generated temporaries; body names must not collide.
 _RESERVED_PREFIXES = (
@@ -88,13 +103,19 @@ _RESERVED_PREFIXES = (
     "_k0", "_k1", "_k2", "_k3", "_g0", "_g1", "_g2", "_g3",
     "_a0", "_a1", "_a2", "_a3",
     "_t0", "_t1", "_t2", "_t3", "_t4", "_t5", "_t6", "_t7", "_t8", "_t9",
-    "_v_", "_vv", "_pt", "_inv", "_cse",
+    "_v_", "_vv", "_pt", "_inv", "_cse", "_f_", "_seg_", "_lv_", "_bk_", "_bs_",
 )
 
 #: NumPy functions whose vectorized form is bit-identical to applying the
 #: scalar form per element (same libm call per lane).
 _NP_UNARY = {"sqrt", "exp", "log", "log1p", "abs", "tanh", "square", "negative"}
 _NP_BINARY = {"minimum", "maximum"}
+#: The unary ones that hand an integer argument back as an integer.
+_INT_KEEPING = {"abs", "square", "negative"}
+_NO_INTS: FrozenSet[str] = frozenset()
+#: ``_Val.ints`` marker of an integer no data guard can change: a literal,
+#: a closed-over ``int``, a loop index.
+_INT: FrozenSet[str] = frozenset({"<int>"})
 
 #: Builtins considered pure for the block-loop tier's taint analysis.
 _PURE_BUILTINS = {
@@ -128,15 +149,18 @@ class _Fallback(Exception):
 class SynthResult:
     """Outcome of one synthesis attempt.
 
-    ``kernel`` is ``None`` when both tiers fell back; then ``diagnostics``
-    holds the W50x explaining why.  ``notes`` records non-fatal detail (for
-    example why the vector tier was skipped when the block-loop tier still
-    succeeded).
+    ``kernel`` is ``None`` when every tier fell back; then ``diagnostics``
+    holds the W50x explaining why.  ``notes`` records non-fatal detail (why
+    an earlier tier was skipped when a later one succeeded; a block the
+    segmented tier's data guard demoted at run time).
     """
 
     kernel: Optional[Callable[..., Any]] = None
     source: Optional[str] = None
-    tier: Optional[str] = None  # "vector" | "block-loop" | None
+    tier: Optional[str] = None  # "vector" | "segmented" | "block-loop" | None
+    #: Segmented tier: the block-loop kernel of the same body, which runs
+    #: the blocks whose data fails the kernel's guard.
+    fallback_source: Optional[str] = None
     #: The kernel keeps no per-worker state (no buffers, no accumulators)
     #: and declares one access per entry per site, so the blocks one
     #: process runs in a schedule step may be concatenated into one call.
@@ -160,10 +184,15 @@ class SynthResult:
             lines.append(f"  note: {note}")
         for diag in self.diagnostics:
             lines.append(f"  {diag.describe()}")
-        if self.source:
-            lines.append("generated source:")
-            for src_line in self.source.rstrip().splitlines():
-                lines.append("    " + src_line)
+        for title, source in (
+            ("generated source:", self.source),
+            ("guard fallback (block-loop tier):", self.fallback_source),
+        ):
+            if source:
+                lines.append(title)
+                lines.extend(
+                    "    " + line for line in source.rstrip().splitlines()
+                )
         return "\n".join(lines)
 
 
@@ -272,6 +301,10 @@ class _Val:
     code: str
     orient: str
     view_of: Optional[Tuple[str, Tuple]] = None  # (array, pattern) for views
+    #: What would make this value a Python ``int`` at run time (prep
+    #: columns, ``_INT`` for literals and loop indices); empty for a value
+    #: that is a float whatever the data.  Only the segmented tier reads it.
+    ints: FrozenSet[str] = frozenset()
 
 
 class _Vectorizer:
@@ -388,7 +421,7 @@ class _Vectorizer:
             self._fail(f"unsupported name {node.id!r}", node)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             v = self._expr(node.operand)
-            return _Val(f"(-{v.code})", v.orient)
+            return _Val(f"(-{v.code})", v.orient, ints=v.ints)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
             return self._expr(node.operand)
         if isinstance(node, ast.BinOp):
@@ -413,7 +446,10 @@ class _Vectorizer:
         if isinstance(op, ast.Pow):
             left, right = self._expr(node.left), self._expr(node.right)
             if left.orient == "pure" and right.orient == "pure":
-                return _Val(f"({left.code} ** {right.code})", "pure")
+                return _Val(
+                    f"({left.code} ** {right.code})", "pure",
+                    ints=left.ints and right.ints,
+                )
             # Vectorized ** is not bit-identical to scalar pow; use the
             # python-level elementwise helper.
             return self._combine(left, right, "_scalar_pow({l}, {r})", node)
@@ -433,7 +469,10 @@ class _Vectorizer:
                 args = [self._expr(a) for a in node.args]
                 if func.attr in _NP_UNARY and len(args) == 1:
                     (a,) = args
-                    return _Val(f"_snp.{func.attr}({a.code})", a.orient)
+                    return _Val(
+                        f"_snp.{func.attr}({a.code})", a.orient,
+                        ints=a.ints if func.attr in _INT_KEEPING else _NO_INTS,
+                    )
                 if func.attr in _NP_BINARY and len(args) == 2:
                     return self._combine(
                         args[0], args[1], f"_snp.{func.attr}({{l}}, {{r}})", node
@@ -454,8 +493,8 @@ class _Vectorizer:
                 and len(node.args) == 1 and func.id not in self.env:
             a = self._expr(node.args[0])
             if a.orient == "pure":
-                return _Val(f"abs({a.code})", "pure")
-            return _Val(f"_snp.abs({a.code})", a.orient)
+                return _Val(f"abs({a.code})", "pure", ints=a.ints)
+            return _Val(f"_snp.abs({a.code})", a.orient, ints=a.ints)
         self._fail("unsupported call", node)
 
     def _gather(self, node: ast.Subscript) -> _Val:
@@ -865,7 +904,449 @@ def level_schedule_stats(
 
 
 # --------------------------------------------------------------------------- #
-# tier 2: block-loop compilation with direct dense access + bulk accounting
+# tier 2: segmented (CSR) compilation of ragged inner loops
+# --------------------------------------------------------------------------- #
+
+# A third orientation joins the vector tier's inside an inner loop:
+#   "elem" - shape (m,), one value per element of the ragged field the
+#            loop walks, all entries' elements flattened in entry order.
+_SEG_RANK = {"pure": 0, "lane": 1, "elem": 2}
+
+
+@dataclass
+class _Col:
+    """One array the prep step hands the kernel: a loop-index dimension, a
+    scalar field of the entry value, or one tuple position of a ragged
+    field.  How the body uses it is what the data guard demands of it."""
+
+    name: str   # the generated local holding the array
+    level: str  # "lane" (one per entry) | "elem" (one per ragged element)
+    #: Used as a subscript: the smallest extent it indexes.
+    extent: Optional[int] = None
+    #: Used as an arithmetic operand.
+    operand: bool = False
+
+    def role(self, floats_only: Set[str]) -> Optional[Tuple[str, Any]]:
+        """The guard's spec (see ``kernels.segment_block``)."""
+        if self.extent is not None:
+            return ("id", self.extent)
+        if self.operand:
+            return ("value", self.name in floats_only)
+        return None
+
+
+class _Segmented(_Vectorizer):
+    """Compile a body of ragged inner reductions over buffered writes to
+    gather / position-major reduce / folded scatter over a CSR flattening
+    of the block.
+
+    Grammar: ``a, b = value`` names the entry value's fields; a field is
+    *ragged* when a ``for x, y in field:`` walks it and scalar otherwise.
+    Entry-level statements are straight-line assignments in the vector
+    tier's expression grammar plus point reads ``A[i]`` of 1-D arrays.
+    An inner loop holds ``r = r + e`` reductions into entry-level locals,
+    element-level temporaries and buffered point writes ``buf[i] = e``
+    (one write site per buffer, default combiner).  Subscripts are bare
+    entry fields or loop indices.  Nothing writes a DistArray directly, so
+    every read sees block-start state and the whole block batches.
+    """
+
+    def __init__(self, info: LoopInfo, env: Dict[str, Any]):
+        super().__init__(info, env)
+        self.lines: List[str] = []
+        #: Names ``a, b = value`` unpacks the entry value into, in order.
+        self.fields: List[str] = []
+        self.scalars: Dict[str, _Col] = {}
+        #: Iterated field -> one column per tuple position.
+        self.ragged: Dict[str, List[_Col]] = {}
+        self.key_cols: Dict[int, _Col] = {}
+        #: Columns whose integers would take part in integer arithmetic.
+        self.floats_only: Set[str] = set()
+        #: ``(array, index code)`` per read site, in site order.
+        self.reads: List[Tuple[str, str]] = []
+        #: Buffer -> (subscript column, values local) of its write site.
+        self.folds: Dict[str, Tuple[_Col, str]] = {}
+        # State of the inner loop being translated.
+        self.loop: Optional[str] = None      # the ragged field it walks
+        self.scope: Dict[str, _Col] = {}     # its tuple names
+        self.temps: Set[str] = set()         # element-level locals
+        self.reducing: Set[str] = set()      # entry-level reduction targets
+        self.level_lines: List[str] = []
+
+    # -------- names and columns ------------------------------------------- #
+
+    def _gidx(self, dim: int, const: int) -> str:  # type: ignore[override]
+        self.key_cols.setdefault(dim, _Col(f"_g{dim}", "lane"))
+        return _Vectorizer._gidx(dim, const)
+
+    def _column(self, name: str, node: ast.AST) -> Optional[_Col]:
+        """The prep column a body name stands for, if it stands for one."""
+        if name in self.scope:
+            return self.scope[name]
+        if name not in self.fields:
+            return None
+        if name in self.ragged:
+            self._fail(f"ragged field {name!r} used as a value", node)
+        return self.scalars.setdefault(name, _Col(f"_f_{name}", "lane"))
+
+    def _taken(self, name: str) -> bool:
+        return name in self.bindings or name in self.fields or \
+            name in self.scope or name in self.locals
+
+    def _subscript_col(self, node: ast.Subscript, shape: Tuple[int, ...]) -> _Col:
+        """The column subscripting a 1-D array or buffer target."""
+        (sub, *rest) = _subscript_elements(node)
+        if rest or len(shape) != 1 or isinstance(sub, ast.Slice):
+            self._fail("not a point subscript of a 1-D array", node)
+        indexed = ast_utils._index_expr(sub, self.bindings)
+        col: Optional[_Col] = None
+        if indexed is not None and not indexed[1]:
+            self._gidx(*indexed)
+            col = self.key_cols[indexed[0]]
+        elif isinstance(sub, ast.Name):
+            col = self._column(sub.id, sub)
+        if col is None:
+            self._fail("subscript is not an entry field or a loop index", node)
+        if col.operand:
+            self._fail(
+                f"{ast.unparse(sub)!r} is both a subscript and an operand", node
+            )
+        col.extent = shape[0] if col.extent is None \
+            else min(col.extent, shape[0])
+        return col
+
+    def _per_element(self, value: _Val) -> str:
+        """``value`` as one float per element of the loop's ragged field."""
+        if value.orient == "elem":
+            return value.code
+        if value.orient == "pure":
+            return (f"_snp.full(len(_seg_{self.loop}), {value.code}, "
+                    "_snp.float64)")
+        return f"({value.code})[_seg_{self.loop}]"
+
+    # -------- expression translation -------------------------------------- #
+
+    def _combine(self, left: _Val, right: _Val, template: str,
+                 node: ast.AST) -> _Val:
+        lc, rc = left.code, right.code
+        if (left.orient, right.orient) == ("elem", "lane"):
+            rc = self._per_element(right)
+        elif (left.orient, right.orient) == ("lane", "elem"):
+            lc = self._per_element(left)
+        orient = max(left.orient, right.orient, key=_SEG_RANK.__getitem__)
+        division = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+        return _Val(
+            template.format(l=lc, r=rc), orient,
+            ints=self._merged_ints(left, right, division),
+        )
+
+    def _merged_ints(self, left: _Val, right: _Val,
+                     division: bool = False) -> FrozenSet[str]:
+        """``_Val.ints`` of a binary operation.  Were both operands
+        integers Python would compute in exact integers, which float64
+        cannot follow: the guard then asks those columns for floats."""
+        if not (left.ints and right.ints):
+            return _NO_INTS
+        self.floats_only |= left.ints | right.ints
+        return _NO_INTS if division else left.ints | right.ints
+
+    def _expr(self, node: ast.expr) -> _Val:
+        indexed = ast_utils._index_expr(node, self.bindings)
+        if indexed is not None:
+            return _Val(self._gidx(*indexed), "lane", ints=_INT)
+        if isinstance(node, ast.Constant) and \
+                isinstance(node.value, int) and _is_number(node.value):
+            return _Val(repr(node.value), "pure", ints=_INT)
+        if isinstance(node, ast.Name):
+            name = node.id
+            if name in self.reducing:
+                self._fail(
+                    f"{name!r} is read inside the loop that reduces into it",
+                    node,
+                )
+            if name == self.info.value_param:
+                self._fail(
+                    "the entry value is used whole (only `a, b = value` "
+                    "unpacking is supported)", node,
+                )
+            col = self._column(name, node)
+            if col is not None:
+                if col.extent is not None:
+                    self._fail(
+                        f"{name!r} is both a subscript and an operand", node
+                    )
+                col.operand = True
+                return _Val(col.name, col.level, ints=frozenset({col.name}))
+            value = self.env.get(name)
+            if not self._taken(name) and isinstance(value, (int, np.integer)) \
+                    and _is_number(value):
+                return _Val(name, "pure", ints=_INT)
+        return super()._expr(node)
+
+    def _gather(self, node: ast.Subscript) -> _Val:
+        base = node.value
+        if not isinstance(base, ast.Name) or base.id not in self.info.arrays:
+            self._fail("subscript on a non-DistArray value", node)
+        col = self._subscript_col(node, self.info.arrays[base.id].shape)
+        index = col.name
+        if self.loop is not None and col.level == "lane":
+            # The scalar body repeats the read once per element.
+            index = f"{index}[_seg_{self.loop}]"
+        self.reads.append((base.id, index))
+        return _Val(f"_nd_{base.id}[{col.name}]", col.level)
+
+    # -------- statement translation --------------------------------------- #
+
+    def _stmt(self, node: ast.stmt) -> None:
+        if isinstance(node, ast.Pass) or (
+            isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+        ):
+            return
+        where = " inside an inner loop" if self.loop else ""
+        node = self._normalized(node)
+        if isinstance(node, ast.For) and self.loop is None:
+            self._for(node)
+            return
+        if isinstance(node, ast.If):
+            self._fail(f"branch{where}", node)
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            self._fail(
+                f"unsupported statement ({type(node).__name__}){where}", node
+            )
+        target = node.targets[0]
+        if isinstance(target, ast.Tuple):
+            self._unpack(node, target)
+        elif isinstance(target, ast.Name):
+            self._assign_name(node, target)
+        elif isinstance(target, ast.Subscript):
+            self._buffered_write(node, target)
+        else:
+            self._fail("unsupported assignment target", node)
+
+    def _unpack(self, node: ast.Assign, target: ast.Tuple) -> None:
+        value = node.value
+        if not (isinstance(value, ast.Name)
+                and value.id == self.info.value_param):
+            if self.loop is not None:
+                self._fail("tuple assignment inside an inner loop", node)
+            super()._unpack(node, target)  # `i, j = key`
+            return
+        names = [e.id for e in target.elts if isinstance(e, ast.Name)]
+        if self.fields or self.loop is not None or \
+                len(names) != len(target.elts) or \
+                any(self._taken(name) for name in names):
+            self._fail("the entry value is unpacked more than once, inside "
+                       "a loop, or into taken names", node)
+        self.fields = names
+
+    def _assign_name(self, node: ast.Assign, target: ast.Name) -> None:
+        name = target.id
+        indexed = ast_utils._index_expr(node.value, self.bindings)
+        if indexed is not None and self.loop is None:
+            self._bind(name, ast_utils.IndexBinding(*indexed), node)
+            return
+        if name in self.reducing and self._is_reduction(node):
+            self._reduce(node, name)
+            return
+        rebindable = self.temps if self.loop is not None else self.locals
+        if self._taken(name) and name not in rebindable:
+            self._fail(
+                f"assignment to {name!r}" + (
+                    " inside an inner loop is not a `+` reduction"
+                    if name in self.locals else " rebinds an index or a field"
+                ), node,
+            )
+        value = self._expr(node.value)
+        self.lines.append(f"_v_{name} = {value.code}")
+        self.locals[name] = _Val(f"_v_{name}", value.orient, ints=value.ints)
+        if self.loop is not None:
+            self.temps.add(name)
+
+    @staticmethod
+    def _is_reduction(node: ast.stmt) -> bool:
+        """``r = r + e`` (what ``r += e`` was rewritten to)."""
+        return (
+            isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.Add)
+            and isinstance(node.value.left, ast.Name)
+            and node.value.left.id == node.targets[0].id
+        )
+
+    def _for(self, node: ast.For) -> None:
+        field_node, target = node.iter, node.target
+        if node.orelse:
+            self._fail("for/else", node)
+        if not (isinstance(field_node, ast.Name)
+                and field_node.id in self.fields
+                and field_node.id not in self.scalars):
+            self._fail(
+                f"inner loop over {ast.unparse(field_node)!r}, which is not "
+                "a ragged field of the entry value", node,
+            )
+        names = [e.id for e in target.elts if isinstance(e, ast.Name)] \
+            if isinstance(target, ast.Tuple) else []
+        if not names or len(names) != len(target.elts) or \
+                len(set(names)) != len(names) or \
+                any(self._taken(name) for name in names):
+            self._fail("inner loop target is not a tuple of fresh names", node)
+        field_name = field_node.id
+        cols = self.ragged.setdefault(field_name, [
+            _Col(f"_f_{field_name}_{position}", "elem")
+            for position in range(len(names))
+        ])
+        if len(cols) != len(names):
+            self._fail(
+                f"loops unpack {field_name!r} into different arities", node
+            )
+        self.loop, self.scope = field_name, dict(zip(names, cols))
+        # A `+` reduction target is an entry-level local the loop updates
+        # only through `r = r + e`; any other use of it in the loop fails.
+        # It becomes one float64 per entry, a fresh array the level loop
+        # below updates in place (an alias taken earlier keeps its value).
+        self.reducing = {
+            stmt.targets[0].id for stmt in map(self._normalized, node.body)
+            if self._is_reduction(stmt) and stmt.targets[0].id in self.locals
+        }
+        for name in sorted(self.reducing):
+            start = self.locals[name]
+            self.lines.append(f"_v_{name} = " + (
+                f"_snp.full(_n, {start.code}, _snp.float64)"
+                if start.orient == "pure"
+                else f"_snp.array({start.code}, _snp.float64)"
+            ))
+        for stmt in node.body:
+            self._stmt(stmt)
+        if self.level_lines:
+            self.lines.append(f"for _alive, _pos in _lv_{field_name}:")
+            self.lines.extend(self.level_lines)
+        for name in self.temps:
+            del self.locals[name]
+        self.loop, self.scope = None, {}
+        self.temps, self.reducing = set(), set()
+        self.level_lines = []
+
+    @staticmethod
+    def _normalized(node: ast.stmt) -> ast.stmt:
+        """``x += e`` as ``x = x + e`` — scalars are immutable, so the
+        two are one statement."""
+        if isinstance(node, ast.AugAssign) and \
+                isinstance(node.target, ast.Name) and \
+                isinstance(node.op, ast.Add):
+            name = node.target.id
+            return ast.fix_missing_locations(ast.copy_location(ast.Assign(
+                targets=[ast.Name(id=name, ctx=ast.Store())],
+                value=ast.BinOp(
+                    left=ast.Name(id=name, ctx=ast.Load()),
+                    op=node.op, right=node.value,
+                ),
+            ), node))
+        return node
+
+    def _reduce(self, node: ast.Assign, name: str) -> None:
+        """``r = r + e`` over a ragged field: each inner position adds its
+        elements' terms to the entries that have one — the scalar loop's
+        own left-to-right order."""
+        current = self.locals[name]
+        term = self._expr(node.value.right)
+        var = f"_v_{name}"
+        temp = self._temp_name()
+        self.lines.append(f"{temp} = {self._per_element(term)}")
+        self.level_lines.append(
+            f"    {var}[_alive] = {var}[_alive] + {temp}[_pos]"
+        )
+        self.locals[name] = _Val(
+            var, "lane", ints=self._merged_ints(current, term)
+        )
+
+    def _buffered_write(self, node: ast.Assign, target: ast.Subscript) -> None:
+        base = target.value
+        name = base.id if isinstance(base, ast.Name) else None
+        if name in self.info.arrays:
+            self._fail(f"direct write to DistArray {name!r}", node)
+        if name not in self.info.buffers:
+            self._fail("store into something that is not a buffer", node)
+        buffer = self.info.buffers[name]
+        if not buffer.combines_by_addition:
+            self._fail(f"buffer {name!r} has a custom combiner", node)
+        if name in self.folds:
+            self._fail(f"several write sites into buffer {name!r}", node)
+        col = self._subscript_col(target, buffer.target.shape)
+        if col.level != "elem":
+            self._fail(
+                "buffered write not subscripted by a field of an inner "
+                "loop's element", node,
+            )
+        temp = self._temp_name()
+        self.lines.append(
+            f"{temp} = {self._per_element(self._expr(node.value))}"
+        )
+        self.folds[name] = (col, temp)
+
+    # -------- assembly ----------------------------------------------------- #
+
+    def build(self) -> str:
+        info = self.info
+        _check_common(info)
+        if info.accumulators:
+            raise _Fallback("W501", "accumulator update inside the body")
+        assert info.tree is not None
+        for stmt in info.tree.body:
+            self._stmt(stmt)
+        if not self.ragged:
+            raise _Fallback("W501", "no inner loop over a ragged entry field")
+        return self._emit()
+
+    def _emit(self) -> str:
+        # The order of `names` is the order `kernels.segment_block` (then
+        # one `fold_slots` per buffer) lays the prep tuple out in.
+        names = ["_n"]
+        key_dims = []
+        for dim, col in sorted(self.key_cols.items()):
+            names.append(col.name)
+            key_dims.append((dim, col.extent))
+        fields: List[Any] = []
+        for name in self.fields:
+            spec = None
+            if name in self.ragged:
+                roles = [c.role(self.floats_only) for c in self.ragged[name]]
+                names += [f"_seg_{name}", f"_lv_{name}"]
+                names += [c.name for c, role in zip(self.ragged[name], roles)
+                          if role is not None]
+                spec = ("ragged", tuple(roles))
+            elif name in self.scalars:
+                names.append(self.scalars[name].name)
+                spec = ("scalar", self.scalars[name].role(self.floats_only))
+            fields.append(spec)
+        fold_columns = []
+        for buffer_name, (col, _values) in self.folds.items():
+            fold_columns.append(names.index(col.name))
+            names += [f"_bk_{buffer_name}", f"_bs_{buffer_name}"]
+        #: What ``_compile_kernel`` builds the kernel's ``_segment`` from.
+        self.prep_spec = (tuple(key_dims), tuple(fields), tuple(fold_columns))
+
+        lines = ["def _synth_kernel(block, kctx):"]
+        out = lines.append
+        out("    _prep = kctx.cache.get('_seg')")
+        out("    if _prep is None:")
+        out("        _prep = kctx.cache['_seg'] = _segment(block)")
+        out("    if _prep.__class__ is str:  # the data guard said no")
+        out("        return _block_loop(block, kctx)")
+        out(f"    ({', '.join(names)},) = _prep")
+        for array in sorted({array for array, _index in self.reads}):
+            out(f"    _nd_{array} = {array}.values")
+        lines.extend("    " + line for line in self.lines)
+        for array, index in self.reads:
+            out(f"    kctx.account_reads({array}, {index})")
+        for buffer_name, (_col, values) in self.folds.items():
+            out(f"    kctx.buffer_fold({buffer_name}, _bk_{buffer_name}, "
+                f"_bs_{buffer_name}, {values})")
+        return "\n".join(lines) + "\n"
+
+
+# --------------------------------------------------------------------------- #
+# tier 3: block-loop compilation with direct dense access + bulk accounting
 # --------------------------------------------------------------------------- #
 
 
@@ -1304,8 +1785,8 @@ class _BlockLoop:
 # --------------------------------------------------------------------------- #
 
 
-def _compile_kernel(source: str, env: Dict[str, Any],
-                    info: LoopInfo) -> Callable[..., Any]:
+def _compile_kernel(source: str, env: Dict[str, Any], info: LoopInfo,
+                    **helpers: Any) -> Callable[..., Any]:
     glb = dict(env)
     glb.update(
         _snp=np,
@@ -1313,39 +1794,65 @@ def _compile_kernel(source: str, env: Dict[str, Any],
         _scalar_pow=_kernels.scalar_pow,
         _level_schedule=_kernels.level_schedule,
         _FULL=slice(None),
+        **helpers,
     )
     code = compile(source, f"<synth:{info.source_file or 'loop body'}>", "exec")
     exec(code, glb)
     return glb["_synth_kernel"]
 
 
+def _guarded_prep(
+    prep_spec: Tuple[Any, Any, Sequence[int]], notes: List[str]
+) -> Callable[[Sequence[Any]], Any]:
+    """The segmented kernel's ``_segment``: CSR-flatten a block and lay
+    out its buffers' fold slots, or — when the data is not what the body's
+    shape promised — hand back the reason and note the demotion."""
+    key_dims, fields, fold_columns = prep_spec
+
+    def segment(block: Sequence[Any]) -> Any:
+        prep = _kernels.segment_block(block, key_dims, fields)
+        if isinstance(prep, str):
+            note = f"segmented tier demoted a block to block-loop: {prep}"
+            if note not in notes:
+                notes.append(note)
+            return prep
+        for column in fold_columns:
+            prep += _kernels.fold_slots(prep[column])
+        return prep
+
+    return segment
+
+
 def synthesize_kernel(body: Callable[..., Any], info: LoopInfo) -> SynthResult:
     """Synthesize a block kernel for an analyzed loop body.
 
-    Tries the vector tier, then the block-loop tier.  On success the
-    result's ``kernel`` satisfies the contract in
+    Tries the vector tier, then the segmented tier, then the block-loop
+    tier.  On success the result's ``kernel`` satisfies the contract in
     :mod:`repro.runtime.kernels` (bit-identical state, identical
     accounting, deterministic declarations).  On failure the result carries
     a W501/W502 diagnostic naming the first construct the block-loop tier
-    could not handle (the vector tier's reason is kept as a note).
+    could not handle (the earlier tiers' reasons are kept as notes).
+
+    A segmented kernel is emitted *with its guard*: what it assumes about
+    the data (arity of the ragged items, integer in-range subscripts, real
+    values) is checked once per block, and a block that fails runs the
+    block-loop kernel of the same body — so the tier needs that one to
+    compile too.
     """
     env = ast_utils.resolve_free_variables(body)
     result = SynthResult()
-    vector_reason: Optional[_Fallback] = None
+    helpers: Dict[str, Any] = {}
     try:
         source = _Vectorizer(info, env).build()
         result.tier = "vector"
         # ``build`` refused buffers and accumulators, and ``_accounting``
         # emitted every declaration over the per-entry index arrays.
         result.fusable = True
-    except _Fallback as fallback:
-        vector_reason = fallback
+    except _Fallback as vector_reason:
+        result.notes.append(f"vector tier unavailable: {vector_reason.message}")
         try:
             source = _BlockLoop(info, env).build()
             result.tier = "block-loop"
-            result.notes.append(
-                f"vector tier unavailable: {vector_reason.message}"
-            )
         except _Fallback as block_fallback:
             location = location_of(
                 block_fallback.node, info.source_file
@@ -1361,13 +1868,23 @@ def synthesize_kernel(body: Callable[..., Any], info: LoopInfo) -> SynthResult:
                          "kernel callable or simplify the body to batch it",
                 )
             )
-            if vector_reason.message != block_fallback.message:
-                result.notes.append(
-                    f"vector tier unavailable: {vector_reason.message}"
-                )
+            if vector_reason.message == block_fallback.message:
+                result.notes.clear()
             return result
+        try:
+            segmented = _Segmented(info, env)
+            source, result.fallback_source = segmented.build(), source
+            result.tier = "segmented"
+            helpers = dict(
+                _segment=_guarded_prep(segmented.prep_spec, result.notes),
+                _block_loop=_compile_kernel(result.fallback_source, env, info),
+            )
+        except _Fallback as segmented_reason:
+            result.notes.append(
+                f"segmented tier unavailable: {segmented_reason.message}"
+            )
     try:
-        result.kernel = _compile_kernel(source, env, info)
+        result.kernel = _compile_kernel(source, env, info, **helpers)
         result.source = source
     except Exception as exc:  # defensive: emitted code must always compile
         result.tier = None

@@ -16,6 +16,8 @@ element-wise UDF — the atomic read-modify-write hook the paper highlights.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -30,6 +32,7 @@ from repro.apps.base import (
 )
 from repro.data.synthetic import SLRDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.kernels import ragged_levels
 from repro.runtime.simtime import CostModel
 
 __all__ = ["SLRHyper", "SLRApp", "build_orion_program", "slr_cost_model", "logistic_loss"]
@@ -45,15 +48,44 @@ class SLRHyper:
     epsilon: float = 1e-8
 
 
+#: Samples :func:`logistic_loss` flattens at a time: its temporaries stay
+#: a few hundred KB however large the dataset (a training driver calls it
+#: before it forks workers, who would inherit a dataset-sized heap).
+_LOSS_CHUNK = 4096
+
+
 def logistic_loss(weights: np.ndarray, entries: List[Entry]) -> float:
-    """Mean logistic loss of ``weights`` over the training entries."""
-    total = 0.0
-    for (_sample,), (features, label) in entries:
-        margin = sum(weights[fid] * fval for fid, fval in features)
+    """Mean logistic loss of ``weights`` over the training entries.
+
+    Bit for bit the per-sample loop ``total += log1p(exp(-y * sum(w[f] *
+    v)))`` (``tests/test_apps_slr.py`` keeps it as the oracle) without
+    the per-element Python: samples are flattened to CSR form a chunk at
+    a time, each margin adds its terms left to right as ``sum()`` does
+    (:func:`~repro.runtime.kernels.ragged_levels`; ``sum`` starts from
+    ``0``, which adds like ``0.0``), and ``np.cumsum`` is the sequential
+    total.
+    """
+    weights = np.asarray(weights)
+    losses = np.empty(len(entries))
+    for start in range(0, len(entries), _LOSS_CHUNK):
+        chunk = entries[start:start + _LOSS_CHUNK]
+        features = [value[0] for _key, value in chunk]
+        flat = list(itertools.chain.from_iterable(features))
+        ids = np.fromiter(map(operator.itemgetter(0), flat), np.intp, len(flat))
+        values = np.fromiter(
+            map(operator.itemgetter(1), flat), np.float64, len(flat)
+        )
+        terms = weights[ids] * values
+        margin = np.zeros(len(chunk))
+        lens = np.fromiter(map(len, features), np.intp, len(chunk))
+        for alive, pos in ragged_levels(lens):
+            margin[alive] = margin[alive] + terms[pos]
         # log(1 + exp(-y·margin)) with y in {-1, +1}
-        signed = margin if label == 1 else -margin
-        total += float(np.log1p(np.exp(-signed)))
-    return total / max(1, len(entries))
+        positive = np.array([value[1] for _key, value in chunk]) == 1
+        losses[start:start + len(chunk)] = np.log1p(
+            np.exp(-np.where(positive, margin, -margin))
+        )
+    return float(np.cumsum(losses)[-1]) / len(entries) if entries else 0.0
 
 
 def slr_cost_model(hyper: SLRHyper, base_entry_cost: float = 2e-6) -> CostModel:
@@ -73,11 +105,14 @@ def build_orion_program(
     """Build the SLR Orion program (1D data parallelism with buffers).
 
     Under the default ``kernel="auto"`` the batched block kernel is
-    synthesized from the body below (block-loop tier: direct dense weight
-    reads — legal because every update is buffered until the block
-    boundary — the body's exact per-sample accumulation order, and one
-    bulk buffer merge), with bit-identical weights and traffic accounting
-    to the scalar path.
+    synthesized from the body below (segmented tier: a block's feature
+    lists are flattened to CSR form once; an epoch is then one gather of
+    the weights — legal because every update is buffered until the block
+    boundary — the margin as a position-major reduction in the body's
+    exact per-sample order, and one ``np.add.at`` fold of the buffered
+    gradients), with bit-identical weights and traffic accounting to the
+    scalar path.  A block whose data is not ``(int id, float value)``
+    pairs inside the weight extent runs the block-loop kernel instead.
     """
     cluster = cluster or ClusterSpec(num_machines=1, workers_per_machine=4)
     ctx = OrionContext(cluster=cluster, seed=seed)

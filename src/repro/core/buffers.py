@@ -18,7 +18,9 @@ writes through a :class:`DistArrayBuffer`:
 from __future__ import annotations
 
 import inspect
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core import access
 from repro.core.distarray import DistArray
@@ -100,6 +102,12 @@ class DistArrayBuffer:
         # Iterations executed since last flush, per worker, for max_delay.
         self._age: Dict[int, int] = {}
 
+    @property
+    def combines_by_addition(self) -> bool:
+        """Whether same-index writes merge with the default combiner —
+        what lets a kernel fold a block's writes with ``np.add.at``."""
+        return self.combiner is _default_combine
+
     # ------------------------------------------------------------------ #
     # Write path                                                          #
     # ------------------------------------------------------------------ #
@@ -145,6 +153,33 @@ class DistArrayBuffer:
                 slot[key] = combiner(slot[key], value)
             else:
                 slot[key] = value
+
+    def direct_buffer_fold(
+        self, keys: Sequence[Tuple[Any, ...]], slot_of: Any, values: Any
+    ) -> None:
+        """Record the writes ``keys[slot_of[i]] = values[i]`` for ascending
+        ``i`` — N :meth:`direct_buffer_write` calls — folding each key's
+        float64 updates in one ``np.add.at``.
+
+        ``keys`` are distinct canonical keys in first-occurrence order, so
+        the slot gains them in the order the writes would have.  The fold
+        is the default combiner's left-to-right merge: ``ufunc.at`` is
+        unbuffered and adds in index order, and starting a key from
+        ``-0.0`` leaves its first update unchanged (``-0.0 + v`` is ``v``
+        for every ``v``, ``-0.0`` included).  That needs the worker's slot
+        to start empty and addition to be the combiner; otherwise the
+        writes merge one at a time.
+        """
+        slot = self._pending.setdefault(access.current_worker(), {})
+        if slot or not self.combines_by_addition:
+            combiner = self.combiner
+            for position, value in zip(slot_of.tolist(), values.tolist()):
+                key = keys[position]
+                slot[key] = combiner(slot[key], value) if key in slot else value
+            return
+        folded = np.full(len(keys), -0.0)
+        np.add.at(folded, slot_of, values)
+        slot.update(zip(keys, folded.tolist()))
 
     def __getitem__(self, index: Any) -> Any:
         """Read the pending update at ``index`` for the current worker.

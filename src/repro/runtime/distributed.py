@@ -610,19 +610,6 @@ class MultiprocessRunner:
 
     # ---------------- parameter service --------------------------------- #
 
-    def _apply_flushes(self, records: List[TaskRecord]) -> None:
-        """Parameter-server write path: apply the buffered writes a
-        worker's blocks handed over, via the buffers' UDFs.
-
-        Targets are shared, so the write-through is immediately visible to
-        every worker — but only between steps, which is exactly the
-        step-start staleness the stepped protocol promises."""
-        for record in records:
-            for name, pending in record.pending.items():
-                self.loop.info.buffers[name].apply_pending(
-                    record.task.worker, pending
-                )
-
     def _fold_accumulators(self, worker: int, values: Dict[str, Any]) -> None:
         for name, value in values.items():
             acc = self.loop.info.accumulator_refs[name]
@@ -671,7 +658,7 @@ class MultiprocessRunner:
                     for task in step_tasks:
                         self._send(task.worker, ("step", step_index))
                         done = self._recv(task.worker, "step_done")[1]
-                        self._apply_flushes(done)
+                        self.executor.apply_flushes(done)
                         records += done
                     continue
                 for worker in range(num_workers):
@@ -681,9 +668,12 @@ class MultiprocessRunner:
                     for worker in range(num_workers)
                 ]
                 # Apply flushes in task order — the same order the
-                # simulated linearization applies them.
+                # simulated linearization applies them.  Targets are
+                # shared, so the write-through is visible to every
+                # worker, but only between steps: the step-start
+                # staleness the stepped protocol promises.
                 for task in step_tasks:
-                    self._apply_flushes(replies[task.worker])
+                    self.executor.apply_flushes(replies[task.worker])
                     records += replies[task.worker]
             for worker in range(num_workers):
                 self._send(worker, ("finish_epoch",))

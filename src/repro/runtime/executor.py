@@ -449,7 +449,8 @@ class OrionExecutor:
         ``"scalar"`` (no kernel, or the plan refuses batching),
         ``"hand"`` (a callable passed as ``LoopOptions.kernel`` — LDA's
         registered kernel), or ``"synth:<tier>"``
-        (a synthesized kernel: ``synth:vector`` / ``synth:block-loop``).
+        (a synthesized kernel: ``synth:vector`` / ``synth:segmented`` /
+        ``synth:block-loop``).
         Recorded in run-store records so cross-run comparisons can tell a
         genuine regression from a path change.
         """
@@ -809,8 +810,29 @@ class OrionExecutor:
         """Execute one step's blocks: as one dispatch unit (a
         linearization) or, on ``backend="threaded"``, one block per
         thread-pool task (genuinely concurrent; safe because a correct
-        plan's same-step blocks touch disjoint elements)."""
-        if self.options.backend != "threaded" or len(step_tasks) <= 1:
+        plan's same-step blocks touch disjoint elements).
+
+        Buffered writes are the exception to "disjoint": a block-end
+        flush is an unlocked read-UDF-write per key, of keys other
+        threads are reading and flushing.  So with buffers the pool only
+        *takes* each block's pending writes and this thread applies them
+        in task order once the step has joined (:meth:`apply_flushes`,
+        what the multiprocess master does between steps), in process:
+        same-step blocks read step-start state, run to run and bit for
+        bit what ``backend="multiprocess"`` computes.  The step that
+        self-checks the kernel runs as a linearization: the check
+        rewinds arrays, which no other thread may be reading.
+        """
+        checking = (
+            self.equivalence_check
+            and not self._equivalence_checked
+            and self.kernel_path
+        )
+        if (
+            self.options.backend != "threaded"
+            or len(step_tasks) <= 1
+            or checking
+        ):
             return self._run_unit(step_tasks)
         if self._pool is None:
             import concurrent.futures
@@ -818,8 +840,26 @@ class OrionExecutor:
             self._pool = concurrent.futures.ThreadPoolExecutor(
                 max_workers=self.num_workers
             )
-        units = self._pool.map(self._run_unit, ([task] for task in step_tasks))
-        return [record for unit in units for record in unit]
+        flush_local = not self.info.buffers
+        units = self._pool.map(
+            lambda task: self.run_blocks(
+                [task], self._server_ids, flush_local=flush_local
+            ),
+            step_tasks,
+        )
+        records = [record for unit in units for record in unit]
+        self.apply_flushes(records)
+        return records
+
+    def apply_flushes(self, records: List[TaskRecord]) -> None:
+        """Parameter-server write path: apply, through the buffers' UDFs
+        and in the order given, the buffered writes that blocks run with
+        ``flush_local=False`` handed over in ``record.pending``."""
+        for record in records:
+            for name, pending in record.pending.items():
+                self.info.buffers[name].apply_pending(
+                    record.task.worker, pending
+                )
 
     def close(self) -> None:
         """Release the persistent thread pool (idempotent)."""

@@ -37,6 +37,8 @@ process runs in one schedule step, concatenated in task order
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,9 +49,12 @@ from repro.runtime.pserver import index_nbytes
 
 __all__ = [
     "KernelContext",
+    "fold_slots",
     "level_schedule",
     "normalize_index",
+    "ragged_levels",
     "scalar_pow",
+    "segment_block",
 ]
 
 _FULL = slice(None)
@@ -141,6 +146,149 @@ def scalar_pow(base: Any, exponent: Any) -> Any:
     return out
 
 
+# ---------------------------------------------------------------------- #
+# ragged (CSR) blocks: the segmented tier's prep, guard and fold slots    #
+# ---------------------------------------------------------------------- #
+
+#: One ``(alive, pos)`` pair per inner position ``j``: the segments longer
+#: than ``j`` and the flat offsets of their ``j``-th elements.
+Levels = List[Tuple[np.ndarray, np.ndarray]]
+
+
+def ragged_levels(lens: np.ndarray) -> Levels:
+    """Position-major schedule of a ragged reduction.
+
+    ``r[alive] = r[alive] + term[pos]`` over the returned pairs, in order,
+    adds every segment's elements to its own ``r`` left to right — the
+    order a ``for`` loop over the segment would — in ``max(lens)``
+    vectorized steps (``np.add.reduceat`` sums pairwise and differs in the
+    last bit).
+    """
+    starts = np.cumsum(lens) - lens
+    levels: Levels = []
+    alive = np.flatnonzero(lens > 0)
+    while alive.size:
+        levels.append((alive, starts[alive] + len(levels)))
+        alive = alive[lens[alive] > len(levels)]
+    return levels
+
+
+def _id_column(values: Sequence[Any], extent: Optional[int]) -> Any:
+    """``values`` as an index array, or the reason it cannot be one
+    (``extent`` is ``None`` for an index nothing is subscripted with)."""
+    if not all(
+        issubclass(kind, (int, np.integer)) and kind is not bool
+        for kind in set(map(type, values))
+    ):
+        return "a subscript is not an integer"
+    try:
+        column = np.asarray(values, dtype=np.intp)
+    except OverflowError:
+        return "a subscript overflows the index type"
+    if extent is not None and column.size and (
+        column.min() < 0 or column.max() >= extent
+    ):
+        return "a subscript is outside the array extent"
+    return column
+
+
+def _value_column(values: Sequence[Any], floats_only: bool) -> Any:
+    """``values`` as a float64 array, or the reason it cannot be one:
+    Python ``float`` / ``np.float64`` convert to themselves and an integer
+    converts exactly as ``int op float`` does, but where the body combines
+    two possibly-integer operands (``floats_only``) Python's exact integer
+    arithmetic has no float64 twin."""
+    kinds = set(map(type, values))
+    integers = {
+        kind for kind in kinds
+        if issubclass(kind, (int, np.integer)) and kind is not bool
+    }
+    if not all(issubclass(kind, float) for kind in kinds - integers):
+        return "a value is not a real number"
+    if integers and floats_only:
+        return "an integer value in integer arithmetic"
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except OverflowError:
+        return "an integer value overflows float64"
+
+
+def _column(values: Sequence[Any], role: Tuple[str, Any]) -> Any:
+    kind, arg = role
+    return _id_column(values, arg) if kind == "id" else \
+        _value_column(values, arg)
+
+
+def segment_block(
+    block: Sequence[Any],
+    key_dims: Sequence[Tuple[int, Optional[int]]],
+    fields: Sequence[Any],
+) -> Any:
+    """Flatten a block whose entry values unpack into scalar fields and
+    ragged lists of fixed-arity tuples (a sample's ``(fid, fval)`` pairs)
+    into CSR form — and check what static analysis cannot see, the data.
+
+    ``key_dims`` lists the ``(loop dimension, extent)`` pairs the kernel
+    uses (``extent`` the smallest array it subscripts, ``None`` when it
+    only computes with the index).  ``fields`` has one item per name the value unpacks
+    into: ``None`` (unused), ``("scalar", role)`` or ``("ragged", roles)``
+    with one role per tuple position; a role is ``None`` (unused),
+    ``("id", extent)`` for a subscript or ``("value", floats_only)`` for an
+    arithmetic operand (see :func:`_value_column`).
+
+    Returns ``(n, *columns)``: one index array per key dimension, then per
+    used field its float64 / index array (scalar) or ``seg`` (owning entry
+    of each flat element), the :func:`ragged_levels` and one flat array
+    per used tuple position (ragged).  When the block does not have that
+    shape — a wrong-arity item, a non-integer or out-of-range subscript, a
+    value that is not a real number — returns the reason as a ``str``
+    instead, and the caller runs the block through its general kernel.
+    """
+    n = len(block)
+    out: List[Any] = [n] + [
+        _id_column([entry[0][dim] for entry in block], extent)
+        for dim, extent in key_dims
+    ]
+    values = [entry[1] for entry in block]
+    try:
+        if set(map(len, values)) - {len(fields)}:
+            return f"an entry value does not unpack into {len(fields)} names"
+        for position, spec in enumerate(fields):
+            if spec is None:
+                continue
+            kind, roles = spec
+            column = list(map(operator.itemgetter(position), values))
+            if kind == "scalar":
+                out.append(_column(column, roles))
+                continue
+            lens = np.fromiter(map(len, column), np.intp, n)
+            flat = list(itertools.chain.from_iterable(column))
+            if set(map(len, flat)) - {len(roles)}:
+                return f"a ragged item does not unpack into {len(roles)} names"
+            out += [np.repeat(np.arange(n), lens), ragged_levels(lens)]
+            out += [
+                _column(list(map(operator.itemgetter(at), flat)), role)
+                for at, role in enumerate(roles) if role is not None
+            ]
+    except (TypeError, IndexError, KeyError):
+        return "an entry value is not a tuple of fields and lists of tuples"
+    return next((col for col in out if isinstance(col, str)), tuple(out))
+
+
+def fold_slots(ids: np.ndarray) -> Tuple[List[Tuple[int]], np.ndarray]:
+    """The distinct buffer keys a write site touches, in first-occurrence
+    order (the insertion order N scalar writes give the pending dict), and
+    each write's position among them — what
+    :meth:`KernelContext.buffer_fold` folds over."""
+    unique, first, inverse = np.unique(
+        ids, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    return [(key,) for key in unique[order].tolist()], rank[inverse]
+
+
 class KernelContext:
     """Handed to a kernel for one dispatch unit: the blocks one kernel
     call executes — one block, or a whole schedule step's blocks
@@ -148,7 +296,8 @@ class KernelContext:
     state (see ``OrionExecutor.run_blocks``).
 
     Provides bulk data movement (:meth:`bulk_read`, :meth:`bulk_write`,
-    :meth:`buffer_add`) and accounting-only declarations (``account_*``)
+    :meth:`buffer_add`, :meth:`buffer_fold`) and accounting-only
+    declarations (``account_*``)
     for kernels that read and write the dense backing arrays directly.
     Accounting declarations reproduce exactly what the scalar body's
     per-element broker traffic would have recorded — server read counts
@@ -200,6 +349,20 @@ class KernelContext:
         scalar buffered writes)."""
         self.broker.bulk_buffer_write(buffer, indices, values)
 
+    def buffer_fold(
+        self,
+        buffer: Any,
+        keys: Sequence[Tuple[Any, ...]],
+        slot_of: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Merge the writes ``buffer[keys[slot_of[i]]] = values[i]``, in
+        ``i`` order, with one vectorized fold per distinct key (exactly N
+        scalar buffered writes; ``keys`` / ``slot_of`` from
+        :func:`fold_slots`).  Buffered writes are exempt from accounting,
+        so nothing is declared."""
+        buffer.direct_buffer_fold(keys, slot_of, values)
+
     # ---------------- accounting-only declarations --------------------- #
     #
     # Each call declares the accesses the scalar body would have made.  A
@@ -240,7 +403,12 @@ class KernelContext:
     def account_reads(self, array: DistArray, indices: Sequence[Any]) -> None:
         """Declare N reads with raw subscripts (ints, tuples, slices) —
         the generic form synthesized kernels emit for arbitrary sites."""
-        self._account(array, False, lambda: list(indices), uniform=False)
+        self._account(
+            array, False,
+            lambda: indices.tolist() if isinstance(indices, np.ndarray)
+            else list(indices),
+            uniform=False,
+        )
 
     def account_writes(self, array: DistArray, indices: Sequence[Any]) -> None:
         """Declare N writes with raw subscripts."""

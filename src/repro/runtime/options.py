@@ -54,7 +54,9 @@ class LoopOptions:
             another; ``"threaded"`` runs each schedule step's blocks on
             the executor thread pool (dependence-preserving plans touch
             disjoint elements, so results match the serial
-            linearization); ``"multiprocess"`` runs the plan
+            linearization; buffered plans read step-start state and
+            flush in task order after the step, matching
+            ``"multiprocess"``); ``"multiprocess"`` runs the plan
             on forked OS processes over shared-memory partitions
             (:class:`~repro.runtime.distributed.MultiprocessRunner`) and
             reports *real* wall-clock epoch times.

@@ -79,3 +79,50 @@ class TestSerialApp:
         assert logistic_loss(weights, slr_small.entries) == pytest.approx(
             np.log(2.0)
         )
+
+
+def _loss_by_the_sample(weights, entries):
+    """``logistic_loss`` as it was written before it was vectorized: the
+    per-sample loop, kept as the bitwise oracle."""
+    total = 0.0
+    for (_sample,), (features, label) in entries:
+        margin = sum(weights[fid] * fval for fid, fval in features)
+        signed = margin if label == 1 else -margin
+        total += float(np.log1p(np.exp(-signed)))
+    return total / max(1, len(entries))
+
+
+class TestLogisticLoss:
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hex_equal_to_the_sample_loop_on_ragged_data(
+        self, seed, chunk, monkeypatch
+    ):
+        """Lengths 0-9 with empty samples, a repeated id inside a sample
+        and both labels, flattened in one chunk and in nine."""
+        from repro.apps import slr
+
+        monkeypatch.setattr(slr, "_LOSS_CHUNK", chunk)
+        rng = np.random.default_rng(seed)
+        entries = []
+        for sample in range(60):
+            length = int(rng.integers(0, 10)) if sample % 7 else 0
+            ids = rng.integers(0, 12, size=length)
+            features = [
+                (int(fid), float(rng.standard_normal())) for fid in ids
+            ]
+            entries.append(((sample,), (features, int(rng.integers(0, 2)))))
+        for scale in (0.0, 0.5, 4.0):
+            weights = rng.standard_normal(12) * scale
+            assert logistic_loss(weights, entries).hex() == \
+                _loss_by_the_sample(weights, entries).hex()
+
+    def test_dataset_and_serial_app_agree(self, slr_small):
+        rng = np.random.default_rng(3)
+        weights = rng.standard_normal(slr_small.num_features)
+        expected = _loss_by_the_sample(weights, slr_small.entries).hex()
+        assert logistic_loss(weights, slr_small.entries).hex() == expected
+        assert SLRApp(slr_small).loss({"weights": weights}).hex() == expected
+
+    def test_no_entries(self):
+        assert logistic_loss(np.zeros(3), []) == 0.0

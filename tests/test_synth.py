@@ -145,9 +145,9 @@ ENGAGES = {
     "mf-ordered": "vector",
     "mf-adarev-ordered": "vector",
     "glove": "vector",
-    "slr": "block-loop",
-    "slr-adarev": "block-loop",
-    "slr-no-prefetch": "block-loop",
+    "slr": "segmented",
+    "slr-adarev": "segmented",
+    "slr-no-prefetch": "segmented",
     "gbt": "block-loop",
 }
 #: Apps whose body synthesis declines with a W50x diagnostic.
@@ -403,6 +403,448 @@ def test_property_synthesis_never_changes_results(instance):
     assert [r.bytes_sent for r in scalar_results] == [
         r.bytes_sent for r in auto_results
     ]
+
+
+# --------------------------------------------------------------------------- #
+# the segmented tier: ragged inner loops over buffered writes
+# --------------------------------------------------------------------------- #
+
+
+def _ragged_entries(rng, num_samples, num_ids, max_len=9, empty_every=5):
+    """SLR-shaped entries whose feature lists have 0..max_len items over
+    ``num_ids`` ids (duplicates inside a sample included)."""
+    entries = []
+    for sample in range(num_samples):
+        length = 0 if sample % empty_every == 0 else \
+            int(rng.integers(0, max_len + 1))
+        features = [
+            (int(rng.integers(0, num_ids)), float(rng.standard_normal()))
+            for _ in range(length)
+        ]
+        entries.append(((sample,), (features, int(rng.integers(0, 2)))))
+    return entries
+
+
+class _Ragged:
+    """One SLR-shaped loop over hand-made entries: ``make_body(weights,
+    weight_buf)`` returns the body, so each test spells its own."""
+
+    def __init__(self, entries, extent, num_ids, make_body, kernel,
+                 workers=4, combiner=None, **opts):
+        ctx = OrionContext(cluster=ClusterSpec(1, workers), seed=0)
+        samples = ctx.from_entries(entries, name="samples", shape=(extent,))
+        ctx.materialize(samples)
+        self.weights = ctx.zeros(num_ids, name="weights")
+        ctx.materialize(self.weights)
+        self.weights.values[:] = np.linspace(-1.0, 1.0, num_ids)
+        self.buffer = ctx.dist_array_buffer(
+            self.weights, combiner=combiner, name="weight_buf"
+        )
+        self.loop = ctx.parallel_for(
+            samples,
+            options=LoopOptions(kernel=kernel, balance=False, **opts),
+        )(make_body(self.weights, self.buffer))
+        self.executor = self.loop.executor
+
+    def run_blocks(self, flush_local=True):
+        """One pass through ``run_blocks`` directly, step by step."""
+        executor = self.executor
+        return [
+            record for step in executor.steps
+            for record in executor.run_blocks(
+                step, executor._server_ids, flush_local=flush_local
+            )
+        ]
+
+    def tiers(self):
+        """Which path each block that ran took: the cached prep is a
+        tuple where the segmented kernel ran, the guard's reason where
+        the block was demoted to block-loop."""
+        return {
+            keys[0]: "block-loop" if isinstance(cache["_seg"], str)
+            else "segmented"
+            for keys, cache in self.executor._kernel_caches.items()
+        }
+
+
+def _slr_body(weights, weight_buf):
+    def body(key, sample):
+        features, target = sample
+        margin = 0.0
+        for fid, fval in features:
+            margin = margin + weights[fid] * fval
+        prob = 1.0 / (1.0 + np.exp(-margin))
+        grad_scale = prob - target
+        for fid, fval in features:
+            weight_buf[fid] = -0.1 * grad_scale * fval
+
+    return body
+
+
+def _record_fields(record):
+    """Every ``TaskRecord`` field two paths must agree on: all of them
+    but ``kernel_calls`` (which path ran) and the real-clock window."""
+    return {
+        "block": record.task.block_key,
+        "entries": record.entries,
+        "server_reads": record.server_reads,
+        "server_read_bytes": record.server_read_bytes,
+        "flush_bytes": record.flush_bytes,
+        "accesses": sorted(record.accesses),
+        "shadow": record.shadow,
+        # Insertion order is flush order; hex is bit-identity.
+        "pending": {
+            name: [(key, float(value).hex()) for key, value in slot.items()]
+            for name, slot in record.pending.items()
+        },
+    }
+
+
+def _assert_ragged_paths_agree(build, epochs=2):
+    """``build(kernel)`` twice; block records and weights must match bit
+    for bit whether buffers flush locally or hand their writes over."""
+    for flush_local in (True, False):
+        scalar, auto = build("off"), build("auto")
+        for _ in range(epochs):
+            ref = scalar.run_blocks(flush_local)
+            got = auto.run_blocks(flush_local)
+            assert [r.kernel_calls for r in got] == [1] * len(got)
+            assert [_record_fields(r) for r in ref] == \
+                [_record_fields(r) for r in got]
+            assert np.array_equal(scalar.weights.values, auto.weights.values)
+            assert scalar.buffer.pending_count() == auto.buffer.pending_count()
+    return scalar, auto
+
+
+class TestSegmentedTier:
+    def test_ragged_edge_cases_match_scalar_block_by_block(self):
+        """Empty feature lists, a one-entry block, an empty block, an id
+        repeated inside a sample and one id in every sample — records
+        (validation accesses included) and state, through ``run_blocks``."""
+        rng = np.random.default_rng(1)
+        entries = [
+            entry for entry in _ragged_entries(rng, 40, 9)
+            # block 1 (samples 10..19) keeps one entry, block 2 none
+            if not 10 <= entry[0][0] < 30 or entry[0][0] == 13
+        ]
+        entries = [
+            (key, (features + [(2, 0.5)], label)) if features else
+            (key, (features, label))
+            for key, (features, label) in entries
+        ]  # id 2 in every non-empty sample
+        key, (features, label) = entries[1]
+        entries[1] = (key, ([(4, 1.5), (4, -0.25), (4, 2.0)] + features, label))
+
+        def build(kernel):
+            return _Ragged(entries, 40, 9, _slr_body, kernel, validate=True)
+
+        _scalar, auto = _assert_ragged_paths_agree(build)
+        sizes = [len(auto.executor.partitions.block(w, 0)) for w in range(4)]
+        assert sizes[1:3] == [1, 0] and min(sizes[0], sizes[3]) > 1
+        assert auto.executor.kernel_tier == "synth:segmented"
+        assert set(auto.tiers().values()) == {"segmented"}
+        assert any(not features for _key, (features, _l) in entries)
+
+    def test_nonzero_init_two_reductions_and_entry_level_reads(self):
+        """A reduction that starts from a non-zero expression, a second
+        reduction in the same loop, an element-level temporary, ``+=``,
+        and a point read subscripted by the loop index."""
+        rng = np.random.default_rng(2)
+        entries = _ragged_entries(rng, 24, 24)
+
+        def make_body(weights, weight_buf):
+            def body(key, sample):
+                features, target = sample
+                margin = 0.5 - target
+                norm = 1.0
+                for fid, fval in features:
+                    term = weights[fid] * fval
+                    margin = margin + term
+                    norm += fval * fval
+                scale = np.tanh(margin) / norm + weights[key[0]]
+                for fid, fval in features:
+                    weight_buf[fid] = scale * fval
+
+            return body
+
+        def build(kernel):
+            return _Ragged(entries, 24, 24, make_body, kernel, validate=True)
+
+        _scalar, auto = _assert_ragged_paths_agree(build)
+        assert auto.executor.kernel_tier == "synth:segmented"
+        source = auto.loop.synthesis().source
+        assert source.count("for _alive, _pos in") == 1  # one level loop
+        assert source.count("[_alive] + ") == 2          # two reductions
+
+    @pytest.mark.parametrize("construct", [
+        "foreign-iterable", "product-reduction", "branch", "combiner",
+        "array-write",
+    ])
+    def test_declines_fall_to_block_loop_with_a_note(self, construct):
+        rng = np.random.default_rng(3)
+        entries = _ragged_entries(rng, 24, 24)
+        extra = [(1, 0.5), (3, -1.0)]
+
+        def make_body(weights, weight_buf):
+            def foreign_iterable(key, sample):
+                features, target = sample
+                margin = 0.0
+                for fid, fval in extra:
+                    margin = margin + weights[fid] * fval
+                for fid, fval in features:
+                    weight_buf[fid] = (margin - target) * fval
+
+            def product_reduction(key, sample):
+                features, target = sample
+                margin = 1.0
+                for fid, fval in features:
+                    margin = margin * (1.0 + 0.1 * weights[fid] * fval)
+                for fid, fval in features:
+                    weight_buf[fid] = (margin - target) * fval
+
+            def branch(key, sample):
+                features, target = sample
+                margin = 0.0
+                for fid, fval in features:
+                    if fval > 0.0:
+                        margin = margin + weights[fid] * fval
+                for fid, fval in features:
+                    weight_buf[fid] = (margin - target) * fval
+
+            def array_write(key, sample):
+                features, target = sample
+                margin = 0.0
+                for fid, fval in features:
+                    margin = margin + fval
+                weights[key[0]] = margin - target
+
+            return {
+                "foreign-iterable": foreign_iterable,
+                "product-reduction": product_reduction,
+                "branch": branch,
+                "combiner": _slr_body(weights, weight_buf),
+                "array-write": array_write,
+            }[construct]
+
+        def build(kernel):
+            combiner = (lambda a, b: a + b) if construct == "combiner" else None
+            return _Ragged(
+                entries, 24, 24, make_body, kernel, combiner=combiner
+            )
+
+        auto = build("auto")
+        synth = auto.loop.synthesis()
+        assert synth.tier == "block-loop" and synth.fallback_source is None
+        (reason,) = [
+            note for note in synth.notes
+            if note.startswith("segmented tier unavailable: ")
+        ]
+        assert {
+            "foreign-iterable": "not a ragged field",
+            "product-reduction": "not a `+` reduction",
+            "branch": "branch inside an inner loop",
+            "combiner": "custom combiner",
+            "array-write": "direct write to DistArray",
+        }[construct] in reason
+        if construct == "array-write":
+            # A 1D plan whose shared write is direct does not batch at all.
+            assert auto.executor.kernel_tier == "scalar"
+            return
+        scalar = build("off")
+        scalar.loop.run(2)
+        auto.loop.run(2)
+        assert np.array_equal(scalar.weights.values, auto.weights.values)
+
+    def test_data_guard_demotes_only_the_block_that_fails_it(self):
+        """What analysis cannot see is checked per block, once: a negative
+        id (NumPy wraps it; the extent check does not) and a float32
+        value each send their own block to the block-loop kernel of the
+        same body, the clean blocks (one with an ``np.int64`` id) stay
+        segmented, and the result is the scalar interpreter's, bit for
+        bit."""
+        rng = np.random.default_rng(4)
+        entries = _ragged_entries(rng, 40, 9)
+        spoil = {
+            3: (-1, 0.75), 14: (5, np.float32(0.5)), 25: (np.int64(3), 1.0),
+        }
+        entries = [
+            (key, (features + [spoil[key[0]]], label))
+            if key[0] in spoil else (key, (features, label))
+            for key, (features, label) in entries
+        ]
+
+        def build(kernel):
+            return _Ragged(entries, 40, 9, _slr_body, kernel, validate=True)
+
+        _scalar, auto = _assert_ragged_paths_agree(build)
+        assert auto.tiers() == {
+            (0, 0): "block-loop", (1, 0): "block-loop",
+            (2, 0): "segmented", (3, 0): "segmented",
+        }
+        notes = [
+            note for note in auto.loop.synthesis().notes if "demoted" in note
+        ]
+        assert len(notes) == 2
+        assert any("outside the array extent" in note for note in notes)
+        assert any("not a real number" in note for note in notes)
+
+    def test_wrong_arity_item_raises_what_the_scalar_body_raises(self):
+        """A 3-tuple among the pairs must not be flattened into shifted
+        columns: the guard hands the block to block-loop, which fails
+        the unpacking exactly as the interpreter does."""
+        entries = _ragged_entries(np.random.default_rng(5), 12, 6)
+        key, (features, label) = entries[2]
+        entries[2] = (key, (features + [(1, 0.5, 9.0)], label))
+        for kernel in ("off", "auto"):
+            ragged = _Ragged(entries, 12, 6, _slr_body, kernel, workers=2)
+            with pytest.raises(ValueError, match="too many values to unpack"):
+                ragged.run_blocks()
+        assert ragged.tiers()[(0, 0)] == "block-loop"
+        assert "does not unpack into 2 names" in " ".join(
+            ragged.loop.synthesis().notes
+        )
+
+    def test_integer_data_in_integer_arithmetic_is_demoted(self):
+        """``count * fval`` is exact in Python when both are ints and
+        rounds in float64 past 2**53: integers are accepted where the
+        other operand is a float (the label in SLR), demoted where the
+        body would do integer arithmetic on them."""
+        big = 2**27 + 1
+        entries = [
+            ((0,), ([(1, big), (2, big)], 1)),
+            ((1,), ([(0, 3), (1, -big)], 0)),
+            ((2,), ([(1, 0.5)], 1.0)),
+            ((3,), ([(2, 1.5), (0, -2.0)], 0.0)),
+        ]
+
+        def make_body(weights, weight_buf):
+            def body(key, sample):
+                features, count = sample
+                total = 0.0
+                for fid, fval in features:
+                    total = total + fval * fval * fval
+                for fid, fval in features:
+                    weight_buf[fid] = total * (count + 1)
+
+            return body
+
+        def build(kernel):
+            return _Ragged(entries, 4, 3, make_body, kernel, workers=2)
+
+        _scalar, auto = _assert_ragged_paths_agree(build)
+        assert auto.tiers() == {(0, 0): "block-loop", (1, 0): "segmented"}
+        # The case the guard is for: float64 rounds twice, Python once.
+        assert float(big) * float(big) * float(big) != float(big**3)
+
+    def test_steady_state_never_iterates_the_block(self, monkeypatch):
+        """After a block's first call everything the kernel needs is in
+        ``kctx.cache``: hand it blocks whose ``__iter__`` raises."""
+        entries = _ragged_entries(np.random.default_rng(6), 40, 9)
+        scalar = _Ragged(entries, 40, 9, _slr_body, "off")
+        auto = _Ragged(entries, 40, 9, _slr_body, "auto")
+        scalar.loop.run(3)
+        auto.loop.run(1)
+
+        class Opaque(list):
+            def __iter__(self):
+                raise AssertionError("the steady-state kernel iterated block")
+
+        blocks = auto.executor.partitions.blocks
+        monkeypatch.setattr(
+            auto.executor.partitions, "block",
+            lambda space, time: Opaque(blocks.get((space, time), [])),
+        )
+        auto.loop.run(2)
+        assert np.array_equal(scalar.weights.values, auto.weights.values)
+        body_lines = [
+            line for line in auto.loop.synthesis().source.splitlines()[1:]
+            if "block" in line
+        ]
+        assert [line.strip() for line in body_lines] == [
+            "_prep = kctx.cache['_seg'] = _segment(block)",
+            "return _block_loop(block, kctx)",
+        ]
+
+    def test_fold_is_the_ordered_merge_hex_for_hex(self):
+        """``direct_buffer_fold`` against N ``direct_buffer_write`` calls:
+        duplicate-heavy keys, a lone ``-0.0``, cancellation — on an empty
+        slot (one ``np.add.at``) and on a pre-seeded one (ordered
+        merge)."""
+        from repro.core import access
+        from repro.core.buffers import DistArrayBuffer
+        from repro.runtime.kernels import fold_slots
+
+        rng = np.random.default_rng(7)
+        target = DistArray.zeros(16, name="fold_target")
+        target.materialize()
+        for trial in range(60):
+            size = int(rng.integers(1, 40))
+            ids = rng.integers(0, 5, size=size)
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8)
+            ids[-1], values[-1] = 15, -0.0       # a key written once, -0.0
+            values[rng.integers(0, size - 1) if size > 1 else 0] = -0.0
+            keys, slot_of = fold_slots(ids)
+            for seeded in (False, True):
+                one, many = DistArrayBuffer(target), DistArrayBuffer(target)
+                with access.worker_scope(2):
+                    if seeded:
+                        one.direct_buffer_write(int(ids[0]), 0.3)
+                        many.direct_buffer_write(int(ids[0]), 0.3)
+                    for index, value in zip(ids.tolist(), values.tolist()):
+                        one.direct_buffer_write(index, value)
+                    many.direct_buffer_fold(keys, slot_of, values)
+                ref, got = one.take_pending(2), many.take_pending(2)
+                assert list(ref) == list(got)  # same insertion order
+                assert [float(v).hex() for v in ref.values()] == \
+                    [float(v).hex() for v in got.values()], (trial, seeded)
+
+
+@st.composite
+def _slr_instances(draw):
+    samples = draw(st.integers(min_value=1, max_value=30))
+    num_ids = draw(st.integers(min_value=1, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    step = draw(st.floats(min_value=1e-3, max_value=0.5))
+    return samples, num_ids, seed, step
+
+
+@given(_slr_instances())
+@settings(max_examples=12, deadline=None)
+def test_property_segmented_synthesis_never_changes_results(instance):
+    """The ragged twin of the MF property: for random SLR-shaped data —
+    feature lists of 0-9 items over at most 12 ids, so duplicates inside
+    a sample and across a block dominate — the segmented kernel is
+    bit-identical to the scalar interpreter, state and traffic."""
+    samples, num_ids, seed, step = instance
+    rng = np.random.default_rng(seed)
+    entries = _ragged_entries(rng, samples, num_ids, empty_every=4)
+
+    def make_body(weights, weight_buf):
+        def body(key, sample):
+            features, target = sample
+            margin = 0.0
+            for fid, fval in features:
+                margin = margin + weights[fid] * fval
+            prob = 1.0 / (1.0 + np.exp(-margin))
+            for fid, fval in features:
+                weight_buf[fid] = -step * (prob - target) * fval
+
+        return body
+
+    def build(kernel):
+        return _Ragged(
+            entries, samples, num_ids, make_body, kernel, workers=3,
+            validate=True,
+        )
+
+    scalar, auto = build("off"), build("auto")
+    assert auto.executor.kernel_tier == "synth:segmented"
+    scalar_results = scalar.loop.run(2)
+    auto_results = auto.loop.run(2)
+    assert set(auto.tiers().values()) <= {"segmented"}
+    assert np.array_equal(scalar.weights.values, auto.weights.values)
+    assert _epoch_signature([scalar_results]) == \
+        _epoch_signature([auto_results])
 
 
 # --------------------------------------------------------------------------- #
