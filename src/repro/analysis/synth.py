@@ -1,8 +1,11 @@
 """Automatic kernel synthesis: compile a scalar loop body into a block kernel.
 
 The batched fast path (:mod:`repro.runtime.kernels`) runs one
-``kernel(block_entries, kctx)`` call per dispatch unit — a block, or a
-whole schedule step's blocks when the kernel is ``fusable``.  This
+``kernel(block, kctx)`` call per dispatch unit — a block, or a whole
+schedule step's blocks when the kernel is ``fusable`` — where ``block``
+is a columnar :class:`~repro.runtime.partition.Block`; the vector and
+segmented tiers read ``block.keys`` / ``block.values`` and never walk
+its ``(key, value)`` tuples (a plain list is converted on entry).  This
 module derives that kernel from the serial loop body, the only source of
 truth: starting from
 the body's AST, the ``ArrayRef`` / ``IndexBinding`` records, and the
@@ -78,6 +81,7 @@ from repro.analysis.strategy import Plan, Strategy, choose_plan
 from repro.analysis.subscript import SubscriptKind
 from repro.errors import AnalysisError
 from repro.runtime import kernels as _kernels
+from repro.runtime.partition import Block as _Block
 
 __all__ = [
     "SynthResult",
@@ -95,7 +99,7 @@ __all__ = [
 _RESERVED_NAMES = {
     "_snp", "_vecdot", "_scalar_pow", "_level_schedule", "_FULL", "block",
     "kctx", "_synth_kernel", "_lo", "_hi", "_vals", "_prep", "_groups",
-    "_order", "_n", "_e", "_segment", "_block_loop", "_alive", "_pos",
+    "_order", "_n", "_as_block", "_segment", "_block_loop", "_alive", "_pos",
 }
 #: Prefixes of generated temporaries; body names must not collide.
 _RESERVED_PREFIXES = (
@@ -698,11 +702,11 @@ class _Vectorizer:
                 "equivalence checker cannot rewind accumulators)",
             )
         try:
-            first = next(iter(info.iteration_space.entries()), None)
+            values = info.iteration_space.columns()[1]
         except Exception:
-            first = None
-        if first is not None and not isinstance(
-            first[1], (int, float, np.integer, np.floating)
+            values = ()
+        if len(values) and not isinstance(
+            values[0], (int, float, np.integer, np.floating)
         ):
             raise _Fallback("W501", "non-scalar entry values (vector tier)")
         assert info.tree is not None
@@ -742,12 +746,10 @@ class _Vectorizer:
         out("def _synth_kernel(block, kctx):")
         out("    _prep = kctx.cache.get('_synth')")
         out("    if _prep is None:")
-        out("        _n = len(block)")
+        out("        block = _as_block(block)")
         for d in dims:
-            out(f"        _a{d} = _snp.fromiter("
-                f"(_e[0][{d}] for _e in block), _snp.intp, _n)")
-        out("        _vals = _snp.fromiter((_e[1] for _e in block), "
-            "_snp.float64, _n)")
+            out(f"        _a{d} = block.keys[:, {d}]")
+        out("        _vals = _snp.asarray(block.values, dtype=_snp.float64)")
         group_args = ", ".join(f"_a{d}.tolist()" for d in conflict_dims)
         out(f"        _order, _groups = _level_schedule([{group_args}])")
         for source, name in acct_args.items():
@@ -1793,6 +1795,7 @@ def _compile_kernel(source: str, env: Dict[str, Any], info: LoopInfo,
         _vecdot=_vecdot,
         _scalar_pow=_kernels.scalar_pow,
         _level_schedule=_kernels.level_schedule,
+        _as_block=_Block.of,
         _FULL=slice(None),
         **helpers,
     )
@@ -1810,7 +1813,10 @@ def _guarded_prep(
     key_dims, fields, fold_columns = prep_spec
 
     def segment(block: Sequence[Any]) -> Any:
-        prep = _kernels.segment_block(block, key_dims, fields)
+        block = _Block.of(block)
+        prep = _kernels.segment_block(
+            block.keys, block.values, key_dims, fields
+        )
         if isinstance(prep, str):
             note = f"segmented tier demoted a block to block-loop: {prep}"
             if note not in notes:

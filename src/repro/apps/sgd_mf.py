@@ -25,6 +25,7 @@ from repro.apps.base import (
 )
 from repro.data.synthetic import MFDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.partition import Block
 from repro.runtime.simtime import CostModel
 
 __all__ = ["MFHyper", "SGDMFApp", "build_orion_program", "mf_cost_model", "nzsl"]
@@ -59,11 +60,10 @@ def nzsl(
     return float(residual @ residual)
 
 
-def _index_arrays(entries: List[Entry]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    rows = np.array([key[0] for key, _v in entries], dtype=np.int64)
-    cols = np.array([key[1] for key, _v in entries], dtype=np.int64)
-    values = np.array([v for _k, v in entries], dtype=np.float64)
-    return rows, cols, values
+def _index_arrays(block: Block) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, ratings)`` of a block of ratings."""
+    rows, cols = np.ascontiguousarray(block.keys.T)
+    return rows, cols, np.asarray(block.values, dtype=np.float64)
 
 
 def mf_cost_model(hyper: MFHyper, base_entry_cost: float = 1e-6) -> CostModel:
@@ -158,7 +158,8 @@ def build_orion_program(
     loop = ctx.parallel_for(
         ratings, options=opts.merged_with(ordered=ordered)
     )(body)
-    rows, cols, values = _index_arrays(dataset.entries)
+    # The loss reads the columns the ratings array already holds.
+    rows, cols, values = _index_arrays(Block(*ratings.columns()))
 
     if eval_with_loop:
         err = ctx.accumulator("err", 0.0)
@@ -204,7 +205,9 @@ class SGDMFApp(SerialApp):
         self.hyper = hyper
         self.name = "sgd_mf_adarev" if hyper.adarev else "sgd_mf"
         self.entry_cost_factor = (hyper.rank / 8.0) * (2.8 if hyper.adarev else 1.0)
-        self._rows, self._cols, self._values = _index_arrays(dataset.entries)
+        self._rows, self._cols, self._values = _index_arrays(
+            Block.of(dataset.entries)
+        )
 
     def init_state(self, seed: int = 0) -> Dict[str, np.ndarray]:
         rng = np.random.default_rng(seed)

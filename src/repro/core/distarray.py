@@ -15,12 +15,20 @@ the paper's:
 * ``randomize`` permutes coordinates along chosen dimensions to smooth a
   skewed data distribution (paper Sec. 4.3),
 * ``checkpoint`` eagerly writes the array to disk (fault tolerance).
+
+Sparse storage has two forms, exactly one live at a time.  An array
+materializes *columnar* (:data:`Columns`) — what a parallel for-loop
+partitions and its kernels read — and the first point access or write
+goes through ``_entries``, which builds the ``key -> value`` dict from
+the columns and drops them.  Every reader (``entries()``, ``columns()``,
+``num_entries``) answers from the live form, so nothing cached goes stale.
 """
 
 from __future__ import annotations
 
 import itertools
 import pickle
+import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -29,7 +37,10 @@ import numpy as np
 from repro.core import access
 from repro.errors import CheckpointError, MaterializationError, SubscriptError
 
-__all__ = ["DistArray", "Recipe", "parse_dense_line", "key_value_entries", "MISSING"]
+__all__ = [
+    "DistArray", "Recipe", "parse_dense_line", "key_value_entries", "MISSING",
+    "Columns", "column_items", "value_column",
+]
 
 _name_counter = itertools.count()
 
@@ -44,6 +55,51 @@ def _fresh_name(prefix: str) -> str:
 
 def _copy_value(value: Any) -> Any:
     return value.copy() if isinstance(value, np.ndarray) else value
+
+
+#: Columnar sparse storage: ``keys`` an ``(n, d)`` ``intp`` matrix and the
+#: values column — ``float64`` when every value is exactly a Python
+#: ``float`` (``.tolist()`` gives back the same type and bits), else the
+#: value objects in a list.
+Columns = Tuple[np.ndarray, Any]
+
+#: Serializes the columns -> dict switch (threaded workers may make the
+#: first point access to one array together).
+_SWITCH_LOCK = threading.Lock()
+
+
+def _columns_of(data: Dict[Any, Any]) -> Optional[Columns]:
+    """``data`` as columns, or ``None`` unless its keys are tuples of plain
+    ``int`` of one arity (C-level passes, never a per-entry loop)."""
+    keys = list(data)
+    flat = itertools.chain.from_iterable
+    if (
+        not keys
+        or set(map(type, keys)) != {tuple}
+        or len(set(map(len, keys))) != 1
+        or set(map(type, flat(keys))) - {int}
+    ):
+        return None
+    try:
+        matrix = np.fromiter(flat(keys), np.intp, len(keys) * len(keys[0]))
+    except OverflowError:
+        return None
+    return matrix.reshape(len(keys), -1), value_column(list(data.values()))
+
+
+def value_column(values: List[Any]) -> Any:
+    """The values column (see :data:`Columns`) of a list of values."""
+    return np.array(values) if set(map(type, values)) == {float} else values
+
+
+def column_items(
+    keys: np.ndarray, values: Any
+) -> Iterator[Tuple[Tuple[int, ...], Any]]:
+    """The ``(key, value)`` tuples the columns stand for: keys as tuples
+    of plain ``int``, values with their original types."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return zip(map(tuple, keys.tolist()), values)
 
 
 @dataclass
@@ -77,23 +133,13 @@ def key_value_entries(
     return sorted(mapping.items())
 
 
-def _infer_shape(entries: Iterable[Tuple[Tuple[int, ...], Any]]) -> Tuple[int, ...]:
-    """Smallest bounding-box shape containing every entry coordinate."""
-    maxima: Optional[List[int]] = None
-    for key, _value in entries:
-        if maxima is None:
-            maxima = [int(c) for c in key]
-        else:
-            if len(key) != len(maxima):
-                raise MaterializationError(
-                    "entries have inconsistent coordinate arity"
-                )
-            for dim, coordinate in enumerate(key):
-                if coordinate > maxima[dim]:
-                    maxima[dim] = int(coordinate)
-    if maxima is None:
+def _infer_shape(keys: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """Smallest bounding-box shape containing every key."""
+    if not keys:
         raise MaterializationError("cannot infer the shape of an empty array")
-    return tuple(m + 1 for m in maxima)
+    if len(set(map(len, keys))) != 1:
+        raise MaterializationError("entries have inconsistent coordinate arity")
+    return tuple(max(column) + 1 for column in zip(*keys))
 
 
 class DistArray:
@@ -118,9 +164,26 @@ class DistArray:
         self._recipes: List[Recipe] = list(recipes or [])
         self._seed = seed
         self._dense: Optional[np.ndarray] = None
-        self._entries: Optional[Dict[Tuple[int, ...], Any]] = None
+        # Sparse storage: at most one of the two is not ``None``.
+        self._dict: Optional[Dict[Tuple[int, ...], Any]] = None
+        self._columns: Optional[Columns] = None
         #: Optional coordinate permutations from :meth:`randomize`, by dim.
         self.permutations: Dict[int, np.ndarray] = {}
+
+    @property
+    def _entries(self) -> Optional[Dict[Tuple[int, ...], Any]]:
+        """The ``key -> value`` dict every point access and write goes
+        through: built from the columns on first use, which are then
+        dropped."""
+        if self._columns is not None:
+            with _SWITCH_LOCK:
+                columns = self._columns
+                if columns is not None:
+                    # Publish before dropping: a racing reader must find
+                    # one of the two.
+                    self._dict = dict(column_items(*columns))
+                    self._columns = None
+        return self._dict
 
     # ------------------------------------------------------------------ #
     # Creation (lazy)                                                     #
@@ -219,7 +282,11 @@ class DistArray:
     @property
     def is_materialized(self) -> bool:
         """Whether storage has been evaluated and element access is legal."""
-        return self._dense is not None or self._entries is not None
+        return (
+            self._dense is not None
+            or self._columns is not None
+            or self._dict is not None
+        )
 
     def materialize(self) -> "DistArray":
         """Evaluate the recorded recipe chain, fusing ``map`` steps.
@@ -258,27 +325,42 @@ class DistArray:
             raise MaterializationError(
                 f"unsupported sparse source recipe {source.kind!r}"
             )
-        data: Dict[Tuple[int, ...], Any] = {}
-        for key, value in raw:
-            key = tuple(int(c) for c in key)
-            # Fused user-defined maps: applied per entry, no intermediates.
-            dropped = False
-            for step in maps:
-                fn = step.args["fn"]
-                if step.args["map_values"]:
-                    value = fn(value)
-                else:
-                    mapped = fn(key, value)
-                    if mapped is None:
-                        dropped = True
-                        break
-                    key, value = mapped
-                    key = tuple(int(c) for c in key)
-            if not dropped:
-                data[key] = value
-        self._entries = data
+        columns = None
+        if not maps:
+            # Keys that are already plain-int tuples need no per-entry
+            # pass: ``dict`` dedups (first position, last value) in C.
+            try:
+                columns = _columns_of(dict(raw))
+            except (TypeError, ValueError):
+                pass  # the general path below names what is wrong
+        if columns is None:
+            data: Dict[Tuple[int, ...], Any] = {}
+            for key, value in raw:
+                key = tuple(int(c) for c in key)
+                # Fused user-defined maps: applied per entry, no intermediates.
+                dropped = False
+                for step in maps:
+                    fn = step.args["fn"]
+                    if step.args["map_values"]:
+                        value = fn(value)
+                    else:
+                        mapped = fn(key, value)
+                        if mapped is None:
+                            dropped = True
+                            break
+                        key, value = mapped
+                        key = tuple(int(c) for c in key)
+                if not dropped:
+                    data[key] = value
+            columns = _columns_of(data)
+            if columns is None:  # empty, or mixed arity under a given shape
+                self._dict = data
+        self._columns = columns
         if self._shape is None:
-            self._shape = _infer_shape(data.items())
+            if columns is None:
+                self._shape = _infer_shape(list(data))
+            else:
+                self._shape = tuple((columns[0].max(axis=0) + 1).tolist())
 
     def _materialize_dense(self, source: Recipe, maps: List[Recipe]) -> None:
         if self._shape is None:
@@ -329,7 +411,8 @@ class DistArray:
         """Number of stored entries (nnz for sparse, product of shape dense)."""
         if self.sparse:
             self._require_materialized()
-            return len(self._entries)
+            columns = self._columns
+            return len(self._dict if columns is None else columns[1])
         return int(np.prod(self.shape))
 
     @property
@@ -337,7 +420,7 @@ class DistArray:
         """Approximate in-memory payload size, used by the network model."""
         self._require_materialized()
         if self.sparse:
-            return 8 * (self.ndim + 1) * len(self._entries)
+            return 8 * (self.ndim + 1) * self.num_entries
         return int(self._dense.nbytes)
 
     # ------------------------------------------------------------------ #
@@ -516,11 +599,30 @@ class DistArray:
         space of a parallel for-loop); for dense arrays, every cell.
         """
         self._require_materialized()
-        if self.sparse:
-            yield from self._entries.items()
-        else:
+        if not self.sparse:
             for key in np.ndindex(*self._dense.shape):
                 yield key, self._dense[key]
+            return
+        columns = self._columns
+        yield from (
+            self._dict.items() if columns is None else column_items(*columns)
+        )
+
+    def columns(self) -> Columns:
+        """The stored entries as :data:`Columns`, in :meth:`entries`
+        order — what a parallel for-loop partitions.  Read-only: while the
+        array is columnar they are its storage."""
+        self._require_materialized()
+        if not self.sparse:
+            keys = np.indices(self._dense.shape, dtype=np.intp)
+            # A list of the ``np.float64`` cells ``entries()`` yields.
+            return keys.reshape(self.ndim, -1).T, list(self._dense.reshape(-1))
+        columns = self._columns or _columns_of(self._dict)
+        if columns is None and self._dict:
+            raise MaterializationError(
+                f"{self.name} has keys of inconsistent coordinate arity"
+            )
+        return columns or (np.empty((0, self.ndim), dtype=np.intp), [])
 
     @property
     def values(self) -> np.ndarray:
@@ -545,9 +647,7 @@ class DistArray:
         values copied) for sparse ones."""
         self._require_materialized()
         if self.sparse:
-            return {
-                key: _copy_value(value) for key, value in self._entries.items()
-            }
+            return {key: _copy_value(value) for key, value in self.entries()}
         return self._dense.copy()
 
     def restore(self, snapshot: Any) -> None:
@@ -580,14 +680,14 @@ class DistArray:
         if not 0 <= dim < self.ndim:
             raise SubscriptError(f"group_by dimension {dim} out of range")
         groups: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...], Any]]] = {}
-        for key, value in self._entries.items():
+        for key, value in self.entries():
             groups.setdefault((key[dim],), []).append((key, value))
         out = DistArray(
             name=_fresh_name(self.name + "_by"),
             shape=(self.shape[dim],),
             sparse=True,
         )
-        out._entries = dict(groups)
+        out._dict = groups
         return out
 
     def randomize(
@@ -610,18 +710,16 @@ class DistArray:
             if not 0 <= dim < self.ndim:
                 raise SubscriptError(f"randomize dimension {dim} out of range")
             perms[dim] = rng.permutation(self.shape[dim])
-        remapped: Dict[Tuple[int, ...], Any] = {}
-        for key, value in self._entries.items():
-            new_key = tuple(
-                int(perms[d][c]) if d in perms else c for d, c in enumerate(key)
-            )
-            remapped[new_key] = value
+        keys, values = self.columns()
+        keys = keys.copy()
+        for dim, perm in perms.items():
+            keys[:, dim] = perm[keys[:, dim]]
         out = DistArray(
             name=_fresh_name(self.name + "_rand"),
             shape=self.shape,
             sparse=True,
         )
-        out._entries = remapped
+        out._columns = keys, values
         out.permutations = perms
         return out
 
@@ -637,11 +735,10 @@ class DistArray:
             raise SubscriptError(f"histogram dimension {dim} out of range")
         extent = self.shape[dim]
         bins = extent if num_bins is None else int(num_bins)
-        counts = np.zeros(bins, dtype=np.int64)
-        for key in self._entries:
-            bucket = key[dim] * bins // extent
-            counts[bucket] += 1
-        return counts
+        coords = self.columns()[0][:, dim]
+        return np.bincount(coords * bins // extent, minlength=bins).astype(
+            np.int64
+        )
 
     # ------------------------------------------------------------------ #
     # Checkpointing                                                       #
@@ -655,7 +752,7 @@ class DistArray:
             "shape": self._shape,
             "sparse": self.sparse,
             "dense": self._dense,
-            "entries": self._entries,
+            "entries": dict(self.entries()) if self.sparse else None,
         }
         try:
             with open(path, "wb") as handle:
@@ -675,7 +772,7 @@ class DistArray:
             name=payload["name"], shape=payload["shape"], sparse=payload["sparse"]
         )
         array._dense = payload["dense"]
-        array._entries = payload["entries"]
+        array._dict = payload["entries"]
         return array
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -20,7 +20,7 @@ pattern* and the same statistical structure that drives the evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -64,15 +64,17 @@ class MFDataset:
 
 
 def _skewed_coordinates(
-    rng: np.random.Generator, extent: int, count: int, skew: float
-) -> np.ndarray:
-    """Sample ``count`` coordinates in ``[0, extent)``; ``skew=0`` uniform,
-    larger values increasingly power-law (few hot rows/users)."""
+    extent: int, skew: float
+) -> Callable[[np.random.Generator, int], np.ndarray]:
+    """A ``(rng, count) -> coordinates`` sampler over ``[0, extent)``;
+    ``skew=0`` uniform, larger values increasingly power-law (few hot
+    rows/users).  The ``extent``-long weight vector is built here, once,
+    not per draw."""
     if skew <= 0:
-        return rng.integers(0, extent, size=count)
+        return lambda rng, count: rng.integers(0, extent, size=count)
     weights = 1.0 / np.power(np.arange(1, extent + 1), skew)
     weights /= weights.sum()
-    return rng.choice(extent, size=count, p=weights)
+    return lambda rng, count: rng.choice(extent, size=count, p=weights)
 
 
 def netflix_like(
@@ -93,14 +95,16 @@ def netflix_like(
     rng = np.random.default_rng(seed)
     row_factors = rng.standard_normal((num_rows, rank)) / np.sqrt(rank)
     col_factors = rng.standard_normal((num_cols, rank)) / np.sqrt(rank)
+    draw_rows = _skewed_coordinates(num_rows, skew)
+    draw_cols = _skewed_coordinates(num_cols, skew)
     seen = set()
     entries: List[Entry] = []
     # Oversample then dedupe to hit the requested count.
     attempts = 0
     while len(entries) < num_ratings and attempts < 20:
         remaining = num_ratings - len(entries)
-        rows = _skewed_coordinates(rng, num_rows, remaining * 2, skew)
-        cols = _skewed_coordinates(rng, num_cols, remaining * 2, skew)
+        rows = draw_rows(rng, remaining * 2)
+        cols = draw_cols(rng, remaining * 2)
         for i, j in zip(rows, cols):
             position = (int(i), int(j))
             if position in seen:
@@ -216,11 +220,10 @@ def sparse_classification(
     """
     rng = np.random.default_rng(seed)
     true_w = rng.standard_normal(num_features) / np.sqrt(nnz_per_sample)
+    draw_features = _skewed_coordinates(num_features, feature_skew)
     entries: List[Entry] = []
     for sample in range(num_samples):
-        ids = np.unique(
-            _skewed_coordinates(rng, num_features, nnz_per_sample, feature_skew)
-        )
+        ids = np.unique(draw_features(rng, nnz_per_sample))
         values = rng.standard_normal(len(ids))
         margin = float(true_w[ids] @ values)
         probability = 1.0 / (1.0 + np.exp(-margin))

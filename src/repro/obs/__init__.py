@@ -19,72 +19,43 @@ Quick use::
     print(straggler_report(tracer, metrics))
 """
 
-from repro.obs.export import (
-    add_traffic_spans,
-    chrome_trace_events,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.insight import (
-    EpochAttribution,
-    Segment,
-    WorkerAttribution,
-    attribute_epochs,
-    insight_report,
-    paired_prediction,
-    prediction_error,
-)
-from repro.obs.metrics import (
-    NULL_METRICS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.observability import Observability
-from repro.obs.report import straggler_report, utilization_lines
-from repro.obs.runstore import (
-    RunRecord,
-    RunStore,
-    Verdict,
-    check_store,
-    compare_records,
-    loop_signature,
-    record_run,
-)
-from repro.obs.tracer import NULL_TRACER, Span, Tracer, wall_process
+import importlib
+from typing import Any
 
-__all__ = [
-    "Span",
-    "Tracer",
-    "NULL_TRACER",
-    "wall_process",
-    "Observability",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_METRICS",
-    "chrome_trace_events",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "validate_chrome_trace",
-    "add_traffic_spans",
-    "straggler_report",
-    "utilization_lines",
-    "Segment",
-    "WorkerAttribution",
-    "EpochAttribution",
-    "attribute_epochs",
-    "insight_report",
-    "paired_prediction",
-    "prediction_error",
-    "RunRecord",
-    "RunStore",
-    "Verdict",
-    "loop_signature",
-    "record_run",
-    "compare_records",
-    "check_store",
-]
+#: Where each re-export lives.  Resolved on first use (module
+#: ``__getattr__``): ``import repro`` reaches this package through
+#: ``repro.obs.metrics`` / ``.observability``, and a run with observability
+#: off must not pay for importing the exporters, the insight layer and the
+#: run store.
+_EXPORTS = {
+    "export": (
+        "add_traffic_spans", "chrome_trace_events", "to_chrome_trace",
+        "validate_chrome_trace", "write_chrome_trace",
+    ),
+    "insight": (
+        "EpochAttribution", "Segment", "WorkerAttribution",
+        "attribute_epochs", "insight_report", "paired_prediction",
+        "prediction_error",
+    ),
+    "metrics": (
+        "NULL_METRICS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    ),
+    "observability": ("Observability",),
+    "report": ("straggler_report", "utilization_lines"),
+    "runstore": (
+        "RunRecord", "RunStore", "Verdict", "check_store",
+        "compare_records", "loop_signature", "record_run",
+    ),
+    "tracer": ("NULL_TRACER", "Span", "Tracer", "wall_process"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str) -> Any:
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

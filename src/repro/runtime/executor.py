@@ -339,8 +339,8 @@ class OrionExecutor:
 
     def _setup(self) -> None:
         info, plan = self.info, self.plan
-        entries = list(info.iteration_space.entries())
-        if not entries:
+        entries = parts.Block(*info.iteration_space.columns())
+        if not len(entries):
             raise ExecutionError("iteration space is empty")
         shape = info.iteration_space.shape
         requested = self.cluster.num_workers
@@ -942,8 +942,7 @@ class OrionExecutor:
                         [0, *itertools.accumulate(map(len, unit))],
                     )
                     self.kernel(
-                        unit[0] if hi - lo == 1
-                        else list(itertools.chain.from_iterable(unit)),
+                        unit[0] if hi - lo == 1 else parts.Block.concat(unit),
                         kctx,
                     )
                     record.kernel_calls = 1

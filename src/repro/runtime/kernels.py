@@ -4,10 +4,13 @@ The scalar execution path runs ``body(key, value)`` once per sparse entry,
 funnelling every DistArray element access through ``__getitem__`` → broker
 → per-element lookups.  Once the plan has proven a block safe to execute
 as one sequential unit, that per-entry dispatch is pure overhead: the
-executor instead runs a *kernel* — ``kernel(block_entries, kctx)``,
+executor instead runs a *kernel* — ``kernel(block, kctx)``,
 synthesized from the body by :mod:`repro.analysis.synth` or passed as
 ``LoopOptions.kernel`` — that applies the same updates with bulk NumPy
-operations over the whole block.
+operations over the whole block.  ``block`` is a
+:class:`~repro.runtime.partition.Block`: a sequence of ``(key, value)``
+tuples whose columns (``block.keys``, ``block.values``) the synthesized
+tiers read directly, so their first call walks no tuples either.
 
 The contract a kernel must satisfy:
 
@@ -182,9 +185,13 @@ def _id_column(values: Sequence[Any], extent: Optional[int]) -> Any:
     ):
         return "a subscript is not an integer"
     try:
-        column = np.asarray(values, dtype=np.intp)
+        return _in_extent(np.asarray(values, dtype=np.intp), extent)
     except OverflowError:
         return "a subscript overflows the index type"
+
+
+def _in_extent(column: np.ndarray, extent: Optional[int]) -> Any:
+    """An index array, or the reason it cannot subscript ``extent``."""
     if extent is not None and column.size and (
         column.min() < 0 or column.max() >= extent
     ):
@@ -220,13 +227,15 @@ def _column(values: Sequence[Any], role: Tuple[str, Any]) -> Any:
 
 
 def segment_block(
-    block: Sequence[Any],
+    keys: np.ndarray,
+    values: Sequence[Any],
     key_dims: Sequence[Tuple[int, Optional[int]]],
     fields: Sequence[Any],
 ) -> Any:
-    """Flatten a block whose entry values unpack into scalar fields and
-    ragged lists of fixed-arity tuples (a sample's ``(fid, fval)`` pairs)
-    into CSR form — and check what static analysis cannot see, the data.
+    """Flatten a block — its ``(n, d)`` key matrix and values column —
+    whose entry values unpack into scalar fields and ragged lists of
+    fixed-arity tuples (a sample's ``(fid, fval)`` pairs) into CSR form —
+    and check what static analysis cannot see, the data.
 
     ``key_dims`` lists the ``(loop dimension, extent)`` pairs the kernel
     uses (``extent`` the smallest array it subscripts, ``None`` when it
@@ -244,12 +253,10 @@ def segment_block(
     value that is not a real number — returns the reason as a ``str``
     instead, and the caller runs the block through its general kernel.
     """
-    n = len(block)
+    n = len(values)
     out: List[Any] = [n] + [
-        _id_column([entry[0][dim] for entry in block], extent)
-        for dim, extent in key_dims
+        _in_extent(keys[:, dim], extent) for dim, extent in key_dims
     ]
-    values = [entry[1] for entry in block]
     try:
         if set(map(len, values)) - {len(fields)}:
             return f"an entry value does not unpack into {len(fields)} names"

@@ -6,21 +6,33 @@ dataset are imbalanced, so Orion approximates the data distribution with a
 per-dimension histogram and cuts contiguous ranges with near-equal entry
 counts.  For unimodular plans, entries are bucketed by their *transformed*
 coordinates.
+
+The iteration space arrives as columns (``DistArray.columns()``) and is
+partitioned as columns: one stable sort permutes them once and every
+:class:`Block` is a slice of the permuted copy.  Whoever iterates a block
+— the scalar body, ``validate``, the sanitizer, prefetch functions, user
+kernels — still gets ``(key, value)`` tuples, made on demand; synthesized
+kernels read ``block.keys`` / ``block.values`` and never touch a tuple.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.unimodular import Matrix, transform_point
+from repro.analysis.unimodular import Matrix
+from repro.core.distarray import column_items, value_column
 from repro.errors import PartitionError
 
 Entry = Tuple[Tuple[int, ...], Any]
 
 __all__ = [
+    "Block",
     "Bounds",
     "axis_slice",
     "equal_bounds",
@@ -102,6 +114,66 @@ def bucket_of(bounds: Bounds, coordinate: int) -> int:
     raise PartitionError(f"coordinate {coordinate} outside bounds {bounds}")
 
 
+class Block(_SequenceABC):
+    """Iteration-space entries as columns (``keys``, ``values``: see
+    :data:`repro.core.distarray.Columns`).  As a sequence it yields the
+    ``(key, value)`` tuples they stand for — keys tuples of plain ``int``,
+    values with their original types — built on demand; slices and index
+    arrays select sub-blocks that share the key storage.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: np.ndarray, values: Any) -> None:
+        self.keys = keys
+        self.values = values
+
+    @classmethod
+    def of(cls, entries: Sequence[Entry]) -> "Block":
+        """``entries`` as a block: a block as it is, a plain sequence of
+        ``(key, value)`` pairs converted (duplicates kept, in order)."""
+        if isinstance(entries, Block):
+            return entries
+        keys = list(map(operator.itemgetter(0), entries))
+        shape = (len(keys), -1 if keys else 0)
+        return cls(
+            np.array(keys, dtype=np.intp).reshape(shape),
+            value_column(list(map(operator.itemgetter(1), entries))),
+        )
+
+    @classmethod
+    def concat(cls, blocks: Sequence["Block"]) -> "Block":
+        """The blocks' entries in order, as one block."""
+        values = [block.values for block in blocks]
+        return cls(
+            np.concatenate([block.keys for block in blocks]),
+            np.concatenate(values) if isinstance(values[0], np.ndarray)
+            else list(itertools.chain.from_iterable(values)),
+        )
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self) -> Iterator[Entry]:
+        return column_items(self.keys, self.values)
+
+    def __getitem__(self, index: Any) -> Any:
+        keys, values = self.keys[index], self.values
+        if isinstance(index, np.ndarray) and not isinstance(values, np.ndarray):
+            return Block(keys, list(map(values.__getitem__, index.tolist())))
+        if keys.ndim == 2:
+            return Block(keys, values[index])
+        value = values[index]
+        if isinstance(values, np.ndarray):
+            value = value.item()
+        return tuple(keys.tolist()), value
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, (Block, list, tuple)):
+            return NotImplemented
+        return list(self) == list(other)
+
+
 @dataclass
 class IterationPartitions:
     """Partitioned iteration space handed to the scheduler/executor.
@@ -111,13 +183,15 @@ class IterationPartitions:
 
     num_space: int
     num_time: int
-    blocks: Dict[Tuple[int, int], List[Entry]] = field(default_factory=dict)
+    blocks: Dict[Tuple[int, int], Block] = field(default_factory=dict)
     space_bounds: Optional[Bounds] = None
     time_bounds: Optional[Bounds] = None
+    #: What :meth:`block` answers for a block that holds no entries.
+    empty: Block = field(default_factory=lambda: Block.of(()))
 
-    def block(self, space_idx: int, time_idx: int) -> List[Entry]:
+    def block(self, space_idx: int, time_idx: int) -> Block:
         """Entries of one block (empty when the block holds no entries)."""
-        return self.blocks.get((space_idx, time_idx), [])
+        return self.blocks.get((space_idx, time_idx), self.empty)
 
     def block_size(self, space_idx: int, time_idx: int) -> int:
         """Entry count of one block."""
@@ -137,11 +211,10 @@ class IterationPartitions:
         return sum(len(entries) for entries in self.blocks.values())
 
 
-def _coords(entries: Sequence[Entry], dim: int) -> np.ndarray:
-    """Every entry's coordinate along one iteration-space dimension."""
-    return np.fromiter(
-        (key[dim] for key, _value in entries), np.intp, len(entries)
-    )
+def _coords(block: Block, dim: int) -> np.ndarray:
+    """Every entry's coordinate along one iteration-space dimension (an
+    empty plain sequence has no arity to index)."""
+    return block.keys[:, dim] if len(block) else np.empty(0, dtype=np.intp)
 
 
 def _cut(
@@ -166,7 +239,7 @@ def _bucket(bounds: Bounds, coords: np.ndarray) -> np.ndarray:
 
 
 def _grid(
-    entries: Sequence[Entry],
+    block: Block,
     space_bounds: Bounds,
     space_coords: np.ndarray,
     time_bounds: Optional[Bounds] = None,
@@ -174,7 +247,8 @@ def _grid(
     order_keys: Sequence[np.ndarray] = (),
 ) -> IterationPartitions:
     """Distribute entries over the blocks the bounds cut, with one stable
-    sort (1D: no time bounds, every block has ``time_idx`` 0).
+    sort (1D: no time bounds, every block has ``time_idx`` 0): the columns
+    are permuted once and each block is a slice of the permuted copy.
 
     Within a block, entries are ordered by ``order_keys`` (most significant
     first) and, where those tie or are absent, keep their dataset order.
@@ -197,11 +271,11 @@ def _grid(
     cuts = (np.flatnonzero(
         (np.diff(space_idx) != 0) | (np.diff(time_idx) != 0)
     ) + 1).tolist()
-    positions = order.tolist()
-    for lo, hi in zip([0] + cuts, cuts + [len(positions)]):
-        partitions.blocks[(int(space_idx[lo]), int(time_idx[lo]))] = [
-            entries[position] for position in positions[lo:hi]
-        ]
+    permuted = block[order]
+    partitions.empty = permuted[:0]
+    for lo, hi in zip([0] + cuts, cuts + [len(permuted)]):
+        partitions.blocks[(int(space_idx[lo]), int(time_idx[lo]))] = \
+            permuted[lo:hi]
     return partitions
 
 
@@ -212,22 +286,11 @@ def partition_1d(
     num_parts: int,
     balance: bool = True,
 ) -> IterationPartitions:
-    """Partition entries along one iteration-space dimension."""
-    coords = _coords(entries, dim)
-    return _grid(entries, _cut(coords, extent, num_parts, balance), coords)
-
-
-def _canonical_keys(
-    entries: Sequence[Entry], time_dim: int, known: Dict[int, np.ndarray]
-) -> List[np.ndarray]:
-    """Sort keys of the unordered-2D canonical in-block order:
-    lexicographic by the time coordinate, then the remaining key dims."""
-    ndim = len(entries[0][0]) if len(entries) else 0
-    return [known[time_dim]] + [
-        known[dim] if dim in known else _coords(entries, dim)
-        for dim in range(ndim)
-        if dim != time_dim
-    ]
+    """Partition entries (a :class:`Block`, or a plain sequence of
+    ``(key, value)`` pairs) along one iteration-space dimension."""
+    block = Block.of(entries)
+    coords = _coords(block, dim)
+    return _grid(block, _cut(coords, extent, num_parts, balance), coords)
 
 
 def partition_2d(
@@ -265,17 +328,23 @@ def partition_2d(
       with ties in dataset order the DAG zig-zags through thousands of
       near-empty levels.
     """
-    coords = {
-        space_dim: _coords(entries, space_dim),
-        time_dim: _coords(entries, time_dim),
-    }
+    block = Block.of(entries)
+    space_coords = _coords(block, space_dim)
+    time_coords = _coords(block, time_dim)
+    order_keys: List[np.ndarray] = []
+    if canonical_order:
+        # Lexicographic by the time coordinate, then the remaining key dims.
+        order_keys = [time_coords] + [
+            block.keys[:, dim]
+            for dim in range(block.keys.shape[1]) if dim != time_dim
+        ]
     return _grid(
-        entries,
-        _cut(coords[space_dim], space_extent, num_space, balance),
-        coords[space_dim],
-        _cut(coords[time_dim], time_extent, num_time, balance),
-        coords[time_dim],
-        _canonical_keys(entries, time_dim, coords) if canonical_order else (),
+        block,
+        _cut(space_coords, space_extent, num_space, balance),
+        space_coords,
+        _cut(time_coords, time_extent, num_time, balance),
+        time_coords,
+        order_keys,
     )
 
 
@@ -292,11 +361,12 @@ def partition_transformed(
     dimension.  Block boundaries are balanced on the transformed
     coordinates' empirical distribution.
     """
-    if not entries:
+    block = Block.of(entries)
+    if not len(block):
         raise PartitionError("cannot partition an empty iteration space")
-    points = [transform_point(matrix, key) for key, _value in entries]
-    time_coords = np.array([q[0] for q in points])
-    space_coords = np.array([q[1] for q in points])
+    time_coords, space_coords = (
+        block.keys @ np.array(matrix, dtype=np.intp).T
+    ).T[:2]
 
     def _bounds_from(coords: np.ndarray, parts: int) -> Bounds:
         lo, hi = int(coords.min()), int(coords.max()) + 1
@@ -305,7 +375,7 @@ def partition_transformed(
         return [(rlo + lo, rhi + lo) for rlo, rhi in ranges]
 
     return _grid(
-        entries,
+        block,
         _bounds_from(space_coords, num_space),
         space_coords,
         _bounds_from(time_coords, num_time),

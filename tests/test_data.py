@@ -158,3 +158,52 @@ class TestLoaders:
             parse_libsvm_line("1")
         with pytest.raises(MaterializationError):
             parse_json_line("{not json")
+
+
+class TestSkewedSamplerHoisting:
+    """``_skewed_coordinates`` builds its weight vector once per generator
+    call; the entries are those of the per-draw version it replaced (same
+    RNG stream)."""
+
+    @staticmethod
+    def _per_draw(rng, extent, count, skew):
+        """The function as it was: weights rebuilt on every call."""
+        if skew <= 0:
+            return rng.integers(0, extent, size=count)
+        weights = 1.0 / np.power(np.arange(1, extent + 1), skew)
+        weights /= weights.sum()
+        return rng.choice(extent, size=count, p=weights)
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    @pytest.mark.parametrize("skew", [1.0, 0.0])
+    def test_sparse_classification_unchanged(self, seed, skew):
+        num_samples, num_features, nnz = 300, 200, 12
+        rng = np.random.default_rng(seed)
+        true_w = rng.standard_normal(num_features) / np.sqrt(nnz)
+        want = []
+        for sample in range(num_samples):
+            ids = np.unique(self._per_draw(rng, num_features, nnz, skew))
+            values = rng.standard_normal(len(ids))
+            margin = float(true_w[ids] @ values)
+            probability = 1.0 / (1.0 + np.exp(-margin))
+            label = 1 if rng.random() < probability else 0
+            want.append(((sample,), (
+                [(int(f), float(v)) for f, v in zip(ids, values)], label
+            )))
+        got = sparse_classification(
+            num_samples, num_features, nnz, feature_skew=skew, seed=seed
+        )
+        assert got.entries == want
+        assert np.array_equal(got.truth["weights"], true_w)
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_sampler_draws_the_same_stream(self, seed):
+        from repro.data.synthetic import _skewed_coordinates
+
+        for skew in (0.0, 0.8, 1.5):
+            draw = _skewed_coordinates(50, skew)
+            ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+            for count in (7, 1, 40):
+                assert np.array_equal(
+                    draw(ours, count), self._per_draw(theirs, 50, count, skew)
+                )

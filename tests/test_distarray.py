@@ -334,3 +334,248 @@ class TestSnapshotRestore:
     def test_unmaterialized_array_refuses(self):
         with pytest.raises(MaterializationError):
             DistArray.zeros(3, name="snap_lazy").snapshot()
+
+
+def _loop_sees(space):
+    """What a loop built *now* over a 1-D sparse ``space`` iterates:
+    ``{key[0]: value}`` as its scalar body observed it."""
+    from repro.analysis.loop_info import analyze_loop_body
+    from repro.analysis.strategy import choose_plan
+    from repro.runtime.cluster import ClusterSpec
+    from repro.runtime.executor import OrionExecutor
+    from repro.runtime.options import LoopOptions
+
+    seen = {}
+
+    def body(key, value):
+        seen[key[0]] = value
+
+    info = analyze_loop_body(body, space)
+    executor = OrionExecutor(
+        body, info, choose_plan(info),
+        ClusterSpec(num_machines=1, workers_per_machine=2),
+        options=LoopOptions(kernel="off"),
+    )
+    executor.run_epoch()
+    executor.close()
+    return seen
+
+
+class TestColumnarStorage:
+    """Exactly one of columns / dict is live, and every reader answers
+    from the live one — so no write can leave a loop partitioning stale
+    data."""
+
+    def _space(self):
+        return DistArray.from_entries(
+            [((3,), 3.5), ((0,), 0.5), ((2,), 2.5)], name="cs", shape=(6,)
+        ).materialize()
+
+    @staticmethod
+    def _live(array):
+        return (array._columns is not None, array._dict is not None)
+
+    def test_materializes_columnar_and_switches_on_point_access(self):
+        space = self._space()
+        assert self._live(space) == (True, False)
+        keys, values = space.columns()
+        assert keys.dtype == np.intp and keys.tolist() == [[3], [0], [2]]
+        assert values.dtype == np.float64
+        assert list(space.entries()) == [((3,), 3.5), ((0,), 0.5), ((2,), 2.5)]
+        assert space.num_entries == 3 and space.nbytes == 8 * 2 * 3
+        assert self._live(space) == (True, False)  # readers do not switch
+        assert space[0] == 0.5
+        assert self._live(space) == (False, True)
+        assert list(space.entries()) == [((3,), 3.5), ((0,), 0.5), ((2,), 2.5)]
+
+    def test_entry_types_survive_the_columns(self):
+        entries = [((1, 0), 2), ((0, 1), 2.5), ((2, 2), (1, "x"))]
+        space = DistArray.from_entries(entries, shape=(3, 3)).materialize()
+        assert isinstance(space.columns()[1], list)
+        got = list(space.entries())
+        assert got == entries
+        for (key, value), (_k, want) in zip(got, entries):
+            assert all(type(c) is int for c in key)
+            assert type(value) is type(want)
+        floats = DistArray.from_entries([((0,), 1.5)], shape=(1,)).materialize()
+        assert type(next(floats.entries())[1]) is float
+
+    def test_direct_set_then_loop(self):
+        space = self._space()
+        space.direct_set((5,), 5.5)
+        space.direct_set((0,), -1.0)
+        assert space.num_entries == 4
+        assert list(space.entries()) == [
+            ((3,), 3.5), ((0,), -1.0), ((2,), 2.5), ((5,), 5.5)
+        ]
+        assert _loop_sees(space) == {3: 3.5, 0: -1.0, 2: 2.5, 5: 5.5}
+
+    def test_bulk_set_then_loop(self):
+        space = self._space()
+        space.bulk_set([(2,), 4], [9.0, 4.5])
+        assert space.num_entries == 4
+        assert [key for key, _v in space.entries()] == [(3,), (0,), (2,), (4,)]
+        assert _loop_sees(space) == {3: 3.5, 0: 0.5, 2: 9.0, 4: 4.5}
+
+    def test_restore_empty_then_loop_refuses(self):
+        from repro.errors import ExecutionError
+
+        space = self._space()
+        space.restore({})
+        assert space.num_entries == 0 and list(space.entries()) == []
+        assert space.columns()[0].shape == (0, 1)
+        with pytest.raises(ExecutionError):
+            _loop_sees(space)
+
+    def test_restore_snapshot_then_loop(self):
+        space = self._space()
+        saved = space.snapshot()
+        assert self._live(space) == (True, False)  # a snapshot only reads
+        space.direct_set((1,), 1.5)
+        space.restore(saved)
+        assert _loop_sees(space) == {3: 3.5, 0: 0.5, 2: 2.5}
+
+    def test_loop_after_loop_sees_writes_between(self):
+        space = self._space()
+        assert _loop_sees(space) == {3: 3.5, 0: 0.5, 2: 2.5}
+        space[3] = 30.0
+        assert _loop_sees(space) == {3: 30.0, 0: 0.5, 2: 2.5}
+
+    def test_randomize_output_is_current(self):
+        space = self._space()
+        space.direct_set((5,), 5.5)  # the source is a dict by now
+        shuffled = space.randomize(seed=3)
+        perm = shuffled.permutations[0]
+        want = {int(perm[k[0]]): v for k, v in space.entries()}
+        assert [k[0] for k, _v in shuffled.entries()] == [
+            int(perm[k[0]]) for k, _v in space.entries()
+        ]
+        assert _loop_sees(shuffled) == want
+        shuffled.direct_set((int(perm[5]),), -5.5)
+        want[int(perm[5])] = -5.5
+        assert _loop_sees(shuffled) == want
+
+    def test_group_by_output_is_current(self):
+        space = DistArray.from_entries(
+            [((0, 1), 1.0), ((1, 0), 2.0), ((0, 2), 3.0)], shape=(2, 3)
+        ).materialize()
+        space.direct_set((1, 2), 4.0)
+        groups = space.group_by(0)
+        assert groups.num_entries == 2
+        assert _loop_sees(groups) == {
+            0: [((0, 1), 1.0), ((0, 2), 3.0)],
+            1: [((1, 0), 2.0), ((1, 2), 4.0)],
+        }
+
+    def test_duplicate_keys_keep_first_position_last_value(self):
+        space = DistArray.from_entries(
+            [((1,), "a"), ((0,), "b"), ((1,), "c")], shape=(2,)
+        ).materialize()
+        assert list(space.entries()) == [((1,), "c"), ((0,), "b")]
+        assert space.num_entries == 2
+
+    @pytest.mark.parametrize("key", [
+        (np.int64(1), np.int64(2)), (True, 2), (1.0, 2.7), [1, 2],
+    ])
+    def test_other_key_types_normalize_as_before(self, key):
+        space = DistArray.from_entries(
+            [(key, 1.5), ((0, 0), 2.5)], shape=(3, 3)
+        ).materialize()
+        got = list(space.entries())
+        assert got == [((1, 2), 1.5), ((0, 0), 2.5)]
+        assert all(type(c) is int for k, _v in got for c in k)
+        assert space[1, 2] == 1.5
+
+    def test_bad_keys_raise_as_before(self):
+        with pytest.raises(TypeError):
+            DistArray.from_entries([(3, 1.0)], shape=(4,)).materialize()
+        with pytest.raises(ValueError):
+            DistArray.from_entries([(("x",), 1.0)], shape=(4,)).materialize()
+        with pytest.raises(ValueError):
+            DistArray.from_entries([((0,), 1.0, 2.0)], shape=(4,)).materialize()
+
+    def test_mixed_arity(self):
+        entries = [((0, 1), 1.0), ((1,), 2.0)]
+        with pytest.raises(MaterializationError):
+            DistArray.from_entries(entries).materialize()
+        # Under a given shape the dict holds them, as before; only the
+        # columnar view (and so a loop) refuses.
+        held = DistArray.from_entries(entries, shape=(2, 2)).materialize()
+        assert held.num_entries == 2 and held.get((0, 1)) == 1.0
+        with pytest.raises(MaterializationError):
+            held.columns()
+
+    def test_map_and_text_file_chains_end_columnar(self, tmp_path):
+        mapped = DistArray.from_entries(
+            [((0,), 1.0), ((1,), 2.0)], shape=(4,)
+        ).map(lambda key, value: ((key[0] + 2,), value * 2)).materialize()
+        assert self._live(mapped) == (True, False)
+        assert list(mapped.entries()) == [((2,), 2.0), ((3,), 4.0)]
+        path = tmp_path / "m.txt"
+        path.write_text("0 1 1.5\n2 0 2.5\n")
+        loaded = DistArray.text_file(str(path)).materialize()
+        assert self._live(loaded) == (True, False)
+        assert loaded.shape == (3, 2)
+        assert list(loaded.entries()) == [((0, 1), 1.5), ((2, 0), 2.5)]
+
+    def test_checkpoint_round_trips_a_columnar_array(self, tmp_path):
+        space = self._space()
+        path = str(tmp_path / "c.ckpt")
+        space.checkpoint(path)
+        assert self._live(space) == (True, False)
+        loaded = DistArray.load_checkpoint(path)
+        assert list(loaded.entries()) == list(space.entries())
+        assert loaded.shape == space.shape and loaded.num_entries == 3
+        assert _loop_sees(loaded) == {3: 3.5, 0: 0.5, 2: 2.5}
+
+    def test_dense_columns(self):
+        dense = DistArray.full((2, 3), 1.5).materialize()
+        keys, values = dense.columns()
+        want = list(dense.entries())
+        assert [tuple(k) for k in keys.tolist()] == [k for k, _v in want]
+        assert values == [v for _k, v in want]
+        assert {type(v) for v in values} == {np.float64}
+
+    def test_histogram_reads_the_live_form(self):
+        space = self._space()
+        assert space.histogram(0).tolist() == [1, 0, 1, 1, 0, 0]
+        assert self._live(space) == (True, False)
+        space.direct_set((5,), 1.0)
+        assert space.histogram(0, num_bins=2).tolist() == [2, 2]
+
+    def test_racing_first_accesses_lose_no_write(self):
+        """Threads making the first point accesses together (the threaded
+        backend on a sparse parameter array): one dict is built, and every
+        write lands in it."""
+        import sys
+        import threading
+
+        workers, per_worker, rounds = 8, 40, 25
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _round in range(rounds):
+                n = workers * per_worker
+                array = DistArray.from_entries(
+                    [((i,), 0.0) for i in range(n)], shape=(n,)
+                ).materialize()
+                start = threading.Barrier(workers)
+
+                def work(worker):
+                    start.wait(timeout=10)
+                    for i in range(worker, n, workers):
+                        array.direct_set((i,), array.direct_get((i,)) + 1.0)
+
+                threads = [
+                    threading.Thread(target=work, args=(w,))
+                    for w in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                assert self._live(array) == (False, True)
+                assert [v for _k, v in array.entries()] == [1.0] * n
+        finally:
+            sys.setswitchinterval(interval)

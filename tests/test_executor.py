@@ -289,3 +289,60 @@ class TestEmptySpace:
         plan = choose_plan(info)
         with pytest.raises(ExecutionError):
             OrionExecutor(body, info, plan, _cluster())
+
+
+class TestDenseIterationSpace:
+    """A dense iteration space gets its columns from ``np.indices``; the
+    digest below (final state + every virtual-clock number of three
+    epochs) was recorded at the commit before blocks became columnar."""
+
+    GOLDEN = "110d6be291e2e721"
+
+    @staticmethod
+    def _run(kernel, **opts):
+        import hashlib
+
+        from repro.api import OrionContext
+
+        ctx = OrionContext(cluster=_cluster(), seed=3)
+        grid = ctx.randn(9, 7, name="grid")
+        rows = ctx.zeros(9, name="rows")
+        cols = ctx.zeros(7, name="cols")
+        ctx.materialize(grid, rows, cols)
+        value_types = set()
+
+        def body(key, value):
+            rows[key[0]] = rows[key[0]] * 0.5 + value
+            cols[key[1]] = cols[key[1]] + value / (
+                1.0 + rows[key[0]] * rows[key[0]]
+            )
+
+        loop = ctx.parallel_for(
+            grid, options=LoopOptions(kernel=kernel, **opts)
+        )(body)
+        for block in loop.executor.partitions.blocks.values():
+            for key, value in block:
+                value_types.add((type(key[0]), type(value)))
+        signature = [
+            (r.epoch_time_s, r.bytes_sent, r.num_tasks, r.utilization,
+             len(r.events))
+            for r in loop.run(3)
+        ]
+        digest = hashlib.sha256(
+            rows.values.tobytes() + cols.values.tobytes()
+            + repr(signature).encode()
+        ).hexdigest()[:16]
+        return loop.executor.kernel_tier, digest, value_types
+
+    def test_scalar_path_validated_and_sanitized(self):
+        tier, digest, value_types = self._run(
+            "off", validate=True, sanitize=True
+        )
+        assert (tier, digest) == ("scalar", self.GOLDEN)
+        # What ``entries()`` of a dense array yields: np.float64 cells.
+        assert value_types == {(int, np.float64)}
+
+    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
+    def test_vector_kernel(self, backend):
+        tier, digest, _types = self._run("auto", backend=backend)
+        assert (tier, digest) == ("synth:vector", self.GOLDEN)

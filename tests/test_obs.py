@@ -505,3 +505,55 @@ class TestWallClockTraceRoundTrip:
             for span in wall_tracer.filter(cat="epoch")
         )
         assert durations == pytest.approx(original)
+
+
+class TestLazyPackage:
+    """``repro.obs`` resolves its re-exports on first use: a program that
+    never asks for the exporters, the insight layer or the run store never
+    imports them (``api._persist_run`` imports ``runstore`` only when a
+    run is stored)."""
+
+    HEAVY = ("insight", "runstore", "export", "report")
+
+    def test_import_repro_apps_leaves_the_heavy_modules_out(self):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        script = (
+            "import sys, repro.apps\n"
+            "heavy = [m for m in %r if 'repro.obs.' + m in sys.modules]\n"
+            "assert not heavy, heavy\n"
+            "from repro.obs import RunStore, attribute_epochs\n"
+            "assert RunStore.__module__ == 'repro.obs.runstore'\n"
+            "assert attribute_epochs.__module__ == 'repro.obs.insight'\n"
+            "assert 'repro.obs.export' not in sys.modules\n"
+        ) % (self.HEAVY,)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+    def test_every_export_resolves(self):
+        import importlib
+
+        import repro.obs as obs
+
+        # The package's public names, as listed before they went lazy.
+        assert sorted(obs.__all__) == [
+            "Counter", "EpochAttribution", "Gauge", "Histogram",
+            "MetricsRegistry", "NULL_METRICS", "NULL_TRACER", "Observability",
+            "RunRecord", "RunStore", "Segment", "Span", "Tracer", "Verdict",
+            "WorkerAttribution", "add_traffic_spans", "attribute_epochs",
+            "check_store", "chrome_trace_events", "compare_records",
+            "insight_report", "loop_signature", "paired_prediction",
+            "prediction_error", "record_run", "straggler_report",
+            "to_chrome_trace", "utilization_lines", "validate_chrome_trace",
+            "wall_process", "write_chrome_trace",
+        ]
+        for name in obs.__all__:
+            home = importlib.import_module(f"repro.obs.{obs._HOME[name]}")
+            assert getattr(obs, name) is getattr(home, name)
+        with pytest.raises(AttributeError):
+            obs.no_such_name

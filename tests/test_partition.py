@@ -299,3 +299,173 @@ class TestTransformedPartition:
     def test_empty_entries_raise(self):
         with pytest.raises(PartitionError):
             parts.partition_transformed([], skew(2, 0, 1, 1), 2, 2)
+
+
+# ---------------------------------------------------------------------- #
+# Block: the columnar sequence the partitions hold                        #
+# ---------------------------------------------------------------------- #
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from repro.analysis import unimodular as uni  # noqa: E402
+from repro.runtime.partition import Block  # noqa: E402
+
+_VALUES = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-5, 5),
+    st.tuples(st.integers(0, 3), st.floats(allow_nan=False)),
+    st.lists(st.integers(0, 9), max_size=3).map(np.array),
+)
+
+
+@st.composite
+def _entry_lists(draw):
+    ndim = draw(st.integers(1, 3))
+    key = st.tuples(*[st.integers(-3, 40)] * ndim)
+    # Either all floats (the float64 column) or anything (the object list).
+    values = draw(st.sampled_from([st.floats(allow_nan=False), _VALUES]))
+    return draw(st.lists(st.tuples(key, values), max_size=12))
+
+
+def _same_entry(got, want):
+    (got_key, got_value), (want_key, want_value) = got, want
+    assert got_key == want_key and type(got_key) is tuple
+    assert all(type(c) is int for c in got_key)
+    assert type(got_value) is type(want_value)
+    if isinstance(want_value, np.ndarray):
+        assert got_value is want_value
+    else:
+        assert got_value == want_value
+        if isinstance(want_value, float):
+            assert got_value.hex() == want_value.hex()
+
+
+class TestBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(_entry_lists())
+    def test_round_trip_keeps_values_and_types(self, entries):
+        block = Block.of(entries)
+        assert len(block) == len(entries)
+        assert block.keys.dtype == np.intp and block.keys.ndim == 2
+        got = list(block)
+        assert len(got) == len(entries)
+        for position, want in enumerate(entries):
+            _same_entry(got[position], want)
+            _same_entry(block[position], want)
+        for lo, hi in ((0, len(entries) // 2), (len(entries) // 2, None)):
+            part = block[lo:hi]
+            assert isinstance(part, Block)
+            for got_entry, want in zip(part, entries[lo:hi]):
+                _same_entry(got_entry, want)
+        halves = [block[: len(entries) // 2], block[len(entries) // 2:]]
+        if len(entries):
+            joined = Block.concat(halves)
+            assert len(joined) == len(entries)
+            for got_entry, want in zip(joined, entries):
+                _same_entry(got_entry, want)
+
+    def test_float_values_are_one_float64_column(self):
+        block = Block.of([((1, 2), 0.1), ((0, 5), -2.5)])
+        assert isinstance(block.values, np.ndarray)
+        assert block.values.dtype == np.float64
+        assert isinstance(Block.of([((0,), 1.0), ((1,), 2)]).values, list)
+        assert Block.of(block) is block
+
+    def test_equality_against_lists_and_blocks(self):
+        entries = [((1, 2), 0.5), ((0, 5), -2.5), ((1, 2), 7.0)]
+        block = Block.of(entries)
+        assert block == entries and entries == list(block)
+        assert block == Block.of(entries)
+        assert block != entries[:2] and block != entries[::-1]
+        assert block[1:] == entries[1:]
+        assert block[:0] == [] and Block.of([]) == []
+        assert block[np.array([2, 0])] == [entries[2], entries[0]]
+        assert {0: block} == {0: entries}
+        assert entries[0] in block and len(block) == 3
+
+    def test_slices_share_the_key_storage(self):
+        block = Block.of([((i, i + 1), float(i)) for i in range(6)])
+        assert np.shares_memory(block[2:5].keys, block.keys)
+        assert np.shares_memory(block[2:5].values, block.values)
+
+
+class TestBlocksOnEveryStrategy:
+    def test_partitions_hold_column_slices(self, shuffled_ratings):
+        columns = Block.of(shuffled_ratings)
+        plans = [
+            parts.partition_1d(columns, 0, 120, 3),
+            parts.partition_2d(columns, 0, 1, 120, 96, 3, 6),
+            parts.partition_2d(
+                columns, 0, 1, 120, 96, 3, 6, canonical_order=True
+            ),
+            parts.partition_transformed(columns, skew(2, 0, 1, 1), 3, 4),
+        ]
+        for partitions in plans:
+            assert partitions.total_entries == len(shuffled_ratings)
+            bases = set()
+            for block in partitions.blocks.values():
+                assert isinstance(block, Block)
+                assert block.keys.shape == (len(block), 2)
+                bases.add(id(block.keys.base))
+            assert len(bases) == 1  # slices of one permuted copy
+            empty = partitions.block(99, 99)
+            assert isinstance(empty, Block) and len(empty) == 0
+            assert empty.keys.shape == (0, 2)
+
+    def test_a_list_and_its_columns_partition_alike(self, shuffled_ratings):
+        from_list = parts.partition_2d(
+            shuffled_ratings, 0, 1, 120, 96, 3, 6, canonical_order=True
+        )
+        from_columns = parts.partition_2d(
+            Block.of(shuffled_ratings), 0, 1, 120, 96, 3, 6,
+            canonical_order=True,
+        )
+        assert from_list.blocks == from_columns.blocks
+        assert from_list.space_bounds == from_columns.space_bounds
+
+
+def _composed(*matrices):
+    product = np.array(matrices[0])
+    for matrix in matrices[1:]:
+        product = product @ np.array(matrix)
+    return tuple(tuple(int(v) for v in row) for row in product)
+
+
+class TestColumnarTransform:
+    """``keys @ matrix.T`` buckets entries exactly as one
+    ``transform_point`` call per entry did (tests/test_unimodular.py's
+    matrices)."""
+
+    @pytest.mark.parametrize("matrix", [
+        uni.identity(2),
+        uni.interchange(2, 0, 1),
+        uni.reversal(2, 0),
+        uni.reversal(2, 1),
+        uni.skew(2, 0, 1, 1),
+        uni.skew(2, 0, 1, 2),
+        uni.skew(2, 0, 1, -1),
+        _composed(uni.interchange(2, 0, 1), uni.skew(2, 0, 1, 1)),
+        uni.skew(3, 0, 1, 3),
+        uni.interchange(3, 0, 1),
+        _composed(uni.skew(3, 0, 1, 1), uni.skew(3, 0, 2, 1)),
+    ])
+    def test_matches_the_per_point_transform(self, matrix):
+        ndim = len(matrix)
+        rng = np.random.default_rng(ndim)
+        entries = [
+            (tuple(int(c) for c in key), float(position))
+            for position, key in enumerate(rng.integers(0, 7, size=(60, ndim)))
+        ]
+        got = parts.partition_transformed(entries, matrix, 3, 4)
+        want = {}
+        for key, value in entries:
+            point = uni.transform_point(matrix, key)
+            block_key = (
+                parts.bucket_of(got.space_bounds, point[1]),
+                parts.bucket_of(got.time_bounds, point[0]),
+            )
+            want.setdefault(block_key, []).append((key, value))
+        assert got.blocks == want
+        points = [uni.transform_point(matrix, key) for key, _v in entries]
+        assert got.time_bounds[0][0] == min(q[0] for q in points)
+        assert got.time_bounds[-1][1] == max(q[0] for q in points) + 1

@@ -1171,3 +1171,84 @@ class TestSynthCLI:
         text = out.getvalue()
         for code in ("W501", "W502", "W503"):
             assert code in text
+
+
+# --------------------------------------------------------------------------- #
+# columnar blocks: the synthesized tiers read block.keys / block.values
+# --------------------------------------------------------------------------- #
+
+
+class TestColumnarBlocks:
+    """The vector and segmented tiers take a block's columns: no kernel
+    call — first or steady-state — walks ``(key, value)`` tuples, and a
+    plain list of entries is converted on entry."""
+
+    APPS = ("mf", "mf-adarev", "glove", "slr-no-prefetch")
+
+    @staticmethod
+    def _seal(monkeypatch):
+        from repro.runtime.partition import Block
+
+        def walked(self, *_args):
+            raise AssertionError("a kernel walked a block entry by entry")
+
+        monkeypatch.setattr(Block, "__iter__", walked)
+        monkeypatch.setattr(Block, "__getitem__", walked)
+
+    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
+    @pytest.mark.parametrize("app", APPS)
+    def test_kernels_never_walk_a_block(self, app, backend, monkeypatch):
+        reference = APPS[app](_cluster(), "auto", backend=backend)
+        sealed = APPS[app](_cluster(), "auto", backend=backend)
+        assert sealed.train_loop.executor.kernel_tier == AUTO_TIER[app]
+        with reference, sealed:
+            want = [reference.epoch_fn() for _ in range(3)]
+            self._seal(monkeypatch)  # partitioning is done; now no walks
+            got = [sealed.epoch_fn() for _ in range(3)]
+            monkeypatch.undo()
+        _assert_same_state(_state(reference), _state(sealed))
+        if backend == "simulated":
+            assert _epoch_signature(want) == _epoch_signature(got)
+        if "slr" in app:
+            caches = sealed.train_loop.executor._kernel_caches.values()
+            assert all(isinstance(c["_seg"], tuple) for c in caches)
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_a_plain_list_of_entries_still_works(self, app):
+        reference = APPS[app](_cluster(), "auto", validate=True)
+        listed = APPS[app](_cluster(), "auto", validate=True)
+        blocks = listed.train_loop.executor.partitions.blocks
+        for block_key, block in list(blocks.items()):
+            blocks[block_key] = list(block)
+        # One block per kernel call: a fused unit is concatenated columns.
+        listed.train_loop.executor.synth.fusable = False
+        want = [reference.epoch_fn() for _ in range(2)]
+        got = [listed.epoch_fn() for _ in range(2)]
+        _assert_same_state(_state(reference), _state(listed))
+        assert _epoch_signature(want) == _epoch_signature(got)
+
+    def test_blocks_hand_the_scalar_body_the_same_tuples(self):
+        """kernel="off": every ``(key, value)`` the body, the validator
+        and the sanitizer see is the dataset's, in value and type."""
+        data = sparse_classification(
+            num_samples=40, num_features=30, nnz_per_sample=4, seed=2
+        )
+        want = dict(data.entries)
+        seen = {}
+        ctx = OrionContext(cluster=_cluster(), seed=0)
+        samples = ctx.from_entries(data.entries, name="s", shape=data.shape)
+        hits = ctx.zeros(40, name="hits")
+        ctx.materialize(samples, hits)
+
+        def body(key, sample):
+            seen[key] = sample
+            hits[key[0]] = 1.0
+
+        loop = ctx.parallel_for(samples, options=LoopOptions(
+            kernel="off", validate=True, sanitize=True
+        ))(body)
+        loop.run(1)
+        assert seen == want and hits.values.sum() == 40
+        for key, sample in seen.items():
+            assert type(key) is tuple and type(key[0]) is int
+            assert sample is want[key]  # the very value objects
