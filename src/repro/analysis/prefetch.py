@@ -47,11 +47,14 @@ class PrefetchFunction:
     Calling ``fn(key, value)`` returns a list of ``(array_name, index)``
     pairs naming the server-array elements the loop body will read for this
     iteration.  ``source`` keeps the generated code for inspection/tests.
+    ``constant`` says no recorded subscript names a variable (LDA's
+    ``topic_sum[:]``): every iteration records the same indices.
     """
 
     fn: Callable[..., List[Tuple[str, Tuple[Any, ...]]]]
     arrays: Tuple[str, ...]
     source: str
+    constant: bool = False
 
     def __call__(self, key: Any, value: Any = None) -> List[Tuple[str, Tuple[Any, ...]]]:
         return self.fn(key, value)
@@ -416,4 +419,5 @@ def synthesize_prefetch(
         fn=exec_globals["__prefetch__"],
         arrays=tuple(sorted(slicer.recorded_arrays)),
         source=source,
+        constant=not slicer.needed,
     )

@@ -22,10 +22,9 @@ server-served bytes); the application can override the choice.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
-
-import numpy as np
 
 from repro.analysis import unimodular
 from repro.analysis.depvec import DepVector, compute_dependence_vectors
@@ -109,7 +108,7 @@ def _array_bytes(info: LoopInfo, name: str) -> int:
     if array.is_materialized:
         return array.nbytes
     try:
-        return 8 * int(np.prod(array.shape))
+        return 8 * math.prod(array.shape)
     except Exception:
         return 0
 

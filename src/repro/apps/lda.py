@@ -32,6 +32,7 @@ from repro.apps.base import (
 )
 from repro.data.synthetic import CorpusDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.partition import Block
 from repro.runtime.simtime import CostModel
 
 __all__ = ["LDAHyper", "LDAApp", "build_orion_program", "lda_cost_model", "lda_log_likelihood"]
@@ -64,20 +65,41 @@ def lda_cost_model(
 def _initial_assignments(
     dataset: CorpusDataset, num_topics: int, seed: int
 ) -> Tuple[Dict[Tuple[int, int], np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
-    """Random topic init plus the consistent count matrices."""
+    """Random topic init plus the consistent count matrices.
+
+    One ``rng.integers`` call draws every token's topic: the bounded
+    integers come off the generator one at a time, so the stream (and the
+    generator's state afterwards) is that of one call per entry.  Each
+    entry's tokens are a slice of that array, in ``dataset.entries`` order.
+    """
     rng = np.random.default_rng(seed)
-    doc_topic = np.zeros((dataset.num_docs, num_topics))
-    word_topic = np.zeros((dataset.vocab_size, num_topics))
-    topic_sum = np.zeros(num_topics)
-    assignments: Dict[Tuple[int, int], np.ndarray] = {}
-    for (doc, word), count in dataset.entries:
-        topics = rng.integers(0, num_topics, size=int(count))
-        assignments[(doc, word)] = topics
-        for topic in topics:
-            doc_topic[doc, topic] += 1
-            word_topic[word, topic] += 1
-            topic_sum[topic] += 1
+    docs, words, counts = _corpus_columns(dataset.entries)
+    counts = counts.astype(np.intp)  # int(count) per entry
+    topics = rng.integers(0, num_topics, size=int(counts.sum()))
+    shape = (dataset.num_docs, dataset.vocab_size)
+    doc_topic, word_topic = (
+        np.bincount(
+            np.repeat(rows, counts) * num_topics + topics,
+            minlength=extent * num_topics,
+        ).reshape(extent, num_topics).astype(float)
+        for rows, extent in zip((docs, words), shape)
+    )
+    topic_sum = np.bincount(topics, minlength=num_topics).astype(float)
+    ends = np.cumsum(counts).tolist()
+    assignments = {
+        key: topics[lo:hi]
+        for (key, _count), lo, hi in zip(dataset.entries, [0] + ends, ends)
+    }
     return assignments, doc_topic, word_topic, topic_sum
+
+
+def _corpus_columns(
+    entries: List[Entry],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(docs, words, counts)`` columns of a corpus entry list."""
+    keys = np.array([key for key, _count in entries], dtype=np.intp)
+    keys = keys.reshape(len(entries), 2)
+    return keys[:, 0], keys[:, 1], np.array([count for _key, count in entries])
 
 
 def lda_log_likelihood(
@@ -92,17 +114,45 @@ def lda_log_likelihood(
     Higher is better; benchmarks report its negation so "lower is better"
     holds across all applications.
     """
+    return _log_likelihood(
+        doc_topic, word_topic, _corpus_columns(entries), alpha, beta
+    )
+
+
+#: Entries per batched product in :func:`_log_likelihood`.
+_SLAB = 4096
+
+
+def _log_likelihood(
+    doc_topic: np.ndarray,
+    word_topic: np.ndarray,
+    columns: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    alpha: float,
+    beta: float,
+) -> float:
+    """:func:`lda_log_likelihood` over pre-flattened ``_corpus_columns``.
+
+    Bit-equal to accumulating ``count * log(theta[doc] @ phi[word])`` entry
+    by entry: the batched ``matmul`` runs the same dot product per pair
+    (``einsum`` and ``(a * b).sum(1)`` reduce in another order) and
+    ``cumsum`` adds the terms left to right (``sum`` adds pairwise).
+    """
+    docs, words, counts = columns
+    if not len(counts):
+        return 0.0
     theta = doc_topic + alpha
     theta /= theta.sum(axis=1, keepdims=True)
     phi = word_topic + beta
     phi /= phi.sum(axis=0, keepdims=True)
-    total = 0.0
-    tokens = 0
-    for (doc, word), count in entries:
-        p = float(theta[doc] @ phi[word])
-        total += count * np.log(max(p, 1e-300))
-        tokens += count
-    return total / max(tokens, 1)
+    # In slabs: every entry's two rows gathered at once are 2 n T floats.
+    p = np.concatenate([
+        np.matmul(
+            theta[docs[lo:lo + _SLAB], None, :], phi[words[lo:lo + _SLAB], :, None]
+        )[:, 0, 0]
+        for lo in range(0, len(counts), _SLAB)
+    ])
+    terms = counts * np.log(np.maximum(p, 1e-300))
+    return np.cumsum(terms)[-1] / max(counts.sum(), 1)
 
 
 def build_orion_program(
@@ -125,15 +175,11 @@ def build_orion_program(
     the word dimension is too small or skewed to partition well).
 
     Kernel synthesis declines this body (W501), so under the default
-    ``kernel="auto"`` the builder registers its own batched block kernel
-    — the only batched path LDA has.  Gibbs sampling is token-sequential
-    (each draw conditions on the previous one, through a shared RNG), so
-    the kernel keeps the exact token loop and instead removes the
-    per-entry broker dispatch: direct dense row access, one
-    bulk buffer merge per block, and memoized traffic declarations.  The
-    RNG consumption order is unchanged, so samples — and therefore all
-    counts — are identical to the scalar path.  Note ``equivalence_check``
-    cannot be used with LDA: replaying a block advances the shared RNG.
+    ``kernel="auto"`` the builder registers its own block kernel, one for
+    both parallelisms (see ``kernel`` below): the same token loop over
+    block-resident Python floats, consuming the shared RNG in the same
+    order.  ``equivalence_check`` cannot be used with LDA: replaying a
+    block advances that RNG.
     """
     if parallelism not in ("2d", "1d"):
         raise ValueError(f"unknown LDA parallelism {parallelism!r}")
@@ -145,7 +191,7 @@ def build_orion_program(
     corpus = ctx.from_entries(dataset.entries, name="corpus", shape=dataset.shape)
     ctx.materialize(corpus)
     assignments = ctx.from_entries(
-        sorted(init_assign.items()), name="assignments", shape=dataset.shape
+        init_assign.items(), name="assignments", shape=dataset.shape
     )
     ctx.materialize(assignments)
     doc_topic = ctx.zeros(dataset.num_docs, T, name="doc_topic")
@@ -160,6 +206,7 @@ def build_orion_program(
     alpha, beta = hyper.alpha, hyper.beta
     vbeta = beta * dataset.vocab_size
     rng = np.random.default_rng(seed + 1)
+    word_buf = None
 
     if parallelism == "2d":
 
@@ -215,78 +262,6 @@ def build_orion_program(
             doc_topic[key[0], :] = dt_row
             word_topic[key[1], :] = wt_row
             assignments[key[0], key[1]] = tokens
-
-        def kernel(block, kctx):
-            keys = kctx.cache.get("keys")
-            if keys is None:
-                kctx.cache["keys"] = keys = [key for key, _count in block]
-            dtd, wtd = doc_topic.values, word_topic.values
-            tsd = topic_sum.values
-            buf_keys: list = []
-            buf_vals: list = []
-            for doc, word in keys:
-                tokens = assignments.get((doc, word))
-                # Both rows are written back whole in the scalar path, so
-                # the kernel mutates the dense rows in place (no copy, no
-                # write-back) — blocks own their doc and word ranges.
-                dt_row = dtd[doc]
-                wt_row = wtd[word]
-                totals = tsd.copy()
-                probs = None
-                for position in range(len(tokens)):
-                    old = int(tokens[position])
-                    dt_row[old] -= 1.0
-                    wt_row[old] -= 1.0
-                    totals[old] -= 1.0
-                    if probs is None:
-                        probs = np.maximum(
-                            (dt_row + alpha)
-                            * (wt_row + beta)
-                            / (totals + vbeta),
-                            0.0,
-                        )
-                    else:
-                        p = (
-                            (dt_row[old] + alpha)
-                            * (wt_row[old] + beta)
-                            / (totals[old] + vbeta)
-                        )
-                        probs[old] = p if p > 0.0 else 0.0
-                    scale = probs.sum()
-                    if scale <= 0.0:
-                        new = old
-                    else:
-                        new = int(
-                            np.searchsorted(
-                                np.cumsum(probs), rng.random() * scale
-                            )
-                        )
-                        new = min(new, len(probs) - 1)
-                    dt_row[new] += 1.0
-                    wt_row[new] += 1.0
-                    totals[new] += 1.0
-                    p = (
-                        (dt_row[new] + alpha)
-                        * (wt_row[new] + beta)
-                        / (totals[new] + vbeta)
-                    )
-                    probs[new] = p if p > 0.0 else 0.0
-                    if new != old:
-                        buf_keys.append(old)
-                        buf_vals.append(-1.0)
-                        buf_keys.append(new)
-                        buf_vals.append(1.0)
-                    tokens[position] = new
-            kctx.buffer_add(topic_buf, buf_keys, buf_vals)
-            docs = [key[0] for key in keys]
-            words = [key[1] for key in keys]
-            kctx.account_point_reads(assignments, keys)
-            kctx.account_row_reads(doc_topic, docs)
-            kctx.account_row_reads(word_topic, words)
-            kctx.account_full_reads(topic_sum, len(keys))
-            kctx.account_row_writes(doc_topic, docs)
-            kctx.account_row_writes(word_topic, words)
-            kctx.account_point_writes(assignments, keys)
     else:
         # 1D over documents: doc-topic counts stay dependence-preserved
         # (pinned by key[0]); word-topic updates are buffered — an extra,
@@ -344,91 +319,116 @@ def build_orion_program(
             doc_topic[key[0], :] = dt_row
             assignments[key[0], key[1]] = tokens
 
-        def kernel(block, kctx):
-            keys = kctx.cache.get("keys")
-            if keys is None:
-                kctx.cache["keys"] = keys = [key for key, _count in block]
-            dtd, wtd = doc_topic.values, word_topic.values
-            tsd = topic_sum.values
-            topic_keys: list = []
-            topic_vals: list = []
-            word_keys: list = []
-            word_vals: list = []
-            for doc, word in keys:
-                tokens = assignments.get((doc, word))
-                # Doc rows are block-owned (1D over docs): mutate in place.
-                # Word rows update through word_buf, so the local copy stays.
-                dt_row = dtd[doc]
-                wt_row = wtd[word, :].copy()
-                totals = tsd.copy()
-                probs = None
-                for position in range(len(tokens)):
-                    old = int(tokens[position])
-                    dt_row[old] -= 1.0
-                    wt_row[old] -= 1.0
-                    totals[old] -= 1.0
-                    if probs is None:
-                        probs = np.maximum(
-                            (dt_row + alpha)
-                            * (wt_row + beta)
-                            / (totals + vbeta),
-                            0.0,
-                        )
-                    else:
-                        p = (
-                            (dt_row[old] + alpha)
-                            * (wt_row[old] + beta)
-                            / (totals[old] + vbeta)
-                        )
-                        probs[old] = p if p > 0.0 else 0.0
-                    scale = probs.sum()
-                    if scale <= 0.0:
-                        new = old
-                    else:
-                        new = int(
-                            np.searchsorted(
-                                np.cumsum(probs), rng.random() * scale
-                            )
-                        )
-                        new = min(new, len(probs) - 1)
-                    dt_row[new] += 1.0
-                    wt_row[new] += 1.0
-                    totals[new] += 1.0
-                    p = (
-                        (dt_row[new] + alpha)
-                        * (wt_row[new] + beta)
-                        / (totals[new] + vbeta)
-                    )
+    def kernel(block, kctx):
+        """One block of the sampler, bit-equal to ``body`` per entry.
+
+        The block's doc and word rows, the token arrays and ``topic_sum``
+        are gathered once into Python lists, so a token costs float
+        arithmetic plus three NumPy calls — the reduction, the running sum
+        and the search, which must stay NumPy's own routines to round as
+        the body's ``sum`` / ``cumsum`` / ``searchsorted`` do.
+        """
+        if not len(block):
+            return
+        doc_col, word_col = Block.of(block).keys.T
+        dense_dt, dense_wt = doc_topic.values, word_topic.values
+        prep = kctx.cache.get("rows")
+        if prep is None:
+            # Each distinct doc / word row gets a slot, in first-use order.
+            keys = [key for key, _count in block]
+            doc_slots: Dict[int, int] = {}
+            word_slots: Dict[int, int] = {}
+            prep = kctx.cache["rows"] = (
+                keys,
+                [doc_slots.setdefault(doc, len(doc_slots)) for doc, _ in keys],
+                [word_slots.setdefault(word, len(word_slots)) for _, word in keys],
+                np.array(list(doc_slots), dtype=np.intp),
+                np.array(list(word_slots), dtype=np.intp),
+            )
+        keys, doc_at, word_at, docs, words = prep
+        dt_rows = dense_dt[docs].tolist()
+        wt_rows = dense_wt[words].tolist()
+        # topic_sum is written only through topic_buf, which flushes after
+        # the block: the body's per-entry ``topic_sum[:]`` reads all see
+        # these values.
+        block_totals = topic_sum.values.tolist()
+        probs, cum = np.empty(T), np.empty(T)
+        add_reduce, add_accumulate = np.add.reduce, np.add.accumulate
+        search, draw, last = cum.searchsorted, rng.random, T - 1
+        topic_keys: list = []
+        word_keys: list = []
+        for tokens, key, doc_slot, word_slot in zip(
+            assignments.bulk_get(keys), keys, doc_at, word_at
+        ):
+            dt = dt_rows[doc_slot]
+            wt = wt_rows[word_slot]
+            if word_buf is not None:
+                # 1D: word rows change only through word_buf, so each entry
+                # samples against a private copy of the block-start row.
+                wt = wt[:]
+            totals = block_totals[:]
+            for position, old in enumerate(tokens.tolist()):
+                dt[old] -= 1.0
+                wt[old] -= 1.0
+                totals[old] -= 1.0
+                if position:
+                    # Only the previous draw's topic and this token's moved
+                    # since probs was last whole.
+                    p = (dt[new] + alpha) * (wt[new] + beta) / (totals[new] + vbeta)
                     probs[new] = p if p > 0.0 else 0.0
-                    if new != old:
-                        topic_keys.append(old)
-                        topic_vals.append(-1.0)
-                        topic_keys.append(new)
-                        topic_vals.append(1.0)
-                        word_keys.append((word, old))
-                        word_vals.append(-1.0)
-                        word_keys.append((word, new))
-                        word_vals.append(1.0)
+                    p = (dt[old] + alpha) * (wt[old] + beta) / (totals[old] + vbeta)
+                    probs[old] = p if p > 0.0 else 0.0
+                else:
+                    probs[:] = fresh = [
+                        (d + alpha) * (w + beta) / (t + vbeta)
+                        for d, w, t in zip(dt, wt, totals)
+                    ]
+                    # The body's clip moves nothing unless a candidate is
+                    # zero or negative (NaNs stay NaN either way).
+                    if not min(fresh) > 0.0:
+                        np.maximum(probs, 0.0, out=probs)
+                scale = float(add_reduce(probs))
+                if scale <= 0.0:
+                    new = old
+                else:
+                    add_accumulate(probs, out=cum)
+                    new = int(search(draw() * scale))
+                    if new > last:
+                        new = last
+                dt[new] += 1.0
+                wt[new] += 1.0
+                totals[new] += 1.0
+                if new != old:
                     tokens[position] = new
-            kctx.buffer_add(topic_buf, topic_keys, topic_vals)
-            kctx.buffer_add(word_buf, word_keys, word_vals)
-            docs = [key[0] for key in keys]
-            words = [key[1] for key in keys]
-            kctx.account_point_reads(assignments, keys)
-            kctx.account_row_reads(doc_topic, docs)
-            kctx.account_row_reads(word_topic, words)
-            kctx.account_full_reads(topic_sum, len(keys))
-            kctx.account_row_writes(doc_topic, docs)
-            kctx.account_point_writes(assignments, keys)
+                    topic_keys += (old, new)
+                    if word_buf is not None:
+                        word_keys += ((key[1], old), (key[1], new))
+        dense_dt[docs] = dt_rows
+        kctx.buffer_add(topic_buf, topic_keys, [-1.0, 1.0] * (len(topic_keys) // 2))
+        if word_buf is None:
+            dense_wt[words] = wt_rows
+        else:
+            kctx.buffer_add(word_buf, word_keys, [-1.0, 1.0] * (len(word_keys) // 2))
+        kctx.account_point_reads(assignments, keys)
+        kctx.account_row_reads(doc_topic, doc_col)
+        kctx.account_row_reads(word_topic, word_col)
+        kctx.account_full_reads(topic_sum, len(keys))
+        kctx.account_row_writes(doc_topic, doc_col)
+        if word_buf is None:
+            kctx.account_row_writes(word_topic, word_col)
+        kctx.account_point_writes(assignments, keys)
 
     opts = resolve_loop_options(loop_opts).merged_with(ordered=ordered)
     if opts.kernel == "auto":
         opts = opts.merged_with(kernel=kernel)
     loop = ctx.parallel_for(corpus, options=opts)(body)
 
+    corpus_keys, corpus_counts = corpus.columns()
+    flat = corpus_keys[:, 0], corpus_keys[:, 1], np.asarray(corpus_counts)
+
     def loss_fn() -> float:
-        return -lda_log_likelihood(
-            doc_topic.values, word_topic.values, dataset.entries, alpha, beta
+        return -_log_likelihood(
+            doc_topic.values, word_topic.values, flat, alpha, beta
         )
 
     name = label or "Orion LDA"
@@ -468,10 +468,8 @@ class LDAApp(SerialApp):
         self.hyper = hyper
         self.name = "lda"
         self.entry_cost_factor = 1.5 * hyper.num_topics / 10.0
-        self._assignments, self._dt0, self._wt0, self._ts0 = _initial_assignments(
-            dataset, hyper.num_topics, seed
-        )
-        self._rng = np.random.default_rng(seed + 1)
+        self._columns = _corpus_columns(dataset.entries)
+        self.init_state(seed)  # assignments, initial counts and the RNG
 
     def init_state(self, seed: int = 0) -> Dict[str, np.ndarray]:
         # Assignments are reset too so repeated runs start identically.
@@ -514,10 +512,10 @@ class LDAApp(SerialApp):
             tokens[position] = new
 
     def loss(self, state: Dict[str, np.ndarray]) -> float:
-        return -lda_log_likelihood(
+        return -_log_likelihood(
             state["doc_topic"],
             state["word_topic"],
-            self.dataset.entries,
+            self._columns,
             self.hyper.alpha,
             self.hyper.beta,
         )

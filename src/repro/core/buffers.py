@@ -143,16 +143,18 @@ class DistArrayBuffer:
         """
         worker = access.current_worker()
         slot = self._pending.setdefault(worker, {})
-        combiner = self.combiner
+        combiner = None if self.combines_by_addition else self.combiner
         for index, value in zip(indices, values):
             if isinstance(index, tuple):
                 key = _canonical_key(index)
             else:
                 key = (int(index),)
-            if key in slot:
-                slot[key] = combiner(slot[key], value)
-            else:
+            if key not in slot:
                 slot[key] = value
+            elif combiner is None:
+                slot[key] = slot[key] + value
+            else:
+                slot[key] = combiner(slot[key], value)
 
     def direct_buffer_fold(
         self, keys: Sequence[Tuple[Any, ...]], slot_of: Any, values: Any
@@ -215,7 +217,10 @@ class DistArrayBuffer:
         total = 0
         for slot in slots:
             for key in slot:
-                total += self._key_nbytes(key)
+                if tuple in map(type, key):
+                    total += self._key_nbytes(key)
+                else:  # all points: one element
+                    total += 8 * (len(key) + 1)
         return total
 
     def _key_nbytes(self, key: Tuple[Any, ...]) -> int:
@@ -247,14 +252,23 @@ class DistArrayBuffer:
         self._age[worker] = 0
         if not slot:
             return 0
+        target, apply_fn = self.target, self.apply_fn
+        keyed = self._apply_arity >= 3
+        if target.sparse:
+            read, write = target.direct_get, target.direct_set
+        else:
+            # The backing array itself: direct_get / direct_set re-check
+            # materialization per element.
+            dense = target.values
+            read, write = dense.__getitem__, dense.__setitem__
         for key, update in slot.items():
-            subscript = _runtime_key(key)
-            current = self.target.direct_get(subscript)
-            if self._apply_arity >= 3:
-                new_value = self.apply_fn(subscript, current, update)
+            # A key without slice markers is its own subscript.
+            subscript = _runtime_key(key) if tuple in map(type, key) else key
+            current = read(subscript)
+            if keyed:
+                write(subscript, apply_fn(subscript, current, update))
             else:
-                new_value = self.apply_fn(current, update)
-            self.target.direct_set(subscript, new_value)
+                write(subscript, apply_fn(current, update))
         return len(slot)
 
     def take_pending(self, worker: int) -> Dict[Tuple[Any, ...], Any]:

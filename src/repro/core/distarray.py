@@ -27,6 +27,7 @@ the columns and drops them.  Every reader (``entries()``, ``columns()``,
 from __future__ import annotations
 
 import itertools
+import math
 import pickle
 import threading
 from dataclasses import dataclass, field
@@ -413,7 +414,7 @@ class DistArray:
             self._require_materialized()
             columns = self._columns
             return len(self._dict if columns is None else columns[1])
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:

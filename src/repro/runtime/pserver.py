@@ -128,7 +128,10 @@ class PrefetchManager:
         else:
             self.metrics.counter("prefetch_cache_misses_total").inc()
             unique: Dict[Tuple[str, Tuple[Any, ...]], int] = {}
-            for key, value in entries:
+            # A constant prefetch function records the same indices for
+            # every entry: the first one stands for the block.
+            sample = entries[:1] if self.prefetch_fn.constant else entries
+            for key, value in sample:
                 for array_name, index in self.prefetch_fn(key, value):
                     if array_name not in self.arrays:
                         continue

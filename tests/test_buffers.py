@@ -207,6 +207,52 @@ class TestSliceKeys:
         assert buf.pending_bytes() > 8 * point_bytes
 
 
+class TestMixedKeysAndTargets:
+    """The point-key fast paths of ``pending_bytes`` / ``flush_worker`` /
+    ``direct_buffer_write_many`` beside the general ones."""
+
+    def test_point_and_slice_keys_in_one_slot(self):
+        grid = DistArray.zeros(3, 4, name="grid_mixed").materialize()
+        seen = []
+
+        def udf(key, current, update):
+            seen.append(key)
+            return current + update
+
+        buf = DistArrayBuffer(grid, apply_fn=udf)
+        buf[2, 1] = 1.0
+        buf[0, :] = np.arange(4.0)
+        buf[1] = np.ones(4)  # a point key shorter than the target's rank
+        assert buf.pending_bytes() == 8 * (2 + 1) + 8 * (2 + 4) + 8 * (1 + 1)
+        buf.flush_all()
+        assert seen == [(2, 1), (0, slice(None, None)), (1,)]
+        expected = np.zeros((3, 4))
+        expected[2, 1], expected[0], expected[1] = 1.0, np.arange(4.0), 1.0
+        assert np.array_equal(grid.values, expected)
+
+    def test_sparse_target_flushes_through_point_access(self):
+        target = DistArray.from_entries(
+            [((0, 1), 1.0), ((2, 2), 5.0)], name="sparse_target", shape=(3, 3)
+        ).materialize()
+        buf = DistArrayBuffer(target)
+        buf[2, 2] = 0.5
+        buf[2, 2] = 0.25
+        assert buf.flush_all() == 1
+        assert target.get((2, 2)) == 5.75 and target.get((0, 1)) == 1.0
+
+    @pytest.mark.parametrize("combiner", [None, max])
+    def test_write_many_merges_like_single_writes(self, combiner):
+        kwargs = {} if combiner is None else {"combiner": combiner}
+        one, many = (DistArrayBuffer(_target(), **kwargs) for _ in range(2))
+        indices = [3, 1, 3, np.int64(1), 7, 3]
+        values = [0.1, 0.2, 0.3, -0.4, 0.5, 0.7]
+        for index, value in zip(indices, values):
+            one.direct_buffer_write(index, value)
+        many.direct_buffer_write_many(indices, values)
+        assert list(one.snapshot()[0][-1].items()) == \
+            list(many.snapshot()[0][-1].items())
+
+
 class TestSnapshotAndHandOff:
     def _buffer(self):
         target = DistArray.zeros(6, name="handoff_t").materialize()

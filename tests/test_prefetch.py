@@ -162,3 +162,44 @@ class TestControlFlow:
         prefetch = synthesize_prefetch(body, info, ["table"])
         recorded = prefetch((4,), 0.0)
         assert recorded == [("table", (slice(None, None), 4))]
+
+
+class TestConstantFunction:
+    """``constant``: no recorded subscript names a variable, so every
+    iteration records the same indices (``PrefetchManager`` then evaluates
+    the function once per block)."""
+
+    def test_whole_array_read_is_constant(self):
+        space = _space_1d(6)
+
+        def body(key, value):
+            totals = weights[:]
+            return totals
+
+        info = analyze_loop_body(body, space)
+        prefetch = synthesize_prefetch(body, info, ["weights"])
+        assert prefetch.constant
+        assert prefetch((1,), 0.0) == prefetch((4,), 9.0) == [
+            ("weights", (slice(None, None),))
+        ]
+
+    def test_key_value_and_guarded_subscripts_are_not(self):
+        space = _space_1d(6)
+
+        def by_key(key, value):
+            w = weights[key[0]]
+            return w
+
+        def by_value(key, value):
+            w = weights[int(value)]
+            return w
+
+        def guarded(key, value):
+            w = 0.0
+            if value > 2.0:
+                w = weights[:]
+            return w
+
+        for body in (by_key, by_value, guarded):
+            info = analyze_loop_body(body, space)
+            assert not synthesize_prefetch(body, info, ["weights"]).constant

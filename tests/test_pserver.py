@@ -94,6 +94,31 @@ class TestPrefetchManager:
         cost = manager.block_read_cost("b1", _entries()[5:])
         assert cost.num_requests == 1
 
+    def test_constant_function_runs_once_per_block(self):
+        """A constant prefetch function (LDA's ``topic_sum[:]``) is
+        evaluated for one entry, not for each, and costs the same."""
+        space = DistArray.from_entries(_entries(), name="ps_c", shape=(10,))
+        space.materialize()
+
+        def body(key, value):
+            totals = weights[:]
+            return totals
+
+        info = analyze_loop_body(body, space)
+        costs = []
+        for constant in (True, False):
+            prefetch = synthesize_prefetch(body, info, ["weights"])
+            assert prefetch.constant
+            prefetch.constant = constant
+            calls, inner = [], prefetch.fn
+            prefetch.fn = lambda key, value: calls.append(key) or inner(key, value)
+            manager = PrefetchManager(_cluster(), {"weights": weights}, prefetch)
+            costs.append(manager.block_read_cost("b", _entries()))
+            assert len(calls) == (1 if constant else 10)
+            assert manager.block_read_cost("empty", []).num_requests == 0
+        assert costs[0] == costs[1]
+        assert costs[0].nbytes == 8 * 20 and costs[0].num_requests == 1
+
     def test_no_arrays_is_free(self):
         manager = PrefetchManager(_cluster(), {}, None)
         cost = manager.block_read_cost("b", _entries())
