@@ -12,6 +12,7 @@ import pytest
 
 import _workloads as wl
 from repro.apps import build_sgd_mf
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 3
 
@@ -42,7 +43,7 @@ def _run(balance: bool, randomize: bool = False):
         dataset,
         cluster=wl.mf_cluster(),
         hyper=wl.MF_HYPER,
-        balance=balance,
+        options=LoopOptions(balance=balance),
     )
     history = program.run(EPOCHS)
     loads = program.train_loop.executor.partitions.size_matrix().sum(axis=1)

@@ -146,26 +146,30 @@ def run(out_path: Path, smoke: bool = False) -> dict:
 
     apps = {
         "sgd_mf": (
-            lambda cluster, **kw: build_mf(mf, cluster=cluster, seed=7, **kw),
+            lambda cluster, options=None: build_mf(
+                mf, cluster=cluster, seed=7, options=options
+            ),
             len(mf.entries),
         ),
         "sgd_mf_adarev": (
-            lambda cluster, **kw: build_mf(
-                mf, cluster=cluster, hyper=MFHyper(adarev=True), seed=7, **kw
+            lambda cluster, options=None: build_mf(
+                mf, cluster=cluster, hyper=MFHyper(adarev=True), seed=7,
+                options=options,
             ),
             len(mf.entries),
         ),
         "slr": (
-            lambda cluster, **kw: build_slr(
+            lambda cluster, options=None: build_slr(
                 slr, cluster=cluster, hyper=SLRHyper(step_size=0.2), seed=7,
-                **kw
+                options=options,
             ),
             len(slr.entries),
         ),
         "lda": (
-            lambda cluster, **kw: build_lda(
+            lambda cluster, options=None: build_lda(
                 lda, cluster=cluster, hyper=LDAHyper(num_topics=4 if smoke
-                                                     else 8), seed=7, **kw
+                                                     else 8), seed=7,
+                options=options,
             ),
             len(lda.entries),
         ),

@@ -10,6 +10,7 @@ import pytest
 import _workloads as wl
 from repro.apps import SGDMFApp, build_sgd_mf
 from repro.baselines import run_bosen, run_serial
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 10
 
@@ -22,10 +23,12 @@ def _run_all():
         "serial": run_serial(app, EPOCHS, cost=cluster.cost),
         "data parallel (Bosen)": run_bosen(app, cluster, EPOCHS),
         "dep-aware (unordered)": build_sgd_mf(
-            dataset, cluster=cluster, hyper=wl.MF_HYPER, ordered=False
+            dataset, cluster=cluster, hyper=wl.MF_HYPER,
+            options=LoopOptions(ordered=False),
         ).run(EPOCHS),
         "dep-aware (ordered)": build_sgd_mf(
-            dataset, cluster=cluster, hyper=wl.MF_HYPER, ordered=True
+            dataset, cluster=cluster, hyper=wl.MF_HYPER,
+            options=LoopOptions(ordered=True),
         ).run(EPOCHS),
     }
     return runs

@@ -11,6 +11,7 @@ import pytest
 import _workloads as wl
 from repro.apps import LDAApp, build_lda
 from repro.baselines import run_bosen, run_serial
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 6
 
@@ -27,11 +28,14 @@ def _run_all():
         dataset,
         cluster=cluster,
         hyper=wl.LDA_HYPER,
-        ordered=False,
-        pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+        options=LoopOptions(
+            ordered=False,
+            pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+        ),
     ).run(EPOCHS)
     runs["dep-aware (ordered)"] = build_lda(
-        dataset, cluster=cluster, hyper=wl.LDA_HYPER, ordered=True
+        dataset, cluster=cluster, hyper=wl.LDA_HYPER,
+        options=LoopOptions(ordered=True),
     ).run(EPOCHS)
     return runs
 

@@ -13,6 +13,7 @@ import pytest
 import _workloads as wl
 from repro.apps import build_lda, build_sgd_mf
 from repro.baselines import run_strads
+from repro.runtime.options import LoopOptions
 
 EPOCHS_MF = 6
 EPOCHS_LDA = 4
@@ -25,7 +26,9 @@ def _run_mf():
         dataset, cluster=cluster, hyper=wl.MF_ADAREV_HYPER
     ).run(EPOCHS_MF)
     strads = run_strads(
-        lambda c: build_sgd_mf(dataset, cluster=c, hyper=wl.MF_ADAREV_HYPER),
+        lambda c, options: build_sgd_mf(
+            dataset, cluster=c, hyper=wl.MF_ADAREV_HYPER, options=options
+        ),
         cluster,
         EPOCHS_MF,
         speed_factor=1.0,  # trivial serialization: no C++ advantage
@@ -41,20 +44,18 @@ def _run_lda():
         dataset,
         cluster=cluster,
         hyper=wl.LDA_HYPER,
-        pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+        options=LoopOptions(pipeline_depth=wl.BENCH_PIPELINE_DEPTH),
     ).run(EPOCHS_LDA)
     strads = run_strads(
-        lambda c: build_lda(
-            dataset,
-            cluster=c,
-            hyper=wl.LDA_HYPER,
-            pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+        lambda c, options: build_lda(
+            dataset, cluster=c, hyper=wl.LDA_HYPER, options=options
         ),
         cluster,
         EPOCHS_LDA,
         # Julia marshalling of per-row count data vs. C++ pointer swaps.
         speed_factor=0.4,
         label="STRADS LDA",
+        options=LoopOptions(pipeline_depth=wl.BENCH_PIPELINE_DEPTH),
     )
     return orion, strads
 

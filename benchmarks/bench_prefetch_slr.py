@@ -12,6 +12,7 @@ import pytest
 
 import _workloads as wl
 from repro.apps import build_slr
+from repro.runtime.options import LoopOptions
 
 PAPER_ROWS = {
     "no prefetch": 7682.0,
@@ -25,15 +26,15 @@ def _measure():
     cluster = wl.slr_cluster()
     times = {}
     for label, opts in [
-        ("no prefetch", {"prefetch": "none"}),
-        ("bulk prefetch", {"prefetch": "auto", "cache_prefetch": False}),
+        ("no prefetch", LoopOptions(prefetch="none")),
+        ("bulk prefetch", LoopOptions(prefetch="auto", cache_prefetch=False)),
         (
             "bulk prefetch + cached indices",
-            {"prefetch": "auto", "cache_prefetch": True},
+            LoopOptions(prefetch="auto", cache_prefetch=True),
         ),
     ]:
         program = build_slr(
-            dataset, cluster=cluster, hyper=wl.SLR_HYPER, **opts
+            dataset, cluster=cluster, hyper=wl.SLR_HYPER, options=opts
         )
         history = program.run(3)
         # Skip the first pass: the cached variant pays synthesis once.

@@ -21,6 +21,7 @@ import pytest
 
 import _workloads as wl
 from repro.apps import build_lda, build_sgd_mf
+from repro.runtime.options import LoopOptions
 
 EPOCHS = 3
 
@@ -40,8 +41,10 @@ def _measure_mf(adarev: bool):
             dataset,
             cluster=wl.mf_cluster(adarev=adarev),
             hyper=hyper,
-            ordered=ordered,
-            pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+            options=LoopOptions(
+                ordered=ordered,
+                pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+            ),
         )
         times[ordered] = program.run(EPOCHS).time_per_iteration()
     return times[True], times[False]
@@ -55,8 +58,10 @@ def _measure_lda():
             dataset,
             cluster=wl.lda_cluster(),
             hyper=wl.LDA_HYPER,
-            ordered=ordered,
-            pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+            options=LoopOptions(
+                ordered=ordered,
+                pipeline_depth=wl.BENCH_PIPELINE_DEPTH,
+            ),
         )
         times[ordered] = program.run(EPOCHS).time_per_iteration()
     return times[True], times[False]

@@ -38,7 +38,7 @@ def _measure(build, num_entries: int) -> dict:
     """Time ``EPOCHS`` passes of each variant of one program, scalar first."""
     out = {}
     for variant, kernel in (("scalar", "off"), ("kernel", "auto")):
-        program = build(options=LoopOptions(kernel=kernel))
+        program = build(LoopOptions(kernel=kernel))
         program.epoch_fn()  # warm-up pass: block materialization, caches
         start = time.perf_counter()
         for _ in range(EPOCHS):
@@ -68,28 +68,29 @@ def run(out_path: Path) -> dict:
         "cpu_count": os.cpu_count(),
         "apps": {
             "sgd_mf": _measure(
-                lambda **kw: build_mf(mf, seed=7, **kw), len(mf.entries)
+                lambda options: build_mf(mf, seed=7, options=options),
+                len(mf.entries),
             ),
             "sgd_mf_adarev": _measure(
-                lambda **kw: build_mf(
-                    mf, hyper=MFHyper(adarev=True), seed=7, **kw
+                lambda options: build_mf(
+                    mf, hyper=MFHyper(adarev=True), seed=7, options=options
                 ),
                 len(mf.entries),
             ),
             "slr": _measure(
-                lambda **kw: build_slr(
-                    slr, hyper=SLRHyper(step_size=0.2), seed=7, **kw
+                lambda options: build_slr(
+                    slr, hyper=SLRHyper(step_size=0.2), seed=7, options=options
                 ),
                 len(slr.entries),
             ),
             "lda": _measure(
-                lambda **kw: build_lda(
-                    lda, hyper=LDAHyper(num_topics=8), seed=7, **kw
+                lambda options: build_lda(
+                    lda, hyper=LDAHyper(num_topics=8), seed=7, options=options
                 ),
                 len(lda.entries),
             ),
             "glove": _measure(
-                lambda **kw: build_glove(glove, seed=7, **kw),
+                lambda options: build_glove(glove, seed=7, options=options),
                 len(glove.entries),
             ),
         },

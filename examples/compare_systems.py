@@ -9,7 +9,7 @@ per-iteration convergence, virtual time and traffic.
 Run:  python examples/compare_systems.py
 """
 
-from repro import ClusterSpec
+from repro import ClusterSpec, LoopOptions
 from repro.apps import MFHyper, SGDMFApp, build_sgd_mf
 from repro.apps.sgd_mf import mf_cost_model
 from repro.baselines import (
@@ -37,7 +37,8 @@ runs.append(
 )
 runs.append(
     build_sgd_mf(
-        dataset, cluster=cluster, hyper=hyper, ordered=True,
+        dataset, cluster=cluster, hyper=hyper,
+        options=LoopOptions(ordered=True),
         label="Orion (2D ordered)",
     ).run(EPOCHS)
 )
@@ -50,7 +51,9 @@ runs.append(
 )
 runs.append(
     run_strads(
-        lambda c: build_sgd_mf(dataset, cluster=c, hyper=hyper),
+        lambda c, options: build_sgd_mf(
+            dataset, cluster=c, hyper=hyper, options=options
+        ),
         cluster,
         EPOCHS,
         label="STRADS (manual model parallel)",

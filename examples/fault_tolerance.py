@@ -40,8 +40,10 @@ hyper = MFHyper(rank=6, step_size=0.05)
 cluster = ClusterSpec(num_machines=2, workers_per_machine=2)
 
 
-def build(**kw):
-    return build_sgd_mf(dataset, cluster=cluster, hyper=hyper, seed=3, **kw)
+def build(options=None):
+    return build_sgd_mf(
+        dataset, cluster=cluster, hyper=hyper, seed=3, options=options
+    )
 
 
 # ---- 1. the reference run ------------------------------------------------ #
@@ -60,11 +62,11 @@ plan = FaultPlan(
 obs = Observability.enabled()
 ckpt_dir = tempfile.mkdtemp(prefix="orion_faults_")
 faulted = build(
-    options=LoopOptions(
+    LoopOptions(
         faults=plan,
         checkpoint=CheckpointConfig(ckpt_dir, every_n_epochs=2),
-    ),
-    obs=obs,
+        obs=obs,
+    )
 )
 faulted_history = faulted.run(EPOCHS)
 faulted_state = {n: faulted.arrays[n].values.copy() for n in ("W", "H")}

@@ -12,7 +12,7 @@ prefetch, prefetch with cached indices.
 Run:  python examples/sparse_logistic_regression.py
 """
 
-from repro import ClusterSpec
+from repro import ClusterSpec, LoopOptions
 from repro.apps import SLRHyper, build_slr
 from repro.apps.slr import slr_cost_model
 from repro.data import sparse_classification
@@ -49,11 +49,14 @@ for record in history.records:
 # re-execution cost.
 print("\nper-pass virtual time by prefetch configuration:")
 for label, opts in [
-    ("no prefetch (per-read round trips)", {"prefetch": "none"}),
-    ("bulk prefetch", {"prefetch": "auto", "cache_prefetch": False}),
-    ("bulk prefetch + cached indices", {"prefetch": "auto", "cache_prefetch": True}),
+    ("no prefetch (per-read round trips)", LoopOptions(prefetch="none")),
+    ("bulk prefetch", LoopOptions(prefetch="auto", cache_prefetch=False)),
+    (
+        "bulk prefetch + cached indices",
+        LoopOptions(prefetch="auto", cache_prefetch=True),
+    ),
 ]:
-    trial = build_slr(dataset, cluster=cluster, hyper=hyper, seed=2, **opts)
+    trial = build_slr(dataset, cluster=cluster, hyper=hyper, seed=2, options=opts)
     trial.run(1)  # warm-up pass (populates caches)
     second = trial.run(1)
     print(f"  {label:38s}: {second.records[-1].epoch_time_s:9.4f} s/pass")

@@ -400,7 +400,6 @@ class OrionContext:
         self,
         iteration_space: DistArray,
         options: Optional[LoopOptions] = None,
-        obs: Optional[Observability] = None,
     ) -> Callable[[Callable[..., Any]], ParallelLoop]:
         """Parallelize a loop body over ``iteration_space``.
 
@@ -429,15 +428,11 @@ class OrionContext:
         Args:
             iteration_space: materialized DistArray to iterate over.
             options: the :class:`~repro.runtime.options.LoopOptions`
-                bundle carrying every knob.
-            obs: per-loop :class:`~repro.obs.observability.Observability`
-                bundle (defaults to the context's).
+                bundle carrying every knob (``options.obs`` defaults to
+                the context's observability pair).
         """
         opts = options if options is not None else LoopOptions()
-        if obs is not None:
-            opts = opts.merged_with(obs=obs)
-        resolved = opts.resolve_obs(default=self.obs)
-        final = replace(opts, obs=resolved)
+        final = replace(opts, obs=opts.resolve_obs(default=self.obs))
 
         def decorate(body: Callable[..., Any]) -> ParallelLoop:
             info = analyze_loop_body(

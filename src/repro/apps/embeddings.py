@@ -28,9 +28,9 @@ from repro.apps.base import (
     Entry,
     OrionProgram,
     SerialApp,
-    resolve_loop_options,
 )
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
 __all__ = [
@@ -149,7 +149,7 @@ def build_orion_program(
     hyper: GloVeHyper = GloVeHyper(),
     seed: int = 0,
     label: Optional[str] = None,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the GloVe Orion program (2D unordered).
 
@@ -181,9 +181,7 @@ def build_orion_program(
         bw[key[0]] = bw[key[0]] - scale
         bc[key[1]] = bc[key[1]] - scale
 
-    loop = ctx.parallel_for(
-        cooc, options=resolve_loop_options(loop_opts)
-    )(body)
+    loop = ctx.parallel_for(cooc, options=options)(body)
 
     def loss_fn() -> float:
         return glove_loss(

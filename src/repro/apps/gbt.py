@@ -25,9 +25,10 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.api import OrionContext
-from repro.apps.base import OrionProgram, resolve_loop_options
+from repro.apps.base import OrionProgram
 from repro.data.synthetic import TableDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
 __all__ = ["GBTHyper", "build_orion_program", "gbt_cost_model", "quantize_features"]
@@ -110,7 +111,7 @@ def build_orion_program(
     hyper: GBTHyper = GBTHyper(),
     seed: int = 0,
     label: Optional[str] = None,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the GBT Orion program (one epoch = one boosting round).
 
@@ -170,10 +171,9 @@ def build_orion_program(
         preds[key[0]] = preds[key[0]] + leaf_values[leaf]
         node_assign[key[0]] = 0.0
 
-    opts = resolve_loop_options(loop_opts)
-    hist_loop = ctx.parallel_for(samples, options=opts)(hist_body)
-    grow_loop = ctx.parallel_for(samples, options=opts)(grow_body)
-    apply_loop = ctx.parallel_for(samples, options=opts)(apply_body)
+    hist_loop = ctx.parallel_for(samples, options=options)(hist_body)
+    grow_loop = ctx.parallel_for(samples, options=options)(grow_body)
+    apply_loop = ctx.parallel_for(samples, options=options)(apply_body)
 
     def run_round():
         results = []

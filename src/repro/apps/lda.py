@@ -28,10 +28,10 @@ from repro.apps.base import (
     Entry,
     OrionProgram,
     SerialApp,
-    resolve_loop_options,
 )
 from repro.data.synthetic import CorpusDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.partition import Block
 from repro.runtime.simtime import CostModel
 
@@ -159,11 +159,10 @@ def build_orion_program(
     dataset: CorpusDataset,
     cluster: Optional[ClusterSpec] = None,
     hyper: LDAHyper = LDAHyper(),
-    ordered: bool = False,
     parallelism: str = "2d",
     seed: int = 0,
     label: Optional[str] = None,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the LDA Orion program.
 
@@ -418,7 +417,7 @@ def build_orion_program(
             kctx.account_row_writes(word_topic, word_col)
         kctx.account_point_writes(assignments, keys)
 
-    opts = resolve_loop_options(loop_opts).merged_with(ordered=ordered)
+    opts = options or LoopOptions()
     if opts.kernel == "auto":
         opts = opts.merged_with(kernel=kernel)
     loop = ctx.parallel_for(corpus, options=opts)(body)

@@ -25,9 +25,9 @@ from repro.apps.base import (
     Entry,
     OrionProgram,
     SerialApp,
-    resolve_loop_options,
 )
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
 __all__ = ["MLPHyper", "MLPApp", "build_orion_program", "mlp_cost_model", "make_blobs"]
@@ -114,7 +114,7 @@ def build_orion_program(
     hyper: MLPHyper = MLPHyper(),
     seed: int = 0,
     label: Optional[str] = None,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the MLP Orion program (dense access; buffered data parallelism).
 
@@ -163,9 +163,7 @@ def build_orion_program(
         w2_buf[:, :] = -step * g_w2
         b2_buf[:] = -step * g_b2
 
-    loop = ctx.parallel_for(
-        samples, options=resolve_loop_options(loop_opts)
-    )(body)
+    loop = ctx.parallel_for(samples, options=options)(body)
 
     def loss_fn() -> float:
         total = 0.0

@@ -21,10 +21,10 @@ from repro.apps.base import (
     Entry,
     OrionProgram,
     SerialApp,
-    resolve_loop_options,
 )
 from repro.data.synthetic import MFDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 from repro.runtime.partition import Block
 from repro.runtime.simtime import CostModel
 
@@ -82,16 +82,15 @@ def build_orion_program(
     dataset: MFDataset,
     cluster: Optional[ClusterSpec] = None,
     hyper: MFHyper = MFHyper(),
-    ordered: bool = False,
     eval_with_loop: bool = False,
     seed: int = 0,
     label: Optional[str] = None,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the paper's Fig. 5 program against the real Orion API.
 
     The loop body below is what static analysis sees; the chosen plan is
-    2D (space = rows, time = cols) unordered unless ``ordered=True``.
+    2D (space = rows, time = cols) unordered unless ``options.ordered``.
 
     With ``eval_with_loop=True`` the training loss is measured the way
     Fig. 5 does — a *second* parallel for-loop over the ratings folding
@@ -154,10 +153,8 @@ def build_orion_program(
             W[:, key[0]] = w_col + step_size * 2.0 * diff * h_col
             H[:, key[1]] = h_col + step_size * 2.0 * diff * w_col
 
-    opts = resolve_loop_options(loop_opts)
-    loop = ctx.parallel_for(
-        ratings, options=opts.merged_with(ordered=ordered)
-    )(body)
+    opts = options or LoopOptions()
+    loop = ctx.parallel_for(ratings, options=opts)(body)
     # The loss reads the columns the ratings array already holds.
     rows, cols, values = _index_arrays(Block(*ratings.columns()))
 

@@ -28,11 +28,11 @@ from repro.apps.base import (
     Entry,
     OrionProgram,
     SerialApp,
-    resolve_loop_options,
 )
 from repro.data.synthetic import SLRDataset
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.kernels import ragged_levels
+from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
 __all__ = ["SLRHyper", "SLRApp", "build_orion_program", "slr_cost_model", "logistic_loss"]
@@ -100,7 +100,7 @@ def build_orion_program(
     hyper: SLRHyper = SLRHyper(),
     seed: int = 0,
     label: Optional[str] = None,
-    **loop_opts,
+    options: Optional[LoopOptions] = None,
 ) -> OrionProgram:
     """Build the SLR Orion program (1D data parallelism with buffers).
 
@@ -156,9 +156,7 @@ def build_orion_program(
             for fid, fval in features:
                 weight_buf[fid] = -step_size * grad_scale * fval
 
-    loop = ctx.parallel_for(
-        samples, options=resolve_loop_options(loop_opts)
-    )(body)
+    loop = ctx.parallel_for(samples, options=options)(body)
 
     def loss_fn() -> float:
         return logistic_loss(weights.values, dataset.entries)

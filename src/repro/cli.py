@@ -228,7 +228,7 @@ def _fault_plan(args, cluster: ClusterSpec) -> Optional[FaultPlan]:
         return FaultPlan.from_spec(
             args.faults, epochs=args.epochs, num_workers=cluster.num_workers
         )
-    if getattr(args, "slow_factor", None):
+    if args.slow_factor:
         return FaultPlan(
             stragglers=[
                 Straggler(worker=worker, epoch=epoch,
@@ -240,25 +240,18 @@ def _fault_plan(args, cluster: ClusterSpec) -> Optional[FaultPlan]:
     return None
 
 
-def _fault_options(
-    engine: str, args, cluster: ClusterSpec, backend: Optional[str] = None,
-) -> Optional[LoopOptions]:
-    """LoopOptions carrying this engine's fault plan / checkpoint config.
+def _loop_options(
+    engine: str, args, cluster: ClusterSpec, obs: Optional[Observability],
+) -> LoopOptions:
+    """The one ``LoopOptions`` an Orion-program engine's builder receives.
 
     GBT runs several parallel loops per boosting round, which would race on
     one checkpoint directory — it gets fault injection but no on-disk
     checkpointing (crashes replay from the initial in-memory snapshot).
 
-    ``backend`` (orion engines only) selects the execution backend; the
-    baseline engines model their systems on the virtual clock and ignore
-    ``--backend``.
+    ``--backend`` applies to the orion engines only; STRADS, like the other
+    baselines, models its system on the virtual clock.
     """
-    if not (
-        args.faults or args.ckpt_every or backend is not None
-        or args.sanitize or getattr(args, "slow_factor", None)
-        or getattr(args, "run_store", None)
-    ):
-        return None
     checkpoint = None
     if args.ckpt_every and args.app != "gbt":
         checkpoint = CheckpointConfig(
@@ -266,11 +259,14 @@ def _fault_options(
             every_n_epochs=args.ckpt_every,
         )
     return LoopOptions(
+        ordered=engine == "orion-ordered",
+        backend="simulated" if engine == "strads" else args.backend,
+        sanitize=args.sanitize,
+        obs=obs,
+        trace_process=engine,
         faults=_fault_plan(args, cluster),
         checkpoint=checkpoint,
-        backend=backend or "simulated",
-        sanitize=args.sanitize,
-        run_store=getattr(args, "run_store", None),
+        run_store=args.run_store,
         run_label=f"{args.app}:{engine}",
     )
 
@@ -293,8 +289,8 @@ def _dataset_and_builders(args):
         return (
             dataset,
             cost,
-            lambda cluster, **kw: build_sgd_mf(
-                dataset, cluster=cluster, hyper=hyper, **kw
+            lambda cluster, options: build_sgd_mf(
+                dataset, cluster=cluster, hyper=hyper, options=options
             ),
             SGDMFApp(dataset, hyper),
         )
@@ -312,9 +308,9 @@ def _dataset_and_builders(args):
         return (
             dataset,
             cost,
-            lambda cluster, **kw: build_lda(
+            lambda cluster, options: build_lda(
                 dataset, cluster=cluster, hyper=hyper,
-                parallelism=parallelism, **kw
+                parallelism=parallelism, options=options
             ),
             LDAApp(dataset, hyper, seed=args.seed),
         )
@@ -330,8 +326,8 @@ def _dataset_and_builders(args):
         return (
             dataset,
             cost,
-            lambda cluster, **kw: build_slr(
-                dataset, cluster=cluster, hyper=hyper, **kw
+            lambda cluster, options: build_slr(
+                dataset, cluster=cluster, hyper=hyper, options=options
             ),
             SLRApp(dataset, hyper),
         )
@@ -341,7 +337,9 @@ def _dataset_and_builders(args):
     return (
         dataset,
         None,
-        lambda cluster, **kw: build_gbt(dataset, cluster=cluster, **kw),
+        lambda cluster, options: build_gbt(
+            dataset, cluster=cluster, options=options
+        ),
         None,
     )
 
@@ -350,37 +348,22 @@ def _run_engine(
     engine: str, args, cluster: ClusterSpec, builder, app,
     obs: Optional[Observability] = None,
 ) -> Optional[RunHistory]:
-    obs_opts = {"obs": obs} if obs is not None else {}
     if engine == "serial":
         if app is None:
             return None
         return run_serial(
             app, args.epochs, seed=args.seed, cost=cluster.cost, obs=obs
         )
-    backend = args.backend if args.backend != "simulated" else None
-    if engine == "orion":
-        fault_opts = _fault_options(engine, args, cluster, backend=backend)
-        extra = {"options": fault_opts} if fault_opts is not None else {}
-        return builder(cluster, **obs_opts, **extra).run(args.epochs)
-    if engine == "orion-ordered":
-        fault_opts = _fault_options(engine, args, cluster, backend=backend)
-        extra = {"options": fault_opts} if fault_opts is not None else {}
-        try:
-            return builder(
-                cluster, ordered=True,
-                **dict(obs_opts, trace_process="orion-ordered")
-                if obs_opts else {},
-                **extra,
-            ).run(args.epochs)
-        except TypeError:
-            return None  # app builder has no ordered mode (GBT)
+    if engine in ("orion", "orion-ordered"):
+        options = _loop_options(engine, args, cluster, obs)
+        return builder(cluster, options).run(args.epochs)
     if app is None:
         return None  # remaining engines need the numpy app form
     if engine == "bosen":
         return run_bosen(
             app, cluster, args.epochs, seed=args.seed,
             faults=_fault_plan(args, cluster), ckpt_every=args.ckpt_every,
-            **obs_opts,
+            obs=obs,
         )
     if engine == "cm":
         return run_managed_comm(
@@ -390,9 +373,7 @@ def _run_engine(
     if engine == "strads":
         return run_strads(
             builder, cluster, args.epochs,
-            builder_opts=dict(obs_opts, trace_process="strads")
-            if obs_opts else None,
-            options=_fault_options(engine, args, cluster),
+            options=_loop_options(engine, args, cluster, obs),
         )
     if engine == "tf":
         if not isinstance(app, SGDMFApp):
@@ -481,13 +462,7 @@ def _lint_main(argv: List[str], out) -> int:
         workers_per_machine=args.workers_per_machine,
         **cluster_kwargs,
     )
-    try:
-        extra = {"ordered": True} if args.ordered else {}
-        program = builder(cluster, **extra)
-    except TypeError:
-        out.write(f"app {args.app!r} has no ordered loop variant\n")
-        return 2
-    loop = program.train_loop
+    loop = builder(cluster, LoopOptions(ordered=args.ordered)).train_loop
     report = run_lint(
         loop.body, loop.info.iteration_space, ordered=loop.info.ordered
     )
@@ -534,8 +509,8 @@ def _synth_main(argv: List[str], out) -> int:
             num_machines=args.machines,
             workers_per_machine=args.workers_per_machine,
         )
-        builder = lambda cluster, **kw: build_glove(  # noqa: E731
-            dataset, cluster=cluster, **kw
+        builder = lambda cluster, options: build_glove(  # noqa: E731
+            dataset, cluster=cluster, options=options
         )
     else:
         dataset, cost, builder, _app = _dataset_and_builders(args)
@@ -545,8 +520,7 @@ def _synth_main(argv: List[str], out) -> int:
             workers_per_machine=args.workers_per_machine,
             **cluster_kwargs,
         )
-    extra = {"equivalence_check": True} if args.check else {}
-    program = builder(cluster, **extra)
+    program = builder(cluster, LoopOptions(equivalence_check=args.check))
     loop = program.train_loop
     # Synthesis of the built loop's own body — LDA runs a registered
     # kernel, so its loop carries no synthesis outcome to read back.

@@ -50,22 +50,6 @@ class AccessBroker:
         """Observe a write into a DistArray Buffer (exempt from analysis)."""
         buffer.direct_buffer_write(index, value)
 
-    # ---------------- bulk element access ------------------------------ #
-    #
-    # The batched-kernel fast path touches whole blocks at a time; these
-    # hooks let a broker account N accesses in one call instead of N
-    # dispatches.  Defaults delegate to the scalar hooks so subclasses
-    # that only override read/write stay correct.
-
-    def bulk_read(self, array: Any, indices: Any) -> Any:
-        """Observe (and serve) many point/set reads of ``array``."""
-        return [self.read(array, index) for index in indices]
-
-    def bulk_write(self, array: Any, indices: Any, values: Any) -> None:
-        """Observe (and apply) many point/set writes of ``array``."""
-        for index, value in zip(indices, values):
-            self.write(array, index, value)
-
     def bulk_buffer_write(self, buffer: Any, indices: Any, values: Any) -> None:
         """Observe many buffer writes (merged in order, like N scalar writes)."""
         buffer.direct_buffer_write_many(indices, values)

@@ -489,7 +489,7 @@ class DistArray:
         dominates hot loops); a missing key returns ``default`` when one is
         given and raises :class:`SubscriptError` otherwise.  Dense arrays
         serve each key from the backing ndarray.  Accounting is the
-        caller's job — brokers wrap this via ``AccessBroker.bulk_read``.
+        caller's job (``KernelContext.account_point_reads``).
         """
         self._require_materialized()
         if not self.sparse:
@@ -531,47 +531,6 @@ class DistArray:
             if not isinstance(key, tuple):
                 key = (key,)
             entries[self._point_key(key)] = value
-
-    def dense_columns(self, cols: Sequence[int]) -> np.ndarray:
-        """Gather ``self[:, cols]`` as one fancy-indexed matrix (dense 2-D).
-
-        One vectorized NumPy gather replaces ``len(cols)`` point slice
-        reads; the result is a copy (mutating it does not write back — use
-        :meth:`set_dense_columns`).
-        """
-        self._require_materialized()
-        if self.sparse or self._dense.ndim != 2:
-            raise SubscriptError(
-                f"dense_columns applies to dense 2-D arrays, not {self.name}"
-            )
-        return self._dense[:, cols]
-
-    def set_dense_columns(self, cols: Sequence[int], values: np.ndarray) -> None:
-        """Scatter ``values`` into ``self[:, cols]`` in one vectorized write."""
-        self._require_materialized()
-        if self.sparse or self._dense.ndim != 2:
-            raise SubscriptError(
-                f"set_dense_columns applies to dense 2-D arrays, not {self.name}"
-            )
-        self._dense[:, cols] = values
-
-    def dense_rows(self, rows: Sequence[int]) -> np.ndarray:
-        """Gather ``self[rows, :]`` as one fancy-indexed matrix (dense 2-D)."""
-        self._require_materialized()
-        if self.sparse or self._dense.ndim != 2:
-            raise SubscriptError(
-                f"dense_rows applies to dense 2-D arrays, not {self.name}"
-            )
-        return self._dense[rows, :]
-
-    def set_dense_rows(self, rows: Sequence[int], values: np.ndarray) -> None:
-        """Scatter ``values`` into ``self[rows, :]`` in one vectorized write."""
-        self._require_materialized()
-        if self.sparse or self._dense.ndim != 2:
-            raise SubscriptError(
-                f"set_dense_rows applies to dense 2-D arrays, not {self.name}"
-            )
-        self._dense[rows, :] = values
 
     def _point_key(self, index: Any) -> Tuple[int, ...]:
         if not isinstance(index, tuple):

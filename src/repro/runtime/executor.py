@@ -141,29 +141,6 @@ class _AccountingBroker(access.AccessBroker):
     def buffer_write(self, buffer: Any, index: Any, value: Any) -> None:
         buffer.direct_buffer_write(index, value)
 
-    # ---- bulk hooks (batched-kernel fast path) ------------------------ #
-
-    def bulk_read(self, array: DistArray, indices: Any) -> Any:
-        if id(array) in self.server_ids:
-            self.stats.server_reads += len(indices)
-            self.stats.server_read_bytes += sum(
-                index_nbytes(array, index) for index in indices
-            )
-        if self.validate:
-            name = array.name
-            self.stats.accesses.extend(
-                (name, normalize_index(index), False) for index in indices
-            )
-        return array.bulk_get(indices)
-
-    def bulk_write(self, array: DistArray, indices: Any, values: Any) -> None:
-        if self.validate:
-            name = array.name
-            self.stats.accesses.extend(
-                (name, normalize_index(index), True) for index in indices
-            )
-        array.bulk_set(indices, values)
-
     def bulk_buffer_write(self, buffer: Any, indices: Any, values: Any) -> None:
         buffer.direct_buffer_write_many(indices, values)
 

@@ -302,10 +302,10 @@ class KernelContext:
     concatenated in task order when the kernel carries no per-worker
     state (see ``OrionExecutor.run_blocks``).
 
-    Provides bulk data movement (:meth:`bulk_read`, :meth:`bulk_write`,
-    :meth:`buffer_add`, :meth:`buffer_fold`) and accounting-only
-    declarations (``account_*``)
-    for kernels that read and write the dense backing arrays directly.
+    Kernels read and write the dense backing arrays directly; this
+    provides the two buffered-write entry points (:meth:`buffer_add`,
+    :meth:`buffer_fold`) and the accounting-only declarations
+    (``account_*``) for those direct accesses.
     Accounting declarations reproduce exactly what the scalar body's
     per-element broker traffic would have recorded — server read counts
     and bytes, and (in validation mode) the normalized access records the
@@ -337,17 +337,7 @@ class KernelContext:
         self.bounds = bounds
         self._seq = 0
 
-    # ---------------- bulk data movement ------------------------------- #
-
-    def bulk_read(self, array: DistArray, indices: Sequence[Any]) -> Any:
-        """Accounted bulk point/set read through the broker."""
-        return self.broker.bulk_read(array, indices)
-
-    def bulk_write(
-        self, array: DistArray, indices: Sequence[Any], values: Sequence[Any]
-    ) -> None:
-        """Accounted bulk point/set write through the broker."""
-        self.broker.bulk_write(array, indices, values)
+    # ---------------- buffered writes ---------------------------------- #
 
     def buffer_add(
         self, buffer: Any, indices: Sequence[Any], values: Sequence[Any]

@@ -1,7 +1,7 @@
 """LoopOptions: the consolidated configuration of one parallel for-loop.
 
 Every knob of ``OrionContext.parallel_for`` lives on this dataclass; the
-call itself takes only ``options=`` (and ``obs=``)::
+call itself — and every app builder — takes only ``options=``::
 
     loop = ctx.parallel_for(data, options=LoopOptions(ordered=True))(body)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import OrionContext, ParallelLoop
+from repro.apps import embeddings, gbt, lda, mlp, sgd_mf, slr
 from repro.errors import (
     AccumulatorError,
     ExecutionError,
@@ -193,7 +194,58 @@ class TestParallelFor:
         assert ctx.cluster.num_workers == 4
 
 
+APPS = {
+    "sgd_mf": sgd_mf, "lda": lda, "slr": slr, "gbt": gbt, "mlp": mlp,
+    "embeddings": embeddings,
+}
+
+
+def _dataset_args(app, request):
+    """The positional dataset arguments of one app's builder."""
+    if app == "mlp":
+        return mlp.make_blobs(num_samples=24, num_features=3, num_classes=2), 3, 2
+    if app == "embeddings":
+        return (embeddings.cooccurrence_corpus(vocab_size=20, num_tokens=400),)
+    fixture = {
+        "sgd_mf": "mf_small", "lda": "corpus_small", "slr": "slr_small",
+        "gbt": "table_small",
+    }[app]
+    return (request.getfixturevalue(fixture),)
+
+
 class TestOptionSurface:
+    def test_parallel_for_takes_options_and_nothing_else(self):
+        import inspect
+
+        params = inspect.signature(OrionContext.parallel_for).parameters
+        assert list(params) == ["self", "iteration_space", "options"]
+        assert params["options"].default is None
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_builders_take_options_and_no_loop_knob(self, app):
+        import inspect
+
+        params = inspect.signature(APPS[app].build_orion_program).parameters
+        assert "options" in params and "ordered" not in params
+        assert not any(
+            param.kind is param.VAR_KEYWORD for param in params.values()
+        )
+
+    @pytest.mark.parametrize("app", APPS)
+    def test_builders_honour_options_ordered(self, app, request, cluster_tiny):
+        """``options=LoopOptions(ordered=True)`` reaches the analyzer from
+        every builder (the SGD MF and LDA builders used to merge their own
+        ``ordered=False`` default over the bundle)."""
+        build = APPS[app].build_orion_program
+        args = _dataset_args(app, request)
+        program = build(
+            *args, cluster=cluster_tiny, options=LoopOptions(ordered=True)
+        )
+        assert program.train_loop.info.ordered is True
+        assert program.train_loop.plan.ordered is True
+        default = build(*args, cluster=cluster_tiny)
+        assert default.train_loop.info.ordered is False
+
     def test_loop_options_match_the_documented_table(self):
         """The option surface is pinned: every ``LoopOptions`` field is a
         row of the option table in ``docs/api.md`` and vice versa, so a

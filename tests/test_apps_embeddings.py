@@ -13,6 +13,7 @@ from repro.apps.embeddings import (
     glove_loss,
 )
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +80,10 @@ class TestOrionProgram:
         assert history.final_loss < 0.3 * history.meta["initial_loss"]
 
     def test_validation_clean(self, cooc, cluster):
-        program = build_orion_program(cooc, cluster=cluster, validate=True)
+        program = build_orion_program(
+            cooc, cluster=cluster,
+            options=LoopOptions(validate=True),
+        )
         program.run(2)
 
     def test_embeddings_reflect_clusters(self, cooc, cluster):

@@ -10,6 +10,7 @@ from repro.apps.gbt import (
     build_orion_program,
     quantize_features,
 )
+from repro.runtime.options import LoopOptions
 
 
 class TestQuantization:
@@ -84,7 +85,8 @@ class TestOrionProgram:
 
     def test_validation_clean(self, table_small, cluster_tiny):
         program = build_orion_program(
-            table_small, cluster=cluster_tiny, validate=True
+            table_small, cluster=cluster_tiny,
+            options=LoopOptions(validate=True),
         )
         program.run(2)
 

@@ -67,7 +67,7 @@ class TestOrionProgram:
             corpus_small,
             cluster=cluster_tiny,
             hyper=LDAHyper(num_topics=4),
-            validate=True,
+            options=LoopOptions(validate=True),
         )
         program.run(2)
 

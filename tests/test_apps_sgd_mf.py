@@ -12,6 +12,7 @@ from repro.apps.sgd_mf import (
     nzsl,
 )
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 
 class TestLossFunction:
@@ -61,7 +62,7 @@ class TestOrionProgram:
 
     def test_validation_clean(self, mf_small, cluster_tiny):
         program = build_orion_program(
-            mf_small, cluster=cluster_tiny, validate=True
+            mf_small, cluster=cluster_tiny, options=LoopOptions(validate=True)
         )
         program.run(2)  # would raise on a serializability violation
 
@@ -75,7 +76,10 @@ class TestOrionProgram:
         assert adarev.final_loss < plain.final_loss
 
     def test_ordered_variant(self, mf_small, cluster_tiny):
-        program = build_orion_program(mf_small, cluster=cluster_tiny, ordered=True)
+        program = build_orion_program(
+            mf_small, cluster=cluster_tiny,
+            options=LoopOptions(ordered=True),
+        )
         assert program.plan.ordered
         history = program.run(2)
         assert len(history.records) == 2

@@ -5,6 +5,7 @@ import pytest
 
 from repro.analysis.strategy import PlacementKind, Strategy
 from repro.apps.slr import SLRApp, SLRHyper, build_orion_program, logistic_loss
+from repro.runtime.options import LoopOptions
 
 
 class TestOrionProgram:
@@ -41,7 +42,10 @@ class TestOrionProgram:
 
     def test_validation_clean(self, slr_small, cluster_tiny):
         # Buffered writes are exempt from the serializability check.
-        program = build_orion_program(slr_small, cluster=cluster_tiny, validate=True)
+        program = build_orion_program(
+            slr_small, cluster=cluster_tiny,
+            options=LoopOptions(validate=True),
+        )
         program.run(2)
 
 

@@ -50,7 +50,7 @@ def _build_two_d(backend):
         cluster=_cluster(),
         hyper=MFHyper(rank=3, step_size=0.05),
         seed=7,
-        backend=backend,
+        options=LoopOptions(backend=backend),
     )
     return program.train_loop, {
         "W": program.arrays["W"],

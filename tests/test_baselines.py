@@ -129,7 +129,9 @@ class TestStrads:
         hyper = MFHyper(rank=4, step_size=0.05)
         orion = build_sgd_mf(mf_small, cluster=cluster_tiny, hyper=hyper).run(epochs)
         strads = run_strads(
-            lambda c: build_sgd_mf(mf_small, cluster=c, hyper=hyper),
+            lambda c, options: build_sgd_mf(
+                mf_small, cluster=c, hyper=hyper, options=options
+            ),
             cluster_tiny,
             epochs,
         )
@@ -139,7 +141,9 @@ class TestStrads:
         hyper = MFHyper(rank=4)
         orion = build_sgd_mf(mf_small, cluster=cluster_tiny, hyper=hyper).run(3)
         strads = run_strads(
-            lambda c: build_sgd_mf(mf_small, cluster=c, hyper=hyper),
+            lambda c, options: build_sgd_mf(
+                mf_small, cluster=c, hyper=hyper, options=options
+            ),
             cluster_tiny,
             3,
             speed_factor=0.5,
@@ -153,7 +157,11 @@ class TestStrads:
 
     def test_label(self, mf_small, cluster_tiny):
         strads = run_strads(
-            lambda c: build_sgd_mf(mf_small, cluster=c), cluster_tiny, 1
+            lambda c, options: build_sgd_mf(
+                mf_small, cluster=c, options=options
+            ),
+            cluster_tiny,
+            1,
         )
         assert strads.label.startswith("STRADS")
 

@@ -91,6 +91,70 @@ class TestUnsupportedCombos:
         assert code == 2
 
 
+class TestTypeErrorsPropagate:
+    """No ``except TypeError`` probe for "this app has no ordered mode":
+    every builder takes ``options``, so a TypeError is a real bug and
+    must surface instead of printing "does not support app"."""
+
+    def test_during_build(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise TypeError("boom in build")
+
+        monkeypatch.setattr("repro.cli.build_sgd_mf", build)
+        with pytest.raises(TypeError, match="boom in build"):
+            _run(["mf", "--engine", "orion-ordered", "--epochs", "1",
+                  "--scale", "0.2"])
+
+    def test_during_run(self, monkeypatch):
+        class Program:
+            def run(self, epochs):
+                raise TypeError("boom in run")
+
+        monkeypatch.setattr(
+            "repro.cli.build_gbt", lambda *args, **kwargs: Program()
+        )
+        with pytest.raises(TypeError, match="boom in run"):
+            _run(["gbt", "--engine", "orion-ordered", "--epochs", "1",
+                  "--scale", "0.2"])
+
+    def test_lint_ordered(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise TypeError("boom in lint")
+
+        monkeypatch.setattr("repro.cli.build_gbt", build)
+        with pytest.raises(TypeError, match="boom in lint"):
+            _run(["lint", "gbt", "--ordered", "--scale", "0.2"])
+
+    def test_gbt_ordered_engine_runs(self):
+        code, output = _run(["gbt", "--engine", "orion-ordered",
+                             "--epochs", "1", "--scale", "0.2"])
+        assert code == 0
+        assert "Orion GBT" in output
+
+
+class TestSanitizeFlag:
+    """One sanitized mini-epoch of each strategy — 2D unordered (mf), 2D
+    ordered, 1D (lda-1d), data parallelism (slr), multi-loop (gbt) — on
+    the simulated backend, plus a multiprocess spot check.  Any S6xx
+    violation raises."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mf"], ["lda-1d"], ["slr"], ["gbt"],
+            ["mf", "--engine", "orion-ordered"],
+            ["mf", "--backend", "multiprocess"],
+        ],
+        ids=" ".join,
+    )
+    def test_sanitized_epoch_is_clean(self, argv):
+        code, output = _run(
+            argv + ["--sanitize", "--epochs", "1", "--scale", "0.3"]
+        )
+        assert code == 0
+        assert "execution path: scalar body" in output
+
+
 class TestAllEnginesTable:
     def test_comparison_table(self):
         code, output = _run(

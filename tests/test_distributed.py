@@ -15,6 +15,7 @@ from repro.data import netflix_like, sparse_classification
 from repro.errors import ExecutionError
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.distributed import MultiprocessRunner
+from repro.runtime.options import LoopOptions
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +28,13 @@ def cluster():
     return ClusterSpec(num_machines=2, workers_per_machine=2)
 
 
-def _mf_programs(mf_data, cluster, **kwargs):
+def _mf_programs(mf_data, cluster, options=None):
     hyper = MFHyper(rank=4, step_size=0.05)
     simulated = build_sgd_mf(
-        mf_data, cluster=cluster, hyper=hyper, seed=7, **kwargs
+        mf_data, cluster=cluster, hyper=hyper, seed=7, options=options
     )
     distributed = build_sgd_mf(
-        mf_data, cluster=cluster, hyper=hyper, seed=7, **kwargs
+        mf_data, cluster=cluster, hyper=hyper, seed=7, options=options
     )
     return simulated, distributed
 
@@ -53,7 +54,9 @@ class TestBitwiseEquivalence:
         )
 
     def test_ordered_2d(self, mf_data, cluster):
-        simulated, distributed = _mf_programs(mf_data, cluster, ordered=True)
+        simulated, distributed = _mf_programs(
+            mf_data, cluster, LoopOptions(ordered=True)
+        )
         simulated.run(2)
         with MultiprocessRunner(distributed.train_loop) as runner:
             for _ in range(2):
@@ -111,7 +114,9 @@ class TestValidationOnRealProcesses:
         obs = Observability.enabled()
         with build_sgd_mf(
             mf_data, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
-            backend="multiprocess", validate=True, obs=obs,
+            options=LoopOptions(
+                backend="multiprocess", validate=True, obs=obs
+            ),
         ) as program:
             program.run(2)
         validated = obs.metrics.counter("serializability_validations_total")
@@ -125,7 +130,6 @@ class TestValidationOnRealProcesses:
         from repro.api import ParallelLoop
         from repro.core.distarray import DistArray
         from repro.runtime.executor import OrionExecutor
-        from repro.runtime.options import LoopOptions
 
         entries = [((i, j), 1.0) for i in range(8) for j in range(8)]
         space = DistArray.from_entries(

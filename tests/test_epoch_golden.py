@@ -71,12 +71,14 @@ def _mf_data():
     return netflix_like(num_rows=40, num_cols=32, num_ratings=900, seed=11)
 
 
-def _build(case: str, **loop_opts):
+def _build(case: str, options=None):
     if case in ("mf_unordered", "mf_ordered"):
         return build_sgd_mf(
             _mf_data(), cluster=_cluster(),
             hyper=MFHyper(rank=4, step_size=0.05), seed=7,
-            ordered=case == "mf_ordered", **loop_opts,
+            options=(options or LoopOptions()).merged_with(
+                ordered=case == "mf_ordered"
+            ),
         )
     if case == "slr":
         data = sparse_classification(
@@ -84,7 +86,7 @@ def _build(case: str, **loop_opts):
         )
         return build_slr(
             data, cluster=_cluster(), hyper=SLRHyper(step_size=0.2), seed=3,
-            **loop_opts,
+            options=options,
         )
     if case == "lda":
         data = lda_corpus(
@@ -92,12 +94,13 @@ def _build(case: str, **loop_opts):
         )
         return build_lda(
             data, cluster=_cluster(), hyper=LDAHyper(num_topics=4), seed=3,
-            **loop_opts,
+            options=options,
         )
     if case == "gbt":
         data = regression_table(num_samples=200, num_features=4, seed=23)
         return build_gbt(
-            data, cluster=_cluster(), hyper=GBTHyper(), seed=3, **loop_opts
+            data, cluster=_cluster(), hyper=GBTHyper(), seed=3,
+            options=options,
         )
     raise AssertionError(case)
 
@@ -118,7 +121,7 @@ def _run_faulted() -> list:
         drops=MessageDrops(probability=0.2, seed=3),
         stragglers=(Straggler(worker=0, slowdown=3.0, epoch=1),),
     )
-    program = _build("mf_unordered", options=LoopOptions(faults=plan))
+    program = _build("mf_unordered", LoopOptions(faults=plan))
     signatures = [
         _signature(result) for result in program.train_loop.run(EPOCHS)
     ]
@@ -128,7 +131,7 @@ def _run_faulted() -> list:
 
 def _run_traced() -> dict:
     obs = Observability.enabled()
-    program = _build("mf_unordered", obs=obs)
+    program = _build("mf_unordered", LoopOptions(obs=obs))
     results = program.train_loop.run(EPOCHS)
     attributions = attribute_epochs(obs.tracer, "orion")
     problems = [p for a in attributions for p in a.verify_exact()]

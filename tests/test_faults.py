@@ -55,10 +55,10 @@ def cluster():
     return ClusterSpec(num_machines=2, workers_per_machine=2)
 
 
-def _program(mf_data, cluster, **kw):
+def _program(mf_data, cluster, options=None):
     return build_sgd_mf(
         mf_data, cluster=cluster, hyper=MFHyper(rank=4, step_size=0.05),
-        seed=7, **kw,
+        seed=7, options=options,
     )
 
 
@@ -185,26 +185,11 @@ class TestLoopOptions:
         assert merged.pipeline_depth == 3
         assert merged.validate is True
 
-    def test_legacy_kwargs_override_options(self, mf_data, cluster):
-        program = _program(
-            mf_data, cluster,
-            options=LoopOptions(pipeline_depth=2), pipeline_depth=4,
-        )
-        assert program.train_loop.executor.pipeline_depth == 4
-
-    def test_options_equivalent_to_legacy(self, mf_data, cluster):
-        legacy = _program(mf_data, cluster, pipeline_depth=2)
-        bundled = _program(mf_data, cluster,
-                           options=LoopOptions(pipeline_depth=2))
-        assert (
-            legacy.train_loop.executor.pipeline_depth
-            == bundled.train_loop.executor.pipeline_depth
-            == 2
-        )
-        h1 = legacy.run(2)
-        h2 = bundled.run(2)
-        assert [r.loss for r in h1.records] == [r.loss for r in h2.records]
-        assert [r.time_s for r in h1.records] == [r.time_s for r in h2.records]
+    def test_bare_knob_is_a_type_error(self, mf_data, cluster):
+        # One spelling: a loop knob handed to a builder outside `options`
+        # is Python's own TypeError, not a second way in.
+        with pytest.raises(TypeError, match="pipeline_depth"):
+            build_sgd_mf(mf_data, cluster=cluster, pipeline_depth=4)
 
     def test_observability_resolution(self):
         tracer, metrics = Tracer(), MetricsRegistry()
@@ -234,7 +219,7 @@ class TestLoopOptions:
 class TestOrionFaults:
     def test_no_fault_options_bit_identical(self, mf_data, cluster):
         plain = _program(mf_data, cluster)
-        opted = _program(mf_data, cluster, options=LoopOptions())
+        opted = _program(mf_data, cluster, LoopOptions())
         h1, h2 = plain.run(3), opted.run(3)
         assert [r.time_s for r in h1.records] == [r.time_s for r in h2.records]
         assert _states_equal(_final_state(plain), _final_state(opted))
@@ -245,8 +230,7 @@ class TestOrionFaults:
                 crashes=(WorkerCrash(worker=1, epoch=2, frac=0.4),),
                 drops=MessageDrops(probability=0.05, seed=3),
             )
-            program = _program(mf_data, cluster,
-                               options=LoopOptions(faults=plan))
+            program = _program(mf_data, cluster, LoopOptions(faults=plan))
             history = program.run(4)
             return history, _final_state(program)
 
@@ -262,8 +246,9 @@ class TestOrionFaults:
 
         plan = FaultPlan(crashes=(WorkerCrash(worker=0, epoch=4, frac=0.5),))
         ckpt = CheckpointConfig(directory=str(tmp_path), every_n_epochs=2)
-        program = _program(mf_data, cluster,
-                           options=LoopOptions(faults=plan, checkpoint=ckpt))
+        program = _program(
+            mf_data, cluster, LoopOptions(faults=plan, checkpoint=ckpt)
+        )
         history = program.run(5)
 
         # Same final parameters, same loss curve values, more virtual time.
@@ -279,8 +264,7 @@ class TestOrionFaults:
         clean.run(3)
 
         plan = FaultPlan(crashes=(WorkerCrash(worker=1, epoch=1, frac=0.2),))
-        program = _program(mf_data, cluster,
-                           options=LoopOptions(faults=plan))
+        program = _program(mf_data, cluster, LoopOptions(faults=plan))
         history = program.run(3)
         assert _states_equal(_final_state(clean), _final_state(program))
         assert history.meta["recoveries"] == 1
@@ -290,8 +274,7 @@ class TestOrionFaults:
         clean_history = clean.run(3)
 
         plan = FaultPlan(drops=MessageDrops(probability=0.2, seed=8))
-        program = _program(mf_data, cluster,
-                           options=LoopOptions(faults=plan))
+        program = _program(mf_data, cluster, LoopOptions(faults=plan))
         history = program.run(3)
         assert _states_equal(_final_state(clean), _final_state(program))
         assert history.total_time_s > clean_history.total_time_s
@@ -301,11 +284,12 @@ class TestOrionFaults:
         assert dropped_bytes > clean_bytes
 
     def test_drops_ordered_schedule(self, mf_data, cluster):
-        clean = _program(mf_data, cluster, ordered=True)
+        clean = _program(mf_data, cluster, LoopOptions(ordered=True))
         clean_history = clean.run(2)
         plan = FaultPlan(drops=MessageDrops(probability=0.3, seed=2))
-        program = _program(mf_data, cluster, ordered=True,
-                           options=LoopOptions(faults=plan))
+        program = _program(
+            mf_data, cluster, LoopOptions(ordered=True, faults=plan)
+        )
         history = program.run(2)
         assert _states_equal(_final_state(clean), _final_state(program))
         assert history.total_time_s > clean_history.total_time_s
@@ -317,8 +301,7 @@ class TestOrionFaults:
         plan = FaultPlan(
             stragglers=(Straggler(worker=0, slowdown=4.0, epoch=2),)
         )
-        program = _program(mf_data, cluster,
-                           options=LoopOptions(faults=plan))
+        program = _program(mf_data, cluster, LoopOptions(faults=plan))
         history = program.run(3)
         assert _states_equal(_final_state(clean), _final_state(program))
         # Only epoch 2 slows down.
@@ -336,7 +319,7 @@ class TestOrionFaults:
         ckpt = CheckpointConfig(directory=str(tmp_path), every_n_epochs=1)
         program = _program(
             mf_data, cluster,
-            options=LoopOptions(faults=plan, checkpoint=ckpt), obs=obs,
+            LoopOptions(faults=plan, checkpoint=ckpt, obs=obs),
         )
         program.run(3)
         cats = {span.cat for span in obs.tracer.spans}
@@ -499,8 +482,7 @@ class TestChaos:
             crashes=crashes, stragglers=stragglers,
             drop_probability=drop_p,
         )
-        program = _program(mf_data, cluster,
-                           options=LoopOptions(faults=plan))
+        program = _program(mf_data, cluster, LoopOptions(faults=plan))
         history = program.run(epochs)
 
         # Faults cost virtual time, never data.

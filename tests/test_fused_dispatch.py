@@ -43,7 +43,7 @@ def _build(app, ordered=False, **opts):
     data = netflix_like(num_rows=24, num_cols=20, num_ratings=90, seed=5)
     return build_sgd_mf(
         data, cluster=_cluster(), hyper=MFHyper(adarev=app == "mf-adarev"),
-        ordered=ordered, options=options,
+        options=options.merged_with(ordered=ordered),
     )
 
 

@@ -24,6 +24,7 @@ from repro.baselines import (
     run_tensorflow_minibatch,
 )
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 
 @pytest.fixture(scope="module")
@@ -66,10 +67,12 @@ class TestFig9bShape:
         dataset, hyper, cluster = mf_setup
         epochs = 5
         unordered = build_sgd_mf(
-            dataset, cluster=cluster, hyper=hyper, ordered=False
+            dataset, cluster=cluster, hyper=hyper,
+            options=LoopOptions(ordered=False),
         ).run(epochs)
         ordered = build_sgd_mf(
-            dataset, cluster=cluster, hyper=hyper, ordered=True
+            dataset, cluster=cluster, hyper=hyper,
+            options=LoopOptions(ordered=True),
         ).run(epochs)
         # Fig. 9b: ordering makes a negligible convergence difference.
         assert unordered.final_loss == pytest.approx(
@@ -84,10 +87,12 @@ class TestTable3Shape:
         dataset, hyper, cluster = mf_setup
         epochs = 3
         unordered = build_sgd_mf(
-            dataset, cluster=cluster, hyper=hyper, ordered=False
+            dataset, cluster=cluster, hyper=hyper,
+            options=LoopOptions(ordered=False),
         ).run(epochs)
         ordered = build_sgd_mf(
-            dataset, cluster=cluster, hyper=hyper, ordered=True
+            dataset, cluster=cluster, hyper=hyper,
+            options=LoopOptions(ordered=True),
         ).run(epochs)
         speedup = ordered.time_per_iteration() / unordered.time_per_iteration()
         assert speedup > 1.5
@@ -124,7 +129,9 @@ class TestFig11Shape:
         epochs = 4
         orion = build_sgd_mf(dataset, cluster=cluster, hyper=hyper).run(epochs)
         strads = run_strads(
-            lambda c: build_sgd_mf(dataset, cluster=c, hyper=hyper),
+            lambda c, options: build_sgd_mf(
+                dataset, cluster=c, hyper=hyper, options=options
+            ),
             cluster,
             epochs,
         )
@@ -144,7 +151,9 @@ class TestFig11Shape:
         epochs = 3
         orion = build_lda(corpus_small, cluster=cluster, hyper=hyper).run(epochs)
         strads = run_strads(
-            lambda c: build_lda(corpus_small, cluster=c, hyper=hyper),
+            lambda c, options: build_lda(
+                corpus_small, cluster=c, hyper=hyper, options=options
+            ),
             cluster,
             epochs,
             speed_factor=0.4,

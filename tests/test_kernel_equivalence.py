@@ -113,11 +113,6 @@ class TestBulkAccessors:
         with pytest.raises(SubscriptError):
             array.bulk_set([0, 1], [1.0])
 
-    def test_dense_columns_roundtrip(self):
-        array = DistArray.randn(3, 5, name="m", seed=0)
-        array.materialize()
-        gathered = array.dense_columns([4, 1])
-        assert np.array_equal(gathered, array.values[:, [4, 1]])
 
 
 def _consecutive_runs(seqs):

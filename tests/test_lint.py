@@ -265,6 +265,14 @@ class TestLintCLI:
         assert "demonstrated codes:" in text
         assert sum(code in text for code in CODES) >= 6
 
+    @pytest.mark.parametrize(
+        "app", ["mf", "mf-adarev", "lda", "lda-1d", "slr", "gbt"]
+    )
+    def test_every_bundled_app_lints_without_errors(self, app):
+        out = io.StringIO()
+        assert cli_main(["lint", app, "--scale", "0.25"], out=out) == 0
+        assert f"== lint: {app} ==" in out.getvalue()
+
     def test_lint_app_subcommand_clean(self):
         out = io.StringIO()
         assert cli_main(["lint", "mf", "--scale", "0.25"], out=out) == 0

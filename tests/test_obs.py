@@ -28,6 +28,7 @@ from repro.obs import (
 )
 from repro.runtime.history import EpochRecord, RunHistory
 from repro.runtime.network import TrafficLog
+from repro.runtime.options import LoopOptions
 
 
 class TestTracer:
@@ -300,7 +301,7 @@ def traced_mf(mf_small):
     metrics = MetricsRegistry()
     program = build_sgd_mf(
         mf_small, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
-        obs=Observability(tracer=tracer, metrics=metrics),
+        options=LoopOptions(obs=Observability(tracer=tracer, metrics=metrics)),
     )
     history = program.run(2)
     return history, tracer, metrics, cluster
@@ -387,11 +388,11 @@ class TestEndToEndTracing:
         from repro.apps import MFHyper, build_sgd_mf
         from repro.runtime.cluster import ClusterSpec
 
-        def run(**obs):
+        def run(obs=None):
             cluster = ClusterSpec(num_machines=2, workers_per_machine=2)
             program = build_sgd_mf(
                 mf_small, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
-                **obs,
+                options=LoopOptions(obs=obs),
             )
             return program.run(3)
 
@@ -452,8 +453,10 @@ class TestWallClockTraceRoundTrip:
         cluster = ClusterSpec(num_machines=1, workers_per_machine=2)
         program = build_sgd_mf(
             mf_small, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
-            obs=Observability(tracer=tracer, metrics=metrics),
-            backend="multiprocess",
+            options=LoopOptions(
+                obs=Observability(tracer=tracer, metrics=metrics),
+                backend="multiprocess",
+            ),
         )
         try:
             program.run(2)

@@ -28,11 +28,9 @@ from repro.runtime.options import LoopOptions
 
 def _program(mf_small, cluster=None, **option_kwargs):
     cluster = cluster or ClusterSpec(num_machines=2, workers_per_machine=2)
-    kwargs = {}
-    if option_kwargs:
-        kwargs["options"] = LoopOptions(**option_kwargs)
     return build_sgd_mf(
-        mf_small, cluster=cluster, hyper=MFHyper(rank=4), seed=3, **kwargs
+        mf_small, cluster=cluster, hyper=MFHyper(rank=4), seed=3,
+        options=LoopOptions(**option_kwargs),
     )
 
 

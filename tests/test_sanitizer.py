@@ -35,7 +35,7 @@ def _space(ctx, n=8):
     return space
 
 
-def _aliased_loop(ctx, **loop_kwargs):
+def _aliased_loop(ctx, options=None):
     """A loop whose loop-carried dependence hides behind an alias.
 
     ``reads`` and ``writes`` are the same DistArray under two names:
@@ -51,7 +51,7 @@ def _aliased_loop(ctx, **loop_kwargs):
     def body(key, value):
         writes[key[0] + 1] = reads[key[0]] + value
 
-    return ctx.parallel_for(space, **loop_kwargs)(body)
+    return ctx.parallel_for(space, options=options)(body)
 
 
 class TestPlantedMissedDependence:
@@ -225,7 +225,7 @@ class TestSanitizedAppsRunClean:
         from repro.apps.sgd_mf import build_orion_program
 
         program = build_orion_program(
-            mf_small, cluster=cluster_tiny, sanitize=True
+            mf_small, cluster=cluster_tiny, options=LoopOptions(sanitize=True)
         )
         history = program.run(1)
         assert len(history.records) == 1
@@ -236,7 +236,7 @@ class TestSanitizedAppsRunClean:
         from repro.apps.slr import build_orion_program
 
         program = build_orion_program(
-            slr_small, cluster=cluster_tiny, sanitize=True
+            slr_small, cluster=cluster_tiny, options=LoopOptions(sanitize=True)
         )
         history = program.run(1)
         assert len(history.records) == 1
@@ -245,7 +245,7 @@ class TestSanitizedAppsRunClean:
         from repro.apps.sgd_mf import build_orion_program
 
         program = build_orion_program(
-            mf_small, cluster=cluster_tiny, sanitize=True
+            mf_small, cluster=cluster_tiny, options=LoopOptions(sanitize=True)
         )
         history = program.run(1)
         assert history.meta.get("kernel_path") is False

@@ -13,6 +13,7 @@ from repro.apps import MFHyper, SGDMFApp, build_sgd_mf
 from repro.baselines import run_bosen, run_managed_comm, run_serial, run_strads
 from repro.data import netflix_like
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 SEEDS = [1, 22, 333]
 EPOCHS = 6
@@ -78,7 +79,9 @@ class TestShapeAcrossSeeds:
             dataset, cluster=cluster, hyper=hyper, seed=seed
         ).run(3)
         strads = run_strads(
-            lambda c: build_sgd_mf(dataset, cluster=c, hyper=hyper, seed=seed),
+            lambda c, options: build_sgd_mf(
+                dataset, cluster=c, hyper=hyper, seed=seed, options=options
+            ),
             cluster,
             3,
         )
@@ -88,9 +91,11 @@ class TestShapeAcrossSeeds:
     def test_unordered_vs_ordered_throughput(self, seed):
         dataset, hyper, cluster = _setup(seed)
         unordered = build_sgd_mf(
-            dataset, cluster=cluster, hyper=hyper, seed=seed, ordered=False
+            dataset, cluster=cluster, hyper=hyper, seed=seed,
+            options=LoopOptions(ordered=False),
         ).run(3)
         ordered = build_sgd_mf(
-            dataset, cluster=cluster, hyper=hyper, seed=seed, ordered=True
+            dataset, cluster=cluster, hyper=hyper, seed=seed,
+            options=LoopOptions(ordered=True),
         ).run(3)
         assert unordered.time_per_iteration() < ordered.time_per_iteration()

@@ -53,11 +53,10 @@ def _options(kernel, opts):
     return LoopOptions(kernel=kernel, **opts)
 
 
-def _mf(cluster, kernel, hyper=MFHyper(), ordered=False, **opts):
+def _mf(cluster, kernel, hyper=MFHyper(), **opts):
     data = netflix_like(num_rows=36, num_cols=28, num_ratings=320, seed=5)
     return build_sgd_mf(
-        data, cluster=cluster, hyper=hyper, ordered=ordered,
-        options=_options(kernel, opts),
+        data, cluster=cluster, hyper=hyper, options=_options(kernel, opts)
     )
 
 
@@ -1021,14 +1020,13 @@ class TestLevelScheduledKernel:
     (the app matrix above runs ~20-entry blocks)."""
 
     @staticmethod
-    def _mf(kernel, ordered=False, **opts):
+    def _mf(kernel, **opts):
         data = netflix_like(
             num_rows=240, num_cols=192, num_ratings=8000, seed=5
         )
         return build_sgd_mf(
             data,
             cluster=ClusterSpec(num_machines=1, workers_per_machine=2),
-            ordered=ordered,
             options=LoopOptions(kernel=kernel, pipeline_depth=1, **opts),
         )
 
@@ -1158,6 +1156,21 @@ class TestSynthCLI:
         code = cli.main(["synth", "slr", "--scale", "0.2", "--check"], out=out)
         assert code == 0
         assert "equivalence check" in out.getvalue()
+
+    @pytest.mark.parametrize(
+        "app", ["mf", "mf-adarev", "glove", "slr", "gbt"]
+    )
+    def test_batchable_apps_survive_an_equivalence_checked_epoch(self, app):
+        out = io.StringIO()
+        code = cli.main(["synth", app, "--scale", "0.25", "--check"], out=out)
+        assert code == 0
+        assert "equivalence check: one epoch ran" in out.getvalue()
+
+    @pytest.mark.parametrize("app", ["lda", "lda-1d"])
+    def test_lda_declines_cleanly(self, app):
+        out = io.StringIO()
+        assert cli.main(["synth", app, "--scale", "0.25"], out=out) == 1
+        assert "fell back" in out.getvalue()
 
     def test_synth_fallback_exits_nonzero(self):
         out = io.StringIO()

@@ -16,6 +16,7 @@ from repro.apps.slr import SLRHyper
 from repro.data import netflix_like, sparse_classification
 from repro.errors import ExecutionError
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.options import LoopOptions
 
 
 @pytest.fixture(scope="module")
@@ -32,10 +33,12 @@ class TestThreadedMF:
     def test_bitwise_identical_to_serial(self, mf_data, cluster):
         hyper = MFHyper(rank=4, step_size=0.05)
         serial = build_sgd_mf(
-            mf_data, cluster=cluster, hyper=hyper, seed=3, backend="simulated"
+            mf_data, cluster=cluster, hyper=hyper, seed=3,
+            options=LoopOptions(backend="simulated"),
         )
         threaded = build_sgd_mf(
-            mf_data, cluster=cluster, hyper=hyper, seed=3, backend="threaded"
+            mf_data, cluster=cluster, hyper=hyper, seed=3,
+            options=LoopOptions(backend="threaded"),
         )
         serial.run(3)
         threaded.run(3)
@@ -51,8 +54,7 @@ class TestThreadedMF:
             mf_data,
             cluster=cluster,
             hyper=MFHyper(rank=4),
-            backend="threaded",
-            validate=True,
+            options=LoopOptions(backend="threaded", validate=True),
         )
         program.run(2)  # raises on any serializability violation
 
@@ -61,9 +63,11 @@ class TestThreadedMF:
             mf_data,
             cluster=cluster,
             hyper=MFHyper(rank=4),
-            ordered=True,
-            backend="threaded",
-            validate=True,
+            options=LoopOptions(
+                ordered=True,
+                backend="threaded",
+                validate=True,
+            ),
         )
         history = program.run(2)
         assert len(history.records) == 2
@@ -71,10 +75,12 @@ class TestThreadedMF:
     def test_virtual_time_unaffected_by_backend(self, mf_data, cluster):
         hyper = MFHyper(rank=4)
         t_serial = build_sgd_mf(
-            mf_data, cluster=cluster, hyper=hyper, backend="simulated"
+            mf_data, cluster=cluster, hyper=hyper,
+            options=LoopOptions(backend="simulated"),
         ).run(2).total_time_s
         t_threads = build_sgd_mf(
-            mf_data, cluster=cluster, hyper=hyper, backend="threaded"
+            mf_data, cluster=cluster, hyper=hyper,
+            options=LoopOptions(backend="threaded"),
         ).run(2).total_time_s
         assert t_serial == pytest.approx(t_threads)
 
@@ -88,7 +94,7 @@ class TestThreadedBuffered:
             dataset,
             cluster=cluster,
             hyper=SLRHyper(step_size=0.2),
-            backend="threaded",
+            options=LoopOptions(backend="threaded"),
         )
         history = program.run(3)
         assert history.final_loss < history.meta["initial_loss"]
@@ -111,7 +117,7 @@ class TestThreadedBuffered:
                 dataset,
                 cluster=ClusterSpec(num_machines=1, workers_per_machine=4),
                 hyper=SLRHyper(step_size=0.02, adarev=adarev),
-                backend=backend,
+                options=LoopOptions(backend=backend),
             )
             with program:
                 program.train_loop.run(3)
@@ -130,5 +136,5 @@ class TestBadMode:
                 mf_data,
                 cluster=cluster,
                 hyper=MFHyper(rank=4),
-                backend="gpus",
+                options=LoopOptions(backend="gpus"),
             )
