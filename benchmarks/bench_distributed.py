@@ -19,7 +19,8 @@ Results land in ``BENCH_distributed.json`` at the repo root.
 
 Run:  make bench-distributed
       (or: PYTHONPATH=src python benchmarks/bench_distributed.py)
-      make distributed-smoke   # tiny datasets, asserts bitwise MF parity
+      PYTHONPATH=src python benchmarks/bench_distributed.py --smoke
+                               # tiny datasets, asserts bitwise MF parity
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ Run:  python examples/quickstart.py
 
 Set ``REPRO_TRACE=trace.json`` to additionally record the run on the
 virtual timeline and write a Chrome-trace/Perfetto JSON there (open it in
-`ui.perfetto.dev`; see docs/observability.md).  ``make trace-smoke`` uses
-exactly this path.
+`ui.perfetto.dev`; see docs/observability.md).  The test suite runs
+exactly this path (``tests/test_docs_and_examples.py``).
 """
 
 import os

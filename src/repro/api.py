@@ -191,7 +191,7 @@ class ParallelLoop:
 
     def close(self) -> None:
         """Release the backend's resources (worker processes, shared
-        memory, thread pools).  Safe to call more than once; the loop can
+        memory).  Safe to call more than once; the loop can
         still run afterwards — the backend re-acquires what it needs."""
         self.backend.close()
 

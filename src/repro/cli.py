@@ -101,11 +101,10 @@ from repro.obs import (
     straggler_report,
     write_chrome_trace,
 )
-from repro.runtime.backend import BACKENDS
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.history import RunHistory
-from repro.runtime.options import LoopOptions
+from repro.runtime.options import BACKENDS, LoopOptions
 
 __all__ = ["main", "build_parser"]
 
@@ -174,9 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--backend", default="simulated", choices=list(BACKENDS),
         help="execution backend for the orion engines: 'simulated' "
-             "(virtual-clock oracle), 'threaded' (in-process thread pool), "
-             "'multiprocess' (forked workers over shared memory, real "
-             "wall-clock epochs)",
+             "(virtual-clock oracle) or 'multiprocess' (forked workers over "
+             "shared memory, real wall-clock epochs)",
     )
     parser.add_argument(
         "--sanitize", action="store_true",

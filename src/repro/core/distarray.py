@@ -64,8 +64,8 @@ def _copy_value(value: Any) -> Any:
 #: value objects in a list.
 Columns = Tuple[np.ndarray, Any]
 
-#: Serializes the columns -> dict switch (threaded workers may make the
-#: first point access to one array together).
+#: Serializes the columns -> dict switch (user threads sharing one array
+#: may make its first point access together).
 _SWITCH_LOCK = threading.Lock()
 
 

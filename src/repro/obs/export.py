@@ -7,7 +7,7 @@ virtual microseconds.  Span ``args`` survive as event args, so clicking a
 block in the viewer shows its compute/prefetch/flush breakdown.
 
 Also provides :func:`validate_chrome_trace` — a schema check used by the
-test suite and ``make trace-smoke`` — and :func:`add_traffic_spans`, which
+test suite (on a traced quickstart run, among others) — and :func:`add_traffic_spans`, which
 lifts a :class:`~repro.runtime.network.TrafficLog` onto a tracer so
 engines that only record traffic still get network tracks.
 """

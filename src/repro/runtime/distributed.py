@@ -434,7 +434,7 @@ class MultiprocessRunner:
         if "fork" not in multiprocessing.get_all_start_methods():
             raise ExecutionError(
                 "the multiprocess backend requires the fork start method "
-                "(POSIX); use backend='threaded' here"
+                "(POSIX); use backend='simulated' here"
             )
         self.loop = loop
         self.executor = loop.executor

@@ -43,7 +43,7 @@ from repro.runtime import partition as parts
 from repro.runtime import schedule as sched
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.kernels import KernelContext, normalize_index
-from repro.runtime.options import LoopOptions
+from repro.runtime.options import BACKENDS, LoopOptions
 from repro.runtime.pserver import PrefetchManager, index_nbytes
 from repro.sanitizer import (
     AccessRecord,
@@ -105,10 +105,9 @@ class _AccountingBroker(access.AccessBroker):
     validation mode, records every touched index for the post-epoch
     serializability check.
 
-    One instance is created per task, so concurrently executing tasks
-    (threaded backend) never share mutable accounting state.  A
-    multiprocess worker passes an empty ``server_ids``: the master owns
-    the virtual timeline, so the worker moves data and counts nothing.
+    One instance is created per dispatch unit.  A multiprocess worker
+    passes an empty ``server_ids``: the master owns the virtual
+    timeline, so the worker moves data and counts nothing.
     """
 
     def __init__(
@@ -230,7 +229,7 @@ class OrionExecutor:
         opts = options if options is not None else LoopOptions()
         if opts.prefetch not in ("auto", "none"):
             raise ExecutionError(f"unknown prefetch mode {opts.prefetch!r}")
-        if opts.backend not in ("simulated", "threaded", "multiprocess"):
+        if opts.backend not in BACKENDS:
             raise ExecutionError(f"unknown backend {opts.backend!r}")
         self.options = opts
         self.body = body
@@ -275,10 +274,6 @@ class OrionExecutor:
         self._kernel_caches: Dict[
             Tuple[Tuple[int, int], ...], Dict[Any, Any]
         ] = {}
-        #: One thread pool per executor, created lazily and reused across
-        #: steps and epochs (a fresh pool per step costs thread spawns on
-        #: every schedule step).
-        self._pool = None
         self._ready = False
         self.partitions: Optional[parts.IterationPartitions] = None
         self.steps: List[List[sched.Task]] = []
@@ -479,10 +474,9 @@ class OrionExecutor:
     def level_schedule_counts(self) -> Tuple[int, int, int]:
         """Entries, groups and single-entry groups of the vector kernel's
         level schedules over the dispatch units *this process* has
-        executed — whole schedule steps on the simulated backend, single
-        blocks on the threaded one (a multiprocess worker's one-block
-        units are counted in the worker and reach the master through
-        ``runner_meta()``)."""
+        executed — whole schedule steps on the simulated backend (a
+        multiprocess worker's one-block units are counted in the worker
+        and reach the master through ``runner_meta()``)."""
         return level_schedule_counts(self._kernel_caches.values())
 
     @property
@@ -521,7 +515,7 @@ class OrionExecutor:
         task_records = [
             record
             for step_tasks in self.steps
-            for record in self._run_step(step_tasks)
+            for record in self._run_unit(step_tasks)
         ]
         work_s, flush_bytes, prefetch_bytes, phases = self._charge(task_records)
         self.check_records(task_records)
@@ -783,51 +777,6 @@ class OrionExecutor:
                 )
                 cursor += phase_s
 
-    def _run_step(self, step_tasks: List[sched.Task]) -> List[TaskRecord]:
-        """Execute one step's blocks: as one dispatch unit (a
-        linearization) or, on ``backend="threaded"``, one block per
-        thread-pool task (genuinely concurrent; safe because a correct
-        plan's same-step blocks touch disjoint elements).
-
-        Buffered writes are the exception to "disjoint": a block-end
-        flush is an unlocked read-UDF-write per key, of keys other
-        threads are reading and flushing.  So with buffers the pool only
-        *takes* each block's pending writes and this thread applies them
-        in task order once the step has joined (:meth:`apply_flushes`,
-        what the multiprocess master does between steps), in process:
-        same-step blocks read step-start state, run to run and bit for
-        bit what ``backend="multiprocess"`` computes.  The step that
-        self-checks the kernel runs as a linearization: the check
-        rewinds arrays, which no other thread may be reading.
-        """
-        checking = (
-            self.equivalence_check
-            and not self._equivalence_checked
-            and self.kernel_path
-        )
-        if (
-            self.options.backend != "threaded"
-            or len(step_tasks) <= 1
-            or checking
-        ):
-            return self._run_unit(step_tasks)
-        if self._pool is None:
-            import concurrent.futures
-
-            self._pool = concurrent.futures.ThreadPoolExecutor(
-                max_workers=self.num_workers
-            )
-        flush_local = not self.info.buffers
-        units = self._pool.map(
-            lambda task: self.run_blocks(
-                [task], self._server_ids, flush_local=flush_local
-            ),
-            step_tasks,
-        )
-        records = [record for unit in units for record in unit]
-        self.apply_flushes(records)
-        return records
-
     def apply_flushes(self, records: List[TaskRecord]) -> None:
         """Parameter-server write path: apply, through the buffers' UDFs
         and in the order given, the buffered writes that blocks run with
@@ -839,16 +788,8 @@ class OrionExecutor:
                 )
 
     def close(self) -> None:
-        """Release the persistent thread pool (idempotent)."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __del__(self) -> None:  # pragma: no cover - GC timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
+        """Nothing to release: the executor holds no threads, processes
+        or shared memory.  Callers may close every executor they build."""
 
     def _run_unit(self, tasks: List[sched.Task]) -> List[TaskRecord]:
         """The blocks this process runs in one schedule step, self-checking

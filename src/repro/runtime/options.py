@@ -19,7 +19,10 @@ if TYPE_CHECKING:  # annotation-only: repro.faults imports repro.runtime
     from repro.faults.plan import FaultPlan
     from repro.runtime.checkpoint import CheckpointConfig
 
-__all__ = ["LoopOptions"]
+__all__ = ["BACKENDS", "LoopOptions"]
+
+#: Valid ``LoopOptions.backend`` values, in oracle-to-real order.
+BACKENDS: Tuple[str, ...] = ("simulated", "multiprocess")
 
 
 @dataclass
@@ -48,15 +51,10 @@ class LoopOptions:
         cache_prefetch: cache each block's prefetch indices across epochs
             (on by default — the paper's 9.2 s → 6.3 s step; ``False``
             models re-running the synthesized function every pass).
-        backend: which runtime executes the compiled plan.
-            ``"simulated"`` (default) is the deterministic virtual-clock
-            linearization — scheduled-concurrent blocks run one after
-            another; ``"threaded"`` runs each schedule step's blocks on
-            the executor thread pool (dependence-preserving plans touch
-            disjoint elements, so results match the serial
-            linearization; buffered plans read step-start state and
-            flush in task order after the step, matching
-            ``"multiprocess"``); ``"multiprocess"`` runs the plan
+        backend: which runtime executes the compiled plan, one of
+            :data:`BACKENDS`.  ``"simulated"`` (default) is the
+            deterministic virtual-clock linearization — scheduled-concurrent
+            blocks run one after another; ``"multiprocess"`` runs the plan
             on forked OS processes over shared-memory partitions
             (:class:`~repro.runtime.distributed.MultiprocessRunner`) and
             reports *real* wall-clock epoch times.

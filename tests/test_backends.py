@@ -1,11 +1,11 @@
-"""Backend parity: one compiled plan, three execution engines.
+"""Backend parity: one compiled plan, two execution engines.
 
 The contract of :mod:`repro.runtime.backend`: for dependence-preserving
-plans, ``simulated`` (the virtual-clock oracle), ``threaded`` (in-process
-thread pool) and ``multiprocess`` (forked workers over shared memory)
-produce *bitwise identical* final parameters.  Parametrized across the
-four plan shapes — 1D, 2D rotation, data-parallel, and unimodular
-(skewed/interchanged) — plus worker-crash behaviour.
+plans, ``simulated`` (the virtual-clock oracle) and ``multiprocess``
+(forked workers over shared memory) produce *bitwise identical* final
+parameters.  Parametrized across the four plan shapes — 1D, 2D rotation,
+data-parallel, and unimodular (skewed/interchanged) — plus worker-crash
+behaviour.
 """
 
 import numpy as np
@@ -16,9 +16,8 @@ from repro.apps import MFHyper, build_sgd_mf
 from repro.apps.sgd_mf import mf_cost_model
 from repro.data import netflix_like
 from repro.errors import ExecutionError
-from repro.runtime.backend import BACKENDS
 from repro.runtime.cluster import ClusterSpec
-from repro.runtime.options import LoopOptions
+from repro.runtime.options import BACKENDS, LoopOptions
 
 
 def _cluster() -> ClusterSpec:
@@ -193,6 +192,30 @@ class TestBackendSelection:
 
         with pytest.raises(ExecutionError, match="unknown backend"):
             ctx.parallel_for(space, options=LoopOptions(backend="gpu"))(body)
+
+    def test_threaded_is_not_a_backend(self):
+        """Two backends, one list of their names: the executor validates
+        against ``BACKENDS`` and the CLI offers exactly it, so a retired
+        spelling is rejected everywhere at once."""
+        from repro.cli import build_parser
+
+        assert BACKENDS == ("simulated", "multiprocess")
+        backend_flag = next(
+            action for action in build_parser()._actions
+            if action.dest == "backend"
+        )
+        assert tuple(backend_flag.choices) == BACKENDS
+        ctx = OrionContext(cluster=_cluster(), seed=1)
+        space = ctx.from_entries([((0, 0), 1.0)], name="bt", shape=(1, 1))
+        x = ctx.zeros(1, name="bt_x")
+        ctx.materialize(space, x)
+
+        def body(key, value):
+            x[key[0]] = value
+
+        options = LoopOptions(backend="threaded")
+        with pytest.raises(ExecutionError, match="unknown backend 'threaded'"):
+            ctx.parallel_for(space, options=options)(body)
 
     def test_multiprocess_rejects_checkpointing(self, tmp_path):
         from repro.runtime.checkpoint import CheckpointConfig

@@ -357,7 +357,6 @@ def _loop_sees(space):
         options=LoopOptions(kernel="off"),
     )
     executor.run_epoch()
-    executor.close()
     return seen
 
 
@@ -544,9 +543,8 @@ class TestColumnarStorage:
         assert space.histogram(0, num_bins=2).tolist() == [2, 2]
 
     def test_racing_first_accesses_lose_no_write(self):
-        """Threads making the first point accesses together (the threaded
-        backend on a sparse parameter array): one dict is built, and every
-        write lands in it."""
+        """Threads making the first point accesses to one sparse array
+        together: one dict is built, and every write lands in it."""
         import sys
         import threading
 

@@ -1,15 +1,29 @@
 """Documentation-accuracy tests: the README quickstart must run, examples
-and benchmarks must at least compile, and the docs must reference real
-modules."""
+and benchmarks must at least compile (two run end to end), and the docs
+must reference real modules."""
 
+import json
 import linecache
+import os
 import pathlib
 import py_compile
 import re
+import subprocess
+import sys
 
 import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _run_example(name, **env):
+    """Run ``examples/<name>`` as a script (loop bodies are read from
+    their source file); a failed assertion inside it is a nonzero exit."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"), **env)
+    subprocess.run(
+        [sys.executable, str(REPO / "examples" / name)],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
 
 
 class TestReadmeQuickstart:
@@ -70,6 +84,24 @@ class TestEverythingCompiles:
     )
     def test_benchmarks_compile(self, path):
         py_compile.compile(str(REPO / path), doraise=True)
+
+
+class TestExamplesRun:
+    def test_quickstart_trace_is_valid(self, tmp_path):
+        """Tracing end to end: the exported file loads and passes the
+        Chrome trace-event schema check."""
+        from repro.obs import validate_chrome_trace
+
+        path = tmp_path / "trace.json"
+        _run_example("quickstart.py", REPRO_TRACE=str(path))
+        trace = json.loads(path.read_text())
+        assert trace["traceEvents"]
+        assert validate_chrome_trace(trace) == []
+
+    def test_fault_tolerance_recovers(self):
+        """The example asserts that the faulted run recovers to bit-equal
+        parameters and that the no-plan path stays bit-identical."""
+        _run_example("fault_tolerance.py")
 
 
 class TestDesignDocConsistency:

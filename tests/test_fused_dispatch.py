@@ -10,7 +10,7 @@ per-block dispatch fails the call-count guard below.
 """
 
 import dataclasses
-import itertools
+import multiprocessing
 from collections import Counter
 
 import numpy as np
@@ -223,15 +223,20 @@ class TestDispatchCount:
             options=LoopOptions(backend=backend, pipeline_depth=4, obs=obs),
         )
 
-    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
-    def test_one_call_per_step_simulated_one_per_block_threaded(self, backend):
+    @pytest.mark.parametrize("backend", ["simulated", "multiprocess"])
+    def test_kernel_calls_per_step_or_per_block(self, backend):
+        """One call per step in process; a forked worker runs its own
+        blocks, one call each."""
         obs = Observability.enabled()
         with self._program(backend, obs) as program:
             executor = program.train_loop.executor
-            kernel, calls = executor.kernel, itertools.count()
+            kernel = executor.kernel
+            # Created before the workers fork, so they all count into it.
+            calls = multiprocessing.get_context("fork").Value("i", 0)
 
             def counting(block, kctx):
-                next(calls)  # atomic under the GIL, unlike ``n += 1``
+                with calls.get_lock():
+                    calls.value += 1
                 return kernel(block, kctx)
 
             executor.kernel = counting
@@ -240,10 +245,11 @@ class TestDispatchCount:
             assert (len(executor.steps), blocks) == (96, 2304)
             assert result.num_tasks == blocks
             expected = len(executor.steps) if backend == "simulated" else blocks
-            assert next(calls) == expected
-            counters = obs.metrics.snapshot()
-            assert counters["kernel_calls_total"] == expected
-            assert counters["kernel_blocks_total"] == blocks
+            assert calls.value == expected
+            if backend == "simulated":  # the master counts virtual blocks
+                counters = obs.metrics.snapshot()
+                assert counters["kernel_calls_total"] == expected
+                assert counters["kernel_blocks_total"] == blocks
             # The report describes dispatch units: step-wide levels when
             # fused, block-wide ones otherwise.
             stats = program.train_loop.run_summary()["level_schedule"]
@@ -255,7 +261,7 @@ class TestDispatchCount:
 
     def test_backends_agree_bitwise(self):
         states = []
-        for backend in ("simulated", "threaded"):
+        for backend in ("simulated", "multiprocess"):
             with self._program(backend) as program:
                 program.train_loop.run(2)
                 states.append(

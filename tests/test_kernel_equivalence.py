@@ -17,9 +17,8 @@ from repro.api import OrionContext
 from repro.core.distarray import DistArray, SubscriptError
 from repro.data.synthetic import sparse_classification
 from repro.runtime.executor import ExecutionError
-from repro.runtime.backend import BACKENDS
 from repro.runtime.kernels import level_schedule
-from repro.runtime.options import LoopOptions
+from repro.runtime.options import BACKENDS, LoopOptions
 from repro.sanitizer import verify_conflict_groups
 
 
@@ -70,7 +69,7 @@ class TestEquivalenceCheckMode:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_noop_kernel_never_passes(self, slr_data, backend):
         """A do-nothing kernel under ``equivalence_check=True`` fails on
-        every backend: at the first block on the virtual-clock ones, at
+        every backend: at the first block on the simulated one, at
         loop construction on multiprocess (which cannot rewind shared
         memory under running workers) — never a silent pass."""
         ctx, samples, _weights, _buf, body = _buffered_loop_parts(slr_data)

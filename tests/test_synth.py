@@ -1208,8 +1208,12 @@ class TestColumnarBlocks:
         monkeypatch.setattr(Block, "__iter__", walked)
         monkeypatch.setattr(Block, "__getitem__", walked)
 
-    @pytest.mark.parametrize("backend", ["simulated", "threaded"])
-    @pytest.mark.parametrize("app", APPS)
+    # Forked workers inherit the sealed Block, so on multiprocess the
+    # one-block vector dispatch is checked too.
+    @pytest.mark.parametrize("app,backend", [
+        *((app, "simulated") for app in APPS),
+        *((app, "multiprocess") for app in ("mf", "mf-adarev", "glove")),
+    ])
     def test_kernels_never_walk_a_block(self, app, backend, monkeypatch):
         reference = APPS[app](_cluster(), "auto", backend=backend)
         sealed = APPS[app](_cluster(), "auto", backend=backend)
