@@ -3,66 +3,58 @@
 The batched fast path (:mod:`repro.runtime.kernels`) runs one
 ``kernel(block, kctx)`` call per dispatch unit — a block, or a whole
 schedule step's blocks when the kernel is ``fusable`` — where ``block``
-is a columnar :class:`~repro.runtime.partition.Block`; the vector and
-segmented tiers read ``block.keys`` / ``block.values`` and never walk
-its ``(key, value)`` tuples (a plain list is converted on entry).  This
-module derives that kernel from the serial loop body, the only source of
-truth: starting from
-the body's AST, the ``ArrayRef`` / ``IndexBinding`` records, and the
-subscript classification that :mod:`repro.analysis.loop_info` already
-extracted, it *generates* the kernel source, compiles it against the
-body's own environment, and hands the callable to the executor.
+is a columnar :class:`~repro.runtime.partition.Block`; the NumPy kernels
+read ``block.keys`` / ``block.values`` and never walk its ``(key,
+value)`` tuples (a plain list is converted on entry).  The serial loop
+body is the only source of truth: from its AST, the ``ArrayRef`` /
+``IndexBinding`` records and the subscript classification that
+:mod:`repro.analysis.loop_info` extracted, this module *generates* the
+kernel source, compiles it against the body's own environment, and
+hands the callable to the executor.
 
-Three synthesis tiers are tried in order:
+The body is lowered **once** (:class:`_LoopNest`) into a loop-nest
+record: index bindings, the entry value's scalar and ragged fields,
+gather sites, direct writes, buffer folds, reductions, the generated
+expression lines, shared scalars and replay statements.  Two emitters
+read that record, and the statement-preserving block-loop tier backs
+them:
 
-* **vector** — for straight-line affine bodies whose every DistArray
-  subscript is a whole-column, whole-row, or point access addressed by loop
-  indices (SGD MF, GloVe, ...).  Each block is scheduled once as a
-  wavefront over its conflict DAG
-  (:func:`~repro.runtime.kernels.level_schedule`: entries that share a
-  written index stay in entry order, everything else is free to move) and
-  each level executes as one gather → NumPy-expression → scatter, with the
-  scalar body replayed for single-entry levels.  Reductions keep the
-  scalar form (strided ``vecdot``), ``**`` routes through
-  :func:`~repro.runtime.kernels.scalar_pow`, and scalar subexpressions are
-  evaluated once (loop invariants before the group loop, repeated
-  per-entry scalars in a local), so results stay bit-identical to the
-  interpreter.
-* **segmented** — for bodies whose inner loops walk a ragged field of
-  the entry value (a sample's ``(fid, fval)`` pairs) and whose every
-  shared write is buffered (SLR).  Nothing writes a DistArray directly,
-  so a whole block batches: the block is flattened to CSR form once
-  (:func:`~repro.runtime.kernels.segment_block`), after which an epoch is
-  one gather per read site, each ``r = r + e`` reduction as a
-  position-major loop in the scalar loop's own left-to-right order
-  (:func:`~repro.runtime.kernels.ragged_levels`), and one ``np.add.at``
-  fold per buffer
-  (:meth:`~repro.runtime.kernels.KernelContext.buffer_fold`) — no
-  per-entry Python.  What the kernel assumes about the *data* (arities,
-  integer in-range subscripts, real values) is guarded per block; a
-  block that fails runs the block-loop kernel of the same body.
-* **block-loop** — for bodies with inner loops, branches, or buffered
-  writes the segmented tier declines (GBT, ...).  The original statements
-  are kept, but DistArray subscripts become direct dense-array accesses
-  with per-site accounting lists, and buffered writes collect into one
-  ordered :meth:`~repro.runtime.kernels.KernelContext.buffer_add` per
-  buffer — removing the per-element broker dispatch that dominates scalar
-  runs.
+* **vector** (:func:`_emit_vector`) — straight-line affine bodies whose
+  every DistArray subscript is a whole column, a whole row, or a point
+  addressed by loop indices (SGD MF, GloVe).  Each block is scheduled
+  once as a wavefront over its conflict DAG
+  (:func:`~repro.runtime.kernels.level_schedule`) and each level runs as
+  one gather → NumPy expression → scatter; single-entry levels replay
+  the scalar body.  Reductions keep the scalar form (strided ``vecdot``),
+  ``**`` goes through :func:`~repro.runtime.kernels.scalar_pow`, and
+  scalar subexpressions are evaluated once, so results are bit-identical.
+* **segmented** (:func:`_emit_segmented`) — bodies whose inner loops walk
+  a ragged field of the entry value and whose every shared write is
+  buffered (SLR).  The block is flattened to CSR form once
+  (:func:`~repro.runtime.kernels.segment_block`); an epoch is then one
+  gather per read site, each ``r = r + e`` reduction position-major in
+  the scalar loop's left-to-right order, and one ``np.add.at`` fold per
+  buffer — no per-entry Python.  What the kernel assumes about the
+  *data* is guarded per block; a block that fails runs the block-loop
+  kernel of the same body.
+* **block-loop** (:class:`_BlockLoop`, its own walker) — everything else
+  with direct dense access (GBT, ...): the body's statements are kept,
+  DistArray subscripts become dense-array accesses with per-site
+  accounting lists, and buffered writes collect into one ordered
+  :meth:`~repro.runtime.kernels.KernelContext.buffer_add` per buffer.
 
 Bodies no tier can prove safe fall back to the scalar interpreter and
 the reason surfaces as a lint diagnostic: **W501** (unsupported construct)
-or **W502** (state-dependent access pattern — batching would break the
-accounting contract).  **W503** marks a successful synthesis the *plan*
-refuses to batch (e.g. parameter-server loops without buffered writes).
-Correctness of whatever is emitted is enforced downstream by
-``equivalence_check`` (bitwise state + accounting against the scalar
-interpreter) and sanitized runs.
+or **W502** (state-dependent access pattern).  **W503** marks a successful
+synthesis the *plan* refuses to batch.  Whatever is emitted is checked
+downstream by ``equivalence_check`` and sanitized runs.
 """
 
 from __future__ import annotations
 
 import ast
 import copy
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import (
@@ -100,20 +92,23 @@ _RESERVED_NAMES = {
     "_snp", "_vecdot", "_scalar_pow", "_level_schedule", "_FULL", "block",
     "kctx", "_synth_kernel", "_lo", "_hi", "_vals", "_prep", "_groups",
     "_order", "_n", "_as_block", "_segment", "_block_loop", "_alive", "_pos",
+    "_unused_value",
 }
 #: Prefixes of generated temporaries; body names must not collide.
 _RESERVED_PREFIXES = (
-    "_s_", "_nd_", "_ix", "_rd", "_wr", "_bi_", "_bv_",
-    "_k0", "_k1", "_k2", "_k3", "_g0", "_g1", "_g2", "_g3",
-    "_a0", "_a1", "_a2", "_a3",
-    "_t0", "_t1", "_t2", "_t3", "_t4", "_t5", "_t6", "_t7", "_t8", "_t9",
-    "_v_", "_vv", "_pt", "_inv", "_cse", "_f_", "_seg_", "_lv_", "_bk_", "_bs_",
+    "_s_", "_nd_", "_ix", "_rd", "_wr", "_bi_", "_bv_", "_v_", "_vv", "_pt",
+    "_inv", "_cse", "_f_", "_seg_", "_lv_", "_bk_", "_bs_",
 )
+#: Numbered temporaries: ``_k{d}`` / ``_g{d}`` / ``_a{d}`` per loop-index
+#: dimension, ``_t{n}`` / ``_v{n}`` per site.
+_RESERVED_NUMBERED = re.compile(r"_[kgatv]\d")
 
 #: NumPy functions whose vectorized form is bit-identical to applying the
 #: scalar form per element (same libm call per lane).
 _NP_UNARY = {"sqrt", "exp", "log", "log1p", "abs", "tanh", "square", "negative"}
 _NP_BINARY = {"minimum", "maximum"}
+#: Builtins, by arity, that lower to those NumPy functions.
+_BUILTINS = {("min", 2): "minimum", ("max", 2): "maximum", ("abs", 1): "abs"}
 #: The unary ones that hand an integer argument back as an integer.
 _INT_KEEPING = {"abs", "square", "negative"}
 _NO_INTS: FrozenSet[str] = frozenset()
@@ -121,6 +116,13 @@ _NO_INTS: FrozenSet[str] = frozenset()
 #: a closed-over ``int``, a loop index.
 _INT: FrozenSet[str] = frozenset({"<int>"})
 
+#: What the block-loop tier's read hoisting may not look inside.
+_OPAQUE = {
+    ast.BoolOp: "a short-circuit boolean", ast.IfExp: "a conditional expression",
+    ast.Lambda: "a lambda", ast.ListComp: "a comprehension",
+    ast.SetComp: "a comprehension", ast.DictComp: "a comprehension",
+    ast.GeneratorExp: "a comprehension",
+}
 #: Builtins considered pure for the block-loop tier's taint analysis.
 _PURE_BUILTINS = {
     "int", "float", "bool", "len", "abs", "min", "max", "round", "range",
@@ -243,12 +245,14 @@ def _assigned_names(tree: ast.AST) -> Set[str]:
     return names
 
 
-def _used_names(tree: ast.AST) -> Set[str]:
-    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+def _is_reserved(name: str) -> bool:
+    """Whether a body name could collide with one the generator emits."""
+    return name in _RESERVED_NAMES or name.startswith(_RESERVED_PREFIXES) \
+        or _RESERVED_NUMBERED.match(name) is not None
 
 
 def _check_common(info: LoopInfo) -> None:
-    """Preconditions both tiers share; raises :class:`_Fallback` (W501)."""
+    """Preconditions every tier shares; raises :class:`_Fallback` (W501)."""
     if info.tree is None:
         raise _Fallback("W501", "loop body source is not recoverable")
     for name, array in info.arrays.items():
@@ -258,11 +262,8 @@ def _check_common(info: LoopInfo) -> None:
             )
         if not getattr(array, "is_materialized", False):
             raise _Fallback("W501", f"array {name!r} is not materialized")
-    used = _used_names(info.tree)
-    bad = sorted(
-        n for n in used
-        if n in _RESERVED_NAMES or n.startswith(_RESERVED_PREFIXES)
-    )
+    used = {n.id for n in ast.walk(info.tree) if isinstance(n, ast.Name)}
+    bad = sorted(n for n in used if _is_reserved(n))
     if bad:
         raise _Fallback(
             "W501", f"body uses names reserved by the generator: {', '.join(bad)}"
@@ -276,11 +277,26 @@ def _check_common(info: LoopInfo) -> None:
             "W501",
             f"body reassigns DistArray/buffer names: {', '.join(shadowed)}",
         )
+    if info.accumulators:
+        raise _Fallback(
+            "W501",
+            "accumulator update inside the body (not batchable: the "
+            "equivalence checker cannot rewind accumulators)",
+        )
 
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and \
         not isinstance(value, bool)
+
+
+def _base_of(node: ast.AST, names: Any) -> Optional[str]:
+    """``A`` when ``node`` is a subscript ``A[...]`` and ``A`` is in
+    ``names``."""
+    if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+            and node.value.id in names:
+        return node.value.id
+    return None
 
 
 def _subscript_elements(node: ast.Subscript) -> Tuple[ast.expr, ...]:
@@ -290,14 +306,21 @@ def _subscript_elements(node: ast.Subscript) -> Tuple[ast.expr, ...]:
 
 
 # --------------------------------------------------------------------------- #
-# tier 1: vectorized gather/compute/scatter over conflict-free groups
+# the lowering: one walk of the body into a loop-nest record
 # --------------------------------------------------------------------------- #
 
-# Orientation of a vectorized value over a group of n entries:
+# Orientation of a lowered value over the n entries of a vector group or a
+# segmented block:
 #   "pure" - scalar, same for every entry        (env constants, literals)
 #   "lane" - shape (n,), one value per entry     (point reads, reductions)
 #   "col"  - shape (K, n), lanes along axis 1    (whole-column gathers)
 #   "row"  - shape (n, K), lanes along axis 0    (whole-row gathers)
+#   "elem" - shape (m,), one value per element of the ragged field an inner
+#            loop walks, all entries' elements flattened in entry order.
+_RANK = {"pure": 0, "lane": 1, "col": 2, "row": 2, "elem": 2}
+
+#: The two emitters a lowered body may be refused by.
+_VECTOR, _SEGMENTED = "vector", "segmented"
 
 
 @dataclass
@@ -307,12 +330,43 @@ class _Val:
     view_of: Optional[Tuple[str, Tuple]] = None  # (array, pattern) for views
     #: What would make this value a Python ``int`` at run time (prep
     #: columns, ``_INT`` for literals and loop indices); empty for a value
-    #: that is a float whatever the data.  Only the segmented tier reads it.
+    #: that is a float whatever the data.  Only the segmented emitter reads
+    #: it.
     ints: FrozenSet[str] = frozenset()
 
 
-class _Vectorizer:
-    """Compile a straight-line affine body to gather/compute/scatter form."""
+@dataclass
+class _Col:
+    """One array the segmented prep step hands the kernel: a loop-index
+    dimension, a scalar field of the entry value, or one tuple position of
+    a ragged field.  How the body uses it is what the data guard demands
+    of it."""
+
+    name: str   # the generated local holding the array
+    level: str  # "lane" (one per entry) | "elem" (one per ragged element)
+    #: Used as a subscript: the smallest extent it indexes.
+    extent: Optional[int] = None
+    #: Used as an arithmetic operand.
+    operand: bool = False
+
+    def role(self, floats_only: Set[str]) -> Optional[Tuple[str, Any]]:
+        """The guard's spec (see ``kernels.segment_block``)."""
+        if self.extent is not None:
+            return ("id", self.extent)
+        if self.operand:
+            return ("value", self.name in floats_only)
+        return None
+
+
+class _LoopNest:
+    """Walk a loop body once into the record both NumPy emitters read.
+
+    The walk accepts the union of the two emitters' grammars (see the
+    module docstring).  A construct only one of them lowers records the
+    other's refusal — its first, in statement order — in ``refused``, and
+    the walk goes on until both have refused.  While both accept, a
+    statement's generated ``lines`` are the same for either.
+    """
 
     def __init__(self, info: LoopInfo, env: Dict[str, Any]):
         self.info = info
@@ -321,67 +375,157 @@ class _Vectorizer:
             info.index_param: ast_utils.IndexBinding(dim_idx=None)
         }
         self.locals: Dict[str, _Val] = {}
+        #: Emitter -> why it cannot lower this body.
+        self.refused: Dict[str, _Fallback] = {}
+        self.lines: List[str] = []
         self.patterns: Dict[str, Tuple] = {}
         self.written: Dict[str, Tuple] = {}
-        self.vec_lines: List[str] = []
         self.replay_stmts: List[ast.stmt] = []
         #: Loop-invariant scalar subexpressions, source -> hoisted name.
         self.invariants: Dict[str, str] = {}
         #: Per-entry scalar subexpressions the body evaluates more than
         #: once, ``ast.dump`` -> the local that now holds the value.
         self.shared: Dict[str, str] = {}
-        self._repeats: Dict[str, int] = {}
+        #: Names ``a, b = value`` unpacks the entry value into, in order.
+        self.fields: List[str] = []
+        self.scalars: Dict[str, _Col] = {}
+        #: Iterated field -> one column per tuple position.
+        self.ragged: Dict[str, List[_Col]] = {}
+        self.key_cols: Dict[int, _Col] = {}
+        #: Columns whose integers would take part in integer arithmetic.
+        self.floats_only: Set[str] = set()
+        #: ``(array, index code)`` per segmented read site, in site order.
+        self.reads: List[Tuple[str, str]] = []
+        #: Buffer -> (subscript column, values local) of its write site.
+        self.folds: Dict[str, Tuple[_Col, str]] = {}
+        # State of the inner loop being walked.
+        self.loop: Optional[str] = None      # the ragged field it walks
+        self.scope: Dict[str, _Col] = {}     # its tuple names
+        self.temps: Set[str] = set()         # element-level locals
+        self.reducing: Set[str] = set()      # entry-level reduction targets
+        self.level_lines: List[str] = []
         self._temp = 0
+        assert info.tree is not None
+        if info.buffers:
+            self._refuse(_VECTOR, "buffered writes (vector tier)")
+        try:
+            values = info.iteration_space.columns()[1]
+        except Exception:
+            values = ()
+        if len(values) and not isinstance(
+            values[0], (int, float, np.integer, np.floating)
+        ):
+            self._refuse(_VECTOR, "non-scalar entry values (vector tier)")
+        self._repeats = Counter(
+            ast.dump(n) for n in ast.walk(info.tree) if isinstance(n, ast.BinOp)
+        )
+        for stmt in info.tree.body:
+            for piece in self._share_scalars(stmt):
+                try:
+                    self._stmt(piece)
+                except _Fallback as exc:  # no emitter still accepting lowers it
+                    self.refused.setdefault(_VECTOR, exc)
+                    self.refused.setdefault(_SEGMENTED, exc)
+                if len(self.refused) == 2:
+                    return
 
-    # -------- small utilities -------------------------------------------- #
+    # -------- refusals and small utilities -------------------------------- #
 
-    def _fail(self, message: str, node: Optional[ast.AST] = None) -> None:
-        raise _Fallback("W501", message, node)
+    def _refuse(self, emitter: str, message: str) -> None:
+        """``emitter`` cannot lower the body; the walk ends once neither
+        emitter can."""
+        self.refused.setdefault(emitter, _Fallback("W501", message))
+        if len(self.refused) == 2:
+            raise _Fallback("W501", message)
+
+    @staticmethod
+    def _fail(message: str) -> None:
+        raise _Fallback("W501", message)
 
     def _temp_name(self) -> str:
         self._temp += 1
         return f"_t{self._temp}"
 
-    @staticmethod
-    def _gidx(dim: int, const: int) -> str:
+    def _gidx(self, dim: int, const: int) -> str:
         """Group-relative index-array expression for ``key[dim] + const``."""
+        self.key_cols.setdefault(dim, _Col(f"_g{dim}", "lane"))
         return f"_g{dim}" if const == 0 else f"(_g{dim} + {const})"
 
-    def _classify(self, node: ast.Subscript) -> Tuple[str, str, Tuple]:
-        """Classify an array subscript; returns (array name, kind, pattern).
+    def _taken(self, name: str) -> bool:
+        return name in self.bindings or name in self.fields or \
+            name in self.scope or name in self.locals
+
+    def _column(self, name: str) -> Optional[_Col]:
+        """The prep column a body name stands for, if it stands for one."""
+        if name in self.scope:
+            return self.scope[name]
+        if name not in self.fields:
+            return None
+        if name in self.ragged:
+            self._fail(f"ragged field {name!r} used as a value")
+        return self.scalars.setdefault(name, _Col(f"_f_{name}", "lane"))
+
+    def _classify(self, node: ast.Subscript) -> Tuple[str, str, Tuple, str]:
+        """Classify a vector DistArray subscript; returns (array name,
+        kind, pattern, group-relative index code).
 
         ``kind`` is ``"col"`` / ``"row"`` / ``"pt"``; anything else falls
         back.  Enforces one subscript pattern per array.
         """
-        base = node.value
-        if not isinstance(base, ast.Name) or base.id not in self.info.arrays:
-            self._fail("subscript on a non-DistArray value", node)
-        name = base.id
-        array = self.info.arrays[name]
-        elements = _subscript_elements(node)
+        name = node.value.id
         try:
             axes = _axes_for_ref(
-                array, name, elements, self.bindings,
-                self.info.num_iter_dims, None,
+                self.info.arrays[name], name, _subscript_elements(node),
+                self.bindings, self.info.num_iter_dims, None,
             )
         except AnalysisError as exc:
             raise _Fallback("W501", str(exc), node)
         kinds = tuple(a.kind for a in axes)
         if len(axes) == 2 and kinds == (SubscriptKind.SLICE_ALL, SubscriptKind.INDEX):
-            kind = "col"
+            kind, indexed = "col", axes[1:]
         elif len(axes) == 2 and kinds == (SubscriptKind.INDEX, SubscriptKind.SLICE_ALL):
-            kind = "row"
+            kind, indexed = "row", axes[:1]
         elif all(k is SubscriptKind.INDEX for k in kinds):
-            kind = "pt"
+            kind, indexed = "pt", axes
         else:
-            self._fail(f"unsupported subscript shape on {name!r}", node)
+            self._fail(f"unsupported subscript shape on {name!r}")
         pattern = _pattern_of(axes)
         known = self.patterns.get(name)
         if known is None:
             self.patterns[name] = pattern
         elif known != pattern:
-            self._fail(f"array {name!r} accessed through multiple patterns", node)
-        return name, kind, pattern
+            self._fail(f"array {name!r} accessed through multiple patterns")
+        index = ", ".join(self._gidx(a.dim_idx, a.const) for a in indexed)
+        return name, kind, pattern, index
+
+    def _subscript_col(self, node: ast.Subscript, shape: Tuple[int, ...]) -> _Col:
+        """The column subscripting a 1-D array or buffer target."""
+        (sub, *rest) = _subscript_elements(node)
+        if rest or len(shape) != 1 or isinstance(sub, ast.Slice):
+            self._fail("not a point subscript of a 1-D array")
+        indexed = ast_utils._index_expr(sub, self.bindings)
+        col: Optional[_Col] = None
+        if indexed is not None and not indexed[1]:
+            self._gidx(*indexed)
+            col = self.key_cols[indexed[0]]
+        elif isinstance(sub, ast.Name):
+            col = self._column(sub.id)
+        if col is None:
+            self._fail("subscript is not an entry field or a loop index")
+        if col.operand:
+            self._fail(f"{ast.unparse(sub)!r} is both a subscript and an operand")
+        col.extent = shape[0] if col.extent is None \
+            else min(col.extent, shape[0])
+        return col
+
+    def _per_element(self, value: _Val) -> str:
+        """``value`` as one float per element of the loop's ragged field."""
+        if value.orient == "elem":
+            return value.code
+        if value.orient == "pure":
+            return (f"_snp.full(len(_seg_{self.loop}), {value.code}, "
+                    "_snp.float64)")
+        return f"({value.code})[_seg_{self.loop}]"
 
     # -------- expression translation -------------------------------------- #
 
@@ -391,38 +535,46 @@ class _Vectorizer:
         lo, ro = left.orient, right.orient
         lc, rc = left.code, right.code
         if {lo, ro} == {"col", "row"}:
-            self._fail("mixing column- and row-oriented values", node)
+            self._fail("mixing column- and row-oriented values")
         if lo == "row" and ro == "lane":
             rc = f"({rc})[:, None]"
         elif ro == "row" and lo == "lane":
             lc = f"({lc})[:, None]"
-        rank = {"pure": 0, "lane": 1, "col": 2, "row": 2}
-        orient = left.orient if rank[lo] >= rank[ro] else right.orient
-        return _Val(template.format(l=lc, r=rc), orient)
+        elif lo == "elem" and ro == "lane":
+            rc = self._per_element(right)
+        elif ro == "elem" and lo == "lane":
+            lc = self._per_element(left)
+        orient = lo if _RANK[lo] >= _RANK[ro] else ro
+        division = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+        return _Val(
+            template.format(l=lc, r=rc), orient,
+            ints=self._merged_ints(left, right, division),
+        )
+
+    def _merged_ints(self, left: _Val, right: _Val,
+                     division: bool = False) -> FrozenSet[str]:
+        """``_Val.ints`` of a binary operation.  Were both operands
+        integers Python would compute in exact integers, which float64
+        cannot follow: the guard then asks those columns for floats."""
+        if not (left.ints and right.ints):
+            return _NO_INTS
+        self.floats_only |= left.ints | right.ints
+        return _NO_INTS if division else left.ints | right.ints
 
     def _expr(self, node: ast.expr) -> _Val:
         # A loop-index expression (key[d] ± c or an alias) is a lane of ints.
         indexed = ast_utils._index_expr(node, self.bindings)
         if indexed is not None:
-            return _Val(self._gidx(*indexed), "lane")
+            return _Val(self._gidx(*indexed), "lane", ints=_INT)
         if isinstance(node, ast.Constant):
             if not _is_number(node.value):
-                self._fail("non-numeric constant", node)
-            return _Val(repr(node.value), "pure")
+                self._fail("non-numeric constant")
+            return _Val(
+                repr(node.value), "pure",
+                ints=_INT if isinstance(node.value, int) else _NO_INTS,
+            )
         if isinstance(node, ast.Name):
-            if node.id in self.locals:
-                return self.locals[node.id]
-            if node.id in self.invariants.values():
-                return _Val(node.id, "pure")
-            if node.id in self.bindings:
-                self._fail("whole loop-index tuple used as a value", node)
-            if node.id == self.info.value_param:
-                return _Val("_vv", "lane")
-            if node.id in self.info.arrays or node.id in self.info.buffers:
-                self._fail(f"bare DistArray reference {node.id!r}", node)
-            if _is_number(self.env.get(node.id)):
-                return _Val(node.id, "pure")
-            self._fail(f"unsupported name {node.id!r}", node)
+            return self._name(node.id)
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
             v = self._expr(node.operand)
             return _Val(f"(-{v.code})", v.orient, ints=v.ints)
@@ -434,7 +586,36 @@ class _Vectorizer:
             return self._call(node)
         if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
             return self._gather(node)
-        self._fail(f"unsupported expression ({type(node).__name__})", node)
+        self._fail(f"unsupported expression ({type(node).__name__})")
+
+    def _name(self, name: str) -> _Val:
+        if name in self.reducing:
+            self._fail(f"{name!r} is read inside the loop that reduces into it")
+        if name == self.info.value_param:
+            self._refuse(_SEGMENTED, "the entry value is used whole (only "
+                                     "`a, b = value` unpacking is supported)")
+        else:
+            col = self._column(name)
+            if col is not None:
+                if col.extent is not None:
+                    self._fail(f"{name!r} is both a subscript and an operand")
+                col.operand = True
+                return _Val(col.name, col.level, ints=frozenset({col.name}))
+        if name in self.locals:
+            return self.locals[name]
+        if name in self.invariants.values():
+            return _Val(name, "pure")
+        if name in self.bindings:
+            self._fail("whole loop-index tuple used as a value")
+        if name == self.info.value_param:
+            return _Val("_vv", "lane")
+        if name in self.info.arrays or name in self.info.buffers:
+            self._fail(f"bare DistArray reference {name!r}")
+        value = self.env.get(name)
+        if _is_number(value):
+            integer = isinstance(value, (int, np.integer))
+            return _Val(name, "pure", ints=_INT if integer else _NO_INTS)
+        self._fail(f"unsupported name {name!r}")
 
     def _binop(self, node: ast.BinOp) -> _Val:
         op = node.op
@@ -446,7 +627,7 @@ class _Vectorizer:
                 return _Val(f"_vecdot(({left.code}).T, ({right.code}).T)", "lane")
             if left.orient == "row" and right.orient == "row":
                 return _Val(f"_vecdot({left.code}, {right.code})", "lane")
-            self._fail("matmul on non-gather operands", node)
+            self._fail("matmul on non-gather operands")
         if isinstance(op, ast.Pow):
             left, right = self._expr(node.left), self._expr(node.right)
             if left.orient == "pure" and right.orient == "pure":
@@ -460,62 +641,77 @@ class _Vectorizer:
         ops = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
         sym = ops.get(type(op))
         if sym is None:
-            self._fail(f"unsupported operator {type(op).__name__}", node)
+            self._fail(f"unsupported operator {type(op).__name__}")
         left, right = self._expr(node.left), self._expr(node.right)
         return self._combine(left, right, f"({{l}} {sym} {{r}})", node)
 
     def _call(self, node: ast.Call) -> _Val:
         if node.keywords:
-            self._fail("call with keyword arguments", node)
+            self._fail("call with keyword arguments")
         func = node.func
-        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            if self.env.get(func.value.id) is np:
-                args = [self._expr(a) for a in node.args]
-                if func.attr in _NP_UNARY and len(args) == 1:
-                    (a,) = args
-                    return _Val(
-                        f"_snp.{func.attr}({a.code})", a.orient,
-                        ints=a.ints if func.attr in _INT_KEEPING else _NO_INTS,
-                    )
-                if func.attr in _NP_BINARY and len(args) == 2:
-                    return self._combine(
-                        args[0], args[1], f"_snp.{func.attr}({{l}}, {{r}})", node
-                    )
-                if func.attr == "power" and len(args) == 2:
-                    return self._combine(
-                        args[0], args[1], "_scalar_pow({l}, {r})", node
-                    )
-                self._fail(f"unsupported numpy call np.{func.attr}", node)
-        if isinstance(func, ast.Name) and func.id in ("min", "max") \
-                and len(node.args) == 2 and func.id not in self.env:
-            left, right = (self._expr(a) for a in node.args)
-            if left.orient == "pure" and right.orient == "pure":
-                return _Val(f"{func.id}({left.code}, {right.code})", "pure")
-            np_name = "minimum" if func.id == "min" else "maximum"
-            return self._combine(left, right, f"_snp.{np_name}({{l}}, {{r}})", node)
-        if isinstance(func, ast.Name) and func.id == "abs" \
-                and len(node.args) == 1 and func.id not in self.env:
-            a = self._expr(node.args[0])
-            if a.orient == "pure":
-                return _Val(f"abs({a.code})", "pure", ints=a.ints)
-            return _Val(f"_snp.abs({a.code})", a.orient, ints=a.ints)
-        self._fail("unsupported call", node)
+        builtin = isinstance(func, ast.Name) and func.id not in self.env \
+            and (func.id, len(node.args)) in _BUILTINS
+        if builtin:
+            name = _BUILTINS[func.id, len(node.args)]
+        elif isinstance(func, ast.Attribute) and \
+                isinstance(func.value, ast.Name) and \
+                self.env.get(func.value.id) is np:
+            name = func.attr
+        else:
+            self._fail("unsupported call")
+        args = [self._expr(a) for a in node.args]
+        if builtin and all(a.orient == "pure" for a in args):
+            return _Val(
+                f"{func.id}({', '.join(a.code for a in args)})", "pure",
+                ints=args[0].ints if name == "abs" else _NO_INTS,
+            )
+        if name in _NP_UNARY and len(args) == 1:
+            (a,) = args
+            return _Val(
+                f"_snp.{name}({a.code})", a.orient,
+                ints=a.ints if name in _INT_KEEPING else _NO_INTS,
+            )
+        if len(args) == 2 and (name in _NP_BINARY or name == "power"):
+            template = "_scalar_pow({l}, {r})" if name == "power" \
+                else f"_snp.{name}({{l}}, {{r}})"
+            return self._combine(args[0], args[1], template, node)
+        self._fail(f"unsupported numpy call np.{name}")
 
     def _gather(self, node: ast.Subscript) -> _Val:
-        name, kind, pattern = self._classify(node)
-        axes = pattern
-        if kind == "col":
-            dim, const = axes[1][1], axes[1][2]
-            code = f"_nd_{name}.take({self._gidx(dim, const)}, axis=1)"
-            return _Val(code, "col", view_of=(name, pattern))
-        if kind == "row":
-            dim, const = axes[0][1], axes[0][2]
-            code = f"_nd_{name}.take({self._gidx(dim, const)}, axis=0)"
-            return _Val(code, "row", view_of=(name, pattern))
-        parts = ", ".join(self._gidx(a[1], a[2]) for a in axes)
-        return _Val(f"_nd_{name}[{parts}]", "lane")
+        """A DistArray read.  Where both emitters lower it (a 1-D point
+        read by a loop index) their code is the same."""
+        base = node.value
+        if not isinstance(base, ast.Name) or base.id not in self.info.arrays:
+            self._fail("subscript on a non-DistArray value")
+        lowered = []
+        for emitter, lower in ((_VECTOR, self._vector_gather),
+                               (_SEGMENTED, self._segmented_gather)):
+            if emitter not in self.refused:
+                try:
+                    lowered.append(lower(node))
+                except _Fallback as exc:
+                    self._refuse(emitter, exc.message)
+        return lowered[0]
 
-    # -------- scalar sharing ----------------------------------------------- #
+    def _vector_gather(self, node: ast.Subscript) -> _Val:
+        name, kind, pattern, index = self._classify(node)
+        if kind == "pt":
+            return _Val(f"_nd_{name}[{index}]", "lane")
+        axis = 1 if kind == "col" else 0
+        return _Val(f"_nd_{name}.take({index}, axis={axis})", kind,
+                    view_of=(name, pattern))
+
+    def _segmented_gather(self, node: ast.Subscript) -> _Val:
+        name = node.value.id
+        col = self._subscript_col(node, self.info.arrays[name].shape)
+        index = col.name
+        if self.loop is not None and col.level == "lane":
+            # The scalar body repeats the read once per element.
+            index = f"{index}[_seg_{self.loop}]"
+        self.reads.append((name, index))
+        return _Val(f"_nd_{name}[{col.name}]", col.level)
+
+    # -------- scalar sharing (for the vector emitter) ---------------------- #
 
     def _scalar_kind(self, node: ast.expr) -> Optional[str]:
         """``"pure"`` (loop-invariant) / ``"lane"`` (per-entry) when
@@ -548,7 +744,8 @@ class _Vectorizer:
         return None
 
     def _share_scalars(self, node: ast.stmt) -> List[ast.stmt]:
-        """Evaluate each scalar subexpression of an assignment once.
+        """Evaluate each scalar subexpression of an assignment once, while
+        the vector emitter, whose group loop it serves, still accepts.
 
         Loop-invariant arithmetic (``step_size * 2.0``) moves in front of
         the group loop, and a per-entry scalar the body spells out more
@@ -557,7 +754,7 @@ class _Vectorizer:
         operation, fewer evaluations — the results cannot differ.
         Returns the bindings to translate first, then the statement.
         """
-        if not isinstance(node, ast.Assign):
+        if _VECTOR in self.refused or not isinstance(node, ast.Assign):
             return [node]
         pre: List[ast.stmt] = []
         outer = self
@@ -595,90 +792,147 @@ class _Vectorizer:
     def _stmt(self, node: ast.stmt) -> None:
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant):
             return  # docstring / bare constant
-        if not isinstance(node, ast.Assign):
-            self._fail(
-                f"unsupported statement ({type(node).__name__})", node
+        if not isinstance(node, ast.Assign):  # the vector grammar's only one
+            self._refuse(
+                _VECTOR, f"unsupported statement ({type(node).__name__})"
             )
+        if isinstance(node, ast.Pass):
+            return
+        where = " inside an inner loop" if self.loop else ""
+        node = self._normalized(node)
+        if isinstance(node, ast.For) and self.loop is None:
+            self._for(node)
+            return
+        if isinstance(node, ast.If):
+            self._fail(f"branch{where}")
+        if not isinstance(node, ast.Assign):
+            self._fail(f"unsupported statement ({type(node).__name__}){where}")
         if len(node.targets) != 1:
-            self._fail("chained assignment", node)
+            self._refuse(_VECTOR, "chained assignment")
+            self._fail(f"unsupported statement (Assign){where}")
         target = node.targets[0]
         if isinstance(target, ast.Tuple):
             self._unpack(node, target)
-            return
-        if isinstance(target, ast.Name):
+        elif isinstance(target, ast.Name):
             self._assign_name(node, target)
-            return
-        if isinstance(target, ast.Subscript):
-            self._assign_subscript(node, target)
-            return
-        self._fail("unsupported assignment target", node)
+        elif isinstance(target, ast.Subscript):
+            base = target.value
+            name = base.id if isinstance(base, ast.Name) else None
+            if name in self.info.arrays:
+                self._refuse(_SEGMENTED, f"direct write to DistArray {name!r}")
+                self._scatter(node, target)
+            else:
+                self._refuse(_VECTOR, "subscript on a non-DistArray value")
+                self._buffered_write(node, target, name)
+        else:
+            self._fail("unsupported assignment target")
+
+    @staticmethod
+    def _normalized(node: ast.stmt) -> ast.stmt:
+        """``x += e`` as ``x = x + e`` — scalars are immutable, so the
+        two are one statement."""
+        if not (isinstance(node, ast.AugAssign) and
+                isinstance(node.target, ast.Name) and
+                isinstance(node.op, ast.Add)):
+            return node
+        read = ast.Name(id=node.target.id, ctx=ast.Load())
+        assign = ast.Assign(targets=[node.target],
+                            value=ast.BinOp(read, node.op, node.value))
+        return ast.fix_missing_locations(ast.copy_location(assign, node))
 
     def _unpack(self, node: ast.Assign, target: ast.Tuple) -> None:
-        """``i, j = key`` — per-dimension index aliases."""
+        """``a, b = value`` names the entry value's fields; ``i, j = key``
+        binds per-dimension index aliases."""
         value = node.value
-        if (
-            isinstance(value, ast.Name)
-            and value.id in self.bindings
-            and self.bindings[value.id].is_whole_key
-            and len(target.elts) == self.info.num_iter_dims
-            and all(isinstance(e, ast.Name) for e in target.elts)
-        ):
-            for dim, elt in enumerate(target.elts):
-                self._bind(elt.id, ast_utils.IndexBinding(dim_idx=dim), node)
+        if isinstance(value, ast.Name) and value.id == self.info.value_param:
+            self._refuse(
+                _VECTOR, "tuple assignment (only `i, j = key` is supported)"
+            )
+            names = [e.id for e in target.elts if isinstance(e, ast.Name)]
+            if self.fields or self.loop is not None or \
+                    len(names) != len(target.elts) or \
+                    any(self._taken(name) for name in names):
+                self._fail("the entry value is unpacked more than once, "
+                           "inside a loop, or into taken names")
+            self.fields = names
             return
-        self._fail("tuple assignment (only `i, j = key` is supported)", node)
+        if self.loop is not None:
+            self._fail("tuple assignment inside an inner loop")
+        if self._whole_key(value) and \
+                len(target.elts) == self.info.num_iter_dims and \
+                all(isinstance(e, ast.Name) for e in target.elts):
+            for dim, elt in enumerate(target.elts):
+                self._bind(elt.id, ast_utils.IndexBinding(dim_idx=dim))
+            return
+        self._fail("tuple assignment (only `i, j = key` is supported)")
 
-    def _bind(self, name: str, binding: ast_utils.IndexBinding,
-              node: ast.AST) -> None:
+    def _whole_key(self, node: ast.expr) -> bool:
+        """Whether ``node`` names the whole loop-index tuple."""
+        binding = self.bindings.get(node.id) \
+            if isinstance(node, ast.Name) else None
+        return binding is not None and binding.is_whole_key
+
+    def _bind(self, name: str, binding: ast_utils.IndexBinding) -> None:
         if name in self.bindings or name in self.locals:
-            self._fail(f"reassignment of {name!r}", node)
+            self._fail(f"reassignment of {name!r}")
         self.bindings[name] = binding
 
     def _assign_name(self, node: ast.Assign, target: ast.Name) -> None:
         name = target.id
-        # Pure index aliases produce no code: both arms read the indices
-        # through ``self.bindings``.
-        indexed = ast_utils._index_expr(node.value, self.bindings)
-        if indexed is not None:
-            self._bind(name, ast_utils.IndexBinding(*indexed), node)
-            return
-        if isinstance(node.value, ast.Name) and \
-                node.value.id in self.bindings and \
-                self.bindings[node.value.id].is_whole_key:
-            self._bind(name, ast_utils.IndexBinding(dim_idx=None), node)
+        if self.loop is None:
+            # Pure index aliases produce no code: both emitters read the
+            # indices through ``self.bindings``.
+            indexed = ast_utils._index_expr(node.value, self.bindings)
+            if indexed is not None:
+                self._bind(name, ast_utils.IndexBinding(*indexed))
+                return
+            if self._whole_key(node.value):
+                self._refuse(_SEGMENTED, "whole loop-index tuple used as a value")
+                self._bind(name, ast_utils.IndexBinding(dim_idx=None))
+                return
+        elif name in self.reducing and self._is_reduction(node):
+            self._reduce(node, name)
             return
         if name in self.locals or name in self.bindings:
-            self._fail(f"reassignment of {name!r}", node)
+            self._refuse(_VECTOR, f"reassignment of {name!r}")
+        rebindable = self.temps if self.loop is not None else self.locals
+        if self._taken(name) and name not in rebindable:
+            self._fail(f"assignment to {name!r}" + (
+                " inside an inner loop is not a `+` reduction"
+                if name in self.locals else " rebinds an index or a field"
+            ))
         value = self._expr(node.value)
         view = value.view_of if isinstance(node.value, ast.Subscript) else None
-        temp = f"_v_{name}"
-        self.vec_lines.append(f"{temp} = {value.code}")
-        self.locals[name] = _Val(temp, value.orient, view_of=view)
+        self.lines.append(f"_v_{name} = {value.code}")
+        self.locals[name] = _Val(
+            f"_v_{name}", value.orient, view_of=view, ints=value.ints
+        )
         self.replay_stmts.append(node)
+        if self.loop is not None:
+            self.temps.add(name)
 
-    def _assign_subscript(self, node: ast.Assign, target: ast.Subscript) -> None:
-        name, kind, pattern = self._classify(target)
+    def _scatter(self, node: ast.Assign, target: ast.Subscript) -> None:
+        """A direct DistArray store (vector emitter only)."""
+        name, kind, pattern, index = self._classify(target)
         value = self._expr(node.value)
-        axes = pattern
         temp = self._temp_name()
         code = value.code
         if kind == "col":
             if value.orient == "row":
-                self._fail("row-oriented value stored into a column", node)
-            dest = f"_nd_{name}[:, {self._gidx(axes[1][1], axes[1][2])}]"
+                self._fail("row-oriented value stored into a column")
+            dest = f"_nd_{name}[:, {index}]"
         elif kind == "row":
             if value.orient == "col":
-                self._fail("column-oriented value stored into a row", node)
+                self._fail("column-oriented value stored into a row")
             if value.orient == "lane":
                 code = f"({code})[:, None]"
-            dest = f"_nd_{name}[{self._gidx(axes[0][1], axes[0][2])}, :]"
+            dest = f"_nd_{name}[{index}, :]"
         else:  # pt
             if value.orient in ("col", "row"):
-                self._fail("matrix-oriented value stored into a point", node)
-            parts = ", ".join(self._gidx(a[1], a[2]) for a in axes)
-            dest = f"_nd_{name}[{parts}]"
-        self.vec_lines.append(f"{temp} = {code}")
-        self.vec_lines.append(f"{dest} = {temp}")
+                self._fail("matrix-oriented value stored into a point")
+            dest = f"_nd_{name}[{index}]"
+        self.lines.append(f"{temp} = {code}")
+        self.lines.append(f"{dest} = {temp}")
         self.written[name] = pattern
         # The scalar body sees writes through earlier captured *views*;
         # rebind any view-local of this array to the freshly stored values
@@ -688,184 +942,253 @@ class _Vectorizer:
                 local.code = temp
         self.replay_stmts.append(node)
 
-    # -------- assembly ----------------------------------------------------- #
-
-    def build(self) -> str:
-        info = self.info
-        _check_common(info)
-        if info.buffers:
-            raise _Fallback("W501", "buffered writes (vector tier)")
-        if info.accumulators:
-            raise _Fallback(
-                "W501",
-                "accumulator update inside the body (not batchable: the "
-                "equivalence checker cannot rewind accumulators)",
-            )
-        try:
-            values = info.iteration_space.columns()[1]
-        except Exception:
-            values = ()
-        if len(values) and not isinstance(
-            values[0], (int, float, np.integer, np.floating)
-        ):
-            raise _Fallback("W501", "non-scalar entry values (vector tier)")
-        assert info.tree is not None
-        self._repeats = Counter(
-            ast.dump(n) for n in ast.walk(info.tree) if isinstance(n, ast.BinOp)
+    @staticmethod
+    def _is_reduction(node: ast.stmt) -> bool:
+        """``r = r + e`` (what ``r += e`` was rewritten to)."""
+        return (
+            isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, ast.Add)
+            and isinstance(node.value.left, ast.Name)
+            and node.value.left.id == node.targets[0].id
         )
-        for stmt in info.tree.body:
-            for piece in self._share_scalars(stmt):
-                self._stmt(piece)
-        if not self.written:
-            raise _Fallback("W501", "no vectorizable DistArray writes")
-        conflict_dims = sorted({
-            axis[1] for pattern in self.written.values()
-            for axis in pattern if axis[0] is SubscriptKind.INDEX
-        })
-        if not conflict_dims:
-            raise _Fallback("W501", "writes are not addressed by loop indices")
-        return self._emit(conflict_dims)
 
-    def _emit(self, conflict_dims: List[int]) -> str:
-        info = self.info
-        dims = list(range(info.num_iter_dims))
-        acct_args: Dict[str, str] = {}
-        acct_lines = self._accounting(acct_args)
+    def _for(self, node: ast.For) -> None:
+        field_node, target = node.iter, node.target
+        if node.orelse:
+            self._fail("for/else")
+        if not (isinstance(field_node, ast.Name)
+                and field_node.id in self.fields
+                and field_node.id not in self.scalars):
+            self._fail(
+                f"inner loop over {ast.unparse(field_node)!r}, which is not "
+                "a ragged field of the entry value"
+            )
+        names = [e.id for e in target.elts if isinstance(e, ast.Name)] \
+            if isinstance(target, ast.Tuple) else []
+        if not names or len(names) != len(target.elts) or \
+                len(set(names)) != len(names) or \
+                any(self._taken(name) for name in names):
+            self._fail("inner loop target is not a tuple of fresh names")
+        field_name = field_node.id
+        cols = self.ragged.setdefault(field_name, [
+            _Col(f"_f_{field_name}_{position}", "elem")
+            for position in range(len(names))
+        ])
+        if len(cols) != len(names):
+            self._fail(f"loops unpack {field_name!r} into different arities")
+        self.loop, self.scope = field_name, dict(zip(names, cols))
+        self.temps, self.level_lines = set(), []
+        # A `+` reduction target is an entry-level local the loop updates
+        # only through `r = r + e`; any other use of it in the loop fails.
+        # It becomes one float64 per entry, a fresh array the level loop
+        # below updates in place (an alias taken earlier keeps its value).
+        self.reducing = {
+            stmt.targets[0].id for stmt in map(self._normalized, node.body)
+            if self._is_reduction(stmt) and stmt.targets[0].id in self.locals
+        }
+        for name in sorted(self.reducing):
+            start = self.locals[name]
+            self.lines.append(f"_v_{name} = " + (
+                f"_snp.full(_n, {start.code}, _snp.float64)"
+                if start.orient == "pure"
+                else f"_snp.array({start.code}, _snp.float64)"
+            ))
+        for stmt in node.body:
+            self._stmt(stmt)
+        if self.level_lines:
+            self.lines.append(f"for _alive, _pos in _lv_{field_name}:")
+            self.lines.extend(self.level_lines)
+        for name in self.temps:
+            del self.locals[name]
+        self.loop, self.scope, self.reducing = None, {}, set()
 
-        lines: List[str] = []
-        out = lines.append
-        # ``_a{d}`` / ``_pt{n}`` are the block's indices in entry order:
-        # they exist only on the first call, where the accounting
-        # declarations at the end memoize what they derive from them.
-        # What the cache keeps — ``_k{d}`` / ``_vals`` — is permuted into
-        # level order, ``_groups`` being the level boundaries.  It is
-        # stored last, after those declarations: a first call that raises
-        # in the body leaves no half-filled cache and can be run again.
-        acct_names = [f"_a{d}" for d in dims] + list(acct_args.values())
-        prep_names = [f"_k{d}" for d in dims] + ["_vals", "_groups"]
-        out("def _synth_kernel(block, kctx):")
-        out("    _prep = kctx.cache.get('_synth')")
-        out("    if _prep is None:")
-        out("        block = _as_block(block)")
-        for d in dims:
-            out(f"        _a{d} = block.keys[:, {d}]")
-        out("        _vals = _snp.asarray(block.values, dtype=_snp.float64)")
-        group_args = ", ".join(f"_a{d}.tolist()" for d in conflict_dims)
-        out(f"        _order, _groups = _level_schedule([{group_args}])")
-        for source, name in acct_args.items():
-            out(f"        {name} = {source}")
-        permuted = [f"_a{d}[_order]" for d in dims] + \
-            ["_vals[_order]", "_groups"]
-        out(f"        _prep = ({', '.join(permuted)})")
-        out("    else:")
-        out(f"        {' = '.join(acct_names)} = None")
-        out(f"    ({', '.join(prep_names)}) = _prep")
-        for name in self.patterns:
-            out(f"    _nd_{name} = {name}.values")
-        for source, name in self.invariants.items():
-            out(f"    {name} = {source}")
-        out("    for _lo, _hi in _groups:")
-        out("        if _hi - _lo == 1:")
-        for line in self._replay_lines():
-            out("            " + line)
-        out("            continue")
-        used_dims = sorted({
-            axis[1] for pattern in self.patterns.values()
-            for axis in pattern if axis[0] is SubscriptKind.INDEX
-        })
-        for d in used_dims:
-            out(f"        _g{d} = _k{d}[_lo:_hi]")
-        out("        _vv = _vals[_lo:_hi]")
-        for line in self.vec_lines:
-            out("        " + line)
-        lines.extend(acct_lines)
-        out("    kctx.cache['_synth'] = _prep")
-        return "\n".join(lines) + "\n"
+    def _reduce(self, node: ast.Assign, name: str) -> None:
+        """``r = r + e`` over a ragged field: each inner position adds its
+        elements' terms to the entries that have one — the scalar loop's
+        own left-to-right order."""
+        current = self.locals[name]
+        term = self._expr(node.value.right)
+        var = f"_v_{name}"
+        temp = self._temp_name()
+        self.lines.append(f"{temp} = {self._per_element(term)}")
+        self.level_lines.append(
+            f"    {var}[_alive] = {var}[_alive] + {temp}[_pos]"
+        )
+        self.locals[name] = _Val(
+            var, "lane", ints=self._merged_ints(current, term)
+        )
 
-    def _accounting(self, args: Dict[str, str]) -> List[str]:
-        """One ``account_*`` declaration per static reference site, over
-        the block's indices in entry order (``_a{d}``).  ``args`` collects
-        the derived index lists the prep block must build, source -> name.
-        """
-        out: List[str] = []
+    def _buffered_write(self, node: ast.Assign, target: ast.Subscript,
+                        name: Optional[str]) -> None:
+        """A buffered point write (segmented emitter only)."""
+        if name not in self.info.buffers:
+            self._fail("store into something that is not a buffer")
+        buffer = self.info.buffers[name]
+        if not buffer.combines_by_addition:
+            self._fail(f"buffer {name!r} has a custom combiner")
+        if name in self.folds:
+            self._fail(f"several write sites into buffer {name!r}")
+        col = self._subscript_col(target, buffer.target.shape)
+        if col.level != "elem":
+            self._fail("buffered write not subscripted by a field of an "
+                       "inner loop's element")
+        temp = self._temp_name()
+        self.lines.append(
+            f"{temp} = {self._per_element(self._expr(node.value))}"
+        )
+        self.folds[name] = (col, temp)
 
-        def shifted(axis: Tuple[Any, ...]) -> str:
-            dim, const = axis[1], axis[2]
-            if not const:
-                return f"_a{dim}"
-            return args.setdefault(f"_a{dim} + {const}", f"_pt{len(args)}")
 
-        for name, refs in self.info.refs.items():
-            for ref in refs:
-                pattern = _pattern_of(ref.axes)
-                if self.patterns.get(name) != pattern:
-                    raise _Fallback(
-                        "W501",
-                        f"accounting mismatch for {name!r} (untranslated site)",
-                    )
-                kinds = tuple(a[0] for a in pattern)
-                verb = "writes" if ref.is_write else "reads"
-                if kinds == (SubscriptKind.SLICE_ALL, SubscriptKind.INDEX):
-                    idx = shifted(pattern[1])
-                    out.append(f"    kctx.account_col_{verb}({name}, {idx})")
-                elif kinds == (SubscriptKind.INDEX, SubscriptKind.SLICE_ALL):
-                    idx = shifted(pattern[0])
-                    out.append(f"    kctx.account_row_{verb}({name}, {idx})")
-                elif len(pattern) == 1:
-                    idx = shifted(pattern[0])
-                    out.append(f"    kctx.account_point_{verb}({name}, {idx})")
-                else:
-                    columns = ", ".join(
-                        f"({shifted(a)}).tolist()" for a in pattern
-                    )
-                    idx = args.setdefault(
-                        f"list(zip({columns}))", f"_pt{len(args)}"
-                    )
-                    method = "account_writes" if ref.is_write else "account_reads"
-                    out.append(f"    kctx.{method}({name}, {idx})")
-        return out
+# --------------------------------------------------------------------------- #
+# vector emitter: gather/compute/scatter over level-scheduled groups
+# --------------------------------------------------------------------------- #
 
-    def _replay_lines(self) -> List[str]:
-        """The original scalar statements, renamed for single-entry groups.
 
-        Scalar NumPy indexing gives the replay branch the body's exact view
-        semantics, so heavy-conflict blocks stay bit-identical without any
-        orientation machinery.  Every spelling of a loop index (``key[d]``,
-        an alias, either ± a constant) reads one scalar bound per entry.
-        """
-        info = self.info
-        assigned = set(self.locals)
-        arrays = set(self.patterns)
-        bindings, value_param = self.bindings, info.value_param
-        used_dims: Set[int] = set()
+def _emit_vector(nest: _LoopNest) -> str:
+    if _VECTOR in nest.refused:
+        raise nest.refused[_VECTOR]
+    if not nest.written:
+        raise _Fallback("W501", "no vectorizable DistArray writes")
+    conflict_dims = _index_dims(nest.written)
+    if not conflict_dims:
+        raise _Fallback("W501", "writes are not addressed by loop indices")
+    dims = list(range(nest.info.num_iter_dims))
+    acct_args: Dict[str, str] = {}
+    acct_lines = _vector_accounting(nest, acct_args)
 
-        class _Rename(ast.NodeTransformer):
-            def visit(self, node: ast.AST) -> ast.AST:
-                indexed = ast_utils._index_expr(node, bindings) \
-                    if isinstance(node, ast.expr) else None
-                if indexed is None:
-                    return super().visit(node)
-                dim, const = indexed
-                used_dims.add(dim)
-                source = f"_s_i{dim} + {const}" if const else f"_s_i{dim}"
-                return ast.parse(source, mode="eval").body
+    lines: List[str] = []
+    out = lines.append
+    # ``_a{d}`` / ``_pt{n}`` are the block's indices in entry order:
+    # they exist only on the first call, where the accounting
+    # declarations at the end memoize what they derive from them.
+    # What the cache keeps — ``_k{d}`` / ``_vals`` — is permuted into
+    # level order, ``_groups`` being the level boundaries.  It is
+    # stored last, after those declarations: a first call that raises
+    # in the body leaves no half-filled cache and can be run again.
+    acct_names = [f"_a{d}" for d in dims] + list(acct_args.values())
+    prep_names = [f"_k{d}" for d in dims] + ["_vals", "_groups"]
+    out("def _synth_kernel(block, kctx):")
+    out("    _prep = kctx.cache.get('_synth')")
+    out("    if _prep is None:")
+    out("        block = _as_block(block)")
+    lines.extend(f"        _a{d} = block.keys[:, {d}]" for d in dims)
+    out("        _vals = _snp.asarray(block.values, dtype=_snp.float64)")
+    group_args = ", ".join(f"_a{d}.tolist()" for d in conflict_dims)
+    out(f"        _order, _groups = _level_schedule([{group_args}])")
+    lines.extend(f"        {name} = {source}" for source, name in acct_args.items())
+    permuted = [f"_a{d}[_order]" for d in dims] + ["_vals[_order]", "_groups"]
+    out(f"        _prep = ({', '.join(permuted)})")
+    out("    else:")
+    out(f"        {' = '.join(acct_names)} = None")
+    out(f"    ({', '.join(prep_names)}) = _prep")
+    lines.extend(_prologue(nest, nest.patterns))
+    out("    for _lo, _hi in _groups:")
+    out("        if _hi - _lo == 1:")
+    lines.extend("            " + line for line in _replay_lines(nest))
+    out("            continue")
+    lines.extend(f"        _g{d} = _k{d}[_lo:_hi]" for d in _index_dims(nest.patterns))
+    out("        _vv = _vals[_lo:_hi]")
+    lines.extend("        " + line for line in nest.lines)
+    lines.extend(acct_lines)
+    out("    kctx.cache['_synth'] = _prep")
+    return "\n".join(lines) + "\n"
 
-            def visit_Name(self, node: ast.Name) -> ast.Name:
-                if node.id == value_param or node.id in assigned:
-                    return ast.Name(id=f"_s_{node.id}", ctx=node.ctx)
-                if node.id in arrays:
-                    return ast.Name(id=f"_nd_{node.id}", ctx=node.ctx)
-                return node
 
-        renamer = _Rename()
-        body: List[str] = []
-        for stmt in self.replay_stmts:
-            new = ast.fix_missing_locations(renamer.visit(copy.deepcopy(stmt)))
-            body.extend(ast.unparse(new).splitlines())
-        lines = [f"_s_i{d} = _k{d}[_lo]" for d in sorted(used_dims)]
-        if value_param is not None:
-            lines.append(f"_s_{value_param} = _vals[_lo]")
-        return lines + body
+def _prologue(nest: _LoopNest, arrays: Iterable[str]) -> List[str]:
+    """Dense views of the arrays a kernel reads, then hoisted invariants."""
+    return [f"    _nd_{name} = {name}.values" for name in arrays] + \
+        [f"    {name} = {source}" for source, name in nest.invariants.items()]
+
+
+def _index_dims(patterns: Dict[str, Tuple]) -> List[int]:
+    """The loop-index dimensions some subscript pattern indexes by."""
+    return sorted({
+        axis[1] for pattern in patterns.values()
+        for axis in pattern if axis[0] is SubscriptKind.INDEX
+    })
+
+
+def _vector_accounting(nest: _LoopNest, args: Dict[str, str]) -> List[str]:
+    """One ``account_*`` declaration per static reference site, over the
+    block's indices in entry order (``_a{d}``).  ``args`` collects the
+    derived index lists the prep block must build, source -> name.
+    """
+    out: List[str] = []
+
+    def shifted(axis: Tuple[Any, ...]) -> str:
+        dim, const = axis[1], axis[2]
+        if not const:
+            return f"_a{dim}"
+        return args.setdefault(f"_a{dim} + {const}", f"_pt{len(args)}")
+
+    for name, refs in nest.info.refs.items():
+        for ref in refs:
+            pattern = _pattern_of(ref.axes)
+            if nest.patterns.get(name) != pattern:
+                raise _Fallback(
+                    "W501",
+                    f"accounting mismatch for {name!r} (untranslated site)",
+                )
+            kinds = tuple(a[0] for a in pattern)
+            verb = "writes" if ref.is_write else "reads"
+            if kinds == (SubscriptKind.SLICE_ALL, SubscriptKind.INDEX):
+                method, idx = f"account_col_{verb}", shifted(pattern[1])
+            elif kinds == (SubscriptKind.INDEX, SubscriptKind.SLICE_ALL):
+                method, idx = f"account_row_{verb}", shifted(pattern[0])
+            elif len(pattern) == 1:
+                method, idx = f"account_point_{verb}", shifted(pattern[0])
+            else:
+                columns = ", ".join(f"({shifted(a)}).tolist()" for a in pattern)
+                idx = args.setdefault(
+                    f"list(zip({columns}))", f"_pt{len(args)}"
+                )
+                method = f"account_{verb}"
+            out.append(f"    kctx.{method}({name}, {idx})")
+    return out
+
+
+def _replay_lines(nest: _LoopNest) -> List[str]:
+    """The original scalar statements, renamed for single-entry groups.
+
+    Scalar NumPy indexing gives the replay branch the body's exact view
+    semantics, so heavy-conflict blocks stay bit-identical without any
+    orientation machinery.  Every spelling of a loop index (``key[d]``,
+    an alias, either ± a constant) reads one scalar bound per entry.
+    """
+    assigned = set(nest.locals)
+    arrays = set(nest.patterns)
+    bindings, value_param = nest.bindings, nest.info.value_param
+    used_dims: Set[int] = set()
+
+    class _Rename(ast.NodeTransformer):
+        def visit(self, node: ast.AST) -> ast.AST:
+            indexed = ast_utils._index_expr(node, bindings) \
+                if isinstance(node, ast.expr) else None
+            if indexed is None:
+                return super().visit(node)
+            dim, const = indexed
+            used_dims.add(dim)
+            source = f"_s_i{dim} + {const}" if const else f"_s_i{dim}"
+            return ast.parse(source, mode="eval").body
+
+        def visit_Name(self, node: ast.Name) -> ast.Name:
+            if node.id == value_param or node.id in assigned:
+                return ast.Name(id=f"_s_{node.id}", ctx=node.ctx)
+            if node.id in arrays:
+                return ast.Name(id=f"_nd_{node.id}", ctx=node.ctx)
+            return node
+
+    renamer = _Rename()
+    body: List[str] = []
+    for stmt in nest.replay_stmts:
+        new = ast.fix_missing_locations(renamer.visit(copy.deepcopy(stmt)))
+        body.extend(ast.unparse(new).splitlines())
+    lines = [f"_s_i{d} = _k{d}[_lo]" for d in sorted(used_dims)]
+    if value_param is not None:
+        lines.append(f"_s_{value_param} = _vals[_lo]")
+    return lines + body
 
 
 def level_schedule_counts(
@@ -880,7 +1203,7 @@ def level_schedule_counts(
         prep = cache.get("_synth")
         if prep is None:
             continue
-        bounds = prep[-1]  # ``_groups``: see _Vectorizer._emit
+        bounds = prep[-1]  # ``_groups``: see _emit_vector
         groups += len(bounds)
         for lo, hi in bounds:
             entries += hi - lo
@@ -906,449 +1229,79 @@ def level_schedule_stats(
 
 
 # --------------------------------------------------------------------------- #
-# tier 2: segmented (CSR) compilation of ragged inner loops
+# segmented emitter: ragged inner loops over a CSR flattening of the block
 # --------------------------------------------------------------------------- #
 
-# A third orientation joins the vector tier's inside an inner loop:
-#   "elem" - shape (m,), one value per element of the ragged field the
-#            loop walks, all entries' elements flattened in entry order.
-_SEG_RANK = {"pure": 0, "lane": 1, "elem": 2}
 
+def _emit_segmented(
+    nest: _LoopNest, notes: List[str]
+) -> Tuple[str, Callable[[Sequence[Any]], Any]]:
+    """Gather / position-major reduce / folded scatter over a CSR
+    flattening of the block.  Returns the source and its ``_segment``:
+    CSR-flatten a block and lay out its buffers' fold slots, or — when the
+    data is not what the body's shape promised — hand back the reason and
+    add the demotion to ``notes``."""
+    if _SEGMENTED in nest.refused:
+        raise nest.refused[_SEGMENTED]
+    if not nest.ragged:
+        raise _Fallback("W501", "no inner loop over a ragged entry field")
+    # The order of `names` is the order `kernels.segment_block` (then
+    # one `fold_slots` per buffer) lays the prep tuple out in.
+    key_dims = [(dim, col.extent) for dim, col in sorted(nest.key_cols.items())]
+    names = ["_n"] + [nest.key_cols[dim].name for dim, _extent in key_dims]
+    fields: List[Any] = []
+    for name in nest.fields:
+        spec = None
+        if name in nest.ragged:
+            roles = [c.role(nest.floats_only) for c in nest.ragged[name]]
+            names += [f"_seg_{name}", f"_lv_{name}"]
+            names += [c.name for c, role in zip(nest.ragged[name], roles)
+                      if role is not None]
+            spec = ("ragged", tuple(roles))
+        elif name in nest.scalars:
+            names.append(nest.scalars[name].name)
+            spec = ("scalar", nest.scalars[name].role(nest.floats_only))
+        fields.append(spec)
+    fold_columns = []
+    for buffer_name, (col, _values) in nest.folds.items():
+        fold_columns.append(names.index(col.name))
+        names += [f"_bk_{buffer_name}", f"_bs_{buffer_name}"]
 
-@dataclass
-class _Col:
-    """One array the prep step hands the kernel: a loop-index dimension, a
-    scalar field of the entry value, or one tuple position of a ragged
-    field.  How the body uses it is what the data guard demands of it."""
+    lines = ["def _synth_kernel(block, kctx):"]
+    out = lines.append
+    out("    _prep = kctx.cache.get('_seg')")
+    out("    if _prep is None:")
+    out("        _prep = kctx.cache['_seg'] = _segment(block)")
+    out("    if _prep.__class__ is str:  # the data guard said no")
+    out("        return _block_loop(block, kctx)")
+    out(f"    ({', '.join(names)},) = _prep")
+    lines.extend(_prologue(nest, sorted({array for array, _ in nest.reads})))
+    lines.extend("    " + line for line in nest.lines)
+    for array, index in nest.reads:
+        out(f"    kctx.account_reads({array}, {index})")
+    for buffer_name, (_col, values) in nest.folds.items():
+        out(f"    kctx.buffer_fold({buffer_name}, _bk_{buffer_name}, "
+            f"_bs_{buffer_name}, {values})")
 
-    name: str   # the generated local holding the array
-    level: str  # "lane" (one per entry) | "elem" (one per ragged element)
-    #: Used as a subscript: the smallest extent it indexes.
-    extent: Optional[int] = None
-    #: Used as an arithmetic operand.
-    operand: bool = False
-
-    def role(self, floats_only: Set[str]) -> Optional[Tuple[str, Any]]:
-        """The guard's spec (see ``kernels.segment_block``)."""
-        if self.extent is not None:
-            return ("id", self.extent)
-        if self.operand:
-            return ("value", self.name in floats_only)
-        return None
-
-
-class _Segmented(_Vectorizer):
-    """Compile a body of ragged inner reductions over buffered writes to
-    gather / position-major reduce / folded scatter over a CSR flattening
-    of the block.
-
-    Grammar: ``a, b = value`` names the entry value's fields; a field is
-    *ragged* when a ``for x, y in field:`` walks it and scalar otherwise.
-    Entry-level statements are straight-line assignments in the vector
-    tier's expression grammar plus point reads ``A[i]`` of 1-D arrays.
-    An inner loop holds ``r = r + e`` reductions into entry-level locals,
-    element-level temporaries and buffered point writes ``buf[i] = e``
-    (one write site per buffer, default combiner).  Subscripts are bare
-    entry fields or loop indices.  Nothing writes a DistArray directly, so
-    every read sees block-start state and the whole block batches.
-    """
-
-    def __init__(self, info: LoopInfo, env: Dict[str, Any]):
-        super().__init__(info, env)
-        self.lines: List[str] = []
-        #: Names ``a, b = value`` unpacks the entry value into, in order.
-        self.fields: List[str] = []
-        self.scalars: Dict[str, _Col] = {}
-        #: Iterated field -> one column per tuple position.
-        self.ragged: Dict[str, List[_Col]] = {}
-        self.key_cols: Dict[int, _Col] = {}
-        #: Columns whose integers would take part in integer arithmetic.
-        self.floats_only: Set[str] = set()
-        #: ``(array, index code)`` per read site, in site order.
-        self.reads: List[Tuple[str, str]] = []
-        #: Buffer -> (subscript column, values local) of its write site.
-        self.folds: Dict[str, Tuple[_Col, str]] = {}
-        # State of the inner loop being translated.
-        self.loop: Optional[str] = None      # the ragged field it walks
-        self.scope: Dict[str, _Col] = {}     # its tuple names
-        self.temps: Set[str] = set()         # element-level locals
-        self.reducing: Set[str] = set()      # entry-level reduction targets
-        self.level_lines: List[str] = []
-
-    # -------- names and columns ------------------------------------------- #
-
-    def _gidx(self, dim: int, const: int) -> str:  # type: ignore[override]
-        self.key_cols.setdefault(dim, _Col(f"_g{dim}", "lane"))
-        return _Vectorizer._gidx(dim, const)
-
-    def _column(self, name: str, node: ast.AST) -> Optional[_Col]:
-        """The prep column a body name stands for, if it stands for one."""
-        if name in self.scope:
-            return self.scope[name]
-        if name not in self.fields:
-            return None
-        if name in self.ragged:
-            self._fail(f"ragged field {name!r} used as a value", node)
-        return self.scalars.setdefault(name, _Col(f"_f_{name}", "lane"))
-
-    def _taken(self, name: str) -> bool:
-        return name in self.bindings or name in self.fields or \
-            name in self.scope or name in self.locals
-
-    def _subscript_col(self, node: ast.Subscript, shape: Tuple[int, ...]) -> _Col:
-        """The column subscripting a 1-D array or buffer target."""
-        (sub, *rest) = _subscript_elements(node)
-        if rest or len(shape) != 1 or isinstance(sub, ast.Slice):
-            self._fail("not a point subscript of a 1-D array", node)
-        indexed = ast_utils._index_expr(sub, self.bindings)
-        col: Optional[_Col] = None
-        if indexed is not None and not indexed[1]:
-            self._gidx(*indexed)
-            col = self.key_cols[indexed[0]]
-        elif isinstance(sub, ast.Name):
-            col = self._column(sub.id, sub)
-        if col is None:
-            self._fail("subscript is not an entry field or a loop index", node)
-        if col.operand:
-            self._fail(
-                f"{ast.unparse(sub)!r} is both a subscript and an operand", node
-            )
-        col.extent = shape[0] if col.extent is None \
-            else min(col.extent, shape[0])
-        return col
-
-    def _per_element(self, value: _Val) -> str:
-        """``value`` as one float per element of the loop's ragged field."""
-        if value.orient == "elem":
-            return value.code
-        if value.orient == "pure":
-            return (f"_snp.full(len(_seg_{self.loop}), {value.code}, "
-                    "_snp.float64)")
-        return f"({value.code})[_seg_{self.loop}]"
-
-    # -------- expression translation -------------------------------------- #
-
-    def _combine(self, left: _Val, right: _Val, template: str,
-                 node: ast.AST) -> _Val:
-        lc, rc = left.code, right.code
-        if (left.orient, right.orient) == ("elem", "lane"):
-            rc = self._per_element(right)
-        elif (left.orient, right.orient) == ("lane", "elem"):
-            lc = self._per_element(left)
-        orient = max(left.orient, right.orient, key=_SEG_RANK.__getitem__)
-        division = isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
-        return _Val(
-            template.format(l=lc, r=rc), orient,
-            ints=self._merged_ints(left, right, division),
+    def segment(block: Sequence[Any]) -> Any:
+        block = _Block.of(block)
+        prep = _kernels.segment_block(
+            block.keys, block.values, tuple(key_dims), tuple(fields)
         )
+        if isinstance(prep, str):
+            note = f"segmented tier demoted a block to block-loop: {prep}"
+            if note not in notes:
+                notes.append(note)
+            return prep
+        for column in fold_columns:
+            prep += _kernels.fold_slots(prep[column])
+        return prep
 
-    def _merged_ints(self, left: _Val, right: _Val,
-                     division: bool = False) -> FrozenSet[str]:
-        """``_Val.ints`` of a binary operation.  Were both operands
-        integers Python would compute in exact integers, which float64
-        cannot follow: the guard then asks those columns for floats."""
-        if not (left.ints and right.ints):
-            return _NO_INTS
-        self.floats_only |= left.ints | right.ints
-        return _NO_INTS if division else left.ints | right.ints
-
-    def _expr(self, node: ast.expr) -> _Val:
-        indexed = ast_utils._index_expr(node, self.bindings)
-        if indexed is not None:
-            return _Val(self._gidx(*indexed), "lane", ints=_INT)
-        if isinstance(node, ast.Constant) and \
-                isinstance(node.value, int) and _is_number(node.value):
-            return _Val(repr(node.value), "pure", ints=_INT)
-        if isinstance(node, ast.Name):
-            name = node.id
-            if name in self.reducing:
-                self._fail(
-                    f"{name!r} is read inside the loop that reduces into it",
-                    node,
-                )
-            if name == self.info.value_param:
-                self._fail(
-                    "the entry value is used whole (only `a, b = value` "
-                    "unpacking is supported)", node,
-                )
-            col = self._column(name, node)
-            if col is not None:
-                if col.extent is not None:
-                    self._fail(
-                        f"{name!r} is both a subscript and an operand", node
-                    )
-                col.operand = True
-                return _Val(col.name, col.level, ints=frozenset({col.name}))
-            value = self.env.get(name)
-            if not self._taken(name) and isinstance(value, (int, np.integer)) \
-                    and _is_number(value):
-                return _Val(name, "pure", ints=_INT)
-        return super()._expr(node)
-
-    def _gather(self, node: ast.Subscript) -> _Val:
-        base = node.value
-        if not isinstance(base, ast.Name) or base.id not in self.info.arrays:
-            self._fail("subscript on a non-DistArray value", node)
-        col = self._subscript_col(node, self.info.arrays[base.id].shape)
-        index = col.name
-        if self.loop is not None and col.level == "lane":
-            # The scalar body repeats the read once per element.
-            index = f"{index}[_seg_{self.loop}]"
-        self.reads.append((base.id, index))
-        return _Val(f"_nd_{base.id}[{col.name}]", col.level)
-
-    # -------- statement translation --------------------------------------- #
-
-    def _stmt(self, node: ast.stmt) -> None:
-        if isinstance(node, ast.Pass) or (
-            isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-        ):
-            return
-        where = " inside an inner loop" if self.loop else ""
-        node = self._normalized(node)
-        if isinstance(node, ast.For) and self.loop is None:
-            self._for(node)
-            return
-        if isinstance(node, ast.If):
-            self._fail(f"branch{where}", node)
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            self._fail(
-                f"unsupported statement ({type(node).__name__}){where}", node
-            )
-        target = node.targets[0]
-        if isinstance(target, ast.Tuple):
-            self._unpack(node, target)
-        elif isinstance(target, ast.Name):
-            self._assign_name(node, target)
-        elif isinstance(target, ast.Subscript):
-            self._buffered_write(node, target)
-        else:
-            self._fail("unsupported assignment target", node)
-
-    def _unpack(self, node: ast.Assign, target: ast.Tuple) -> None:
-        value = node.value
-        if not (isinstance(value, ast.Name)
-                and value.id == self.info.value_param):
-            if self.loop is not None:
-                self._fail("tuple assignment inside an inner loop", node)
-            super()._unpack(node, target)  # `i, j = key`
-            return
-        names = [e.id for e in target.elts if isinstance(e, ast.Name)]
-        if self.fields or self.loop is not None or \
-                len(names) != len(target.elts) or \
-                any(self._taken(name) for name in names):
-            self._fail("the entry value is unpacked more than once, inside "
-                       "a loop, or into taken names", node)
-        self.fields = names
-
-    def _assign_name(self, node: ast.Assign, target: ast.Name) -> None:
-        name = target.id
-        indexed = ast_utils._index_expr(node.value, self.bindings)
-        if indexed is not None and self.loop is None:
-            self._bind(name, ast_utils.IndexBinding(*indexed), node)
-            return
-        if name in self.reducing and self._is_reduction(node):
-            self._reduce(node, name)
-            return
-        rebindable = self.temps if self.loop is not None else self.locals
-        if self._taken(name) and name not in rebindable:
-            self._fail(
-                f"assignment to {name!r}" + (
-                    " inside an inner loop is not a `+` reduction"
-                    if name in self.locals else " rebinds an index or a field"
-                ), node,
-            )
-        value = self._expr(node.value)
-        self.lines.append(f"_v_{name} = {value.code}")
-        self.locals[name] = _Val(f"_v_{name}", value.orient, ints=value.ints)
-        if self.loop is not None:
-            self.temps.add(name)
-
-    @staticmethod
-    def _is_reduction(node: ast.stmt) -> bool:
-        """``r = r + e`` (what ``r += e`` was rewritten to)."""
-        return (
-            isinstance(node, ast.Assign) and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.BinOp)
-            and isinstance(node.value.op, ast.Add)
-            and isinstance(node.value.left, ast.Name)
-            and node.value.left.id == node.targets[0].id
-        )
-
-    def _for(self, node: ast.For) -> None:
-        field_node, target = node.iter, node.target
-        if node.orelse:
-            self._fail("for/else", node)
-        if not (isinstance(field_node, ast.Name)
-                and field_node.id in self.fields
-                and field_node.id not in self.scalars):
-            self._fail(
-                f"inner loop over {ast.unparse(field_node)!r}, which is not "
-                "a ragged field of the entry value", node,
-            )
-        names = [e.id for e in target.elts if isinstance(e, ast.Name)] \
-            if isinstance(target, ast.Tuple) else []
-        if not names or len(names) != len(target.elts) or \
-                len(set(names)) != len(names) or \
-                any(self._taken(name) for name in names):
-            self._fail("inner loop target is not a tuple of fresh names", node)
-        field_name = field_node.id
-        cols = self.ragged.setdefault(field_name, [
-            _Col(f"_f_{field_name}_{position}", "elem")
-            for position in range(len(names))
-        ])
-        if len(cols) != len(names):
-            self._fail(
-                f"loops unpack {field_name!r} into different arities", node
-            )
-        self.loop, self.scope = field_name, dict(zip(names, cols))
-        # A `+` reduction target is an entry-level local the loop updates
-        # only through `r = r + e`; any other use of it in the loop fails.
-        # It becomes one float64 per entry, a fresh array the level loop
-        # below updates in place (an alias taken earlier keeps its value).
-        self.reducing = {
-            stmt.targets[0].id for stmt in map(self._normalized, node.body)
-            if self._is_reduction(stmt) and stmt.targets[0].id in self.locals
-        }
-        for name in sorted(self.reducing):
-            start = self.locals[name]
-            self.lines.append(f"_v_{name} = " + (
-                f"_snp.full(_n, {start.code}, _snp.float64)"
-                if start.orient == "pure"
-                else f"_snp.array({start.code}, _snp.float64)"
-            ))
-        for stmt in node.body:
-            self._stmt(stmt)
-        if self.level_lines:
-            self.lines.append(f"for _alive, _pos in _lv_{field_name}:")
-            self.lines.extend(self.level_lines)
-        for name in self.temps:
-            del self.locals[name]
-        self.loop, self.scope = None, {}
-        self.temps, self.reducing = set(), set()
-        self.level_lines = []
-
-    @staticmethod
-    def _normalized(node: ast.stmt) -> ast.stmt:
-        """``x += e`` as ``x = x + e`` — scalars are immutable, so the
-        two are one statement."""
-        if isinstance(node, ast.AugAssign) and \
-                isinstance(node.target, ast.Name) and \
-                isinstance(node.op, ast.Add):
-            name = node.target.id
-            return ast.fix_missing_locations(ast.copy_location(ast.Assign(
-                targets=[ast.Name(id=name, ctx=ast.Store())],
-                value=ast.BinOp(
-                    left=ast.Name(id=name, ctx=ast.Load()),
-                    op=node.op, right=node.value,
-                ),
-            ), node))
-        return node
-
-    def _reduce(self, node: ast.Assign, name: str) -> None:
-        """``r = r + e`` over a ragged field: each inner position adds its
-        elements' terms to the entries that have one — the scalar loop's
-        own left-to-right order."""
-        current = self.locals[name]
-        term = self._expr(node.value.right)
-        var = f"_v_{name}"
-        temp = self._temp_name()
-        self.lines.append(f"{temp} = {self._per_element(term)}")
-        self.level_lines.append(
-            f"    {var}[_alive] = {var}[_alive] + {temp}[_pos]"
-        )
-        self.locals[name] = _Val(
-            var, "lane", ints=self._merged_ints(current, term)
-        )
-
-    def _buffered_write(self, node: ast.Assign, target: ast.Subscript) -> None:
-        base = target.value
-        name = base.id if isinstance(base, ast.Name) else None
-        if name in self.info.arrays:
-            self._fail(f"direct write to DistArray {name!r}", node)
-        if name not in self.info.buffers:
-            self._fail("store into something that is not a buffer", node)
-        buffer = self.info.buffers[name]
-        if not buffer.combines_by_addition:
-            self._fail(f"buffer {name!r} has a custom combiner", node)
-        if name in self.folds:
-            self._fail(f"several write sites into buffer {name!r}", node)
-        col = self._subscript_col(target, buffer.target.shape)
-        if col.level != "elem":
-            self._fail(
-                "buffered write not subscripted by a field of an inner "
-                "loop's element", node,
-            )
-        temp = self._temp_name()
-        self.lines.append(
-            f"{temp} = {self._per_element(self._expr(node.value))}"
-        )
-        self.folds[name] = (col, temp)
-
-    # -------- assembly ----------------------------------------------------- #
-
-    def build(self) -> str:
-        info = self.info
-        _check_common(info)
-        if info.accumulators:
-            raise _Fallback("W501", "accumulator update inside the body")
-        assert info.tree is not None
-        for stmt in info.tree.body:
-            self._stmt(stmt)
-        if not self.ragged:
-            raise _Fallback("W501", "no inner loop over a ragged entry field")
-        return self._emit()
-
-    def _emit(self) -> str:
-        # The order of `names` is the order `kernels.segment_block` (then
-        # one `fold_slots` per buffer) lays the prep tuple out in.
-        names = ["_n"]
-        key_dims = []
-        for dim, col in sorted(self.key_cols.items()):
-            names.append(col.name)
-            key_dims.append((dim, col.extent))
-        fields: List[Any] = []
-        for name in self.fields:
-            spec = None
-            if name in self.ragged:
-                roles = [c.role(self.floats_only) for c in self.ragged[name]]
-                names += [f"_seg_{name}", f"_lv_{name}"]
-                names += [c.name for c, role in zip(self.ragged[name], roles)
-                          if role is not None]
-                spec = ("ragged", tuple(roles))
-            elif name in self.scalars:
-                names.append(self.scalars[name].name)
-                spec = ("scalar", self.scalars[name].role(self.floats_only))
-            fields.append(spec)
-        fold_columns = []
-        for buffer_name, (col, _values) in self.folds.items():
-            fold_columns.append(names.index(col.name))
-            names += [f"_bk_{buffer_name}", f"_bs_{buffer_name}"]
-        #: What ``_compile_kernel`` builds the kernel's ``_segment`` from.
-        self.prep_spec = (tuple(key_dims), tuple(fields), tuple(fold_columns))
-
-        lines = ["def _synth_kernel(block, kctx):"]
-        out = lines.append
-        out("    _prep = kctx.cache.get('_seg')")
-        out("    if _prep is None:")
-        out("        _prep = kctx.cache['_seg'] = _segment(block)")
-        out("    if _prep.__class__ is str:  # the data guard said no")
-        out("        return _block_loop(block, kctx)")
-        out(f"    ({', '.join(names)},) = _prep")
-        for array in sorted({array for array, _index in self.reads}):
-            out(f"    _nd_{array} = {array}.values")
-        lines.extend("    " + line for line in self.lines)
-        for array, index in self.reads:
-            out(f"    kctx.account_reads({array}, {index})")
-        for buffer_name, (_col, values) in self.folds.items():
-            out(f"    kctx.buffer_fold({buffer_name}, _bk_{buffer_name}, "
-                f"_bs_{buffer_name}, {values})")
-        return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", segment
 
 
 # --------------------------------------------------------------------------- #
-# tier 3: block-loop compilation with direct dense access + bulk accounting
+# block-loop: the body's statements with direct dense access + bulk accounting
 # --------------------------------------------------------------------------- #
 
 
@@ -1361,8 +1314,11 @@ class _BlockLoop:
         self.info = info
         self.env = env
         self.tainted: Set[str] = set()
+        #: DistArray and buffer names: what only a rewritten subscript may touch.
+        self.dist_names = set(info.arrays) | set(info.buffers)
         self.sites: List[Tuple[str, str, bool]] = []  # (list name, array, write)
         self._counter = 0
+        self._loops = 0  # inner loops around the statement being rewritten
 
     # -------- taint analysis ---------------------------------------------- #
 
@@ -1372,12 +1328,8 @@ class _BlockLoop:
         for sub_node in ast.walk(node):
             if isinstance(sub_node, ast.Name) and sub_node.id in self.tainted:
                 return True
-            if isinstance(sub_node, ast.Subscript):
-                base = sub_node.value
-                if isinstance(base, ast.Name) and (
-                    base.id in self.info.arrays or base.id in self.info.buffers
-                ):
-                    return True
+            if _base_of(sub_node, self.dist_names):
+                return True
             if isinstance(sub_node, ast.Call):
                 func = sub_node.func
                 if not (
@@ -1446,26 +1398,8 @@ class _BlockLoop:
             return "(" + ", ".join(convert(e) for e in node.slice.elts) + ")"
         return convert(node.slice)
 
-    def _array_of(self, node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
-            if node.value.id in self.info.arrays:
-                return node.value.id
-        return None
-
-    def _buffer_of(self, node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name):
-            if node.value.id in self.info.buffers:
-                return node.value.id
-        return None
-
-    @staticmethod
-    def _contains_array_read(node: ast.AST, names: Set[str]) -> bool:
-        for sub_node in ast.walk(node):
-            if isinstance(sub_node, ast.Subscript) and \
-                    isinstance(sub_node.value, ast.Name) and \
-                    sub_node.value.id in names:
-                return True
-        return False
+    def _contains_array_read(self, node: ast.AST) -> bool:
+        return any(_base_of(sub, self.dist_names) for sub in ast.walk(node))
 
     def _rewrite_reads(self, node: ast.expr) -> Tuple[ast.expr, List[str]]:
         """Hoist every DistArray read in an expression into pre-lines.
@@ -1475,40 +1409,20 @@ class _BlockLoop:
         """
         pre: List[str] = []
         outer = self
-        array_names = set(self.info.arrays) | set(self.info.buffers)
 
         class _Reads(ast.NodeTransformer):
-            def _guard(self, node_: ast.AST, what: str) -> None:
-                if outer._contains_array_read(node_, array_names):
+            def visit(self, node_: ast.AST) -> ast.AST:
+                # Constructs that may skip or repeat what they contain.
+                what = _OPAQUE.get(type(node_))
+                if isinstance(node_, ast.Compare) and len(node_.ops) > 1:
+                    what = "a chained comparison"
+                if what is None:
+                    return super().visit(node_)
+                if outer._contains_array_read(node_):
                     raise _Fallback(
                         "W501", f"DistArray access inside {what}", node_
                     )
-
-            def visit_BoolOp(self, node_: ast.BoolOp) -> ast.AST:
-                self._guard(node_, "a short-circuit boolean")
                 return node_
-
-            def visit_IfExp(self, node_: ast.IfExp) -> ast.AST:
-                self._guard(node_, "a conditional expression")
-                return node_
-
-            def visit_Compare(self, node_: ast.Compare) -> ast.AST:
-                if len(node_.ops) > 1:
-                    self._guard(node_, "a chained comparison")
-                    return node_
-                return self.generic_visit(node_)
-
-            def visit_Lambda(self, node_: ast.Lambda) -> ast.AST:
-                self._guard(node_, "a lambda")
-                return node_
-
-            def visit_ListComp(self, node_: ast.AST) -> ast.AST:
-                self._guard(node_, "a comprehension")
-                return node_
-
-            visit_SetComp = visit_ListComp
-            visit_DictComp = visit_ListComp
-            visit_GeneratorExp = visit_ListComp
 
             def visit_NamedExpr(self, node_: ast.NamedExpr) -> ast.AST:
                 raise _Fallback("W501", "assignment expression (:=)", node_)
@@ -1517,8 +1431,7 @@ class _BlockLoop:
                 # Any array subscript was already replaced, so a surviving
                 # bare DistArray name escapes the batching contract (for
                 # example handed whole to a helper function).
-                if node_.id in outer.info.arrays or \
-                        node_.id in outer.info.buffers:
+                if node_.id in outer.dist_names:
                     raise _Fallback(
                         "W501",
                         f"bare DistArray reference {node_.id!r}",
@@ -1527,10 +1440,8 @@ class _BlockLoop:
                 return node_
 
             def visit_Attribute(self, node_: ast.Attribute) -> ast.AST:
-                if isinstance(node_.value, ast.Name) and (
-                    node_.value.id in outer.info.arrays
-                    or node_.value.id in outer.info.buffers
-                ):
+                if isinstance(node_.value, ast.Name) and \
+                        node_.value.id in outer.dist_names:
                     raise _Fallback(
                         "W501",
                         f"method/attribute access on DistArray "
@@ -1540,12 +1451,12 @@ class _BlockLoop:
                 return self.generic_visit(node_)
 
             def visit_Subscript(self, node_: ast.Subscript) -> ast.AST:
-                buffer_name = outer._buffer_of(node_)
+                buffer_name = _base_of(node_, outer.info.buffers)
                 if buffer_name is not None:
                     raise _Fallback(
                         "W501", f"read of buffer {buffer_name!r}", node_
                     )
-                array_name = outer._array_of(node_)
+                array_name = _base_of(node_, outer.info.arrays)
                 if array_name is None:
                     return self.generic_visit(node_)
                 for element in ast.walk(node_.slice):
@@ -1557,7 +1468,7 @@ class _BlockLoop:
                             f"state-dependent subscript",
                             node_,
                         )
-                if outer._contains_array_read(node_.slice, array_names):
+                if outer._contains_array_read(node_.slice):
                     raise _Fallback(
                         "W502",
                         f"read of {array_name!r} subscripted by another "
@@ -1620,9 +1531,14 @@ class _BlockLoop:
                 indent
                 + f"for {ast.unparse(node.target)} in {ast.unparse(iter_new)}:"
             )
+            self._loops += 1
             self._block(node.body, indent + "    ", out)
+            self._loops -= 1
             return
         if isinstance(node, ast.Return):
+            # At body level a bare return ends the entry: the next one.
+            if self._loops:
+                raise _Fallback("W501", "return inside an inner loop", node)
             if node.value is None or (
                 isinstance(node.value, ast.Constant) and node.value.value is None
             ):
@@ -1633,9 +1549,7 @@ class _BlockLoop:
             out.append(indent + ast.unparse(node))
             return
         if isinstance(node, ast.FunctionDef):
-            if self._contains_array_read(
-                node, set(self.info.arrays) | set(self.info.buffers)
-            ):
+            if self._contains_array_read(node):
                 raise _Fallback(
                     "W501", "nested function touching a DistArray", node
                 )
@@ -1657,8 +1571,8 @@ class _BlockLoop:
         if len(node.targets) != 1:
             raise _Fallback("W501", "chained assignment", node)
         target = node.targets[0]
-        array_name = self._array_of(target)
-        buffer_name = self._buffer_of(target)
+        array_name = _base_of(target, self.info.arrays)
+        buffer_name = _base_of(target, self.info.buffers)
         value, pre = self._rewrite_reads(node.value)
         value_src = ast.unparse(value)
         if array_name is None and buffer_name is None:
@@ -1674,7 +1588,7 @@ class _BlockLoop:
             out.append(indent + f"{ast.unparse(target)} = {value_src}")
             return
         assert isinstance(target, ast.Subscript)
-        if array_name is not None and self._write_index_tainted(target):
+        if array_name is not None and self._expr_tainted(target.slice):
             raise _Fallback(
                 "W502",
                 f"write to {array_name!r} through a state-dependent subscript",
@@ -1693,16 +1607,11 @@ class _BlockLoop:
             out.append(indent + f"_bi_{buffer_name}.append(_ix{n})")
             out.append(indent + f"_bv_{buffer_name}.append(_v{n})")
 
-    def _write_index_tainted(self, target: ast.Subscript) -> bool:
-        if self._expr_tainted(target.slice):
-            return True
-        return False
-
     def _augassign(self, node: ast.AugAssign, indent: str,
                    out: List[str]) -> None:
         target = node.target
-        array_name = self._array_of(target)
-        if self._buffer_of(target) is not None:
+        array_name = _base_of(target, self.info.arrays)
+        if _base_of(target, self.info.buffers) is not None:
             raise _Fallback("W501", "augmented assignment to a buffer", node)
         value, pre = self._rewrite_reads(node.value)
         value_src = ast.unparse(value)
@@ -1723,7 +1632,7 @@ class _BlockLoop:
         sym = op_map.get(type(node.op))
         if sym is None:
             raise _Fallback("W501", "unsupported augmented operator", node)
-        if self._write_index_tainted(target):
+        if self._expr_tainted(target.slice):
             raise _Fallback(
                 "W502",
                 f"update of {array_name!r} through a state-dependent "
@@ -1744,13 +1653,6 @@ class _BlockLoop:
 
     def build(self) -> str:
         info = self.info
-        _check_common(info)
-        if info.accumulators:
-            raise _Fallback(
-                "W501",
-                "accumulator update inside the body (not batchable: the "
-                "equivalence checker cannot rewind accumulators)",
-            )
         assert info.tree is not None
         self._compute_taints(info.tree)
         body_lines: List[str] = []
@@ -1804,40 +1706,17 @@ def _compile_kernel(source: str, env: Dict[str, Any], info: LoopInfo,
     return glb["_synth_kernel"]
 
 
-def _guarded_prep(
-    prep_spec: Tuple[Any, Any, Sequence[int]], notes: List[str]
-) -> Callable[[Sequence[Any]], Any]:
-    """The segmented kernel's ``_segment``: CSR-flatten a block and lay
-    out its buffers' fold slots, or — when the data is not what the body's
-    shape promised — hand back the reason and note the demotion."""
-    key_dims, fields, fold_columns = prep_spec
-
-    def segment(block: Sequence[Any]) -> Any:
-        block = _Block.of(block)
-        prep = _kernels.segment_block(
-            block.keys, block.values, key_dims, fields
-        )
-        if isinstance(prep, str):
-            note = f"segmented tier demoted a block to block-loop: {prep}"
-            if note not in notes:
-                notes.append(note)
-            return prep
-        for column in fold_columns:
-            prep += _kernels.fold_slots(prep[column])
-        return prep
-
-    return segment
-
-
 def synthesize_kernel(body: Callable[..., Any], info: LoopInfo) -> SynthResult:
     """Synthesize a block kernel for an analyzed loop body.
 
-    Tries the vector tier, then the segmented tier, then the block-loop
-    tier.  On success the result's ``kernel`` satisfies the contract in
-    :mod:`repro.runtime.kernels` (bit-identical state, identical
-    accounting, deterministic declarations).  On failure the result carries
-    a W501/W502 diagnostic naming the first construct the block-loop tier
-    could not handle (the earlier tiers' reasons are kept as notes).
+    Lowers the body once (:class:`_LoopNest`) and emits the vector kernel
+    from it, else the block-loop kernel, with the segmented kernel on top
+    of block-loop when the lowering admits one.  On success the result's
+    ``kernel`` satisfies the contract in :mod:`repro.runtime.kernels`
+    (bit-identical state, identical accounting, deterministic
+    declarations).  On failure the result carries a W501/W502 diagnostic
+    naming the first construct the block-loop tier could not handle (the
+    NumPy emitters' reasons are kept as notes).
 
     A segmented kernel is emitted *with its guard*: what it assumes about
     the data (arity of the ragged items, integer in-range subscripts, real
@@ -1849,46 +1728,51 @@ def synthesize_kernel(body: Callable[..., Any], info: LoopInfo) -> SynthResult:
     result = SynthResult()
     helpers: Dict[str, Any] = {}
     try:
-        source = _Vectorizer(info, env).build()
-        result.tier = "vector"
-        # ``build`` refused buffers and accumulators, and ``_accounting``
-        # emitted every declaration over the per-entry index arrays.
-        result.fusable = True
-    except _Fallback as vector_reason:
-        result.notes.append(f"vector tier unavailable: {vector_reason.message}")
+        _check_common(info)
+        nest = _LoopNest(info, env)
         try:
+            source = _emit_vector(nest)
+            result.tier = "vector"
+            # The lowering refused buffers, _check_common accumulators, and
+            # every declaration is over the per-entry index arrays.
+            result.fusable = True
+        except _Fallback as vector_reason:
+            result.notes.append(
+                f"vector tier unavailable: {vector_reason.message}"
+            )
             source = _BlockLoop(info, env).build()
             result.tier = "block-loop"
-        except _Fallback as block_fallback:
-            location = location_of(
-                block_fallback.node, info.source_file
-            ) if block_fallback.node is not None else location_of(
-                info.tree, info.source_file
-            )
-            result.diagnostics.append(
-                Diagnostic(
-                    code=block_fallback.code,
-                    message=f"synthesis fell back: {block_fallback.message}",
-                    location=location,
-                    hint="the scalar interpreter runs this loop; pass a "
-                         "kernel callable or simplify the body to batch it",
+            try:
+                segmented, segment = _emit_segmented(nest, result.notes)
+            except _Fallback as segmented_reason:
+                result.notes.append(
+                    f"segmented tier unavailable: {segmented_reason.message}"
                 )
+            else:
+                source, result.fallback_source = segmented, source
+                result.tier = "segmented"
+                helpers = dict(
+                    _segment=segment,
+                    _block_loop=_compile_kernel(
+                        result.fallback_source, env, info
+                    ),
+                )
+    except _Fallback as failure:
+        result.diagnostics.append(
+            Diagnostic(
+                code=failure.code,
+                message=f"synthesis fell back: {failure.message}",
+                location=location_of(
+                    info.tree if failure.node is None else failure.node,
+                    info.source_file,
+                ),
+                hint="the scalar interpreter runs this loop; pass a "
+                     "kernel callable or simplify the body to batch it",
             )
-            if vector_reason.message == block_fallback.message:
-                result.notes.clear()
-            return result
-        try:
-            segmented = _Segmented(info, env)
-            source, result.fallback_source = segmented.build(), source
-            result.tier = "segmented"
-            helpers = dict(
-                _segment=_guarded_prep(segmented.prep_spec, result.notes),
-                _block_loop=_compile_kernel(result.fallback_source, env, info),
-            )
-        except _Fallback as segmented_reason:
-            result.notes.append(
-                f"segmented tier unavailable: {segmented_reason.message}"
-            )
+        )
+        if result.notes == [f"vector tier unavailable: {failure.message}"]:
+            result.notes.clear()
+        return result
     try:
         result.kernel = _compile_kernel(source, env, info, **helpers)
         result.source = source

@@ -37,7 +37,9 @@ import operator
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-if TYPE_CHECKING:  # annotation-only: synth itself lazily imports the API
+# Annotation-only: importing synth before repro.runtime would cycle
+# (synth -> repro.runtime -> executor -> synth).
+if TYPE_CHECKING:
     from repro.analysis.synth import SynthResult
 
 from repro.analysis.lint import Diagnostic

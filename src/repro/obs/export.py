@@ -15,7 +15,7 @@ engines that only record traffic still get network tracks.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.tracer import Tracer
 

@@ -32,8 +32,8 @@ epoch track.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 __all__ = ["Span", "Tracer", "NULL_TRACER", "wall_process"]
 

@@ -48,12 +48,12 @@ clock domain shared by parent and forked children), reported as
 spans under the ``<trace_process>@wall`` process, so ``--report`` covers
 real runs next to the virtual-clock model.
 
-Remaining semantic bounds (shared with the previous fidelity-proof
-implementation): buffered writes synchronize once per block (the paper's
-once-per-partition bound — ``max_delay`` sub-block flushes would need
-mid-block server round trips), accumulators fold per epoch, and bodies
-drawing from a shared RNG (LDA's Gibbs sampler) diverge from the serial
-draw sequence because each forked worker advances its own copy.
+Remaining semantic bounds: buffered writes synchronize once per block
+(the paper's once-per-partition bound — ``max_delay`` sub-block flushes
+would need mid-block server round trips), accumulators fold per epoch,
+and bodies drawing from a shared RNG (LDA's Gibbs sampler) diverge from
+the serial draw sequence because each forked worker advances its own
+copy.
 """
 
 from __future__ import annotations
@@ -416,9 +416,9 @@ class MultiprocessRunner:
         with MultiprocessRunner(loop) as runner:
             runner.run_epoch()
 
-    Or select it declaratively — ``parallel_for(..., backend=
-    "multiprocess")`` makes ``loop.run()`` construct and drive one of
-    these under the hood.
+    Or select it declaratively — ``parallel_for(..., options=LoopOptions(
+    backend="multiprocess"))`` makes ``loop.run()`` construct and drive
+    one of these under the hood.
 
     While the runner is open, the loop's dense arrays live in shared
     memory; the master sees worker updates immediately (driver-side loss

@@ -2,6 +2,7 @@
 and benchmarks must at least compile (two run end to end), and the docs
 must reference real modules."""
 
+import ast
 import json
 import linecache
 import os
@@ -84,6 +85,51 @@ class TestEverythingCompiles:
     )
     def test_benchmarks_compile(self, path):
         py_compile.compile(str(REPO / path), doraise=True)
+
+    def test_src_has_no_unused_imports(self):
+        """Every module-level import under ``src/repro`` is referenced
+        (pyflakes' F401, which this suite cannot assume is installed).
+        Package ``__init__`` files re-export; a name in ``__all__`` or in
+        a string annotation counts as used."""
+        def module_imports(body):
+            for stmt in body:
+                if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                    yield stmt
+                elif isinstance(stmt, (ast.If, ast.Try)):
+                    for handler in getattr(stmt, "handlers", []):
+                        yield from module_imports(handler.body)
+                    for block in (stmt.body, stmt.orelse,
+                                  getattr(stmt, "finalbody", [])):
+                        yield from module_imports(block)
+
+        def names(tree):
+            return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+
+        unused = []
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text())
+            used = names(tree)
+            for node in ast.walk(tree):
+                note = getattr(node, "annotation", None) or \
+                    getattr(node, "returns", None)
+                for sub in ast.walk(note) if note else ():
+                    if isinstance(sub, ast.Constant) and \
+                            isinstance(sub.value, str):
+                        used |= names(ast.parse(sub.value))
+                if isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets
+                ):
+                    used |= set(ast.literal_eval(node.value))
+            for stmt in module_imports(tree.body):
+                if getattr(stmt, "module", None) == "__future__":
+                    continue
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.relative_to(REPO)}:{stmt.lineno} {name}")
+        assert not unused
 
 
 class TestExamplesRun:

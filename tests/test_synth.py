@@ -9,6 +9,7 @@ synthesized kernels, and pin the fallback story: bodies synthesis cannot
 batch run scalar with a W50x diagnostic, never an error.
 """
 
+import ast
 import io
 
 import numpy as np
@@ -916,6 +917,183 @@ class TestGeneratedSource:
         auto_loop.run(2)
         assert np.array_equal(sw.values, aw.values)
         assert np.array_equal(sh.values, ah.values)
+
+
+def _bound_names(tree):
+    """Every name a module or function binds: stores, parameters, defs."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+class TestGeneratedNames:
+    """A name the generated source binds must never be one the body binds
+    or reads: the generator reserves every name it emits."""
+
+    @pytest.mark.parametrize("app", sorted(ENGAGES))
+    def test_every_generated_name_is_reserved(self, app):
+        from repro.analysis.synth import _is_reserved
+
+        loop = APPS[app](_cluster(), "auto").train_loop
+        synth = loop.synthesis()
+        own = _bound_names(loop.info.tree)
+        for source in (synth.source, synth.fallback_source):
+            for name in _bound_names(ast.parse(source or "")) - own:
+                assert _is_reserved(name), (app, name)
+
+    def test_body_local_named_like_a_block_loop_temporary(self):
+        """Block-loop binds each store's value to ``_v{n}``: a body local
+        ``_v1`` must not be overwritten by the first store's value."""
+        entries = [((i, j), float(i + j)) for i in range(8) for j in range(6)]
+
+        def build(kernel):
+            ctx = OrionContext(cluster=ClusterSpec(1, 2), seed=0)
+            space = ctx.from_entries(entries, name="space", shape=(8, 6))
+            W = ctx.zeros(8, name="W")
+            H = ctx.zeros(6, name="H")
+            ctx.materialize(space, W, H)
+            hb = ctx.dist_array_buffer(H)
+
+            def body(key, value):
+                _v1 = value * 2.0
+                W[key[0]] = value + 1.0
+                if value > 3.0:
+                    pass
+                hb[key[1]] = _v1
+
+            loop = ctx.parallel_for(
+                space, options=LoopOptions(kernel=kernel)
+            )(body)
+            loop.run(1)
+            return loop, W, H
+
+        _scalar, sw, sh = build("off")
+        auto, aw, ah = build("auto")
+        assert np.array_equal(sh.values, 56.0 + 16.0 * np.arange(6))
+        assert np.array_equal(sh.values, ah.values)
+        assert np.array_equal(sw.values, aw.values)
+        (diag,) = auto.synthesis().diagnostics
+        assert diag.code == "W501" and "_v1" in diag.message
+
+
+def _boundary_body(name, W, H, V, U, buf):
+    """Bodies on the edge between the NumPy emitters and block-loop."""
+
+    def fields_and_direct_write(key, value):
+        a, b = value
+        V[key[0]] = V[key[0]] + a * b
+        U[key[1]] = U[key[1]] + a - b
+
+    def buffered_write_no_inner_loop(key, value):
+        buf[key[0]] = value * 2.0
+
+    def rebound_local(key, value):
+        d = value
+        d = d + 1.0
+        W[:, key[0]] = W[:, key[0]] + 0.1 * d * H[:, key[1]]
+        H[:, key[1]] = H[:, key[1]] - 0.1 * d * W[:, key[0]]
+
+    def augmented_local(key, value):
+        d = value
+        d += 1.0
+        W[:, key[0]] = W[:, key[0]] + 0.1 * d * H[:, key[1]]
+        H[:, key[1]] = H[:, key[1]] - 0.1 * d * W[:, key[0]]
+
+    def augmented_array(key, value):
+        W[:, key[0]] += 0.1 * value * H[:, key[1]]
+        H[:, key[1]] += 0.1 * value * W[:, key[0]]
+
+    return {
+        "fields_and_direct_write": fields_and_direct_write,
+        "buffered_write_no_inner_loop": buffered_write_no_inner_loop,
+        "rebound_local": rebound_local,
+        "augmented_local": augmented_local,
+        "augmented_array": augmented_array,
+    }[name]
+
+
+class TestTierBoundary:
+    """Where the one lowering hands a body to block-loop: each row is a
+    body, the tier it must get, and ``auto`` bitwise equal to ``off``."""
+
+    @pytest.mark.parametrize("body,tier", [
+        ("fields_and_direct_write", "block-loop"),
+        ("buffered_write_no_inner_loop", "block-loop"),
+        ("rebound_local", "block-loop"),
+        ("augmented_local", "block-loop"),
+        ("augmented_array", "block-loop"),
+    ])
+    def test_tier_and_bitwise_equal_to_off(self, body, tier):
+        rng = np.random.default_rng(12)
+        keys = sorted({
+            (int(rng.integers(0, 8)), int(rng.integers(0, 6)))
+            for _ in range(36)
+        })
+        tuples = body == "fields_and_direct_write"
+        entries = [
+            (key, (float(rng.standard_normal()), float(rng.standard_normal()))
+             if tuples else float(rng.standard_normal()))
+            for key in keys
+        ]
+
+        def build(kernel):
+            ctx = OrionContext(cluster=ClusterSpec(1, 2), seed=0)
+            space = ctx.from_entries(entries, name="space", shape=(8, 6))
+            W = ctx.randn(3, 8, name="W", scale=0.1)
+            H = ctx.randn(3, 6, name="H", scale=0.1)
+            V = ctx.zeros(8, name="V")
+            U = ctx.zeros(6, name="U")
+            ctx.materialize(space, W, H, V, U)
+            buf = ctx.dist_array_buffer(V)
+            loop = ctx.parallel_for(space, options=LoopOptions(
+                kernel=kernel
+            ))(_boundary_body(body, W, H, V, U, buf))
+            loop.run(2)
+            return loop, (W, H, V, U)
+
+        _scalar, want = build("off")
+        auto, got = build("auto")
+        assert auto.synthesis().tier == tier
+        assert auto.executor.kernel_tier == f"synth:{tier}"
+        for ref, array in zip(want, got):
+            assert np.array_equal(ref.values, array.values), array.name
+
+    def test_return_inside_an_inner_loop_leaves_the_entry(self):
+        """A bare ``return`` in an inner loop ends the entry, not the
+        loop's current element: synthesis must not turn it into the
+        block loop's ``continue`` of that inner loop."""
+        rng = np.random.default_rng(13)
+        entries = [
+            ((sample,), [
+                (int(rng.integers(0, 9)), float(rng.standard_normal()))
+                for _ in range(int(rng.integers(1, 6)))
+            ])
+            for sample in range(24)
+        ]
+
+        def make_body(weights, weight_buf):
+            def body(key, features):
+                for fid, fval in features:
+                    if fval < 0.0:
+                        return
+                    weight_buf[fid] = fval * weights[fid]
+
+            return body
+
+        scalar = _Ragged(entries, 24, 9, make_body, "off")
+        auto = _Ragged(entries, 24, 9, make_body, "auto")
+        scalar.loop.run(1)
+        auto.loop.run(1)
+        assert np.array_equal(scalar.weights.values, auto.weights.values)
+        (diag,) = auto.loop.synthesis().diagnostics
+        assert diag.code == "W501"
+        assert "return inside an inner loop" in diag.message
 
 
 # --------------------------------------------------------------------------- #
