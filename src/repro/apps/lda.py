@@ -18,7 +18,10 @@ and parallelizes the loop 2D unordered, exactly the paper's Table 2 entry.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -31,6 +34,7 @@ from repro.apps.base import (
 )
 from repro.data.synthetic import CorpusDataset
 from repro.runtime.cluster import ClusterSpec
+from repro.runtime.kernels import pairwise_sum
 from repro.runtime.options import LoopOptions
 from repro.runtime.partition import Block
 from repro.runtime.simtime import CostModel
@@ -318,14 +322,22 @@ def build_orion_program(
             doc_topic[key[0], :] = dt_row
             assignments[key[0], key[1]] = tokens
 
+    scale_of = pairwise_sum(T)
+
     def kernel(block, kctx):
         """One block of the sampler, bit-equal to ``body`` per entry.
 
-        The block's doc and word rows, the token arrays and ``topic_sum``
-        are gathered once into Python lists, so a token costs float
-        arithmetic plus three NumPy calls — the reduction, the running sum
-        and the search, which must stay NumPy's own routines to round as
-        the body's ``sum`` / ``cumsum`` / ``searchsorted`` do.
+        The block's doc and word rows, the token arrays, ``topic_sum`` and
+        ``probs`` are Python lists, so a token costs float arithmetic, one
+        ``rng.random()`` and a replay of the body's three NumPy calls:
+        ``probs.sum()`` is :func:`~repro.runtime.kernels.pairwise_sum`
+        (NumPy's pairwise order for ``T`` addends), ``np.cumsum`` is
+        ``itertools.accumulate`` (left to right, as NumPy adds) and
+        ``np.searchsorted`` is ``bisect_left`` (the first running sum at
+        or past the draw).  NumPy itself runs in two places: the first
+        token's clip, when a candidate is zero, negative or NaN, and a
+        non-finite ``scale``, whose running sums may hold NaN, which
+        ``bisect`` does not order as ``searchsorted`` does.
         """
         if not len(block):
             return
@@ -351,9 +363,7 @@ def build_orion_program(
         # the block: the body's per-entry ``topic_sum[:]`` reads all see
         # these values.
         block_totals = topic_sum.values.tolist()
-        probs, cum = np.empty(T), np.empty(T)
-        add_reduce, add_accumulate = np.add.reduce, np.add.accumulate
-        search, draw, last = cum.searchsorted, rng.random, T - 1
+        draw, last, inf = rng.random, T - 1, math.inf
         topic_keys: list = []
         word_keys: list = []
         for tokens, key, doc_slot, word_slot in zip(
@@ -378,20 +388,23 @@ def build_orion_program(
                     p = (dt[old] + alpha) * (wt[old] + beta) / (totals[old] + vbeta)
                     probs[old] = p if p > 0.0 else 0.0
                 else:
-                    probs[:] = fresh = [
+                    probs = [
                         (d + alpha) * (w + beta) / (t + vbeta)
                         for d, w, t in zip(dt, wt, totals)
                     ]
                     # The body's clip moves nothing unless a candidate is
                     # zero or negative (NaNs stay NaN either way).
-                    if not min(fresh) > 0.0:
-                        np.maximum(probs, 0.0, out=probs)
-                scale = float(add_reduce(probs))
+                    if not min(probs) > 0.0:
+                        probs = np.maximum(probs, 0.0).tolist()
+                scale = scale_of(probs)
                 if scale <= 0.0:
                     new = old
                 else:
-                    add_accumulate(probs, out=cum)
-                    new = int(search(draw() * scale))
+                    target = draw() * scale
+                    if scale < inf:
+                        new = bisect_left(list(accumulate(probs)), target)
+                    else:
+                        new = int(np.cumsum(probs).searchsorted(target))
                     if new > last:
                         new = last
                 dt[new] += 1.0

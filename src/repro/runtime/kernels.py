@@ -40,6 +40,7 @@ process runs in one schedule step, concatenated in task order
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -55,6 +56,7 @@ __all__ = [
     "fold_slots",
     "level_schedule",
     "normalize_index",
+    "pairwise_sum",
     "ragged_levels",
     "scalar_pow",
     "segment_block",
@@ -147,6 +149,55 @@ def scalar_pow(base: Any, exponent: Any) -> Any:
     for i in range(flat_out.size):
         flat_out[i] = flat_b[i] ** flat_e[i]
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def pairwise_sum(n: int) -> Callable[[Sequence[float]], float]:
+    """A function of ``n`` Python floats that returns
+    ``float(np.add.reduce(np.array(values)))`` bit for bit, generated once
+    per ``n`` as one straight-line expression.
+
+    It replays the order in which NumPy's ``add.reduce`` sums a contiguous
+    float64 vector — its pairwise summation (``pairwise_sum`` in NumPy's
+    ``loops_utils.h``) added to the identity ``0.0``:
+
+    * fewer than 8 terms: one at a time, left to right;
+    * up to 128: eight lanes, lane ``j`` adding terms ``j, j + 8, ...`` of
+      the largest multiple of 8, combined as
+      ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the remaining terms one
+      at a time;
+    * above 128: the two halves split at ``n // 2`` rounded down to a
+      multiple of 8, each summed by these rules, then added.
+
+    Float addition is IEEE in both, so the order is the whole contract —
+    as for :func:`ragged_levels`, which replays a left-to-right loop, and
+    LDA's likelihood, which keeps ``matmul``'s dot product.  The order is
+    NumPy's implementation detail, so
+    ``tests/test_kernel_equivalence.py::TestPairwiseSum`` pins it against
+    ``np.add.reduce`` over signed zeros, subnormals, infinities and NaN.
+    """
+
+    def block(lo: int, count: int) -> str:
+        if count > 128:
+            half = count // 2 - count // 2 % 8
+            return f"({block(lo, half)}) + ({block(lo + half, count - half)})"
+        whole = lo + count - count % 8
+        r = [
+            "(" + " + ".join(f"x{i}" for i in range(lo + lane, whole, 8)) + ")"
+            for lane in range(8)
+        ]
+        tree = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + " \
+            f"(({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+        return " + ".join([f"({tree})"] + [f"x{i}" for i in range(whole, lo + count)])
+
+    names = [f"x{i}" for i in range(n)]
+    expr = " + ".join(["0.0"] + names) if n < 8 else f"0.0 + ({block(0, n)})"
+    source = f"def pairwise_sum_{n}(values):\n" \
+        f"    [{', '.join(names)}] = values\n" \
+        f"    return {expr}\n"
+    namespace: Dict[str, Any] = {}
+    exec(compile(source, f"<pairwise_sum {n}>", "exec"), namespace)
+    return namespace[f"pairwise_sum_{n}"]
 
 
 # ---------------------------------------------------------------------- #

@@ -239,8 +239,9 @@ def _assert_same_state(scalar, auto):
 
 
 class TestBlockSampler:
-    # NumPy's pairwise sum changes shape at 8 and at 128 addends.
-    @pytest.mark.parametrize("num_topics", [3, 8, 9, 130])
+    # NumPy's pairwise sum changes shape at 8 and at 128 addends; at 257 it
+    # splits into 128 + 129, and the 129 into 64 + 65.
+    @pytest.mark.parametrize("num_topics", [3, 8, 9, 130, 257])
     @pytest.mark.parametrize("parallelism", ["2d", "1d"])
     def test_bitwise_equal_to_scalar_body(self, parallelism, num_topics):
         corpus = _corpus(18, 14, 90, 10, seed=num_topics)
@@ -282,6 +283,67 @@ class TestBlockSampler:
         assert np.array_equal(program.arrays["doc_topic"].values, counts)
         assert _sampler_rng(program).bit_generator.state == \
             np.random.default_rng(3 + 1).bit_generator.state
+
+    @pytest.mark.parametrize("parallelism", ["2d", "1d"])
+    @pytest.mark.parametrize(
+        "hyper",
+        [
+            # Every candidate is inf, so is scale: each draw lands on topic 0.
+            LDAHyper(num_topics=4, alpha=float("inf")),
+            # Every candidate is inf / inf = NaN, so is scale.
+            LDAHyper(num_topics=4, beta=float("inf")),
+        ],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_scale_matches_scalar(self, parallelism, hyper):
+        """A non-finite ``scale`` takes NumPy's running sum and search,
+        which order NaN as the body does."""
+        corpus = _corpus(12, 10, 40, 6, seed=4)
+        with np.errstate(all="ignore"):
+            scalar = _build(corpus, "off", parallelism, hyper)
+            auto = _build(corpus, "auto", parallelism, hyper)
+            for _epoch in range(2):
+                assert [_record_fields(r) for r in _run_blocks(scalar)] == \
+                    [_record_fields(r) for r in _run_blocks(auto)]
+                _assert_same_state(scalar, auto)
+        topics = np.concatenate(
+            [tokens for _key, tokens in auto.arrays["assignments"].entries()]
+        )
+        if hyper.alpha == float("inf"):
+            assert not topics.any()
+        assert _sampler_rng(auto).bit_generator.state != \
+            np.random.default_rng(3 + 1).bit_generator.state
+
+    @pytest.mark.parametrize("parallelism", ["2d", "1d"])
+    def test_unflushed_pending_dict_equals_the_body_writes(self, parallelism):
+        """What a block leaves pending in ``topic_buf`` / ``word_buf``
+        before the flush must be what the body's writes leave, in keys,
+        key order, values and bytes."""
+        corpus = _corpus(18, 14, 90, 10, seed=11)
+        hyper = LDAHyper(num_topics=5)
+        names = ["topic_buf"] + (["word_buf"] if parallelism == "1d" else [])
+        scalar = _build(corpus, "off", parallelism, hyper)
+        auto = _build(corpus, "auto", parallelism, hyper)
+        ref, got = (
+            executor.run_blocks(
+                executor.steps[0], executor._server_ids, flush_local=False
+            )
+            for executor in (
+                scalar.train_loop.executor, auto.train_loop.executor
+            )
+        )
+        assert [r.flush_bytes for r in ref] == [r.flush_bytes for r in got]
+        merged = []
+        for ref_record, got_record in zip(ref, got):
+            assert sorted(got_record.pending) == names
+            for name in names:
+                ref_items = list(ref_record.pending[name].items())
+                got_items = list(got_record.pending[name].items())
+                assert repr(got_items) == repr(ref_items)  # -0.0 is not 0.0
+                merged += [value for _key, value in got_items]
+        # Some keys took several writes: a net 0.0, or more than one move.
+        assert any(abs(value) != 1.0 for value in merged)
+        _assert_same_state(scalar, auto)
 
     def test_mixed_zero_and_positive_mass_matches_scalar(self):
         """Singleton words (zero mass, clipped zeros in ``probs``) beside

@@ -8,16 +8,20 @@ kernel that breaks the promise, and the bulk DistArray accessors and the
 level schedule the kernels are built on are tested directly.
 """
 
+import bisect
+import itertools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.api import OrionContext
 from repro.core.distarray import DistArray, SubscriptError
 from repro.data.synthetic import sparse_classification
 from repro.runtime.executor import ExecutionError
-from repro.runtime.kernels import level_schedule
+from repro.runtime.kernels import level_schedule, pairwise_sum
 from repro.runtime.options import BACKENDS, LoopOptions
 from repro.sanitizer import verify_conflict_groups
 
@@ -112,6 +116,82 @@ class TestBulkAccessors:
         with pytest.raises(SubscriptError):
             array.bulk_set([0, 1], [1.0])
 
+
+#: Floats NumPy's sum must agree on besides ordinary ones: signed zeros,
+#: subnormals, infinities, NaN and the extremes.
+_SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, math.inf,
+    -math.inf, math.nan, 1.7976931348623157e308, -1.7976931348623157e308,
+]
+#: ... and mixed magnitudes, whose sums cancel and round differently in
+#: every other order.
+_ANY_FLOAT = st.one_of(
+    st.sampled_from(_SPECIAL_FLOATS),
+    st.floats(),
+    st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-60, 60)),
+)
+
+
+def _float_lists(elements, max_size=300):
+    """Lists of ``elements`` whose length is uniform in ``1..max_size``
+    (hypothesis alone favours short lists; the sum's shape changes at 8
+    and at 128 addends)."""
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.lists(elements, min_size=n, max_size=n)
+    )
+
+
+class TestPairwiseSum:
+    """``pairwise_sum`` replays NumPy's reduction order; the LDA block
+    sampler relies on it to equal the body's ``probs.sum()``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=_float_lists(_ANY_FLOAT))
+    @example(values=[-0.0] * 3)  # sums to +0.0 at every width
+    @example(values=[-0.0] * 9)
+    @example(values=[-0.0] * 200)
+    def test_bit_equal_to_add_reduce(self, values):
+        with np.errstate(all="ignore"):
+            ref = float(np.add.reduce(np.array(values)))
+        # ``hex`` tells the zeros apart and spells every NaN ``nan``.
+        assert pairwise_sum(len(values))(values).hex() == ref.hex()
+
+    @pytest.mark.parametrize(
+        "n", [*range(20), 31, 64, 127, 128, 129, 136, 200, 257, 300, 1000]
+    )
+    def test_every_shape_on_random_vectors(self, n):
+        rng = np.random.default_rng(n)
+        total = pairwise_sum(n)
+        assert total is pairwise_sum(n)  # generated once per width
+        for trial in range(300):
+            a = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            if trial % 3 == 0:  # a few specials at random places
+                spots = rng.integers(0, max(n, 1), size=min(n, 3))
+                a[spots] = rng.choice(_SPECIAL_FLOATS, size=len(spots))
+            with np.errstate(all="ignore"):
+                ref = float(np.add.reduce(a))
+            assert total(a.tolist()).hex() == ref.hex()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_running_sum_and_bisect_equal_accumulate_and_searchsorted(
+        self, data
+    ):
+        values = data.draw(_float_lists(st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0]),  # ties in the running sum
+            st.floats(0.0, 1e6),
+            st.builds(math.ldexp, st.floats(0.0, 1.0), st.integers(-60, 60)),
+        )))
+        cum = list(itertools.accumulate(values))
+        ref = np.add.accumulate(np.array(values))
+        assert cum == ref.tolist()
+        end = cum[-1] + 0.0  # -0.0 when every value is
+        target = data.draw(st.one_of(
+            st.sampled_from(cum),  # exactly on a boundary
+            st.floats(0.0, end),
+            st.floats(end, end * 2.0 + 1.0),  # past the end
+        ))
+        assert bisect.bisect_left(cum, target) == int(ref.searchsorted(target))
 
 
 def _consecutive_runs(seqs):
