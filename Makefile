@@ -1,16 +1,17 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: check compile test lint-smoke layered-smoke bench-smoke \
+.PHONY: check compile test lint-smoke layered-smoke figures bench-smoke \
 	bench-distributed clean
 
 ## Default verification: imports compile, tier-1 tests pass (they include
 ## `repro lint` / `repro synth --check` / `--sanitize` over every bundled
 ## app, the `repro perf` regression round trip, the traced quickstart's
 ## Perfetto trace, the fault-injection example and the multiprocess
-## backend against the simulated oracle), the style lint is clean, and the
-## layered benchmark's harness still produces every metric it declares.
-check: compile test lint-smoke layered-smoke
+## backend against the simulated oracle), the style lint is clean, the
+## layered benchmark's harness still produces every metric it declares,
+## and the paper figures still print the committed results.
+check: compile test lint-smoke layered-smoke figures
 
 compile:
 	$(PYTHON) -m compileall -q src
@@ -40,6 +41,15 @@ lint-smoke:
 ## probe at `kernels.level_schedule`.
 layered-smoke:
 	$(PYTHON) benchmarks/layered_smoke.py
+
+## The paper-figure suite (~1 min): every benchmarks/bench_*.py figure
+## test asserts its paper shape and rewrites benchmarks/results/*.txt.
+## The clock is virtual and the data seeded, so a fresh run must leave the
+## committed files byte-identical; a change that moves a figure on purpose
+## commits the regenerated files and says so.
+figures:
+	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -p no:cacheprovider
+	git diff --exit-code -- benchmarks/results/
 
 ## Wall-clock kernel-vs-scalar throughput; writes BENCH_wallclock.json.
 bench-smoke:

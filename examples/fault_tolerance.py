@@ -3,8 +3,8 @@
 Runs the paper's Fig. 5 SGD MF program three times on the same data:
 
 1. fault-free — the reference run;
-2. under a `FaultPlan` — a worker crash mid-epoch, 1% message drops and a
-   straggler — with periodic checkpoints, so the loop detects the crash,
+2. under a `FaultPlan` — a worker crash mid-epoch and a straggler — with
+   periodic checkpoints, so the loop detects the crash,
    restores the latest complete checkpoint, and replays the lost epochs;
 3. fault-free again with the `LoopOptions` bundle attached but empty, to
    show the no-plan path is bit-identical to the plain one.
@@ -25,7 +25,6 @@ from repro import (
     ClusterSpec,
     FaultPlan,
     LoopOptions,
-    MessageDrops,
     Observability,
     Straggler,
     WorkerCrash,
@@ -56,7 +55,6 @@ print(f"clean run:   loss {clean_history.final_loss:.4f}, "
 # ---- 2. the same run under faults ---------------------------------------- #
 plan = FaultPlan(
     crashes=(WorkerCrash(worker=1, epoch=4, frac=0.5),),
-    drops=MessageDrops(probability=0.01, seed=7),
     stragglers=(Straggler(worker=0, slowdown=3.0, epoch=2),),
 )
 obs = Observability.enabled()
@@ -76,7 +74,6 @@ print(f"faulted run: loss {faulted_history.final_loss:.4f}, "
 
 snapshot = obs.metrics.snapshot()
 print("  crashes detected: ", snapshot.get("worker_crashes_total", 0))
-print("  messages dropped:  ", snapshot.get("message_drops_total", 0))
 print("  checkpoints taken: ", snapshot.get("checkpoints_total", 0))
 fault_spans = [s for s in obs.tracer.spans
                if s.cat in ("fault", "recovery", "checkpoint", "straggler")]

@@ -14,8 +14,9 @@ Public entry points:
   STRADS-style / TensorFlow-style comparison engines.
 * :mod:`repro.data` — synthetic dataset generators standing in for
   Netflix / NYTimes / ClueWeb / KDD2010.
-* :mod:`repro.faults` — deterministic fault injection (crashes, message
-  drops, stragglers) and crash recovery (see ``docs/fault_tolerance.md``).
+* :mod:`repro.faults` — deterministic fault injection (crashes,
+  stragglers) and checkpointed crash recovery (see
+  ``docs/fault_tolerance.md``).
 """
 
 from repro.api import OrionContext, ParallelLoop
@@ -33,12 +34,12 @@ from repro.errors import (
     ReproError,
     SubscriptError,
 )
-from repro.faults import FaultPlan, MessageDrops, Straggler, WorkerCrash
+from repro.faults import FaultPlan, Straggler, WorkerCrash
 from repro.obs.observability import Observability
 from repro.runtime.checkpoint import CheckpointConfig
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.history import RunHistory
-from repro.runtime.network import NetworkModel, RetryPolicy
+from repro.runtime.network import NetworkModel
 from repro.runtime.options import LoopOptions
 from repro.runtime.simtime import CostModel
 
@@ -53,7 +54,6 @@ __all__ = [
     "ClusterSpec",
     "RunHistory",
     "NetworkModel",
-    "RetryPolicy",
     "CostModel",
     "LoopOptions",
     "Observability",
@@ -61,7 +61,6 @@ __all__ = [
     "FaultPlan",
     "WorkerCrash",
     "Straggler",
-    "MessageDrops",
     "AnalysisError",
     "FaultError",
     "DependenceError",

@@ -144,10 +144,6 @@ class DepVector:
         """Whether this vector's distance at ``dim`` is definitely zero."""
         return entry_is_zero(self.entries[dim])
 
-    def is_all_zero(self) -> bool:
-        """Whether every entry is exactly zero (iteration vs. itself)."""
-        return all(entry_is_zero(e) for e in self.entries)
-
     def negate(self) -> "DepVector":
         """Return the direction-flipped vector."""
         return DepVector(tuple(entry_negate(e) for e in self.entries))

@@ -80,21 +80,6 @@ class LoopInfo:
             if any(ref.is_write for ref in refs)
         }
 
-    def array_access_dims(self, name: str) -> Dict[int, int]:
-        """Map iteration-space dim -> array dim for single-index subscripts.
-
-        Used by the placement heuristic: if array ``name`` is always indexed
-        on array dimension ``a`` by iteration dimension ``i``, partitioning
-        the iteration space on ``i`` lets the array be range-partitioned on
-        ``a`` and served locally.
-        """
-        mapping: Dict[int, int] = {}
-        for ref in self.refs.get(name, []):
-            for array_dim, axis in enumerate(ref.axes):
-                if axis.kind is SubscriptKind.INDEX:
-                    mapping.setdefault(axis.dim_idx, array_dim)
-        return mapping
-
     def pinned_array_dim(self, name: str, iter_dim: int) -> Optional[int]:
         """The array dimension consistently indexed by ``iter_dim``.
 

@@ -15,11 +15,10 @@ the barrier.
 
 Fault injection mirrors the Orion executor's model
 (:mod:`repro.faults`): a :class:`~repro.faults.plan.FaultPlan` can slow
-workers down, drop sync messages (paying retry/backoff), and crash a
-worker mid-pass — detected at the next sync barrier, recovered by
-restoring an in-memory model checkpoint (``ckpt_every`` passes) and
-replaying the lost passes.  Without a plan, runs are bit-identical to the
-fault-free engine.
+workers down and crash a worker mid-pass — detected at the next sync
+barrier, recovered by restoring an in-memory model checkpoint
+(``ckpt_every`` passes) and replaying the lost passes.  Without a plan,
+runs are bit-identical to the fault-free engine.
 """
 
 from __future__ import annotations
@@ -65,18 +64,12 @@ def _merge_deltas(
 class _SyncMark:
     """Precomputed virtual-time layout of one sync period."""
 
-    __slots__ = (
-        "sync_start", "works", "slowest", "transfer", "sync_bytes",
-        "barrier_end",
-    )
+    __slots__ = ("sync_start", "works", "slowest", "barrier_end")
 
-    def __init__(self, sync_start, works, slowest, transfer, sync_bytes,
-                 barrier_end):
+    def __init__(self, sync_start, works, slowest, barrier_end):
         self.sync_start = sync_start
         self.works = works
         self.slowest = slowest
-        self.transfer = transfer
-        self.sync_bytes = sync_bytes
         self.barrier_end = barrier_end
 
 
@@ -99,7 +92,7 @@ def run_bosen(
             default configuration in the paper synchronizes after the whole
             local partition, i.e. 1).
         trace_process: Perfetto process label for this run's spans.
-        faults: optional fault plan (crashes/drops/stragglers), resolved
+        faults: optional fault plan (crashes/stragglers), resolved
             against the same virtual clock as the Orion executor's.
         ckpt_every: checkpoint the model in memory every N completed
             passes; crashes replay from the latest checkpoint (without it,
@@ -123,26 +116,20 @@ def run_bosen(
     history.meta["initial_loss"] = app.loss(state)
     clock = 0.0
 
-    link = None
-    if faults is not None and faults.drops is not None:
-        from repro.faults.link import FaultyLink
-
-        link = FaultyLink(faults, cluster.network, metrics=metrics)
     costs = faults.costs if faults is not None else RecoveryCosts()
     protecting = faults is not None or bool(ckpt_every)
     ckpt_state = app.clone_state(state) if protecting else None
     ckpt_epoch = 0
     recoveries = 0
-    #: Physical pass counter (replays included) — the drop-randomness
-    #: epoch serial, so replayed passes see fresh drop patterns.
-    serial = 0
     #: Virtual seconds spent on crashes/recovery/checkpoints since the
     #: last completed pass — folded into the next history record so the
     #: per-pass times sum to the clock.
     pending_extra = 0.0
 
     per_machine_bytes = 2.0 * model_nbytes
-    sync_bytes_base = per_machine_bytes * cluster.num_machines
+    # Per machine and sync: push aggregated deltas, pull fresh values.
+    sync_bytes = per_machine_bytes * cluster.num_machines
+    sync_transfer = cluster.network.transfer_time(per_machine_bytes)
 
     def shard_bounds(worker: int, sync: int) -> Tuple[int, int]:
         shard = shards[worker]
@@ -167,20 +154,9 @@ def run_bosen(
                     work = work * factor
                 works.append(work)
                 slowest = max(slowest, work)
-            sync_bytes = sync_bytes_base
-            if link is not None:
-                outcome = link.transfer(
-                    per_machine_bytes, key=("sync", sync)
-                )
-                transfer = outcome.seconds
-                sync_bytes = outcome.nbytes_sent * cluster.num_machines
-            else:
-                transfer = cluster.network.transfer_time(per_machine_bytes)
             c += slowest
-            barrier_end = c + (transfer + cluster.cost.sync_overhead_s)
-            marks.append(_SyncMark(
-                sync_start, works, slowest, transfer, sync_bytes, barrier_end
-            ))
+            barrier_end = c + (sync_transfer + cluster.cost.sync_overhead_s)
+            marks.append(_SyncMark(sync_start, works, slowest, barrier_end))
             c = barrier_end
         return marks
 
@@ -188,10 +164,7 @@ def run_bosen(
         """One physical data pass; returns ``None`` on completion, or the
         fired crash after charging detection time (state untouched — the
         aborted pass's numerics would be discarded by the restore)."""
-        nonlocal clock, serial, pending_extra
-        serial += 1
-        if link is not None:
-            link.begin_epoch(serial)
+        nonlocal clock, pending_extra
         t0 = clock
         factors: Dict[int, float] = {}
         if faults is not None and faults.stragglers:
@@ -235,10 +208,9 @@ def run_bosen(
             for mark in marks[:completed_syncs]:
                 sync_end = mark.sync_start + mark.slowest
                 history.traffic.record(
-                    sync_end, sync_end + mark.transfer, mark.sync_bytes,
-                    "sync",
+                    sync_end, sync_end + sync_transfer, sync_bytes, "sync"
                 )
-                metrics.counter("traffic_bytes_sync").inc(mark.sync_bytes)
+                metrics.counter("traffic_bytes_sync").inc(sync_bytes)
             if tracer.enabled:
                 tracer.add_span(
                     crash.describe(),
@@ -284,21 +256,20 @@ def run_bosen(
                 )
             metrics.counter("entries_total").inc(sync_entries)
             _merge_deltas(state, base, replicas)
-            # Per machine: push aggregated deltas, pull fresh values.
             sync_end = mark.sync_start + mark.slowest
             history.traffic.record(
-                sync_end, sync_end + mark.transfer, mark.sync_bytes, "sync"
+                sync_end, sync_end + sync_transfer, sync_bytes, "sync"
             )
             tracer.add_span(
                 "sync",
                 "sync",
                 sync_end,
-                sync_end + mark.transfer,
+                sync_end + sync_transfer,
                 track="net:sync",
                 process=trace_process,
-                args={"nbytes": mark.sync_bytes},
+                args={"nbytes": sync_bytes},
             )
-            metrics.counter("traffic_bytes_sync").inc(mark.sync_bytes)
+            metrics.counter("traffic_bytes_sync").inc(sync_bytes)
             tracer.add_span(
                 "barrier",
                 "barrier",
@@ -308,7 +279,7 @@ def run_bosen(
                 process=trace_process,
                 depth=1,
             )
-            epoch_bytes += mark.sync_bytes
+            epoch_bytes += sync_bytes
         clock = marks[-1].barrier_end
         epoch_time = clock - t0
         if pending_extra:

@@ -39,11 +39,11 @@ virtual-clock slowdown for exercising the detector.
 
 Fault injection (see ``docs/fault_tolerance.md``)::
 
-    python -m repro.cli mf --faults seed=7,crashes=1,drops=0.02 \
+    python -m repro.cli mf --faults seed=7,crashes=1,stragglers=1 \
         --ckpt-every 2 --epochs 6
 
-``--faults`` attaches a deterministic fault plan (worker crashes, message
-drops, stragglers) to engines that support it (orion, orion-ordered,
+``--faults`` attaches a deterministic fault plan (worker crashes,
+stragglers) to engines that support it (orion, orion-ordered,
 bosen, strads); ``--ckpt-every N`` checkpoints the model every N passes so
 crashes replay from the latest checkpoint instead of from scratch.
 """
@@ -89,6 +89,7 @@ from repro.data import (
     regression_table,
     sparse_classification,
 )
+from repro.errors import FaultError
 from repro.faults.plan import FaultPlan, Straggler
 from repro.obs import (
     MetricsRegistry,
@@ -185,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--faults", metavar="SPEC", default=None,
-        help="inject faults, e.g. 'seed=7,crashes=1,drops=0.02,"
-             "stragglers=1,slowdown=3.0' (engines: orion, orion-ordered, "
+        help="inject faults, e.g. 'seed=7,crashes=1,stragglers=1,"
+             "slowdown=3.0' (engines: orion, orion-ordered, "
              "bosen, strads; see docs/fault_tolerance.md)",
     )
     parser.add_argument(
@@ -692,6 +693,16 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             "--backend simulated\n"
         )
         return 2
+    if args.faults:
+        # Parse the spec before building the dataset: a typo is one line.
+        try:
+            FaultPlan.from_spec(
+                args.faults, epochs=args.epochs,
+                num_workers=args.machines * args.workers_per_machine,
+            )
+        except FaultError as exc:
+            out.write(f"bad --faults spec: {exc}\n")
+            return 2
     dataset, cost, builder, app = _dataset_and_builders(args)
     cluster_kwargs = {}
     if cost is not None:

@@ -2,12 +2,11 @@
 
 The paper's fault-tolerance story (Sec. 4.3) is checkpoint/restore of the
 parameter DistArrays; this package makes it *exercisable*: a
-:class:`FaultPlan` injects worker/machine crashes, transient message drops
-and straggler slowdowns at virtual times, the simulated network retries
-dropped messages with exponential backoff, and the executor detects a
-crash at the next barrier and replays from the latest complete checkpoint.
-Everything is keyed off seeds and virtual time, so a given plan produces
-the same failures — and the same recovered state — on every run.
+:class:`FaultPlan` injects worker/machine crashes and straggler slowdowns
+at virtual times, and the executor detects a crash at the next barrier
+and replays from the latest complete checkpoint.  Everything is keyed off
+seeds and virtual time, so a given plan produces the same failures — and
+the same recovered state — on every run.
 
 Quick use::
 
@@ -21,11 +20,9 @@ With no plan attached nothing changes: every run is bit-identical to an
 uninstrumented one.
 """
 
-from repro.faults.link import FaultyLink, LinkOutcome
 from repro.faults.plan import (
     FaultPlan,
     FiredCrash,
-    MessageDrops,
     RecoveryCosts,
     Straggler,
     WorkerCrash,
@@ -36,10 +33,7 @@ __all__ = [
     "FaultPlan",
     "WorkerCrash",
     "Straggler",
-    "MessageDrops",
     "RecoveryCosts",
     "FiredCrash",
-    "FaultyLink",
-    "LinkOutcome",
     "RecoveryManager",
 ]

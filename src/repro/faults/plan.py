@@ -1,30 +1,23 @@
 """Fault plans: *what* fails, *when*, deterministically.
 
 A :class:`FaultPlan` is a declarative schedule of injected failures —
-worker/machine crashes, transient message drops, straggler slowdowns —
-pinned to virtual time (or logical epochs) rather than wall time, so a
-plan replays identically on every run.  Drop decisions use a stateless
-hash of ``(seed, epoch, message key, attempt)`` instead of a sequential
-RNG stream: the outcome for one message never depends on how many other
-messages were queried before it, which keeps injection deterministic even
-when instrumentation changes the query order.
+worker/machine crashes and straggler slowdowns — pinned to virtual time
+(or logical epochs) rather than wall time, so a plan replays identically
+on every run.
 """
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import FaultError
-from repro.runtime.network import RetryPolicy
 
 __all__ = [
     "WorkerCrash",
     "Straggler",
-    "MessageDrops",
     "RecoveryCosts",
     "FiredCrash",
     "FaultPlan",
@@ -83,18 +76,6 @@ class Straggler:
 
 
 @dataclass(frozen=True)
-class MessageDrops:
-    """Transient network loss: each send is dropped with ``probability``."""
-
-    probability: float
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.probability < 1.0:
-            raise FaultError("drop probability must be in [0, 1)")
-
-
-@dataclass(frozen=True)
 class RecoveryCosts:
     """Virtual-time prices of detecting and repairing a crash.
 
@@ -124,44 +105,13 @@ class FiredCrash:
         return f"worker {self.crash.worker}"
 
 
-def _splitmix64(value: int) -> int:
-    """One round of splitmix64: a fast, well-mixed 64-bit permutation."""
-    value = (value + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return value ^ (value >> 31)
-
-
-def stable_uniform(*parts) -> float:
-    """A uniform [0, 1) draw determined entirely by ``parts``.
-
-    Mixes each part (ints, floats, strings) through splitmix64; there is
-    no hidden stream position, so the same key always yields the same
-    draw regardless of query order.
-    """
-    state = 0
-    for part in parts:
-        if isinstance(part, float):
-            part = hash(part)
-        elif isinstance(part, str):
-            # Not hash(): str hashes are salted per process, and a plan
-            # must replay identically on every run.
-            part = zlib.crc32(part.encode())
-        state = _splitmix64(state ^ (int(part) & 0xFFFFFFFFFFFFFFFF))
-    return state / 2.0 ** 64
-
-
 class FaultPlan:
     """A deterministic schedule of injected failures.
 
     Attributes:
         crashes: :class:`WorkerCrash` events; each fires at most once.
         stragglers: :class:`Straggler` slowdowns.
-        drops: transient :class:`MessageDrops`, or ``None`` for a
-            loss-free network.
         costs: recovery cost model.
-        retry: the network's retry/backoff policy for dropped messages.
-        seed: mixed into every drop decision.
 
     The plan carries one piece of mutable state: which crashes have
     already fired.  Call :meth:`reset` (or build a fresh plan) before
@@ -172,25 +122,17 @@ class FaultPlan:
         self,
         crashes: Iterable[WorkerCrash] = (),
         stragglers: Iterable[Straggler] = (),
-        drops: Optional[MessageDrops] = None,
         costs: Optional[RecoveryCosts] = None,
-        retry: Optional[RetryPolicy] = None,
-        seed: int = 0,
     ) -> None:
         self.crashes: Tuple[WorkerCrash, ...] = tuple(crashes)
         self.stragglers: Tuple[Straggler, ...] = tuple(stragglers)
-        self.drops = drops
         self.costs = costs if costs is not None else RecoveryCosts()
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.seed = int(seed)
         self._fired: set = set()
 
     def __repr__(self) -> str:
         return (
             f"FaultPlan(crashes={len(self.crashes)}, "
-            f"stragglers={len(self.stragglers)}, "
-            f"drop_p={self.drops.probability if self.drops else 0.0}, "
-            f"seed={self.seed})"
+            f"stragglers={len(self.stragglers)})"
         )
 
     def reset(self) -> None:
@@ -253,29 +195,6 @@ class FaultPlan:
                 factors[straggler.worker] = max(current, factor)
         return factors
 
-    # ---------------- message drops ------------------------------------ #
-
-    def drop_count(self, epoch_serial: int, key: Tuple) -> int:
-        """How many leading attempts of one message are dropped.
-
-        Each attempt is an independent ``stable_uniform`` draw against the
-        drop probability; the final permitted attempt is never dropped
-        (updates cost time, never data).
-        """
-        drops = self.drops
-        if drops is None or drops.probability <= 0.0:
-            return 0
-        count = 0
-        for attempt in range(self.retry.max_attempts - 1):
-            draw = stable_uniform(
-                self.seed, drops.seed, epoch_serial, *key, attempt
-            )
-            if draw < drops.probability:
-                count += 1
-            else:
-                break
-        return count
-
     # ---------------- constructors ------------------------------------- #
 
     @classmethod
@@ -287,9 +206,7 @@ class FaultPlan:
         crashes: int = 1,
         stragglers: int = 0,
         straggler_slowdown: float = 3.0,
-        drop_probability: float = 0.0,
         costs: Optional[RecoveryCosts] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> "FaultPlan":
         """A seeded random plan over ``epochs`` passes of ``num_workers``.
 
@@ -316,29 +233,19 @@ class FaultPlan:
             )
             for _ in range(stragglers)
         ]
-        drops = (
-            MessageDrops(probability=drop_probability, seed=seed)
-            if drop_probability > 0.0
-            else None
-        )
         return cls(
-            crashes=crash_events,
-            stragglers=straggler_events,
-            drops=drops,
-            costs=costs,
-            retry=retry,
-            seed=seed,
+            crashes=crash_events, stragglers=straggler_events, costs=costs
         )
 
     @classmethod
     def from_spec(
         cls, spec: str, epochs: int, num_workers: int
     ) -> "FaultPlan":
-        """Parse a CLI spec like ``"seed=7,crashes=1,drops=0.02,stragglers=1"``.
+        """Parse a CLI spec like ``"seed=7,crashes=1,stragglers=1"``.
 
         Keys: ``seed`` (int, default 0), ``crashes`` (int, default 1),
-        ``stragglers`` (int, default 0), ``slowdown`` (float), ``drops``
-        (probability).  Events are drawn via :meth:`random`.
+        ``stragglers`` (int, default 0), ``slowdown`` (float).  Events are
+        drawn via :meth:`random`.
         """
         values: Dict[str, str] = {}
         for item in spec.split(","):
@@ -349,7 +256,7 @@ class FaultPlan:
                 raise FaultError(f"bad --faults item {item!r} (expected key=value)")
             key, _, value = item.partition("=")
             values[key.strip()] = value.strip()
-        known = {"seed", "crashes", "stragglers", "slowdown", "drops"}
+        known = {"seed", "crashes", "stragglers", "slowdown"}
         unknown = set(values) - known
         if unknown:
             raise FaultError(
@@ -363,7 +270,6 @@ class FaultPlan:
                 crashes=int(values.get("crashes", 1)),
                 stragglers=int(values.get("stragglers", 0)),
                 straggler_slowdown=float(values.get("slowdown", 3.0)),
-                drop_probability=float(values.get("drops", 0.0)),
             )
         except ValueError as exc:
-            raise FaultError(f"bad --faults spec {spec!r}: {exc}")
+            raise FaultError(f"bad value in {spec!r}: {exc}")

@@ -256,17 +256,6 @@ class OrionExecutor:
         self.metrics = resolved.metrics
         self.trace_process = opts.trace_process
         self.faults = opts.faults
-        #: Unreliable link wrapping the network when the plan drops
-        #: messages; ``None`` keeps every transfer on the loss-free path.
-        #: (Imported lazily: repro.faults imports repro.runtime.network,
-        #: so a module-level import here would be circular.)
-        self._link = None
-        if self.faults is not None and self.faults.drops is not None:
-            from repro.faults.link import FaultyLink
-
-            self._link = FaultyLink(
-                self.faults, cluster.network, metrics=self.metrics
-            )
         self._equivalence_checked = False
         #: Per-dispatch-unit caches handed to kernels (index arrays, level
         #: schedules, memoized accounting), keyed by the unit's block keys
@@ -510,8 +499,6 @@ class OrionExecutor:
         if not self._ready:
             raise ExecutionError("executor not set up")
         faults = self.faults
-        if self._link is not None:
-            self._link.begin_epoch(self.epochs_run)
         task_records = [
             record
             for step_tasks in self.steps
@@ -974,6 +961,7 @@ class OrionExecutor:
         phases: Phases = {}
         tracing = self.tracer.enabled
         cost_model, prefetch = self.cluster.cost, self.prefetch
+        network = self.cluster.network
         # Serializing the outgoing rotated partition is CPU work on the
         # worker — pipelining cannot hide it (paper Sec. 6.4).
         marshalling = 0.0
@@ -986,8 +974,7 @@ class OrionExecutor:
             compute = cost_model.compute_time(stats.entries)
             if prefetch.prefetch_fn is not None:
                 cost = prefetch.block_read_cost(
-                    block_key, self.partitions.block(*block_key),
-                    link=self._link,
+                    block_key, self.partitions.block(*block_key)
                 )
             else:
                 cost = prefetch.random_access_cost_from_counts(
@@ -996,12 +983,10 @@ class OrionExecutor:
             flush_transfer = 0.0
             flush_messages = 0
             if stats.flush_bytes:
-                flush_transfer, _sent, flush_messages = self._transfer(
-                    stats.flush_bytes, ("flush",) + block_key
-                )
+                flush_transfer = network.transfer_time(stats.flush_bytes)
+                flush_messages = 1
             # Per-message CPU (request setup, locking): one prefetch
-            # request plus one flush message per block, when present
-            # (dropped messages pay per-message CPU per resend).
+            # request plus one flush message per block, when present.
             message_cpu = cost_model.per_message_cpu_s * (
                 cost.num_requests + flush_messages
             )
@@ -1022,32 +1007,17 @@ class OrionExecutor:
 
     def _timing(self, work_s: np.ndarray) -> sched.ScheduleTiming:
         plan = self.plan
-        transfer = self._link.transfer_time if self._link is not None else None
         if plan.strategy in (Strategy.ONE_D, Strategy.DATA_PARALLEL):
             return sched.time_one_d(work_s, self.cluster)
         if plan.strategy is Strategy.TWO_D:
             if plan.ordered:
                 return sched.time_ordered_2d(
-                    work_s, self.cluster, self.rotated_block_bytes,
-                    transfer_time=transfer,
+                    work_s, self.cluster, self.rotated_block_bytes
                 )
             return sched.time_unordered_2d(
-                work_s, self.cluster, self.rotated_block_bytes,
-                transfer_time=transfer,
+                work_s, self.cluster, self.rotated_block_bytes
             )
         return sched.time_sequential_outer(work_s, self.cluster)
-
-    def _transfer(
-        self, nbytes: float, key: Tuple[Any, ...]
-    ) -> Tuple[float, float, int]:
-        """One message on the (possibly lossy) network: ``(seconds, bytes
-        put on the wire, attempts)``.  With an unreliable link attached
-        the outcome is the link's memoized fate of the message ``key``
-        names (resends included); otherwise the loss-free cost model."""
-        if self._link is not None:
-            outcome = self._link.transfer(nbytes, key=key)
-            return outcome.seconds, outcome.nbytes_sent, outcome.attempts
-        return self.cluster.network.transfer_time(nbytes), nbytes, 1
 
     def _traffic_events(
         self,
@@ -1061,16 +1031,13 @@ class OrionExecutor:
         """Epoch-relative traffic events; when tracing, the same transfers
         are also emitted as spans on per-kind network tracks (offset by
         ``t0`` onto the global timeline, with worker/hop attribution).
-
-        With an unreliable link attached, each message's duration and
-        bytes come from its memoized drop outcome (resent bytes count);
-        the message keys match the ones the timing model and the prefetch
-        manager used, so both sides of the accounting agree.  ``cutoff``
-        (epoch-relative) suppresses messages an aborted pass never sent.
+        ``cutoff`` (epoch-relative) suppresses messages an aborted pass
+        never sent.
         """
         tracer, process = self.tracer, self.trace_process
         tracing = tracer.enabled
         metrics = self.metrics
+        network = self.cluster.network
 
         events: List[Tuple[float, float, float, str]] = []
 
@@ -1096,40 +1063,30 @@ class OrionExecutor:
                 )
 
         if self._replicated_bytes:
-            duration, _sent, attempts = self._transfer(
-                self._replicated_bytes, ("broadcast",)
+            emit(
+                0.0, network.transfer_time(self._replicated_bytes),
+                self._replicated_bytes * self.cluster.num_machines,
+                "broadcast",
             )
-            nbytes = self._replicated_bytes * self.cluster.num_machines
-            emit(0.0, duration, nbytes * attempts, "broadcast")
         rotated = self.rotated_block_bytes
+        rotating = rotated and self.plan.strategy is Strategy.TWO_D
+        rotation_s = network.transfer_time(rotated)
         num_workers = self.num_workers
         for task, block_key, start, finish in self._placed(timing, work_s):
-            if rotated and self.plan.strategy is Strategy.TWO_D:
-                # Same message keys as the timing model: per global
-                # step when ordered, per (sender, step) otherwise.
-                key = (
-                    ("rotation", task.step)
-                    if self.plan.ordered
-                    else ("rotation", task.worker, task.step)
-                )
-                duration, nbytes, _ = self._transfer(rotated, key)
+            if rotating:
                 # The finished rotated partition moves to the worker's
                 # predecessor in rotation order.
                 hop = f"{task.worker}->{(task.worker - 1) % num_workers}"
-                emit(finish, finish + duration, nbytes, "rotation",
+                emit(finish, finish + rotation_s, rotated, "rotation",
                      worker=task.worker, hop=hop)
             fb = float(flush_bytes[block_key])
             if fb:
-                duration, fb, _ = self._transfer(fb, ("flush",) + block_key)
-                emit(finish, finish + duration, fb, "flush",
-                     worker=task.worker)
+                emit(finish, finish + network.transfer_time(fb), fb,
+                     "flush", worker=task.worker)
             pb = float(prefetch_bytes[block_key])
             if pb:
-                duration, pb, _ = self._transfer(
-                    pb, ("prefetch",) + block_key
-                )
-                emit(start, start + duration, pb, "prefetch",
-                     worker=task.worker)
+                emit(start, start + network.transfer_time(pb), pb,
+                     "prefetch", worker=task.worker)
         return events
 
     def _placed(self, timing: sched.ScheduleTiming, work_s: np.ndarray):

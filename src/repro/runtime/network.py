@@ -15,32 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-__all__ = ["NetworkModel", "RetryPolicy", "TrafficEvent", "TrafficLog"]
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Timeout/retry semantics for unreliable links (fault injection).
-
-    A dropped message is noticed after ``timeout_s`` virtual seconds and
-    resent after an exponential backoff: attempt ``k`` (0-based) waits
-    ``backoff_s * multiplier**k`` before retransmitting.  ``max_attempts``
-    bounds the total number of sends; the fault injector guarantees the
-    final attempt is delivered, so a drop costs time (and resent bytes)
-    but never loses an update.
-    """
-
-    timeout_s: float = 5e-4
-    backoff_s: float = 2e-4
-    multiplier: float = 2.0
-    max_attempts: int = 4
-
-    def penalty_s(self, drops: int) -> float:
-        """Extra virtual seconds caused by ``drops`` failed attempts."""
-        total = 0.0
-        for attempt in range(drops):
-            total += self.timeout_s + self.backoff_s * self.multiplier ** attempt
-        return total
+__all__ = ["NetworkModel", "TrafficEvent", "TrafficLog"]
 
 
 @dataclass
@@ -66,21 +41,6 @@ class NetworkModel:
         if intra_machine:
             return base * self.intra_machine_factor
         return base
-
-    def reliable_transfer_time(
-        self,
-        nbytes: float,
-        drops: int,
-        retry: RetryPolicy,
-        intra_machine: bool = False,
-    ) -> float:
-        """Transfer time when the first ``drops`` attempts are lost.
-
-        Each failed attempt costs its timeout plus the exponential backoff
-        before the retransmission; the surviving attempt then pays the
-        ordinary :meth:`transfer_time`.
-        """
-        return retry.penalty_s(drops) + self.transfer_time(nbytes, intra_machine)
 
     def random_access_time(self, num_accesses: int, nbytes: float) -> float:
         """Virtual seconds for ``num_accesses`` individual remote requests.

@@ -90,8 +90,8 @@ class LoopOptions:
 
     Attributes:
         faults: a :class:`~repro.faults.plan.FaultPlan` of injected
-            crashes/drops/stragglers, or ``None`` for today's loss-free
-            cluster (bit-identical to pre-fault-subsystem runs).
+            crashes/stragglers, or ``None`` for a fault-free cluster
+            (bit-identical to pre-fault-subsystem runs).
         checkpoint: a :class:`~repro.runtime.checkpoint.CheckpointConfig`
             making the loop checkpoint its mutated arrays every N epochs
             and recover from the latest complete tag after a crash.

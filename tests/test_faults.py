@@ -7,7 +7,7 @@ Covers the fault-injection contract end to end:
   plan leaves final parameters bit-identical to the fault-free run;
 * crash recovery — replay from the latest complete checkpoint (or the
   initial snapshot) converges to the fault-free state;
-* retry/backoff accounting, straggler slowdowns, manifest completeness;
+* straggler slowdowns, manifest completeness;
 * the LoopOptions / Observability API consolidation.
 """
 
@@ -25,13 +25,10 @@ from repro.data import netflix_like
 from repro.errors import FaultError
 from repro.faults import (
     FaultPlan,
-    FaultyLink,
-    MessageDrops,
     RecoveryCosts,
     Straggler,
     WorkerCrash,
 )
-from repro.faults.plan import stable_uniform
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.runtime.checkpoint import (
     CheckpointConfig,
@@ -41,7 +38,6 @@ from repro.runtime.checkpoint import (
     manifest_path,
 )
 from repro.runtime.cluster import ClusterSpec
-from repro.runtime.network import RetryPolicy
 from repro.runtime.options import LoopOptions
 
 
@@ -80,23 +76,23 @@ def _states_equal(a, b):
 class TestFaultPlan:
     def test_random_is_deterministic(self):
         a = FaultPlan.random(seed=11, epochs=6, num_workers=4, crashes=2,
-                             stragglers=1, drop_probability=0.05)
+                             stragglers=1)
         b = FaultPlan.random(seed=11, epochs=6, num_workers=4, crashes=2,
-                             stragglers=1, drop_probability=0.05)
+                             stragglers=1)
         assert a.crashes == b.crashes
         assert a.stragglers == b.stragglers
-        assert a.drops == b.drops
 
     def test_from_spec_round_trip(self):
         plan = FaultPlan.from_spec(
-            "seed=7,crashes=1,drops=0.02,stragglers=1,slowdown=3.0",
+            "seed=7,crashes=1,stragglers=1,slowdown=3.0",
             epochs=4, num_workers=4,
         )
-        assert plan.seed == 7
+        seeded = FaultPlan.random(seed=7, epochs=4, num_workers=4,
+                                  crashes=1, stragglers=1)
+        assert plan.crashes == seeded.crashes
+        assert plan.stragglers == seeded.stragglers
         assert len(plan.crashes) == 1
         assert len(plan.stragglers) == 1
-        assert plan.drops is not None
-        assert plan.drops.probability == pytest.approx(0.02)
 
     def test_from_spec_unknown_key(self):
         with pytest.raises(FaultError):
@@ -118,18 +114,6 @@ class TestFaultPlan:
         plan.reset()
         assert plan.claim_crash(2, 1.0, 2.0) is not None
 
-    def test_drop_count_is_order_independent(self):
-        plan = FaultPlan(drops=MessageDrops(probability=0.4, seed=9))
-        keys = [("flush", 0, 1), ("rotation", 2, 3), ("sync", 0)]
-        forward = [plan.drop_count(4, key) for key in keys]
-        backward = [plan.drop_count(4, key) for key in reversed(keys)]
-        assert forward == backward[::-1]
-
-    def test_stable_uniform_range(self):
-        values = [stable_uniform(i, "x", 3) for i in range(200)]
-        assert all(0.0 <= v < 1.0 for v in values)
-        assert len(set(values)) > 150  # actually varies
-
     def test_straggle_factors_window_overlap(self):
         plan = FaultPlan(
             stragglers=(Straggler(worker=0, slowdown=3.0, t_start=0.5,
@@ -142,34 +126,6 @@ class TestFaultPlan:
         assert 1.0 < partial < 3.0
         # Disjoint: no factor.
         assert 0 not in plan.straggle_factors(1, 2.0, 3.0)
-
-
-class TestRetryPolicy:
-    def test_penalty_math(self):
-        retry = RetryPolicy(timeout_s=1.0, backoff_s=0.5, multiplier=2.0,
-                            max_attempts=4)
-        assert retry.penalty_s(0) == 0.0
-        assert retry.penalty_s(1) == pytest.approx(1.5)
-        assert retry.penalty_s(2) == pytest.approx(1.5 + 2.0)
-
-    def test_link_accounting(self, cluster):
-        plan = FaultPlan(drops=MessageDrops(probability=0.9, seed=1))
-        metrics = MetricsRegistry()
-        link = FaultyLink(plan, cluster.network, metrics=metrics)
-        link.begin_epoch(1)
-        outcome = link.transfer(1000.0, key=("flush", 0, 0))
-        assert outcome.attempts >= 1
-        assert outcome.nbytes_sent == pytest.approx(1000.0 * outcome.attempts)
-        base = cluster.network.transfer_time(1000.0)
-        drops = outcome.attempts - 1
-        assert outcome.seconds == pytest.approx(
-            base + plan.retry.penalty_s(drops)
-        )
-        # Memoized: same key, same outcome object semantics.
-        again = link.transfer(1000.0, key=("flush", 0, 0))
-        assert again == outcome
-        snapshot = metrics.snapshot()
-        assert snapshot.get("messages_total") >= 1
 
 
 # --------------------------------------------------------------------- #
@@ -228,7 +184,6 @@ class TestOrionFaults:
         def run():
             plan = FaultPlan(
                 crashes=(WorkerCrash(worker=1, epoch=2, frac=0.4),),
-                drops=MessageDrops(probability=0.05, seed=3),
             )
             program = _program(mf_data, cluster, LoopOptions(faults=plan))
             history = program.run(4)
@@ -268,31 +223,6 @@ class TestOrionFaults:
         history = program.run(3)
         assert _states_equal(_final_state(clean), _final_state(program))
         assert history.meta["recoveries"] == 1
-
-    def test_drops_cost_time_not_data(self, mf_data, cluster):
-        clean = _program(mf_data, cluster)
-        clean_history = clean.run(3)
-
-        plan = FaultPlan(drops=MessageDrops(probability=0.2, seed=8))
-        program = _program(mf_data, cluster, LoopOptions(faults=plan))
-        history = program.run(3)
-        assert _states_equal(_final_state(clean), _final_state(program))
-        assert history.total_time_s > clean_history.total_time_s
-        # Resends inflate traffic.
-        dropped_bytes = sum(r.bytes_sent for r in history.records)
-        clean_bytes = sum(r.bytes_sent for r in clean_history.records)
-        assert dropped_bytes > clean_bytes
-
-    def test_drops_ordered_schedule(self, mf_data, cluster):
-        clean = _program(mf_data, cluster, LoopOptions(ordered=True))
-        clean_history = clean.run(2)
-        plan = FaultPlan(drops=MessageDrops(probability=0.3, seed=2))
-        program = _program(
-            mf_data, cluster, LoopOptions(ordered=True, faults=plan)
-        )
-        history = program.run(2)
-        assert _states_equal(_final_state(clean), _final_state(program))
-        assert history.total_time_s > clean_history.total_time_s
 
     def test_straggler_inflates_epoch(self, mf_data, cluster):
         clean = _program(mf_data, cluster)
@@ -405,11 +335,10 @@ class TestBosenFaults:
             assert np.array_equal(value, faulted.meta["state"][name])
         assert faulted.total_time_s > clean.total_time_s
 
-    def test_drops_and_stragglers_cost_time(self, mf_data, cluster):
+    def test_stragglers_cost_time(self, mf_data, cluster):
         app = self._app(mf_data)
         clean = run_bosen(app, cluster, epochs=3, seed=2)
         plan = FaultPlan(
-            drops=MessageDrops(probability=0.3, seed=4),
             stragglers=(Straggler(worker=0, slowdown=3.0, epoch=1),),
         )
         app2 = self._app(mf_data)
@@ -447,11 +376,27 @@ class TestCLI:
         code = main(
             [
                 "mf", "--engine", "bosen", "--epochs", "3",
-                "--scale", "0.2", "--faults", "seed=1,drops=0.05",
+                "--scale", "0.2", "--faults", "seed=1,stragglers=1",
             ],
             out=out,
         )
         assert code == 0
+
+    @pytest.mark.parametrize("spec", ["bogus=1", "drops=0.05"])
+    def test_bad_spec_is_one_line(self, spec, capsys):
+        import io
+
+        from repro.cli import main
+
+        out = io.StringIO()
+        code = main(["mf", "--epochs", "1", "--faults", spec], out=out)
+        assert code == 2
+        text = out.getvalue()
+        assert text.startswith("bad --faults spec: ")
+        assert text.count("\n") == 1
+        for key in ("crashes", "seed", "slowdown", "stragglers"):
+            assert key in text
+        assert "Traceback" not in text + capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- #
@@ -464,10 +409,9 @@ class TestChaos:
     @given(
         seed=st.integers(min_value=0, max_value=10_000),
         crashes=st.integers(min_value=0, max_value=2),
-        drop_p=st.floats(min_value=0.0, max_value=0.3),
         stragglers=st.integers(min_value=0, max_value=1),
     )
-    def test_random_faults_never_corrupt_state(self, seed, crashes, drop_p,
+    def test_random_faults_never_corrupt_state(self, seed, crashes,
                                                stragglers):
         mf_data = netflix_like(num_rows=16, num_cols=12, num_ratings=160,
                                seed=3)
@@ -480,7 +424,6 @@ class TestChaos:
         plan = FaultPlan.random(
             seed=seed, epochs=epochs, num_workers=cluster.num_workers,
             crashes=crashes, stragglers=stragglers,
-            drop_probability=drop_p,
         )
         program = _program(mf_data, cluster, LoopOptions(faults=plan))
         history = program.run(epochs)
