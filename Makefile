@@ -5,8 +5,8 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 	bench-distributed clean
 
 ## Default verification: imports compile, tier-1 tests pass (they include
-## `repro lint` / `repro synth --check` / `--sanitize` over every bundled
-## app, the `repro perf` regression round trip, the traced quickstart's
+## `repro lint` / `repro synth` / `--sanitize` over every bundled app,
+## kernel ≡ scalar for every app, the `repro perf` regression round trip, the traced quickstart's
 ## Perfetto trace, the fault-injection example and the multiprocess
 ## backend against the simulated oracle), the style lint is clean, the
 ## layered benchmark's harness still produces every metric it declares,

@@ -46,8 +46,7 @@ them:
 Bodies no tier can prove safe fall back to the scalar interpreter and
 the reason surfaces as a lint diagnostic: **W501** (unsupported construct)
 or **W502** (state-dependent access pattern).  **W503** marks a successful
-synthesis the *plan* refuses to batch.  Whatever is emitted is checked
-downstream by ``equivalence_check`` and sanitized runs.
+synthesis the *plan* refuses to batch.
 """
 
 from __future__ import annotations
@@ -280,8 +279,7 @@ def _check_common(info: LoopInfo) -> None:
     if info.accumulators:
         raise _Fallback(
             "W501",
-            "accumulator update inside the body (not batchable: the "
-            "equivalence checker cannot rewind accumulators)",
+            "accumulator update inside the body (not batchable)",
         )
 
 

@@ -96,15 +96,6 @@ class ParallelLoop:
                     "crashes; they are not supported on the multiprocess "
                     "backend (run them on backend='simulated')"
                 )
-            if opts.equivalence_check:
-                raise ExecutionError(
-                    "equivalence_check runs a block twice and rewinds the "
-                    "arrays in between; rewinding shared-memory state "
-                    "while other worker processes run is unsound, so it is "
-                    "not supported on the multiprocess backend (check the "
-                    "kernel on backend='simulated' — workers run the same "
-                    "block runner)"
-                )
         #: The execution engine driving :meth:`run` — see
         #: :mod:`repro.runtime.backend`.
         self.backend: Backend = create_backend(self)

@@ -181,8 +181,7 @@ def build_orion_program(
     ``kernel="auto"`` the builder registers its own block kernel, one for
     both parallelisms (see ``kernel`` below): the same token loop over
     block-resident Python floats, consuming the shared RNG in the same
-    order.  ``equivalence_check`` cannot be used with LDA: replaying a
-    block advances that RNG.
+    order.
     """
     if parallelism not in ("2d", "1d"):
         raise ValueError(f"unknown LDA parallelism {parallelism!r}")

@@ -209,10 +209,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--slow-factor", type=float, metavar="X", default=None,
         help="artificially slow every worker's block time by X (an "
              "explicit straggler plan on the virtual clock, simulated "
-             "backend only) — for exercising `repro perf check` "
-             "regression detection",
+             "backend only, not with --faults) — for exercising "
+             "`repro perf check` regression detection",
     )
     return parser
+
+
+def _cluster(args, cost) -> ClusterSpec:
+    """The cluster the shared ``--machines`` / ``--workers-per-machine``
+    flags describe, priced by ``cost`` (``None``: the default cost model)."""
+    return ClusterSpec(
+        num_machines=args.machines,
+        workers_per_machine=args.workers_per_machine,
+        **({"cost": cost} if cost is not None else {}),
+    )
 
 
 def _fault_plan(args, cluster: ClusterSpec) -> Optional[FaultPlan]:
@@ -455,12 +465,7 @@ def _lint_main(argv: List[str], out) -> int:
         return 0
 
     dataset, cost, builder, app = _dataset_and_builders(args)
-    cluster_kwargs = {"cost": cost} if cost is not None else {}
-    cluster = ClusterSpec(
-        num_machines=args.machines,
-        workers_per_machine=args.workers_per_machine,
-        **cluster_kwargs,
-    )
+    cluster = _cluster(args, cost)
     loop = builder(cluster, LoopOptions(ordered=args.ordered)).train_loop
     report = run_lint(
         loop.body, loop.info.iteration_space, ordered=loop.info.ordered
@@ -476,9 +481,7 @@ def _synth_main(argv: List[str], out) -> int:
     report of its body — the generated NumPy block-kernel source
     when a tier succeeded, or the W50x fallback diagnostics explaining why
     the scalar interpreter runs instead (see docs/analysis.md, "Kernel
-    synthesis").  ``--check`` additionally runs one equivalence-checked
-    epoch (bitwise state + accounting against the scalar interpreter).
-    Exit code 0 when a kernel was emitted, 1 on fallback.
+    synthesis").  Exit code 0 when a kernel was emitted, 1 on fallback.
     """
     parser = argparse.ArgumentParser(
         prog="repro synth",
@@ -491,11 +494,6 @@ def _synth_main(argv: List[str], out) -> int:
         choices=["mf", "mf-adarev", "glove", "lda", "lda-1d", "slr", "gbt"],
         help="application whose training-loop body to compile",
     )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="run one equivalence-checked epoch over the synthesized "
-             "kernel (fails loudly on any state or accounting difference)",
-    )
     args = parser.parse_args(argv)
 
     if args.app == "glove":
@@ -504,23 +502,14 @@ def _synth_main(argv: List[str], out) -> int:
             num_tokens=int(6000 * args.scale),
             seed=args.seed,
         )
-        cluster = ClusterSpec(
-            num_machines=args.machines,
-            workers_per_machine=args.workers_per_machine,
-        )
+        cluster = _cluster(args, None)
         builder = lambda cluster, options: build_glove(  # noqa: E731
             dataset, cluster=cluster, options=options
         )
     else:
         dataset, cost, builder, _app = _dataset_and_builders(args)
-        cluster_kwargs = {"cost": cost} if cost is not None else {}
-        cluster = ClusterSpec(
-            num_machines=args.machines,
-            workers_per_machine=args.workers_per_machine,
-            **cluster_kwargs,
-        )
-    program = builder(cluster, LoopOptions(equivalence_check=args.check))
-    loop = program.train_loop
+        cluster = _cluster(args, cost)
+    loop = builder(cluster, LoopOptions()).train_loop
     # Synthesis of the built loop's own body — LDA runs a registered
     # kernel, so its loop carries no synthesis outcome to read back.
     synth = synthesize_kernel(loop.body, loop.info)
@@ -528,17 +517,6 @@ def _synth_main(argv: List[str], out) -> int:
     w503 = [d for d in loop.diagnostics() if d.code == "W503"]
     for diag in w503:
         out.write(f"{diag.describe()}\n")
-    if args.check:
-        if synth.engaged and not w503:
-            program.epoch_fn()
-            out.write(
-                "equivalence check: one epoch ran with every kernel-"
-                "eligible block verified against the scalar interpreter\n"
-            )
-        else:
-            out.write(
-                "equivalence check skipped: no synthesized kernel ran\n"
-            )
     return 0 if synth.engaged else 1
 
 
@@ -693,6 +671,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             "--backend simulated\n"
         )
         return 2
+    if args.slow_factor is not None and args.faults:
+        out.write("--slow-factor and --faults cannot be combined\n")
+        return 2
     if args.faults:
         # Parse the spec before building the dataset: a typo is one line.
         try:
@@ -704,14 +685,7 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
             out.write(f"bad --faults spec: {exc}\n")
             return 2
     dataset, cost, builder, app = _dataset_and_builders(args)
-    cluster_kwargs = {}
-    if cost is not None:
-        cluster_kwargs["cost"] = cost
-    cluster = ClusterSpec(
-        num_machines=args.machines,
-        workers_per_machine=args.workers_per_machine,
-        **cluster_kwargs,
-    )
+    cluster = _cluster(args, cost)
 
     obs = Observability.enabled() if args.trace or args.report else None
     tracer = obs.tracer if obs is not None else None

@@ -30,11 +30,6 @@ __all__ = ["DistArrayBuffer", "default_apply"]
 #: Marker used to store (unhashable-before-3.12) slices in buffer keys.
 _SLICE = "__slice__"
 
-#: What :meth:`DistArrayBuffer.snapshot` returns: per-worker pending
-#: writes and per-worker buffered-write age.
-_Snapshot = Tuple[Dict[int, Dict[Tuple[Any, ...], Any]], Dict[int, int]]
-
-
 def _canonical_key(index: Any) -> Tuple[Any, ...]:
     """Hashable form of a buffer index; slices become tagged tuples."""
     if not isinstance(index, tuple):
@@ -289,24 +284,6 @@ class DistArrayBuffer:
             else:
                 slot[key] = update
         self.flush_worker(worker)
-
-    def snapshot(self) -> _Snapshot:
-        """Copies of every worker's pending writes and buffered-write
-        age, for :meth:`restore`."""
-        return (
-            {worker: dict(slot) for worker, slot in self._pending.items()},
-            dict(self._age),
-        )
-
-    def restore(self, snapshot: _Snapshot) -> None:
-        """Rewind pending writes and ages to a :meth:`snapshot`."""
-        pending, age = snapshot
-        self._pending.clear()
-        self._pending.update(
-            (worker, dict(slot)) for worker, slot in pending.items()
-        )
-        self._age.clear()
-        self._age.update(age)
 
     def flush_all(self) -> int:
         """Flush every worker's pending writes (driver-side convenience)."""

@@ -20,7 +20,6 @@ analyzed loop and runs epochs over the simulated cluster:
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Any, Callable, Dict, List, Optional, Tuple
 
@@ -178,20 +177,6 @@ class EpochResult:
     clock: str = "virtual"
 
 
-def _same_snapshot(left: Any, right: Any) -> bool:
-    """Bitwise equality of two ``snapshot()`` results: an ndarray, a dict
-    of them (sparse arrays; a buffer's per-worker pending writes), or a
-    buffer's ``(pending, age)`` pair — compared on the pending writes
-    only, because the kernel path does not tick buffered-write ages."""
-    if isinstance(left, tuple):
-        left, right = left[0], right[0]
-    if isinstance(left, dict):
-        return left.keys() == right.keys() and all(
-            _same_snapshot(left[key], right[key]) for key in left
-        )
-    return np.array_equal(left, right)
-
-
 #: block key -> (prefetch, compute, flush, overhead) seconds: the phase
 #: breakdown behind each block span (only filled when tracing).
 Phases = Dict[Tuple[int, int], Tuple[float, float, float, float]]
@@ -247,7 +232,6 @@ class OrionExecutor:
         #: (``None`` for callable kernels / kernel-less loops).
         self.synth = None
         self.kernel = self._resolve_kernel(opts.kernel)
-        self.equivalence_check = opts.equivalence_check
         self.sanitize = opts.sanitize
         self._sanitize_values: Optional[Dict[Any, Any]] = None
         resolved = opts.resolve_obs()
@@ -256,7 +240,6 @@ class OrionExecutor:
         self.metrics = resolved.metrics
         self.trace_process = opts.trace_process
         self.faults = opts.faults
-        self._equivalence_checked = False
         #: Per-dispatch-unit caches handed to kernels (index arrays, level
         #: schedules, memoized accounting), keyed by the unit's block keys
         #: — persist across epochs.
@@ -502,7 +485,7 @@ class OrionExecutor:
         task_records = [
             record
             for step_tasks in self.steps
-            for record in self._run_unit(step_tasks)
+            for record in self.run_blocks(step_tasks, self._server_ids)
         ]
         work_s, flush_bytes, prefetch_bytes, phases = self._charge(task_records)
         self.check_records(task_records)
@@ -778,25 +761,11 @@ class OrionExecutor:
         """Nothing to release: the executor holds no threads, processes
         or shared memory.  Callers may close every executor they build."""
 
-    def _run_unit(self, tasks: List[sched.Task]) -> List[TaskRecord]:
-        """The blocks this process runs in one schedule step, self-checking
-        the kernel on the first unit with any entries when asked to."""
-        if (
-            self.equivalence_check
-            and not self._equivalence_checked
-            and self.kernel_path
-            and any(self.partitions.block(*task.block_key) for task in tasks)
-        ):
-            self._equivalence_checked = True
-            return self._run_unit_checked(tasks)
-        return self.run_blocks(tasks, self._server_ids)
-
     def run_blocks(
         self,
         tasks: List[sched.Task],
         server_ids: AbstractSet[int],
         flush_local: bool = True,
-        force_scalar: bool = False,
     ) -> List[TaskRecord]:
         """Execute the blocks one process runs in one schedule step and
         return one record per block — the one place that knows how:
@@ -821,7 +790,7 @@ class OrionExecutor:
         worker: the master is the parameter server) the block's pending
         writes are taken off the buffers into ``record.pending``.
         """
-        use_kernel = self.kernel_path and not force_scalar
+        use_kernel = self.kernel_path
         keys = [task.block_key for task in tasks]
         blocks = [self.partitions.block(*key) for key in keys]
         records = [
@@ -870,77 +839,6 @@ class OrionExecutor:
                     if taken:
                         record.pending[name] = taken
         return records
-
-    # ---------------- kernel/scalar equivalence check ------------------- #
-
-    def _run_unit_checked(self, tasks: List[sched.Task]) -> List[TaskRecord]:
-        """Run one step's blocks through both paths and demand identical
-        outcomes.
-
-        Executes the scalar body over the blocks in task order, snapshots
-        the resulting state, rewinds, executes the kernel path (one fused
-        call when the kernel is fusable), and compares array/buffer
-        contents (bitwise) plus every accounting quantity of every block.
-        The kernel run's state is kept, so a passing check leaves
-        execution exactly as if the kernel alone had run.
-        """
-        # Everything the body references plus every buffer and its flush
-        # target (a target need not appear in the body at all).
-        buffers = self.info.buffers
-        arrays = {b.target.name: b.target for b in buffers.values()}
-        arrays.update(self.info.arrays)
-        holders: Dict[str, Any] = {
-            f"buffer {name!r}": buffer for name, buffer in buffers.items()
-        }
-        holders.update(
-            (f"array {name!r}", array)
-            for name, array in arrays.items() if array.is_materialized
-        )
-
-        def snapshot() -> Dict[str, Any]:
-            return {label: h.snapshot() for label, h in holders.items()}
-
-        saved = snapshot()
-        scalar_records = self.run_blocks(
-            tasks, self._server_ids, force_scalar=True
-        )
-        scalar_state = snapshot()
-        for label, data in saved.items():
-            holders[label].restore(data)
-        kernel_records = self.run_blocks(tasks, self._server_ids)
-        kernel_state = snapshot()
-        problems = [
-            f"{label} contents differ"
-            for label, data in scalar_state.items()
-            if not _same_snapshot(data, kernel_state[label])
-        ]
-        for scalar, kernel in zip(scalar_records, kernel_records):
-            problems += [
-                f"block {scalar.task.block_key} {problem}"
-                for problem in self._compare_stats(scalar, kernel)
-            ]
-        if problems:
-            raise ExecutionError(
-                f"kernel/scalar equivalence check failed at step "
-                f"{tasks[0].step}: " + "; ".join(problems)
-            )
-        return kernel_records
-
-    @staticmethod
-    def _compare_stats(scalar: TaskRecord, kernel: TaskRecord) -> List[str]:
-        problems = [
-            f"{name}: scalar={getattr(scalar, name)} "
-            f"kernel={getattr(kernel, name)}"
-            for name in (
-                "entries", "server_reads", "server_read_bytes", "flush_bytes"
-            )
-            if getattr(scalar, name) != getattr(kernel, name)
-        ]
-        # Access records are order-insensitive for the serializability
-        # checker, so compare them as multisets.
-        if Counter(scalar.accesses) != Counter(kernel.accesses):
-            problems.append("validation access records differ")
-        return problems
 
     # ---------------- timing + traffic --------------------------------- #
 

@@ -66,15 +66,6 @@ class LoopOptions:
             callable following the contract in ``runtime/kernels.py``.
             A kernel runs only where the plan proves block-batched
             execution legal; the scalar body runs otherwise.
-        equivalence_check: execute the first kernel-eligible block through
-            *both* paths and raise ``ExecutionError`` unless they produce
-            identical array/buffer state and accounting.  The block runs
-            twice, so the program must be replayable: no RNG draws in the
-            body and no buffer apply UDF that mutates state outside the
-            DistArrays (the rewind restores only array and buffer
-            contents).  Refused on ``backend="multiprocess"``, where
-            rewinding shared-memory state under concurrently running
-            workers is unsound.
         sanitize: run the shadow-access race detector
             (:mod:`repro.sanitizer`): record every actual DistArray
             element access per iteration and fail the epoch if the
@@ -119,7 +110,6 @@ class LoopOptions:
     cache_prefetch: bool = True
     backend: str = "simulated"
     kernel: Optional[Union[Callable[..., Any], str]] = "auto"
-    equivalence_check: bool = False
     sanitize: bool = False
     obs: Optional[Observability] = None
     trace_process: str = "orion"

@@ -260,7 +260,7 @@ class TestOptionSurface:
         documented = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
         fields = [field.name for field in dataclasses.fields(LoopOptions)]
         assert documented == fields
-        assert len(fields) == 17
+        assert len(fields) == 16
 
     @pytest.mark.parametrize("depth", ["auto", 2.0])
     def test_pipeline_depth_is_a_plain_int(self, depth):

@@ -249,42 +249,14 @@ class TestMixedKeysAndTargets:
         for index, value in zip(indices, values):
             one.direct_buffer_write(index, value)
         many.direct_buffer_write_many(indices, values)
-        assert list(one.snapshot()[0][-1].items()) == \
-            list(many.snapshot()[0][-1].items())
+        assert list(one.take_pending(-1).items()) == \
+            list(many.take_pending(-1).items())
 
 
 class TestSnapshotAndHandOff:
     def _buffer(self):
         target = DistArray.zeros(6, name="handoff_t").materialize()
         return target, DistArrayBuffer(target, max_delay=5)
-
-    def test_snapshot_restore_round_trips_pending_and_age(self):
-        _target, buf = self._buffer()
-        with access.worker_scope(1):
-            buf[2] = 1.5
-            buf[4] = -2.0
-        buf.tick(1, iterations=3)
-        saved = buf.snapshot()
-        with access.worker_scope(1):
-            buf[2] = 10.0      # merges into the pending write
-        with access.worker_scope(0):
-            buf[0] = 1.0       # a new worker slot
-        buf.tick(1)
-        buf.restore(saved)
-        assert buf.pending_count() == 2
-        with access.worker_scope(1):
-            assert buf[2] == 1.5 and buf[4] == -2.0
-        with access.worker_scope(0):
-            assert buf[0] is None
-        # Age came back too: two more ticks reach max_delay=5, not one.
-        assert not buf.tick(1)
-        assert buf.tick(1)
-        # The snapshot is reusable (restore copied the slots).
-        with access.worker_scope(1):
-            buf[2] = 99.0
-        buf.restore(saved)
-        with access.worker_scope(1):
-            assert buf[2] == 1.5
 
     def test_take_then_apply_equals_a_local_flush(self):
         target, buf = self._buffer()

@@ -23,12 +23,7 @@ from repro.apps import MFHyper, build_sgd_mf
 from repro.baselines import run_bosen
 from repro.data import netflix_like
 from repro.errors import FaultError
-from repro.faults import (
-    FaultPlan,
-    RecoveryCosts,
-    Straggler,
-    WorkerCrash,
-)
+from repro.faults import FaultPlan, Straggler, WorkerCrash
 from repro.obs import MetricsRegistry, Observability, Tracer
 from repro.runtime.checkpoint import (
     CheckpointConfig,

@@ -64,7 +64,8 @@ def _executor(program, plan_kind):
 
 def _run(program, plan_kind, mode, epochs=2):
     """Drive ``run_blocks`` directly: the whole step at once (fused when
-    the kernel allows), one call per block, or the scalar body."""
+    the kernel allows, the scalar body under ``kernel="off"``) or one
+    call per block."""
     executor = _executor(program, plan_kind)
     server_ids = executor._server_ids
     records = []
@@ -74,9 +75,7 @@ def _run(program, plan_kind, mode, epochs=2):
                 for task in step:
                     records += executor.run_blocks([task], server_ids)
             else:
-                records += executor.run_blocks(
-                    step, server_ids, force_scalar=mode == "scalar"
-                )
+                records += executor.run_blocks(step, server_ids)
     state = {
         name: array.values.copy()
         for name, array in program.arrays.items() if not array.sparse
@@ -92,12 +91,13 @@ def test_fused_equals_per_block_equals_scalar(app, plan_kind, depth):
     for mode in ("fused", "per-block", "scalar"):
         with _build(
             app, ordered=plan_kind == "ordered", pipeline_depth=depth,
-            validate=True,
+            validate=True, kernel="off" if mode == "scalar" else "auto",
         ) as program:
             runs[mode] = _run(program, plan_kind, mode)
     executor, ref_records, ref_state = runs["scalar"]
     batched = plan_kind != "1d"
-    assert executor.kernel_path == batched
+    assert not executor.kernel_path
+    assert runs["fused"][0].kernel_path == batched
     if app != "glove" and depth == 4 and batched:
         assert any(record.entries == 0 for record in ref_records)
     for mode in ("fused", "per-block"):
@@ -187,25 +187,6 @@ class TestValidationAndServerAccounting:
         for name in ("epoch_time_s", "bytes_sent", "utilization", "events"):
             assert getattr(runs["auto"][2], name) == \
                 getattr(runs["off"][2], name)
-
-
-def test_equivalence_check_compares_every_block_of_the_fused_unit():
-    """The self-check runs the first non-empty *unit* both ways and
-    compares each block's record, not just the unit's first."""
-    with _build("mf", equivalence_check=True) as program:
-        executor = program.train_loop.executor
-        kernel = executor.kernel
-
-        def skewed(block, kctx):
-            kernel(block, kctx)
-            assert len(kctx.records) > 1
-            kctx.records[-1].server_reads += 1
-
-        executor.kernel = skewed
-        with pytest.raises(
-            ExecutionError, match=r"equivalence check failed.*server_reads"
-        ):
-            program.train_loop.run(1)
 
 
 class TestDispatchCount:

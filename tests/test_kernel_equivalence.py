@@ -1,11 +1,11 @@
-"""The kernel contract's guard rails and building blocks.
+"""The building blocks of the kernel contract.
 
 The executor's kernel fast path (repro.runtime.kernels) promises the same
 floating-point results *and* the same accounting — every EpochResult field
-— as the per-entry interpreted body.  ``tests/test_synth.py`` runs every
-app both ways; here ``equivalence_check`` must reject a caller-supplied
-kernel that breaks the promise, and the bulk DistArray accessors and the
-level schedule the kernels are built on are tested directly.
+— as the per-entry interpreted body.  ``tests/test_synth.py``
+(``TestAutoMatchesScalar``) runs every app both ways and checks that
+promise; here the bulk DistArray accessors and the level schedule the
+kernels are built on are tested directly.
 """
 
 import bisect
@@ -17,75 +17,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import OrionContext
 from repro.core.distarray import DistArray, SubscriptError
-from repro.data.synthetic import sparse_classification
-from repro.runtime.executor import ExecutionError
 from repro.runtime.kernels import level_schedule, pairwise_sum
-from repro.runtime.options import BACKENDS, LoopOptions
 from repro.sanitizer import verify_conflict_groups
-
-
-@pytest.fixture(scope="module")
-def slr_data():
-    return sparse_classification(
-        num_samples=120, num_features=70, nnz_per_sample=5, seed=17
-    )
-
-
-def _buffered_loop_parts(slr_data):
-    """A context plus the pieces of a buffered data-parallel loop."""
-    ctx = OrionContext(seed=1)
-    samples = ctx.from_entries(
-        slr_data.entries, name="samples", shape=slr_data.shape
-    )
-    ctx.materialize(samples)
-    weights = ctx.zeros(slr_data.num_features, name="weights")
-    ctx.materialize(weights)
-    buf = ctx.dist_array_buffer(weights, name="buf")
-
-    def body(key, sample):
-        features, _target = sample
-        for fid, fval in features:
-            buf[fid] = -0.1 * fval
-
-    return ctx, samples, weights, buf, body
-
-
-class TestEquivalenceCheckMode:
-    def test_catches_wrong_kernel(self, slr_data):
-        """A kernel that diverges from the body must fail the check."""
-        ctx, samples, weights, buf, body = _buffered_loop_parts(slr_data)
-
-        def bad_kernel(block, kctx):
-            for _key, (features, _target) in block:
-                for fid, fval in features:
-                    kctx.buffer_add(buf, [fid], [-0.2 * fval])  # wrong scale
-                kctx.account_point_reads(weights, [])
-
-        loop = ctx.parallel_for(
-            samples,
-            options=LoopOptions(kernel=bad_kernel, equivalence_check=True),
-        )(body)
-        with pytest.raises(ExecutionError, match="kernel/scalar"):
-            loop.run()
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_noop_kernel_never_passes(self, slr_data, backend):
-        """A do-nothing kernel under ``equivalence_check=True`` fails on
-        every backend: at the first block on the simulated one, at
-        loop construction on multiprocess (which cannot rewind shared
-        memory under running workers) — never a silent pass."""
-        ctx, samples, _weights, _buf, body = _buffered_loop_parts(slr_data)
-
-        def noop_kernel(block, kctx):
-            pass
-
-        options = LoopOptions(
-            kernel=noop_kernel, equivalence_check=True, backend=backend
-        )
-        with ctx, pytest.raises(ExecutionError, match="equivalence.check"):
-            ctx.parallel_for(samples, options=options)(body).run()
 
 
 class TestBulkAccessors:

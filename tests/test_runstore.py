@@ -296,3 +296,11 @@ class TestPerfCli:
             ["mf", "--backend", "multiprocess", "--slow-factor", "2.0"]
         )
         assert code == 2 and "--backend simulated" in text
+
+    def test_slow_factor_and_faults_are_rejected_together(self):
+        code, text = self._run(
+            ["mf", "--engine", "orion", "--epochs", "2", "--scale", "0.2",
+             "--faults", "seed=1,crashes=0", "--slow-factor", "3"]
+        )
+        assert code == 2
+        assert text == "--slow-factor and --faults cannot be combined\n"
